@@ -17,7 +17,6 @@ import io as stringio
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from . import io as rio
@@ -26,13 +25,14 @@ from .scheduler import AnalyticCostModel, ProfileCostModel, plan_allocation
 from .sim import (
     EVENTS_SCHEMA_VERSION,
     RUN_SCHEMA_VERSION,
+    SPEC_STATS_HEADER,
     ClusterSpec,
     CostConfig,
     InfeasiblePlanError,
     Policy,
     run,
 )
-from .spec_engine import SpecConfig, SpecStats
+from .spec_engine import SpecConfig
 from .tracegen import Trace, TraceSpec, generate, rank_metrics, token_similarity_replay
 
 SCHEMA_VERSIONS = {
@@ -163,28 +163,17 @@ def cmd_analyze_tree_stats(args) -> int:
     store = HistoryStore()
     for pid, group in sorted(trace.epoch_responses(epoch).items()):
         store.ingest_epoch(pid, epoch, group)
-    store.flush()
     stats = store.memory_stats()
-    store.close()
     payload = {
         "epoch": epoch,
         "prompt_count": stats.prompt_count,
         "total_nodes": stats.total_nodes,
         "total_tokens": stats.total_tokens,
-        "approx_bytes": stats.approx_bytes,
     }
     if args.out:
         rio.write_json(args.out, payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def cmd_bench_spec(args) -> int:
-    trace = Trace(rio.read_trace(args.trace))
-    pair = (args.epochs - 1, args.epochs)
-    result = token_similarity_replay(trace, pair, args.prefix)
-    print(f"{result.acceptance:.6f}")
     return EXIT_OK
 
 
@@ -210,15 +199,18 @@ def cmd_plan_alloc(args) -> int:
     return EXIT_OK if plan.feasible else EXIT_INFEASIBLE
 
 
-def _run_one(run_args: dict) -> dict:
-    trace = Trace(rio.read_trace(run_args["trace"]))
-    cluster, cost, spec, policy_defaults = load_run_config(run_args["cluster"])
-    policy_kwargs = dict(policy_defaults)
-    policy_kwargs.update(run_args["policy_overrides"])
-    policy = _build_dataclass(Policy, {"name": run_args["policy"], **policy_kwargs}, "policy")
-    result = run(trace, cluster, policy, cost, spec, seed=run_args["seed"])
-    out = run_args["out"]
-    events_path = os.path.splitext(out)[0] + ".events.jsonl"
+def cmd_run_sim(args) -> int:
+    trace = Trace(rio.read_trace(args.trace))
+    cluster, cost, spec, policy_kwargs = load_run_config(args.cluster)
+    if args.speculation is not None:
+        policy_kwargs["speculation"] = args.speculation
+    if args.no_migration:
+        policy_kwargs["migration"] = False
+    if args.oversample is not None:
+        policy_kwargs["oversample_pct"] = args.oversample
+    policy = _build_dataclass(Policy, {"name": args.policy, **policy_kwargs}, "policy")
+    result = run(trace, cluster, policy, cost, spec)
+    events_path = os.path.splitext(args.out)[0] + ".events.jsonl"
     rio.atomic_write_text(events_path, result.events_jsonl())
     payload = {
         "schema": RUN_SCHEMA_VERSION,
@@ -229,14 +221,13 @@ def _run_one(run_args: dict) -> dict:
             "oversample_pct": policy.oversample_pct,
             "plan_precision": policy.plan_precision,
         },
-        "seed": run_args["seed"],
-        "trace": run_args["trace"],
-        "cluster_config": run_args["cluster"],
+        "trace": args.trace,
+        "cluster_config": args.cluster,
         "metrics": result.metrics.as_dict(),
         "events_path": events_path,
         "timeline": [[w, s, e, k] for w, s, e, k in result.timeline],
         "spec_stats": {
-            "header": SpecStats.CSV_HEADER,
+            "header": SPEC_STATS_HEADER,
             "rows": result.spec_stats_rows,
         },
         "accounting": {
@@ -245,38 +236,8 @@ def _run_one(run_args: dict) -> dict:
             "samples": result.metrics.samples,
         },
     }
-    rio.write_json(out, payload)
-    return {"out": out, "samples_per_second": result.metrics.samples_per_second}
-
-
-def cmd_run_sim(args) -> int:
-    overrides = {}
-    if args.speculation is not None:
-        overrides["speculation"] = args.speculation
-    if args.no_migration:
-        overrides["migration"] = False
-    if args.oversample is not None:
-        overrides["oversample_pct"] = args.oversample
-    seed = args.seed
-    env_seed = os.environ.get("RHYME_SIM_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    base = dict(trace=args.trace, cluster=args.cluster, policy=args.policy,
-                policy_overrides=overrides, seed=seed, out=args.out)
-    if args.replicas <= 1:
-        summary = _run_one(base)
-        print(f"wrote {summary['out']} ({summary['samples_per_second']:.4f} samples/s)")
-        return EXIT_OK
-    jobs = []
-    root, ext = os.path.splitext(args.out)
-    for i in range(args.replicas):
-        job = dict(base)
-        job["seed"] = seed + i
-        job["out"] = f"{root}-{i}{ext}"
-        jobs.append(job)
-    with ProcessPoolExecutor(max_workers=min(args.replicas, os.cpu_count() or 1)) as pool:
-        for summary in pool.map(_run_one, jobs):
-            print(f"wrote {summary['out']} ({summary['samples_per_second']:.4f} samples/s)")
+    rio.write_json(args.out, payload)
+    print(f"wrote {args.out} ({result.metrics.samples_per_second:.4f} samples/s)")
     return EXIT_OK
 
 
@@ -387,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSON output path (default: stdout)")
     p.set_defaults(func=cmd_analyze_tree_stats)
 
-    p = sub.add_parser("bench-spec",
-                       help="print the replay acceptance fraction for epoch pair (N-1, N)")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--epochs", type=int, required=True, help="current epoch N")
-    p.add_argument("--prefix", type=int, default=3)
-    p.set_defaults(func=cmd_bench_spec)
-
     p = sub.add_parser("plan-alloc", help="two-tier worker allocation for group lengths")
     p.add_argument("--lens", required=True, help="comma-separated ascending group lengths")
     p.add_argument("--wks", type=int, required=True)
@@ -408,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSON output (default: stdout)")
     p.set_defaults(func=cmd_plan_alloc)
 
-    p = sub.add_parser("run-sim", help="simulate the pipeline over a trace")
+    p = sub.add_parser("run-sim",
+                       help="simulate the pipeline over a trace (deterministic: the same "
+                            "inputs give byte-identical outputs)")
     p.add_argument("--trace", required=True)
     p.add_argument("--cluster", required=True, help="flat JSON config (cluster.* cost.* spec.* policy.*)")
     p.add_argument("--policy", required=True,
                    choices=["colocated", "streaming", "histopipe_naive", "histopipe_two_tier"])
-    p.add_argument("--out", required=True, help="run JSON output path")
-    p.add_argument("--seed", type=int, default=0,
-                   help="run seed (env RHYME_SIM_SEED overrides)")
-    p.add_argument("--replicas", type=int, default=1,
-                   help="fan out K runs with seeds seed..seed+K-1 in parallel")
+    p.add_argument("--out", required=True,
+                   help="run JSON output path; the event log is written beside it, "
+                        "its extension replaced by .events.jsonl")
     spec_group = p.add_mutually_exclusive_group()
     spec_group.add_argument("--speculation", dest="speculation", action="store_true", default=None)
     spec_group.add_argument("--no-speculation", dest="speculation", action="store_false")

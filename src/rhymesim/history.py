@@ -9,16 +9,14 @@ responses. Construction is amortized linear (Ukkonen) in the total token
 count, and the compressed tree never exceeds 2n+1 nodes for n indexed tokens.
 
 A :class:`HistoryStore` holds one immutable tree per prompt (latest ingested
-epoch only) and builds replacement trees off the caller's thread; readers
-always see a complete snapshot.
+epoch only). It builds a replacement tree on the caller's thread and swaps it
+in once complete, so readers always see a whole tree.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_VOCAB_SIZE = 32768
 
@@ -79,16 +77,6 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def token_children(self) -> list[tuple[int, "Node"]]:
-        """Child edges keyed by real first token, terminal edges excluded."""
-        return [(t, c) for t, c in self.children.items() if t is not TERMINAL]
-
-    @property
-    def end_priority(self) -> float:
-        """Reward mass of responses whose suffix ends exactly here."""
-        child = self.children.get(TERMINAL)
-        return child.priority if child is not None else 0.0
-
 
 @dataclass
 class Cursor:
@@ -106,9 +94,6 @@ class Cursor:
     def priority(self) -> float:
         """Priority of the subtree below the matched position."""
         return self.node.priority
-
-    def at_node(self) -> bool:
-        return self.offset == self.tree.edge_length(self.node)
 
 
 class SuffixTree:
@@ -332,13 +317,6 @@ class SuffixTree:
             node, offset = best, 0
         return DraftResult(tokens=out, matched_prefix_len=len(prefix), source_priority=cursor.priority)
 
-    def approx_bytes(self) -> int:
-        # Rough CPython accounting: node object + child dict slots + stored ints.
-        per_node = 120
-        per_child = 80
-        child_edges = self.node_count - 1
-        return self.node_count * per_node + child_edges * per_child + self.total_tokens * 32
-
 
 def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixTree:
     """Build the suffix index for one prompt's epoch of responses.
@@ -360,95 +338,33 @@ class MemoryStats:
     prompt_count: int
     total_nodes: int
     total_tokens: int
-    approx_bytes: int
-
-
-@dataclass
-class _PromptSlot:
-    tree: SuffixTree | None = None
-    latest_requested: int = -1
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class HistoryStore:
-    """Latest-epoch suffix trees for many prompts, built off-thread.
+    """Latest-epoch suffix trees for many prompts.
 
-    One writer per prompt, any number of readers: `get_tree` returns an
-    immutable snapshot, and the visible tree switches atomically when a
-    build completes. Re-ingesting an old or current epoch raises
-    :class:`StaleEpochError`.
+    `ingest_epoch` builds the new tree completely and only then replaces the
+    visible one, so `get_tree` always returns a whole, immutable snapshot.
+    Re-ingesting an old or current epoch raises :class:`StaleEpochError`.
     """
 
-    def __init__(self, workers: int = 2):
-        self._slots: dict[str, _PromptSlot] = {}
-        self._slots_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="history")
-        self._pending: set[Future] = set()
-        self._pending_lock = threading.Lock()
+    def __init__(self):
+        self._trees: dict[str, SuffixTree] = {}
 
-    def _slot(self, prompt_id: str) -> _PromptSlot:
-        with self._slots_lock:
-            slot = self._slots.get(prompt_id)
-            if slot is None:
-                slot = self._slots[prompt_id] = _PromptSlot()
-            return slot
-
-    def ingest_epoch(self, prompt_id: str, epoch: int, responses: list[Response]) -> Future:
-        """Queue an index build; readers keep the previous tree until it lands."""
-        slot = self._slot(prompt_id)
-        with slot.lock:
-            if epoch <= slot.latest_requested:
-                raise StaleEpochError(
-                    f"epoch {epoch} for prompt {prompt_id!r} is not newer than "
-                    f"already-ingested epoch {slot.latest_requested}"
-                )
-            slot.latest_requested = epoch
-        responses = list(responses)
-        future = self._pool.submit(self._build_and_swap, slot, prompt_id, epoch, responses)
-        with self._pending_lock:
-            self._pending.add(future)
-        future.add_done_callback(self._discard_pending)
-        return future
-
-    def _discard_pending(self, future: Future) -> None:
-        with self._pending_lock:
-            self._pending.discard(future)
-
-    def _build_and_swap(self, slot: _PromptSlot, prompt_id: str, epoch: int, responses) -> None:
-        tree = build_tree(prompt_id, epoch, responses)
-        with slot.lock:
-            # A newer epoch may already be visible if builds raced; keep it.
-            if slot.tree is None or slot.tree.epoch < epoch:
-                slot.tree = tree
+    def ingest_epoch(self, prompt_id: str, epoch: int, responses: list[Response]) -> None:
+        """Index one prompt's epoch and make it the visible tree."""
+        current = self._trees.get(prompt_id)
+        if current is not None and epoch <= current.epoch:
+            raise StaleEpochError(
+                f"epoch {epoch} for prompt {prompt_id!r} is not newer than "
+                f"already-ingested epoch {current.epoch}"
+            )
+        self._trees[prompt_id] = build_tree(prompt_id, epoch, responses)
 
     def get_tree(self, prompt_id: str) -> SuffixTree | None:
-        with self._slots_lock:
-            slot = self._slots.get(prompt_id)
-        return slot.tree if slot is not None else None
-
-    def flush(self) -> None:
-        """Block until every queued build has completed (or raised)."""
-        while True:
-            with self._pending_lock:
-                pending = list(self._pending)
-            if not pending:
-                return
-            for future in pending:
-                future.result()
+        return self._trees.get(prompt_id)
 
     def memory_stats(self) -> MemoryStats:
-        with self._slots_lock:
-            slots = list(self._slots.values())
-        nodes = tokens = approx = count = 0
-        for slot in slots:
-            tree = slot.tree
-            if tree is None:
-                continue
-            count += 1
-            nodes += tree.node_count
-            tokens += tree.total_tokens
-            approx += tree.approx_bytes()
-        return MemoryStats(count, nodes, tokens, approx)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
+        trees = list(self._trees.values())
+        return MemoryStats(len(trees), sum(t.node_count for t in trees),
+                           sum(t.total_tokens for t in trees))

@@ -173,7 +173,6 @@ class ProfileCostModel:
 def cal_wks(
     d: float,
     lens: Sequence[float],
-    wks: int,
     t0: float,
     model: CostModel,
     min_wks: int = 1,
@@ -182,10 +181,8 @@ def cal_wks(
     """Minimum workers per group so group i finishes by t0 + i*d.
 
     Returns (inf, []) when some group cannot meet its target even at
-    max_wks. `wks` is carried for signature parity with the planner, which
-    compares the returned total against it.
+    max_wks; the planner compares the returned total against its budget.
     """
-    del wks
     n = len(lens)
     if max_wks is None:
         max_wks = n  # caller normally supplies one; keep a sane floor
@@ -251,13 +248,13 @@ def plan_allocation(
     d_max = max(0.0, (model.tau(lens[-1], min_wks) - t0) / (n - 1))
     d_min = 0.0
 
-    needed, plan = cal_wks(d_max, lens, wks, t0, model, min_wks, max_wks)
+    needed, plan = cal_wks(d_max, lens, t0, model, min_wks, max_wks)
     if needed > wks:
         return AllocationPlan([], d_max, t0, feasible=False)
     best_plan, best_d = plan, d_max
     while d_max - d_min > precision:
         mid = (d_max + d_min) / 2.0
-        needed, plan = cal_wks(mid, lens, wks, t0, model, min_wks, max_wks)
+        needed, plan = cal_wks(mid, lens, t0, model, min_wks, max_wks)
         if needed > wks:
             d_min = mid
         else:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 
 from .history import HistoryStore, Response
@@ -47,7 +48,9 @@ from .tracegen import Trace
 
 POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
 EVENTS_SCHEMA_VERSION = 1
-RUN_SCHEMA_VERSION = 1
+RUN_SCHEMA_VERSION = 2
+SPEC_STATS_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_passes",
+                     "decode_passes"]
 
 _EPS = 1e-9
 
@@ -273,13 +276,12 @@ class _StepPlan:
 
 class _Simulation:
     def __init__(self, trace: Trace, cluster: ClusterSpec, policy: Policy,
-                 cost: CostConfig, spec_config: SpecConfig, seed: int):
+                 cost: CostConfig, spec_config: SpecConfig):
         self.trace = trace
         self.cluster = cluster
         self.policy = policy
         self.cost = cost
         self.spec_config = spec_config
-        self.seed = seed
         self.steps = len(trace.epochs)
         if trace.epochs != list(range(1, self.steps + 1)):
             raise ValueError("trace epochs must be contiguous starting at 1")
@@ -292,7 +294,7 @@ class _Simulation:
         self._seq = 0
         self.now = 0.0
 
-        self.store = HistoryStore(workers=1) if (policy.speculation and spec_config.enabled) else None
+        self.store = HistoryStore() if policy.speculation else None
         self.stats = SpecStats()
         self.gate = spec_config.gate()
         self.spec_stats_rows: list[list] = []
@@ -335,11 +337,18 @@ class _Simulation:
     def _prompt_stats(self, epoch: int) -> dict[str, PromptStat]:
         stats = {}
         for pid, group in self.trace.epoch_responses(epoch).items():
-            lens = sorted(r.generated_len for r in group)
-            mid = len(lens) // 2
-            median = float(lens[mid]) if len(lens) % 2 else (lens[mid - 1] + lens[mid]) / 2.0
-            stats[pid] = PromptStat(median, float(lens[-1]))
+            lens = [r.generated_len for r in group]
+            stats[pid] = PromptStat(float(statistics.median(lens)), float(max(lens)))
         return stats
+
+    def _planning_stats(self, step: int) -> dict[str, PromptStat]:
+        """Epoch `step`'s prompts with their epoch step-1 statistics. A prompt
+        absent from epoch step-1 gets a typical prompt's: the median of the
+        known medians and of the known maxima."""
+        known = self._prompt_stats(step - 1)
+        cold = PromptStat(float(statistics.median(s.median_len for s in known.values())),
+                          float(statistics.median(s.max_len for s in known.values())))
+        return {pid: known.get(pid, cold) for pid in self.trace.epoch_responses(step)}
 
     def _make_tasks(self, step: int, shares_raw: dict[int, list]) -> dict[int, list[_Task]]:
         """Replay every assigned response and wrap it as a schedulable task."""
@@ -355,13 +364,10 @@ class _Simulation:
             share = []
             for member, resp, group_idx in shares_raw[wid]:
                 sid = f"{resp.prompt_id}/e{resp.epoch}/{member}"
-                tree = self.store.get_tree(resp.prompt_id) if self.store is not None else None
-                speculate = flags[wid]
-                replay = replay_response(resp.tokens, tree if speculate else None,
-                                         self.spec_config, stats=self.stats,
-                                         speculate=speculate)
+                tree = self.store.get_tree(resp.prompt_id) if flags[wid] else None
+                replay = replay_response(resp.tokens, tree, self.spec_config, stats=self.stats)
                 profile = None
-                if speculate and replay.iterations != replay.total_tokens:
+                if replay.iterations != replay.total_tokens:
                     acc = 0
                     profile = []
                     for t in replay.tokens_per_iter:
@@ -388,7 +394,6 @@ class _Simulation:
             prev = self.trace.epoch_responses(step - 1)
             for pid in sorted(prev):
                 self.store.ingest_epoch(pid, step - 1, prev[pid])
-            self.store.flush()
 
         counters_before = (self.stats.tokens_total, self.stats.tokens_speculated,
                            self.stats.tokens_accepted, self.stats.verify_passes,
@@ -437,7 +442,7 @@ class _Simulation:
 
     def _plan_histopipe(self, step: int) -> _StepPlan:
         n_groups = self.cluster.n_groups
-        groups = build_groups(self._prompt_stats(step - 1), n_groups)
+        groups = build_groups(self._planning_stats(step), n_groups)
         order = assignment_order(step, n_groups)
         wks = self.cluster.rollout_workers
 
@@ -447,9 +452,10 @@ class _Simulation:
         }
         allocation = None
         if self.policy.name == "histopipe_two_tier":
-            # Pre-profile tau from each group's previous-epoch member lengths,
-            # keyed by representative length (distinct per group; reps are
-            # non-decreasing by construction).
+            # Pre-profile tau from each group's previous-epoch member lengths
+            # (members new in this epoch have none), keyed by representative
+            # length (distinct per group; reps are non-decreasing by
+            # construction).
             prev_epoch = self.trace.epoch_responses(step - 1)
             member_lens_by_rep: dict[float, list[int]] = {}
             reps = []
@@ -458,7 +464,8 @@ class _Simulation:
                 while rep in member_lens_by_rep:
                     rep = math.nextafter(rep, math.inf)
                 member_lens_by_rep[rep] = [
-                    r.generated_len for pid in g.prompt_ids for r in prev_epoch[pid]
+                    r.generated_len for pid in g.prompt_ids if pid in prev_epoch
+                    for r in prev_epoch[pid]
                 ]
                 reps.append(rep)
             model = _GroupProfileModel(member_lens_by_rep, self.cost, self._accepted_per_pass())
@@ -592,14 +599,11 @@ class _Simulation:
     # -- worker lifecycle -------------------------------------------------------
 
     def _weights_available_at(self, step: int) -> float:
-        version = step - 1
-        if version <= 1 and self.policy.name != "colocated":
+        # Colocated step 1 and pipelined steps 1-2 roll out the initial weights.
+        first_trained = 2 if self.policy.name == "colocated" else 3
+        if step < first_trained:
             return 0.0
-        if self.policy.name == "colocated":
-            if step == 1:
-                return 0.0
-            return self.weight_avail.get(version, math.inf)
-        return self.weight_avail.get(version, math.inf)
+        return self.weight_avail.get(step - 1, math.inf)
 
     def _try_start(self, worker: _Worker, step: int) -> None:
         if step > self.steps:
@@ -888,8 +892,6 @@ class _Simulation:
                 self._on_train_check(*data)
             elif kind == "train_done":
                 self._on_train_done(*data)
-        if self.store is not None:
-            self.store.close()
         return self._finalize()
 
     # -- metrics --------------------------------------------------------------
@@ -973,11 +975,10 @@ def _union_length(spans: list[tuple[float, float]]) -> float:
 
 
 def run(trace: Trace | list[Response], cluster: ClusterSpec, policy: Policy,
-        cost: CostConfig | None = None, spec_config: SpecConfig | None = None,
-        seed: int = 0) -> SimResult:
+        cost: CostConfig | None = None, spec_config: SpecConfig | None = None) -> SimResult:
     """Simulate the full pipeline over the trace; deterministic per inputs."""
     if not isinstance(trace, Trace):
         trace = Trace(trace)
     sim = _Simulation(trace, cluster, policy, cost or CostConfig(),
-                      spec_config or SpecConfig(), seed)
+                      spec_config or SpecConfig())
     return sim.run()

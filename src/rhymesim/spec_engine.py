@@ -1,4 +1,4 @@
-"""Per-response speculative decoding driver.
+"""Per-response speculative decoding replay.
 
 Speculation never changes what a response says, only how many engine
 iterations it takes to say it: drafts come from the prompt's history tree,
@@ -10,12 +10,15 @@ prefix shrinks while matches fail and snaps back once one succeeds. A batch
 gate disables speculation outright when the worker's batch is already large
 enough that verification overhead would not pay off at the observed
 acceptance rate.
+
+:func:`replay_response` runs one response to completion as a single loop
+over plain integers (position, window size, prefix length); a response
+replayed without a tree takes one iteration per token.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .history import SuffixTree
 
@@ -26,50 +29,6 @@ PREFIX_INIT = 7
 PREFIX_MIN = 3
 GATE_BUCKETS = 10
 GATE_DEFAULT_MAX_BATCH = 8192
-
-
-class ResponseComplete(RuntimeError):
-    """step() was called on a response that already reached its full length."""
-
-
-@dataclass(frozen=True)
-class AimdWindow:
-    """Additive-increase, reset-on-reject speculation window."""
-
-    size: int = WINDOW_INIT
-    init: int = WINDOW_INIT
-    add_step: int = WINDOW_ADD
-    max: int = WINDOW_MAX
-
-    def __post_init__(self):
-        if not (1 <= self.init <= self.size <= self.max):
-            raise ValueError(f"window invariant violated: {self}")
-
-
-def next_window(window: AimdWindow, all_accepted: bool) -> AimdWindow:
-    """Grow by `add_step` on a fully accepted draft, else reset to `init`."""
-    if all_accepted:
-        return replace(window, size=min(window.size + window.add_step, window.max))
-    return replace(window, size=window.init)
-
-
-@dataclass(frozen=True)
-class PrefixPolicy:
-    """Lookup prefix length: decays on misses, restores on a hit."""
-
-    current_len: int = PREFIX_INIT
-    initial_len: int = PREFIX_INIT
-    min_len: int = PREFIX_MIN
-
-    def __post_init__(self):
-        if not (1 <= self.min_len <= self.current_len <= self.initial_len):
-            raise ValueError(f"prefix invariant violated: {self}")
-
-
-def choose_prefix(policy: PrefixPolicy, found_match: bool) -> PrefixPolicy:
-    if found_match:
-        return replace(policy, current_len=policy.initial_len)
-    return replace(policy, current_len=max(policy.current_len - 1, policy.min_len))
 
 
 @dataclass(frozen=True)
@@ -107,30 +66,15 @@ def verify(draft: list[int], truth: list[int]) -> int:
     return n
 
 
+@dataclass
 class SpecStats:
-    """Shared counters; increments are lock-protected for concurrent steppers."""
+    """Token and pass counters summed over every replayed response."""
 
-    __slots__ = ("_lock", "tokens_total", "tokens_speculated", "tokens_accepted",
-                 "verify_passes", "decode_passes")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.tokens_total = 0
-        self.tokens_speculated = 0
-        self.tokens_accepted = 0
-        self.verify_passes = 0
-        self.decode_passes = 0
-
-    def record(self, *, total: int, speculated: int, accepted: int,
-               verify_pass: bool) -> None:
-        with self._lock:
-            self.tokens_total += total
-            self.tokens_speculated += speculated
-            self.tokens_accepted += accepted
-            if verify_pass:
-                self.verify_passes += 1
-            else:
-                self.decode_passes += 1
+    tokens_total: int = 0
+    tokens_speculated: int = 0
+    tokens_accepted: int = 0
+    verify_passes: int = 0
+    decode_passes: int = 0
 
     @property
     def speculation_rate(self) -> float:
@@ -140,18 +84,11 @@ class SpecStats:
     def acceptance_rate(self) -> float:
         return self.tokens_accepted / self.tokens_speculated if self.tokens_speculated else 0.0
 
-    def csv_row(self, step: int) -> list:
-        return [step, f"{self.speculation_rate:.6f}", f"{self.acceptance_rate:.6f}",
-                self.verify_passes, self.decode_passes]
-
-    CSV_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_passes", "decode_passes"]
-
 
 @dataclass
 class SpecConfig:
     """Engine knobs; mirrored one-to-one by the `spec.*` config keys."""
 
-    enabled: bool = True
     window_init: int = WINDOW_INIT
     window_add: int = WINDOW_ADD
     window_max: int = WINDOW_MAX
@@ -159,85 +96,30 @@ class SpecConfig:
     prefix_min: int = PREFIX_MIN
     gate_table: tuple[int, ...] = (GATE_DEFAULT_MAX_BATCH,) * GATE_BUCKETS
 
-    def new_window(self) -> AimdWindow:
-        return AimdWindow(size=self.window_init, init=self.window_init,
-                          add_step=self.window_add, max=self.window_max)
-
-    def new_prefix(self) -> PrefixPolicy:
-        return PrefixPolicy(current_len=self.prefix_init,
-                            initial_len=self.prefix_init, min_len=self.prefix_min)
+    def __post_init__(self):
+        if not (1 <= self.window_init <= self.window_max):
+            raise ValueError(f"window needs 1 <= window_init <= window_max: {self}")
+        if not (1 <= self.prefix_min <= self.prefix_init):
+            raise ValueError(f"prefix needs 1 <= prefix_min <= prefix_init: {self}")
 
     def gate(self) -> BatchGate:
         return BatchGate(tuple(self.gate_table))
 
 
-@dataclass
-class ResponseContext:
-    """Mutable replay state for one response being generated."""
-
-    truth: list[int]
-    tree: SuffixTree | None
-    window: AimdWindow
-    prefix: PrefixPolicy
-    stats: SpecStats
-    speculate: bool = True
-    generated: list[int] = field(default_factory=list)
-
-    @property
-    def done(self) -> bool:
-        return len(self.generated) >= len(self.truth)
+def next_window(config: SpecConfig, size: int, all_accepted: bool) -> int:
+    """AIMD window: grow by `window_add` on a fully accepted draft (capped at
+    `window_max`), else reset to `window_init`."""
+    if all_accepted:
+        return min(size + config.window_add, config.window_max)
+    return config.window_init
 
 
-@dataclass
-class StepOutcome:
-    tokens_appended: int
-    drafted: int
-    accepted: int
-    used_speculation: bool
-    done: bool
-
-
-def step_response(ctx: ResponseContext) -> StepOutcome:
-    """Advance one engine iteration: either a plain decode of one token or a
-    draft+verify pass that lands the accepted run plus its bonus token."""
-    if ctx.done:
-        raise ResponseComplete(f"response already complete at {len(ctx.truth)} tokens")
-
-    pos = len(ctx.generated)
-    draft: list[int] = []
-    looked_up = False
-    found = False
-    if ctx.speculate and ctx.tree is not None and pos >= ctx.prefix.current_len:
-        looked_up = True
-        prefix = ctx.generated[pos - ctx.prefix.current_len :]
-        result = ctx.tree.extract_draft(prefix, ctx.window.size)
-        found = result.found
-        draft = result.tokens
-
-    if not draft:
-        # Plain decode: no draft to verify (no tree, short history, miss, or
-        # a match that ends exactly at a response boundary).
-        ctx.generated.append(ctx.truth[pos])
-        ctx.stats.record(total=1, speculated=0, accepted=0, verify_pass=False)
-        if looked_up:
-            ctx.prefix = choose_prefix(ctx.prefix, found)
-        return StepOutcome(1, 0, 0, False, ctx.done)
-
-    truth_rest = ctx.truth[pos:]
-    accepted = verify(draft, truth_rest)
-    all_accepted = accepted == len(draft)
-    appended = min(accepted, len(truth_rest))
-    ctx.generated.extend(truth_rest[:appended])
-    bonus = 0
-    if not ctx.done:
-        # The verify forward pass itself emits the next token.
-        ctx.generated.append(ctx.truth[pos + appended])
-        bonus = 1
-    ctx.stats.record(total=appended + bonus, speculated=len(draft),
-                     accepted=appended, verify_pass=True)
-    ctx.window = next_window(ctx.window, all_accepted)
-    ctx.prefix = choose_prefix(ctx.prefix, True)
-    return StepOutcome(appended + bonus, len(draft), appended, True, ctx.done)
+def next_prefix_len(config: SpecConfig, length: int, found: bool) -> int:
+    """Lookup prefix length: back to `prefix_init` on a hit, one shorter
+    (floored at `prefix_min`) on a miss."""
+    if found:
+        return config.prefix_init
+    return max(length - 1, config.prefix_min)
 
 
 @dataclass
@@ -258,22 +140,50 @@ class ResponseReplay:
 
 
 def replay_response(truth: list[int], tree: SuffixTree | None, config: SpecConfig,
-                    stats: SpecStats | None = None, speculate: bool = True) -> ResponseReplay:
-    """Run a response to completion and report its iteration profile."""
-    stats = stats if stats is not None else SpecStats()
-    ctx = ResponseContext(
-        truth=list(truth),
-        tree=tree if (speculate and config.enabled) else None,
-        window=config.new_window(),
-        prefix=config.new_prefix(),
-        stats=stats,
-        speculate=speculate and config.enabled,
-    )
+                    stats: SpecStats | None = None) -> ResponseReplay:
+    """Run a response to completion and report its iteration profile.
+
+    Each iteration is either a plain decode of one token or a draft+verify
+    pass that lands the accepted run plus its bonus token. With `tree` None
+    nothing is drafted. `stats`, when given, receives the response's counters.
+    """
+    n = len(truth)
     per_iter: list[int] = []
-    drafted = accepted = 0
-    while not ctx.done:
-        outcome = step_response(ctx)
-        per_iter.append(outcome.tokens_appended)
-        drafted += outcome.drafted
-        accepted += outcome.accepted
+    drafted = accepted = verify_passes = 0
+    if tree is None:
+        per_iter = [1] * n
+    else:
+        pos = 0
+        window = config.window_init
+        prefix_len = config.prefix_init
+        while pos < n:
+            if pos < prefix_len:
+                pos += 1
+                per_iter.append(1)
+                continue
+            result = tree.extract_draft(truth[pos - prefix_len : pos], window)
+            draft = result.tokens
+            if not draft:
+                # Plain decode: a miss, or a match that ends exactly at a
+                # response boundary.
+                pos += 1
+                per_iter.append(1)
+                prefix_len = next_prefix_len(config, prefix_len, result.found)
+                continue
+            landed = verify(draft, truth[pos : pos + len(draft)])
+            # The verify forward pass itself emits the next token.
+            bonus = 1 if pos + landed < n else 0
+            pos += landed + bonus
+            per_iter.append(landed + bonus)
+            drafted += len(draft)
+            accepted += landed
+            verify_passes += 1
+            window = next_window(config, window, landed == len(draft))
+            prefix_len = next_prefix_len(config, prefix_len, True)
+    if stats is not None:
+        stats.tokens_total += n
+        stats.tokens_speculated += drafted
+        stats.tokens_accepted += accepted
+        stats.verify_passes += verify_passes
+        stats.decode_passes += len(per_iter) - verify_passes
     return ResponseReplay(per_iter, drafted, accepted)

@@ -17,7 +17,7 @@ import oracles
 from rhymesim.history import Response, build_tree
 from rhymesim.scheduler import cal_wks, plan_allocation
 from rhymesim.sim import ClusterSpec, CostConfig, Policy, run
-from rhymesim.spec_engine import AimdWindow, next_window
+from rhymesim.spec_engine import SpecConfig, next_window
 from rhymesim.tracegen import Trace, TraceSpec, generate, rank_metrics, token_similarity_replay
 
 
@@ -99,14 +99,15 @@ def test_criterion_1_suffix_tree_oracle_equivalence():
 def test_criterion_2_aimd_exactness():
     # Every accept/reject sequence of length <= 12 must land exactly on
     # min(2 + 2*trailing_streak, 32), resetting to 2 on rejection.
+    config = SpecConfig()
     deviations = 0
     checked = 0
     for length in range(13):
         for history in itertools.product([False, True], repeat=length):
-            w = AimdWindow()
+            size = config.window_init
             for accepted in history:
-                w = next_window(w, accepted)
-            if w.size != oracles.window_after(list(history)):
+                size = next_window(config, size, accepted)
+            if size != oracles.window_after(list(history)):
                 deviations += 1
             checked += 1
     assert deviations == 0
@@ -146,7 +147,7 @@ def test_criterion_3_allocation_optimality():
         else:
             assert plan.feasible, trial
             assert plan.gradient_d <= best + precision, (trial, plan.gradient_d, best)
-            needed, check = cal_wks(plan.gradient_d, lens, wks, plan.t0, model, 1, max_wks)
+            needed, check = cal_wks(plan.gradient_d, lens, plan.t0, model, 1, max_wks)
             assert needed <= wks and check == plan.per_group_workers, trial
             feasible += 1
     elapsed = time.monotonic() - start

@@ -85,19 +85,19 @@ class TestAssignmentOrder:
 
 class TestCalWks:
     def test_hand_example(self):
-        needed, plan = cal_wks(10.0, [10.0, 20.0], wks=4, t0=10.0,
+        needed, plan = cal_wks(10.0, [10.0, 20.0], t0=10.0,
                                model=DivideModel(), min_wks=1, max_wks=4)
         assert (needed, plan) == (2, [1, 1])
 
     def test_infeasible_target(self):
         # Group 1 needs tau <= 0.5 but even 4 workers give 20/4 = 5.
-        needed, plan = cal_wks(0.0, [1.0, 20.0], wks=8, t0=0.5,
+        needed, plan = cal_wks(0.0, [1.0, 20.0], t0=0.5,
                                model=DivideModel(), min_wks=1, max_wks=4)
         assert needed == math.inf
         assert plan == []
 
     def test_large_gradient_gives_min_workers(self):
-        needed, plan = cal_wks(1000.0, [10.0, 20.0, 30.0], wks=9, t0=10.0,
+        needed, plan = cal_wks(1000.0, [10.0, 20.0, 30.0], t0=10.0,
                                model=DivideModel(), min_wks=1, max_wks=4)
         assert plan == [1, 1, 1]
 
@@ -132,7 +132,7 @@ class TestPlanAllocation:
                 assert plan.feasible, trial
                 assert plan.gradient_d <= best + p, trial
                 # The returned plan must really meet its own gradient.
-                needed, check = cal_wks(plan.gradient_d, lens, wks, plan.t0, model, 1, max_wks)
+                needed, check = cal_wks(plan.gradient_d, lens, plan.t0, model, 1, max_wks)
                 assert needed <= wks and check == plan.per_group_workers
 
     def test_ample_workers_drive_gradient_to_zero(self):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import defaultdict
 
 import pytest
 
+from rhymesim.history import Response
 from rhymesim.sim import (
     ClusterSpec,
     CostConfig,
@@ -258,3 +260,50 @@ class TestEventLog:
             obj = json.loads(line)
             assert obj["kind"] in {"rollout_finish", "migration", "weight_update",
                                    "reward_done", "train_done", "step_boundary"}
+
+
+def edited_prompt_set_traces():
+    """Two traces whose prompt set changes between epochs: p0003 dropped from
+    epoch 2, and a copy of p0003 as the new prompt pNEW in epochs 2-3."""
+    spec = TraceSpec(num_prompts=16, epochs=3, group_size=2, seed=1)
+    responses = generate(spec)
+    dropped = [r for r in responses if not (r.prompt_id == "p0003" and r.epoch == 2)]
+    added = responses + [
+        Response("pNEW", r.epoch, list(r.tokens), r.reward)
+        for r in responses if r.prompt_id == "p0003" and r.epoch >= 2
+    ]
+    return {"dropped": dropped, "added": added}
+
+
+class TestPromptSetChanges:
+    @pytest.mark.parametrize("edit", ["dropped", "added"])
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_every_response_completes(self, policy, edit):
+        responses = edited_prompt_set_traces()[edit]
+        res = run(responses, ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
+                  Policy(policy, speculation=(policy != "colocated")), fast_cost())
+        expected = {f"{r.prompt_id}/e{r.epoch}" for r in responses}
+        assert res.metrics.samples == len(responses)
+        assert len(res.accounting["completed"]) == len(responses)
+        assert {sid.rsplit("/", 1)[0] for sid in res.accounting["completed"]} == expected
+
+
+class TestPinnedEventLogs:
+    """Event-log sha256 of small runs, pinned so refactors that must keep
+    every output byte-identical are checked against a fixed reference."""
+
+    PINNED = {
+        ("histopipe_two_tier", True):
+            "695603809ed24548c44f585794c34092b6fc5a28c263a835a1924359025db162",
+        ("streaming", True):
+            "0c0b00f0bd636636112272f6545984ca0856a7d6865ec89f21aab11d3fdc0baa",
+        ("histopipe_two_tier", False):
+            "0b5bfc4446be89f593f39fafc5db1f5563e7745136544a39125a2cc25058003e",
+    }
+
+    @pytest.mark.parametrize("name,speculation", sorted(PINNED))
+    def test_events_sha256_pinned(self, name, speculation):
+        res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
+                  Policy(name, speculation=speculation), fast_cost())
+        digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
+        assert digest == self.PINNED[(name, speculation)]

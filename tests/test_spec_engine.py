@@ -8,62 +8,66 @@ import pytest
 import oracles
 from rhymesim.history import Response, build_tree
 from rhymesim.spec_engine import (
-    AimdWindow,
     BatchGate,
-    PrefixPolicy,
-    ResponseComplete,
-    ResponseContext,
     SpecConfig,
     SpecStats,
-    choose_prefix,
     gate_check,
+    next_prefix_len,
     next_window,
     replay_response,
-    step_response,
     verify,
 )
 
 
 class TestAimdWindow:
     def test_additive_increase_by_two(self):
-        assert next_window(AimdWindow(size=2), True).size == 4
+        assert next_window(SpecConfig(), 2, True) == 4
 
     def test_caps_at_upper_threshold(self):
-        assert next_window(AimdWindow(size=30), True).size == 32
-        assert next_window(AimdWindow(size=32), True).size == 32
+        assert next_window(SpecConfig(), 30, True) == 32
+        assert next_window(SpecConfig(), 32, True) == 32
 
     def test_any_rejection_resets_to_init(self):
-        assert next_window(AimdWindow(size=24), False).size == 2
+        assert next_window(SpecConfig(), 24, False) == 2
 
     def test_closed_form_over_all_short_histories(self):
         # Window state after any accept/reject history equals
         # min(init + add_step * trailing_accept_streak, max).
+        config = SpecConfig()
         for length in range(0, 13):
             for history in itertools.product([False, True], repeat=length):
-                w = AimdWindow()
+                size = config.window_init
                 for accepted in history:
-                    w = next_window(w, accepted)
-                assert w.size == oracles.window_after(list(history))
+                    size = next_window(config, size, accepted)
+                assert size == oracles.window_after(list(history))
 
     def test_custom_init_is_reset_target(self):
-        w = AimdWindow(size=10, init=4, add_step=3, max=12)
-        assert next_window(w, False).size == 4
-        assert next_window(w, True).size == 12
+        config = SpecConfig(window_init=4, window_add=3, window_max=12)
+        assert next_window(config, 10, False) == 4
+        assert next_window(config, 10, True) == 12
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            AimdWindow(size=64)
+            SpecConfig(window_init=64)
+        with pytest.raises(ValueError):
+            SpecConfig(window_init=0)
 
 
 class TestPrefixPolicy:
     def test_no_match_shrinks(self):
-        assert choose_prefix(PrefixPolicy(current_len=7), False).current_len == 6
+        assert next_prefix_len(SpecConfig(), 7, False) == 6
 
     def test_floor_at_min(self):
-        assert choose_prefix(PrefixPolicy(current_len=3), False).current_len == 3
+        assert next_prefix_len(SpecConfig(), 3, False) == 3
 
     def test_match_resets_to_initial(self):
-        assert choose_prefix(PrefixPolicy(current_len=5), True).current_len == 7
+        assert next_prefix_len(SpecConfig(), 5, True) == 7
+
+    def test_invalid_prefix_rejected(self):
+        with pytest.raises(ValueError):
+            SpecConfig(prefix_init=3, prefix_min=4)
+        with pytest.raises(ValueError):
+            SpecConfig(prefix_min=0)
 
 
 class TestVerify:
@@ -105,46 +109,53 @@ class TestBatchGate:
             BatchGate(tuple([100] * 5 + [50] * 5))
 
 
-def make_ctx(truth, corpus=None, config=None):
-    config = config or SpecConfig()
-    tree = None
-    if corpus is not None:
-        tree = build_tree("p", 1, [Response("p", 1, t, r) for t, r in corpus])
-    return ResponseContext(
-        truth=list(truth),
-        tree=tree,
-        window=config.new_window(),
-        prefix=config.new_prefix(),
-        stats=SpecStats(),
-    )
+class SpyTree:
+    """Forwards `extract_draft` to a real suffix tree and records each call
+    as (prefix, window, draft tokens)."""
+
+    def __init__(self, corpus):
+        self.tree = build_tree("p", 1, [Response("p", 1, list(t), r) for t, r in corpus])
+        self.calls: list[tuple[list[int], int, list[int]]] = []
+
+    def extract_draft(self, prefix, window):
+        result = self.tree.extract_draft(prefix, window)
+        self.calls.append((list(prefix), window, list(result.tokens)))
+        return result
 
 
 class TestStepResponse:
+    """Per-iteration behaviour, observed through `replay_response` and the
+    draft lookups it makes."""
+
     def test_no_history_falls_back_to_decode(self):
-        ctx = make_ctx([4, 5, 6])
-        out = step_response(ctx)
-        assert out.tokens_appended == 1
-        assert not out.used_speculation
-        assert ctx.stats.decode_passes == 1
+        stats = SpecStats()
+        replay = replay_response([4, 5, 6], None, SpecConfig(), stats=stats)
+        assert replay.tokens_per_iter == [1, 1, 1]
+        assert (stats.decode_passes, stats.verify_passes) == (3, 0)
 
     def test_full_accept_appends_window_plus_bonus(self):
         truth = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        corpus = [(list(truth), 1.0)]
+        spy = SpyTree([(truth, 1.0)])
         config = SpecConfig(prefix_init=3, prefix_min=3)
-        ctx = make_ctx(truth, corpus, config)
-        for _ in range(3):  # warm-up decodes until the prefix exists
-            step_response(ctx)
-        out = step_response(ctx)
-        assert out.used_speculation
-        assert out.accepted == 2
-        assert out.tokens_appended == 3  # 2 accepted + 1 bonus
-        assert ctx.window.size == 4
+        replay = replay_response(truth, spy, config)
+        # Three warm-up decodes until the prefix exists, then 2 accepted
+        # draft tokens + 1 bonus token.
+        assert replay.tokens_per_iter[:4] == [1, 1, 1, 3]
+        assert spy.calls[0] == ([1, 2, 3], 2, [4, 5])
+        assert spy.calls[1][1] == 4
 
-    def test_complete_response_raises(self):
-        ctx = make_ctx([1])
-        step_response(ctx)
-        with pytest.raises(ResponseComplete):
-            step_response(ctx)
+    def test_window_grows_on_full_accept_and_resets_on_partial(self):
+        truth = list(range(40))
+        # History agrees with the truth up to token 19, then diverges.
+        spy = SpyTree([(list(range(20)) + [999] * 5, 1.0)])
+        config = SpecConfig(prefix_init=3, prefix_min=3)
+        replay_response(truth, spy, config)
+        windows = [window for _, window, _ in spy.calls]
+        assert windows[:3] == [2, 4, 6]
+        partial = next(i for i, (prefix, window, draft) in enumerate(spy.calls)
+                       if 999 in draft)
+        assert spy.calls[partial][2][:2] == [18, 19]
+        assert spy.calls[partial + 1][1] == config.window_init
 
     def test_output_equals_truth_regardless_of_drafts(self):
         rng = random.Random(5)
@@ -157,30 +168,39 @@ class TestStepResponse:
             ]
             if rng.random() < 0.5:
                 corpus.append((list(truth), 0.5))
-            ctx = make_ctx(truth, corpus)
-            iters = 0
-            while not ctx.done:
-                step_response(ctx)
-                iters += 1
-            assert ctx.generated == truth
-            assert ctx.stats.tokens_total == len(truth)
-            assert ctx.stats.verify_passes + ctx.stats.decode_passes == iters
+            spy = SpyTree(corpus)
+            stats = SpecStats()
+            replay = replay_response(truth, spy, SpecConfig(), stats=stats)
+            assert replay.total_tokens == len(truth)
+            assert stats.tokens_total == len(truth)
+            assert stats.verify_passes + stats.decode_passes == replay.iterations
+            # Every lookup prefix is the generated text (= truth) just before
+            # some iteration, in iteration order.
+            starts = list(itertools.accumulate(replay.tokens_per_iter, initial=0))[:-1]
+            matched = 0
+            for pos in starts:
+                if matched < len(spy.calls):
+                    prefix = spy.calls[matched][0]
+                    if len(prefix) <= pos and truth[pos - len(prefix) : pos] == prefix:
+                        matched += 1
+            assert matched == len(spy.calls)
 
     def test_prefix_policy_shrinks_on_miss_and_resets_on_hit(self):
         truth = list(range(30))
-        corpus = [(list(range(100, 130)), 1.0)]  # shares nothing with truth
+        # The first lookups miss; truth[10:20] occurs in the history.
+        spy = SpyTree([(list(range(100, 130)), 1.0), (list(range(10, 20)), 1.0)])
         config = SpecConfig(prefix_init=5, prefix_min=3)
-        ctx = make_ctx(truth, corpus, config)
-        for _ in range(5):
-            step_response(ctx)
-        # First lookup happened at pos 5 and missed.
-        step_response(ctx)
-        assert ctx.prefix.current_len == 4
+        replay_response(truth, spy, config)
+        lens = [len(prefix) for prefix, _, _ in spy.calls]
+        assert lens[:4] == [5, 4, 3, 3]
+        hit = next(i for i, (_, _, draft) in enumerate(spy.calls) if draft)
+        assert spy.calls[hit][0] == [10, 11, 12]
+        assert lens[hit + 1] == config.prefix_init
 
     def test_identical_history_reaches_full_acceptance(self):
         truth = list(range(400))
-        corpus = [(list(truth), 1.0)]
-        replay = replay_response(truth, build_tree("p", 1, [Response("p", 1, *c) for c in [(corpus[0][0], 1.0)]]), SpecConfig())
+        tree = build_tree("p", 1, [Response("p", 1, list(truth), 1.0)])
+        replay = replay_response(truth, tree, SpecConfig())
         assert replay.total_tokens == len(truth)
         # After warm-up everything lands through accepted drafts.
         stats_accept = replay.accepted / (len(truth) - 7)
@@ -191,7 +211,7 @@ class TestStepResponse:
 class TestReplayResponse:
     def test_disabled_speculation_is_one_token_per_iter(self):
         truth = list(range(50))
-        replay = replay_response(truth, None, SpecConfig(enabled=False))
+        replay = replay_response(truth, None, SpecConfig())
         assert replay.iterations == 50
         assert replay.tokens_per_iter == [1] * 50
 
