@@ -298,6 +298,13 @@ class MigrationDecision:
 NO_MIGRATION = MigrationDecision("none")
 
 
+def in_straggler_tail(completed: int, total: int, policy: MigrationPolicy) -> bool:
+    """True while the group's remaining rollouts are its last alpha%, at
+    least one: the per-group half of the migration test, which no rollout's
+    length affects."""
+    return total - completed <= max(1, math.floor(policy.alpha_pct / 100.0 * total))
+
+
 def migration_decision(
     group: RankingGroup,
     generated_len: int,
@@ -314,8 +321,7 @@ def migration_decision(
     groups (index < n_groups/2) hand the rollout to the least-loaded group
     still rolling out this step; long groups defer it to the next step.
     """
-    remaining = total - completed
-    if remaining > max(1, math.floor(policy.alpha_pct / 100.0 * total)):
+    if not in_straggler_tail(completed, total, policy):
         return NO_MIGRATION
     if generated_len <= policy.beta * group.max_hist_len:
         return NO_MIGRATION

@@ -28,6 +28,7 @@ import heapq
 import json
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .history import HistoryStore, Response
@@ -39,6 +40,7 @@ from .scheduler import (
     assignment_order,
     beta_from_history,
     build_groups,
+    in_straggler_tail,
     migration_decision,
     partition_sizes,
     plan_allocation,
@@ -59,6 +61,12 @@ class InfeasiblePlanError(RuntimeError):
     """Two-tier planning could not fit the worker budget."""
 
 
+class SimulationStalledError(RuntimeError):
+    """The event queue drained before the run finished its work: a scheduled
+    sample did not finish exactly once, a step never trained, or a worker
+    still waits for weights."""
+
+
 class _GroupProfileModel:
     """Execution-time estimates pre-profiled from each group's history.
 
@@ -67,7 +75,9 @@ class _GroupProfileModel:
     simulator will deal next epoch's responses; the returned time is the
     slowest worker's decayed-batch makespan. This is the simulator's analog
     of profiling the inference engine, and it knows nothing about the epoch
-    being planned.
+    being planned. tau is a pure function of its arguments, so each
+    (length, workers) cell is computed once: the allocation search asks the
+    same cells again at every gradient it tries.
     """
 
     def __init__(self, member_lens_by_rep: dict[float, list[int]], cost: "CostConfig",
@@ -76,6 +86,7 @@ class _GroupProfileModel:
         self._reps = sorted(member_lens_by_rep)
         self._cost = cost
         self._app = accepted_per_pass
+        self._tau: dict[tuple[float, int], float] = {}
 
     def _resolve(self, length: float) -> list[int]:
         if length in self._groups:
@@ -96,12 +107,15 @@ class _GroupProfileModel:
         return total
 
     def tau(self, length: float, workers: int) -> float:
-        member_lens = self._resolve(length)
-        shares: list[list[int]] = [[] for _ in range(workers)]
-        for i, l in enumerate(member_lens):
-            shares[i % workers].append(l)
-        worst = max(self._share_makespan(s) for s in shares)
-        return worst / (1.0 + self._app) + self._cost.fixed_step_overhead
+        key = (length, workers)
+        if key not in self._tau:
+            member_lens = self._resolve(length)
+            shares: list[list[int]] = [[] for _ in range(workers)]
+            for i, l in enumerate(member_lens):
+                shares[i % workers].append(l)
+            worst = max(self._share_makespan(s) for s in shares)
+            self._tau[key] = worst / (1.0 + self._app) + self._cost.fixed_step_overhead
+        return self._tau[key]
 
 
 @dataclass
@@ -544,13 +558,21 @@ class _Simulation:
             return 0.0
         return max(0.0, self.stats.tokens_total / passes - 1.0)
 
-    def _bind_carry(self, plan: _StepPlan, task: _Task) -> None:
-        # A continuation joins the workers serving its prompt's group next
-        # step (or any worker under round-robin plans).
+    def _carry_targets(self, plan: _StepPlan, task: _Task) -> tuple[int | None, list[int]]:
+        """The group a continuation of `task` joins in `plan`'s step and the
+        workers that can still run it: those serving the prompt's group (any
+        worker under round-robin plans) that have not moved past the step.
+        With oversampling, training and so the next weights can come before
+        a step's last sample, letting workers run ahead of a straggler."""
         group = None
         if plan.groups is not None:
             group = next((g.index for g in plan.groups if task.prompt in g.prompt_ids), None)
-        wids = [w for w, g in plan.worker_groups.items() if group is None or g == group]
+        wids = [w for w, g in plan.worker_groups.items()
+                if (group is None or g == group) and self.workers[w].step <= plan.step]
+        return group, wids
+
+    def _bind_carry(self, plan: _StepPlan, task: _Task) -> None:
+        group, wids = self._carry_targets(plan, task)
         target = min(wids, key=lambda w: (len(plan.shares.get(w, [])), w))
         task.worker = target
         task.group = group
@@ -573,12 +595,14 @@ class _Simulation:
         elapsed = to_time - worker.last_advance
         if elapsed > 0 and worker.inflight:
             rate = self._t_iter(worker)
+            iters = elapsed / rate  # the whole slice, for tasks with no prefill left
             for task in worker.inflight.values():
-                slice_left = elapsed
-                if task.prefill_left > 0:
-                    used = min(task.prefill_left, slice_left)
-                    task.prefill_left -= used
-                    slice_left -= used
+                if task.prefill_left <= 0:
+                    task.remaining -= iters
+                    continue
+                used = min(task.prefill_left, elapsed)
+                task.prefill_left -= used
+                slice_left = elapsed - used
                 if slice_left > 0:
                     task.remaining -= slice_left / rate
         worker.last_advance = max(worker.last_advance, to_time)
@@ -691,6 +715,19 @@ class _Simulation:
         return self._beta_cache[step]
 
     def _check_migrations(self, plan: _StepPlan) -> None:
+        """Migrate the stragglers of every group still rolling out this step.
+
+        Only a group down to its last alpha% (`in_straggler_tail`) can
+        migrate anything, so the per-rollout test runs in those groups
+        alone. The skip is exact: while a group is scanned, only its own
+        migrations change its counts, and a group outside its tail makes
+        none. Every live worker is still advanced to now, in the same order,
+        because advancing a worker in a different set of time slices changes
+        the float bits of its progress and hence the event log: observing
+        progress mutates it. Making progress a pure function of the time the
+        worker's batch last changed would remove that coupling, at the price
+        of pinning new event-log hashes once.
+        """
         n_groups = self.cluster.n_groups
         policy = MigrationPolicy(beta=self._beta_for_step(plan.step))
         live: dict[int, list[_Worker]] = {}
@@ -703,8 +740,12 @@ class _Simulation:
         }
         for g in sorted(live):
             group = plan.groups[g]
+            in_tail = in_straggler_tail(plan.group_completed.get(g, 0),
+                                        plan.group_total.get(g, 0), policy)
             for worker in live[g]:
                 self._advance_worker(worker, self.now)
+                if not in_tail:
+                    continue
                 for sid in sorted(list(worker.inflight)):
                     task = worker.inflight.get(sid)
                     if task is None or task.migrated:
@@ -756,8 +797,10 @@ class _Simulation:
             self._finish_step_share(source)
 
     def _migrate_inter(self, plan: _StepPlan, source: _Worker, task: _Task) -> None:
-        del source.inflight[task.sid]
         next_step = plan.step + 1
+        if next_step in self.plans and not self._carry_targets(self.plans[next_step], task)[1]:
+            return  # no worker could resume it next step: it finishes where it is
+        del source.inflight[task.sid]
         generated = task.generated_len()
         task.migrated = True
         task.prefill_left = generated * self.cost.prefill_per_token
@@ -896,7 +939,26 @@ class _Simulation:
 
     # -- metrics --------------------------------------------------------------
 
+    def _check_drained(self) -> None:
+        finishes = Counter(e.payload["sample"] for e in self.events
+                           if e.kind == "rollout_finish")
+        problems = []
+        unfinished = sorted(sid for sid in self.scheduled_ids if finishes[sid] != 1)
+        if unfinished:
+            problems.append(f"{len(unfinished)} samples not finished exactly once "
+                            f"(first: {', '.join(unfinished[:5])})")
+        untrained = [s for s in range(1, self.steps + 1) if s not in self.train_done_time]
+        if untrained:
+            problems.append(f"steps never trained: {untrained}")
+        waiting = {v: w for v, w in sorted(self.weight_waiters.items()) if w}
+        if waiting:
+            problems.append(f"workers still waiting for weights: {waiting}")
+        if problems:
+            raise SimulationStalledError(
+                f"{self.policy.name} run stalled at t={self.now:.6f}: " + "; ".join(problems))
+
     def _finalize(self) -> SimResult:
+        self._check_drained()
         makespan = self.now
         for worker in self.workers:
             worker.finish(makespan)

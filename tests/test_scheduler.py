@@ -16,6 +16,7 @@ from rhymesim.scheduler import (
     beta_from_history,
     build_groups,
     cal_wks,
+    in_straggler_tail,
     migration_decision,
     plan_allocation,
 )
@@ -240,6 +241,29 @@ class TestMigrationDecision:
 
     def test_beta_floor_enforced(self):
         assert MigrationPolicy(beta=0.9).beta == 1.1
+
+
+class TestInStragglerTail:
+    @pytest.mark.parametrize("alpha,total", [(10.0, 40), (10.0, 73), (25.0, 10), (10.0, 100)])
+    def test_boundary_is_floor_of_alpha_share(self, alpha, total):
+        policy = MigrationPolicy(alpha_pct=alpha)
+        tail = max(1, math.floor(alpha / 100.0 * total))
+        assert in_straggler_tail(total - tail, total, policy)
+        assert not in_straggler_tail(total - tail - 1, total, policy)
+
+    @pytest.mark.parametrize("total", [2, 5, 9])
+    def test_small_group_floors_to_last_rollout(self, total):
+        # floor(0.1 * total) is 0 below ten rollouts; the last one still counts.
+        policy = MigrationPolicy()
+        assert in_straggler_tail(total - 1, total, policy)
+        assert not in_straggler_tail(total - 2, total, policy)
+
+    def test_migration_decision_migrates_only_in_tail(self):
+        policy = MigrationPolicy(beta=1.1)
+        for total in range(1, 31):
+            for completed in range(total):
+                d = migration_decision(group(3), 10_000, completed, total, policy, 4, {})
+                assert d.migrates == in_straggler_tail(completed, total, policy)
 
 
 class TestProfileCostModel:

@@ -7,12 +7,15 @@ from collections import defaultdict
 
 import pytest
 
+import rhymesim.sim as sim_module
 from rhymesim.history import Response
+from rhymesim.scheduler import in_straggler_tail
 from rhymesim.sim import (
     ClusterSpec,
     CostConfig,
     InfeasiblePlanError,
     Policy,
+    SimulationStalledError,
     run,
 )
 from rhymesim.tracegen import Trace, TraceSpec, generate
@@ -93,6 +96,29 @@ class TestDeterminismAndConservation:
         res = run(trace, ClusterSpec(**CLUSTER), Policy("histopipe_naive"), fast_cost())
         rewarded = [e.payload["sample"] for e in res.events if e.kind == "reward_done"]
         assert len(rewarded) == len(set(rewarded)) == res.metrics.samples
+
+    @pytest.mark.parametrize("name,seed", [("histopipe_naive", 1), ("histopipe_two_tier", 5)])
+    def test_oversampled_continuations_all_run(self, name, seed):
+        # With oversampling a step can train before its last sample, so
+        # workers run ahead of a straggler; an inter-step continuation bound
+        # to a worker already past its step used to never run.
+        trace = longtail_trace(seed=seed, epochs=4)
+        res = run(trace, ClusterSpec(**CLUSTER),
+                  Policy(name, speculation=True, oversample_pct=20.0), fast_cost())
+        assert res.metrics.samples == len(res.accounting["scheduled"]) == 768
+        assert res.accounting["inter_migrations"] > 0
+
+    def test_lost_reward_raises_stalled(self, monkeypatch):
+        queue_reward = sim_module._Simulation._queue_reward
+
+        def drop_one(self, sid, attr_step):
+            if sid != "p0001/e2/0":
+                queue_reward(self, sid, attr_step)
+
+        monkeypatch.setattr(sim_module._Simulation, "_queue_reward", drop_one)
+        with pytest.raises(SimulationStalledError, match="never trained"):
+            run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy("histopipe_naive"),
+                fast_cost())
 
 
 class TestCausalityAndOffPolicy:
@@ -307,3 +333,42 @@ class TestPinnedEventLogs:
                   Policy(name, speculation=speculation), fast_cost())
         digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
         assert digest == self.PINNED[(name, speculation)]
+
+    # Runs that migrate often, both within a step and into the next, so the
+    # migration path is pinned too: (sha256, migrations, inter-step ones).
+    PINNED_MIGRATING = {
+        "histopipe_two_tier":
+            ("f86321e6685085964ba6ca037e5957ae830afd71f79e670969036a10c853afb4", 15, 6),
+        "histopipe_naive":
+            ("f7632ddb591a5ec448a91f6ba9251bc7b1ee4fc87517d908ece07e2824bc39da", 11, 3),
+    }
+
+    @staticmethod
+    def run_migrating(name):
+        spec = TraceSpec(num_prompts=32, epochs=3, group_size=8, len_mu=math.log(150),
+                         len_sigma=1.1, similarity=0.9, rank_noise=0.9, length_jitter=0.06,
+                         growth_mean=1.005, seed=1)
+        return run(Trace(generate(spec)),
+                   ClusterSpec(rollout_workers=32, reward_workers=8, n_groups=8),
+                   Policy(name), fast_cost())
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MIGRATING))
+    def test_migrating_events_sha256_pinned(self, name):
+        res = self.run_migrating(name)
+        digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
+        assert (digest, res.accounting["migrations"], res.accounting["inter_migrations"]) \
+            == self.PINNED_MIGRATING[name]
+
+    def test_migration_decisions_only_in_straggler_tail(self, monkeypatch):
+        calls = []
+        decide = sim_module.migration_decision
+
+        def spy(group, generated_len, completed, total, policy, *rest):
+            calls.append((completed, total))
+            assert in_straggler_tail(completed, total, policy)
+            return decide(group, generated_len, completed, total, policy, *rest)
+
+        monkeypatch.setattr(sim_module, "migration_decision", spy)
+        res = self.run_migrating("histopipe_two_tier")
+        assert calls
+        assert res.accounting["migrations"] == self.PINNED_MIGRATING["histopipe_two_tier"][1]
