@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_analyze_similarity)
 
-    p = asub.add_parser("tree-stats", help="suffix-index statistics for one epoch")
+    p = asub.add_parser("tree-stats", help="suffix-index statistics for one epoch "
+                        "(total_nodes counts suffix automaton states)")
     p.add_argument("--trace", required=True)
     p.add_argument("--epoch", type=int, default=None, help="default: last epoch")
     p.add_argument("--out", default=None, help="JSON output path (default: stdout)")

@@ -56,7 +56,11 @@ def parse_response_line(line: str) -> Response:
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"bad JSONL line: {exc}") from exc
     try:
-        tokens = [int(t) for t in obj["tokens"]]
+        tokens = obj["tokens"]
+        # JSON integers already parse to int; convert token by token only
+        # when some token is not one: that copy took ~40% of read_trace.
+        if not set(map(type, tokens)) <= {int}:
+            tokens = [int(t) for t in tokens]
         return Response(
             prompt_id=str(obj["prompt_id"]),
             epoch=int(obj["epoch"]),

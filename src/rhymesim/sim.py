@@ -70,29 +70,23 @@ class SimulationStalledError(RuntimeError):
 class _GroupProfileModel:
     """Execution-time estimates pre-profiled from each group's history.
 
-    For tau(l, k) the group is resolved by its representative length and its
-    last-epoch member lengths are dealt across k workers exactly the way the
-    simulator will deal next epoch's responses; the returned time is the
-    slowest worker's decayed-batch makespan. This is the simulator's analog
-    of profiling the inference engine, and it knows nothing about the epoch
-    being planned. tau is a pure function of its arguments, so each
-    (length, workers) cell is computed once: the allocation search asks the
-    same cells again at every gradient it tries.
+    For tau(l, k) the group is looked up by its representative length (the
+    planner asks only for the lengths it was given; any other raises
+    KeyError) and its last-epoch member lengths are dealt across k workers
+    exactly the way the simulator will deal next epoch's responses; the
+    returned time is the slowest worker's decayed-batch makespan. This is
+    the simulator's analog of profiling the inference engine, and it knows
+    nothing about the epoch being planned. tau is a pure function of its
+    arguments, so each (length, workers) cell is computed once: the
+    allocation search asks the same cells again at every gradient it tries.
     """
 
     def __init__(self, member_lens_by_rep: dict[float, list[int]], cost: "CostConfig",
                  accepted_per_pass: float):
         self._groups = member_lens_by_rep
-        self._reps = sorted(member_lens_by_rep)
         self._cost = cost
         self._app = accepted_per_pass
         self._tau: dict[tuple[float, int], float] = {}
-
-    def _resolve(self, length: float) -> list[int]:
-        if length in self._groups:
-            return self._groups[length]
-        nearest = min(self._reps, key=lambda r: abs(r - length))
-        return self._groups[nearest]
 
     def _share_makespan(self, lens: list[int]) -> float:
         # All responses in a share iterate together; the batch shrinks as the
@@ -109,7 +103,7 @@ class _GroupProfileModel:
     def tau(self, length: float, workers: int) -> float:
         key = (length, workers)
         if key not in self._tau:
-            member_lens = self._resolve(length)
+            member_lens = self._groups[length]
             shares: list[list[int]] = [[] for _ in range(workers)]
             for i, l in enumerate(member_lens):
                 shares[i % workers].append(l)
@@ -223,7 +217,10 @@ class SimResult:
     spec_stats_rows: list = field(default_factory=list)
 
     def events_jsonl(self) -> str:
-        return "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in self.events)
+        # One encoder for every event: json.dumps with an option builds a new
+        # one per call, which was a third of the time spent here.
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "".join(encode(e.as_dict()) + "\n" for e in self.events)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Per-response speculative decoding replay.
 
 Speculation never changes what a response says, only how many engine
-iterations it takes to say it: drafts come from the prompt's history tree,
+iterations it takes to say it: drafts come from the prompt's history index,
 verification is an exact prefix comparison against the replayed ground-truth
 continuation, and every verify pass also yields the one token a normal decode
 step would have produced. The speculation window grows additively on full

@@ -81,14 +81,6 @@ def greedy_draft(
     return out
 
 
-def distinct_suffix_count(corpus: list[list[int]]) -> int:
-    seen: set[tuple[int, ...]] = set()
-    for tokens in corpus:
-        for i in range(len(tokens)):
-            seen.add(tuple(tokens[i:]))
-    return len(seen)
-
-
 # -- AIMD oracle -------------------------------------------------------------
 
 

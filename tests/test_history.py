@@ -12,7 +12,6 @@ from rhymesim.history import (
     HistoryStore,
     Response,
     StaleEpochError,
-    SuffixTree,
     build_tree,
 )
 
@@ -34,17 +33,22 @@ def random_corpus(rng, max_responses=8, max_len=40, vocab=6):
     return corpus
 
 
-def check_child_sums(tree):
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            assert node.priority == pytest.approx(
-                sum(c.priority for c in node.children.values())
-            )
-            firsts = [tree._edge_symbol(c, 0) for c in node.children.values()]
-            assert len(firsts) == len(set(map(repr, firsts)))
-            stack.extend(node.children.values())
+def check_child_sums(tree, corpus, vocab):
+    # Every suffix starting with s either ends right after s or continues
+    # with one token c, so the mass of s is its end mass plus the masses of
+    # all its one-token extensions. Checked for every pattern of length <= 4
+    # that occurs, through the query interface alone.
+    patterns = {
+        tuple(tokens[i : i + m])
+        for tokens, _ in corpus
+        for m in range(1, 5)
+        for i in range(len(tokens) - m + 1)
+    }
+    for pattern in map(list, patterns):
+        extensions = [tree.match_prefix(pattern + [c]) for c in range(vocab)]
+        assert tree.match_prefix(pattern).priority == oracles.end_mass(corpus, pattern) + sum(
+            cursor.priority for cursor in extensions if cursor is not None
+        )
 
 
 class TestBuildTree:
@@ -52,7 +56,7 @@ class TestBuildTree:
         tree = build_tree("p", 1, [])
         assert tree.total_tokens == 0
         assert tree.node_count == 1
-        assert tree.root.priority == 0.0
+        assert tree.mass[0] == 0.0
 
     def test_shared_suffix_accumulates_both_rewards(self):
         # Both responses end with [7, 8, 9]; the node spelling that common
@@ -70,7 +74,7 @@ class TestBuildTree:
             corpus = random_corpus(rng)
             tree = corpus_tree(corpus)
             expected = sum(r * len(t) for t, r in corpus)
-            assert tree.root.priority == pytest.approx(expected, abs=1e-9)
+            assert tree.mass[0] == pytest.approx(expected, abs=1e-9)
 
     def test_node_count_linear_bound(self):
         rng = random.Random(11)
@@ -101,8 +105,8 @@ class TestBuildTree:
     def test_child_sum_invariant(self):
         rng = random.Random(3)
         for _ in range(20):
-            tree = corpus_tree(random_corpus(rng, vocab=4))
-            check_child_sums(tree)
+            corpus = random_corpus(rng, vocab=4)
+            check_child_sums(corpus_tree(corpus), corpus, vocab=4)
 
 
 class TestMatchPrefix:

@@ -255,6 +255,14 @@ class TestPolicyBehavior:
             run(trace, ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
                 Policy("histopipe_two_tier"), fast_cost())
 
+    def test_unprofiled_group_length_raises(self):
+        # tau answers only for the representative lengths it was profiled
+        # with; it never borrows another group's profile.
+        model = sim_module._GroupProfileModel({10.0: [8, 12]}, fast_cost(), 0.0)
+        assert model.tau(10.0, 2) > 0.0
+        with pytest.raises(KeyError):
+            model.tau(10.5, 2)
+
     def test_oversample_lets_train_start_early(self):
         trace = longtail_trace(epochs=5)
         cluster = ClusterSpec(**CLUSTER)

@@ -72,6 +72,13 @@ class TestGenerate:
             for a, b in zip(responses, loaded)
         )
 
+    def test_non_integer_tokens_converted_or_rejected(self):
+        line = '{"prompt_id":"p","epoch":1,"tokens":[1,"2",3.0,true],"reward":1}'
+        assert io.parse_response_line(line).tokens == [1, 2, 3, 1]
+        for tokens in ('["x"]', "[null]", "7"):
+            with pytest.raises(io.TraceFormatError):
+                io.parse_response_line(f'{{"prompt_id":"p","epoch":1,"tokens":{tokens},"reward":1}}')
+
     def test_identical_epochs_config_really_identical(self):
         trace = Trace(generate(small_spec(**IDENTICAL_EPOCHS)))
         for pid in trace.prompts(1):
