@@ -188,8 +188,7 @@ def cmd_plan_alloc(args) -> int:
                                   batch_size=int(batch),
                                   accepted_per_pass=args.accepted_per_pass)
     plan = plan_allocation(lens, args.wks, args.t_train, model,
-                           min_wks=args.min_wks,
-                           max_wks=args.max_wks or max(args.min_wks, args.wks - (len(lens) - 1)),
+                           min_wks=args.min_wks, max_wks=args.max_wks,
                            precision=args.precision)
     payload = {"schema": SCHEMA_VERSIONS["plan"], **plan.as_dict()}
     if args.out:
@@ -334,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_analyze_rank)
 
-    p = asub.add_parser("similarity", help="token-similarity replay per epoch pair")
+    p = asub.add_parser("similarity", help="token-similarity replay per epoch pair: each "
+                        "response walks its prompt's suffix index over the previous epoch")
     p.add_argument("--trace", required=True)
     p.add_argument("--prefix", type=int, default=3)
     p.add_argument("--epochs", default=None, help="epoch pair A,B (default: all adjacent)")

@@ -14,9 +14,18 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
+
+from .history import Response
+
+# Migration thresholds: a straggler is among the last ALPHA_PCT% of its
+# group's rollouts and longer than beta times the group's longest history
+# length, where beta is never below BETA_FLOOR.
+ALPHA_PCT = 10.0
+BETA_FLOOR = 1.1
 
 
 def partition_sizes(total: int, groups: int) -> list[int]:
@@ -33,13 +42,21 @@ class PromptStat:
     max_len: float
 
 
+def prompt_stats(responses_by_prompt: Mapping[str, Sequence[Response]]) -> dict[str, PromptStat]:
+    """Median and max generated length of each prompt's responses."""
+    stats = {}
+    for pid, group in responses_by_prompt.items():
+        lens = [r.generated_len for r in group]
+        stats[pid] = PromptStat(float(statistics.median(lens)), float(max(lens)))
+    return stats
+
+
 @dataclass
 class RankingGroup:
     index: int
     prompt_ids: list[str]
     representative_len: float  # mean of member medians
     max_hist_len: float
-    assigned_workers: int = 0
 
 
 def build_groups(
@@ -175,8 +192,8 @@ def cal_wks(
     lens: Sequence[float],
     t0: float,
     model: CostModel,
-    min_wks: int = 1,
-    max_wks: int | None = None,
+    min_wks: int,
+    max_wks: int,
 ) -> tuple[float, list[int]]:
     """Minimum workers per group so group i finishes by t0 + i*d.
 
@@ -184,8 +201,6 @@ def cal_wks(
     max_wks; the planner compares the returned total against its budget.
     """
     n = len(lens)
-    if max_wks is None:
-        max_wks = n  # caller normally supplies one; keep a sane floor
     needed = 0
     plan: list[int] = []
     for i in range(n):
@@ -233,6 +248,10 @@ def plan_allocation(
     stage's duration so the next step never waits on fresh weights. The
     search keeps the last feasible plan; infeasibility even at the widest
     gradient is reported rather than raised.
+
+    Each group gets `min_wks` to `max_wks` workers. `max_wks=None` is the
+    default: what the budget leaves when every other group has one worker,
+    and never less than `min_wks`.
     """
     n = len(lens)
     if n < 2:
@@ -241,6 +260,8 @@ def plan_allocation(
         raise ValueError("lens must be sorted ascending")
     if max_wks is None:
         max_wks = max(min_wks, wks - (n - 1))
+    if min_wks < 1 or max_wks < min_wks:
+        raise ValueError(f"need 1 <= min_wks <= max_wks, got min_wks={min_wks}, max_wks={max_wks}")
     if wks < n * min_wks:
         return AllocationPlan([], 0.0, t_train, feasible=False)
 
@@ -264,25 +285,24 @@ def plan_allocation(
 
 
 def beta_from_history(prev_epoch_growth_rates: Sequence[float]) -> float:
-    """Length-growth threshold: 75th percentile (nearest rank), floored at 1.1."""
+    """Length-growth threshold: 75th percentile (nearest rank), floored at
+    BETA_FLOOR."""
     if not prev_epoch_growth_rates:
-        return 1.1
+        return BETA_FLOOR
     ordered = sorted(prev_epoch_growth_rates)
     rank = math.ceil(0.75 * len(ordered))
-    return max(ordered[max(rank, 1) - 1], 1.1)
+    return max(ordered[max(rank, 1) - 1], BETA_FLOOR)
 
 
 @dataclass
 class MigrationPolicy:
-    alpha_pct: float = 10.0
-    beta: float = 1.1
-    beta_floor: float = 1.1
-    percentile: int = 75
+    alpha_pct: float = ALPHA_PCT
+    beta: float = BETA_FLOOR
 
     def __post_init__(self):
         if not (0.0 < self.alpha_pct < 100.0):
             raise ValueError("alpha_pct must be in (0, 100)")
-        self.beta = max(self.beta, self.beta_floor)
+        self.beta = max(self.beta, BETA_FLOOR)
 
 
 @dataclass(frozen=True)

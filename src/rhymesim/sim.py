@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from .history import HistoryStore, Response
 from .scheduler import (
+    BETA_FLOOR,
     AllocationPlan,
     MigrationPolicy,
     PromptStat,
@@ -44,6 +45,7 @@ from .scheduler import (
     migration_decision,
     partition_sizes,
     plan_allocation,
+    prompt_stats,
 )
 from .spec_engine import SpecConfig, SpecStats, gate_check, replay_response
 from .tracegen import Trace
@@ -328,7 +330,6 @@ class _Simulation:
         self.scheduled_ids: dict[str, int] = {}
         self.migrations = 0
         self.inter_migrations = 0
-        self.total_samples = 0
 
         self.reward_spans: list[tuple[float, float]] = []
         self.train_spans: list[tuple[float, float]] = []
@@ -345,18 +346,11 @@ class _Simulation:
 
     # -- planning -------------------------------------------------------------
 
-    def _prompt_stats(self, epoch: int) -> dict[str, PromptStat]:
-        stats = {}
-        for pid, group in self.trace.epoch_responses(epoch).items():
-            lens = [r.generated_len for r in group]
-            stats[pid] = PromptStat(float(statistics.median(lens)), float(max(lens)))
-        return stats
-
     def _planning_stats(self, step: int) -> dict[str, PromptStat]:
         """Epoch `step`'s prompts with their epoch step-1 statistics. A prompt
         absent from epoch step-1 gets a typical prompt's: the median of the
         known medians and of the known maxima."""
-        known = self._prompt_stats(step - 1)
+        known = prompt_stats(self.trace.epoch_responses(step - 1))
         cold = PromptStat(float(statistics.median(s.median_len for s in known.values())),
                           float(statistics.median(s.max_len for s in known.values())))
         return {pid: known.get(pid, cold) for pid in self.trace.epoch_responses(step)}
@@ -421,7 +415,6 @@ class _Simulation:
             for task in share:
                 self.scheduled_ids[task.sid] = step
                 scheduled += 1
-        self.total_samples += scheduled
         self.expected[step] = self.expected.get(step, 0) + scheduled
         self.rewarded.setdefault(step, 0)
         for task in self.carry_in.get(step, []):
@@ -480,7 +473,6 @@ class _Simulation:
                 ]
                 reps.append(rep)
             model = _GroupProfileModel(member_lens_by_rep, self.cost, self._accepted_per_pass())
-            max_wks = self.cluster.max_wks or max(self.cluster.min_wks, wks - (n_groups - 1))
             # Until a train stage has actually run, estimate its duration from
             # the cost model; the t0 >= t_train floor is what keeps the
             # shortest group from hogging near-max workers.
@@ -489,7 +481,7 @@ class _Simulation:
                 t_train = self.cost.t_train(sum(group_batches.values()))
             allocation = plan_allocation(
                 reps, wks, t_train,
-                model, min_wks=self.cluster.min_wks, max_wks=max_wks,
+                model, min_wks=self.cluster.min_wks, max_wks=self.cluster.max_wks,
                 precision=self.policy.plan_precision,
             )
             if not allocation.feasible:
@@ -507,8 +499,6 @@ class _Simulation:
                 g = g - 1 if g > 0 else n_groups - 1
         else:
             counts = partition_sizes(wks, n_groups)
-        for grp, count in zip(groups, counts):
-            grp.assigned_workers = count
 
         worker_groups: dict[int, int] = {}
         next_wid = 0
@@ -609,12 +599,8 @@ class _Simulation:
         if not worker.inflight:
             return
         rate = self._t_iter(worker)
-        best = None
-        for sid in sorted(worker.inflight):
-            task = worker.inflight[sid]
-            t = task.prefill_left + max(0.0, task.remaining) * rate
-            if best is None or t < best:
-                best = t
+        best = min(task.prefill_left + max(0.0, task.remaining) * rate
+                   for task in worker.inflight.values())
         self._push(worker.last_advance + best, "completion", (worker.wid, worker.sched_version))
 
     # -- worker lifecycle -------------------------------------------------------
@@ -702,10 +688,10 @@ class _Simulation:
     def _beta_for_step(self, step: int) -> float:
         if step not in self._beta_cache:
             if step < 3:
-                self._beta_cache[step] = 1.1
+                self._beta_cache[step] = BETA_FLOOR
             else:
-                prev = self._prompt_stats(step - 2)
-                cur = self._prompt_stats(step - 1)
+                prev = prompt_stats(self.trace.epoch_responses(step - 2))
+                cur = prompt_stats(self.trace.epoch_responses(step - 1))
                 rates = [cur[p].median_len / prev[p].median_len
                          for p in sorted(cur) if p in prev and prev[p].median_len > 0]
                 self._beta_cache[step] = beta_from_history(rates)
@@ -1003,7 +989,7 @@ class _Simulation:
             bubble_per_worker=bubble_per_worker,
             stage_shares=shares,
             stage_durations=durations,
-            migration_pct=100.0 * self.migrations / self.total_samples if self.total_samples else 0.0,
+            migration_pct=100.0 * self.migrations / len(self.scheduled_ids) if self.scheduled_ids else 0.0,
             speculation_rate=self.stats.speculation_rate,
             acceptance_rate=self.stats.acceptance_rate,
         )

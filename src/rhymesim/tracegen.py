@@ -15,21 +15,23 @@ rely on without modeling an actual LLM:
 Rewards are Bernoulli high/low per response, which is all the reward-aware
 draft index needs: within-group contrast.
 
-Analysis entry points: `rank_metrics` scores how well previous-epoch medians
-predict the next epoch's length ranking groups, and
-`token_similarity_replay` re-measures drafting potential by replaying each
-response against the previous epoch with a fixed-size prefix search.
+Analysis entry points: each measures one observation with the mechanism
+that exploits it. `rank_metrics` groups the previous epoch's prompts with the
+scheduler's `build_groups` and scores how well those groups predict the next
+epoch's length ranking, and `token_similarity_replay` replays each response
+against its prompt's suffix index over the previous epoch (`build_tree`),
+accepting the longest continuation of a fixed-size prefix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .history import Response
-from .scheduler import partition_sizes
+from .history import Response, build_tree
+from .scheduler import ALPHA_PCT, BETA_FLOOR, build_groups, partition_sizes, prompt_stats
 
 
 @dataclass
@@ -209,61 +211,40 @@ class RankMetrics:
         }
 
 
-def rank_metrics(
-    trace: Trace,
-    epoch_pair: tuple[int, int],
-    num_groups: int,
-    alpha_pct: float = 10.0,
-    beta_floor: float = 1.1,
-) -> RankMetrics:
+def rank_metrics(trace: Trace, epoch_pair: tuple[int, int], num_groups: int) -> RankMetrics:
+    """Score epoch A's ranking groups as predictions of epoch B's lengths.
+
+    The prompts in both epochs are grouped by `build_groups` over their
+    epoch-A `prompt_stats`, as the scheduler plans a step, and each epoch-B
+    response falls into one category of :class:`RankMetrics`. Like
+    `build_groups`, raises ValueError for fewer than 2 groups or fewer
+    prompts than groups.
+    """
     e_prev, e_cur = epoch_pair
     prev = trace.epoch_responses(e_prev)
     cur = trace.epoch_responses(e_cur)
-    prompts = sorted(set(prev) & set(cur))
-    if len(prompts) < num_groups:
-        raise ValueError(f"need at least {num_groups} prompts, have {len(prompts)}")
+    groups = build_groups(prompt_stats({p: prev[p] for p in prev if p in cur}), num_groups)
 
-    median_prev = {p: float(np.median([r.generated_len for r in prev[p]])) for p in prompts}
-    max_prev = {p: max(r.generated_len for r in prev[p]) for p in prompts}
-    ranked = sorted(prompts, key=lambda p: (median_prev[p], p))
-    prompt_rank = {p: i for i, p in enumerate(ranked)}
-
-    sizes = partition_sizes(len(ranked), num_groups)
-    predicted_group: dict[str, int] = {}
-    group_max_hist = [0.0] * num_groups
-    idx = 0
-    for g, size in enumerate(sizes):
-        for p in ranked[idx : idx + size]:
-            predicted_group[p] = g
-            group_max_hist[g] = max(group_max_hist[g], max_prev[p])
-        idx += size
-
-    # One record per current response: (length, prompt rank, member index).
-    records = []
-    for p in prompts:
-        for member, resp in enumerate(cur[p]):
-            records.append((resp.generated_len, prompt_rank[p], member, predicted_group[p]))
-
-    resp_sizes = partition_sizes(len(records), num_groups)
-    by_length = sorted(records, key=lambda r: (r[0], r[1], r[2]))
+    # One record per current response, (length, prompt rank, member index,
+    # predicted group), in length order with ties by rank and member.
+    ranked = [(p, grp.index) for grp in groups for p in grp.prompt_ids]
+    records = sorted((resp.generated_len, rank, member, g)
+                     for rank, (p, g) in enumerate(ranked)
+                     for member, resp in enumerate(cur[p]))
     real_group: dict[tuple[int, int], int] = {}
     idx = 0
-    for g, size in enumerate(resp_sizes):
-        for rec in by_length[idx : idx + size]:
-            real_group[(rec[1], rec[2])] = g
+    for g, size in enumerate(partition_sizes(len(records), num_groups)):
+        for rec in records[idx : idx + size]:
+            real_group[rec[1:3]] = g
         idx += size
 
     # Last-alpha% membership is judged within the predicted (scheduled) group.
-    per_group: dict[int, list[tuple[int, int, int]]] = {}
+    per_group: dict[int, list[tuple[int, int]]] = {}
     for length, prank, member, pgroup in records:
-        per_group.setdefault(pgroup, []).append((length, prank, member))
+        per_group.setdefault(pgroup, []).append((prank, member))
     in_last_alpha: set[tuple[int, int]] = set()
-    for g, members in per_group.items():
-        members.sort()
-        cutoff = len(members) - max(1, math.ceil(len(members) * alpha_pct / 100.0))
-        for pos, (length, prank, member) in enumerate(members):
-            if pos >= cutoff:
-                in_last_alpha.add((prank, member))
+    for members in per_group.values():
+        in_last_alpha.update(members[-max(1, math.ceil(len(members) * ALPHA_PCT / 100.0)):])
 
     counts = {"accurate": 0, "not_last": 0, "within": 0, "migrated": 0}
     for length, prank, member, pgroup in records:
@@ -271,7 +252,7 @@ def rank_metrics(
             counts["accurate"] += 1
         elif (prank, member) not in in_last_alpha:
             counts["not_last"] += 1
-        elif length <= beta_floor * group_max_hist[pgroup]:
+        elif length <= BETA_FLOOR * groups[pgroup].max_hist_len:
             counts["within"] += 1
         else:
             counts["migrated"] += 1
@@ -306,13 +287,20 @@ class ReplayResult:
 def token_similarity_replay(
     trace: Trace, epoch_pair: tuple[int, int], prefix_len: int
 ) -> ReplayResult:
-    """Replay each current response against the previous epoch's responses.
+    """Replay each current response against its prompt's previous epoch.
 
     Simulated generation from the start: when the last `prefix_len` generated
     tokens occur somewhere in a previous-epoch response, the longest identical
     continuation counts as accepted and generation jumps past it; otherwise
     one token is decoded. The first `prefix_len` tokens of every response can
     never be accepted and are reported as warm-up.
+
+    Each prompt's previous epoch is indexed once by `build_tree`, which
+    rejects empty responses and non-finite rewards. The longest continuation
+    is a walk of the prompt's suffix automaton along the response's own
+    tokens from the prefix's state: a string has a path from state 0 exactly
+    when it occurs inside one previous response. Linear in the tokens for a
+    fixed prefix.
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
@@ -320,34 +308,23 @@ def token_similarity_replay(
     cur = trace.epoch_responses(epoch_pair[1])
     accepted = total = warmup = 0
     for prompt_id in sorted(set(prev) & set(cur)):
-        history = [r.tokens for r in prev[prompt_id]]
-        index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for h_idx, tokens in enumerate(history):
-            for i in range(len(tokens) - prefix_len + 1):
-                key = tuple(tokens[i : i + prefix_len])
-                index.setdefault(key, []).append((h_idx, i + prefix_len))
+        index = build_tree(prompt_id, epoch_pair[0], prev[prompt_id])
+        nxt = index.next
         for resp in cur[prompt_id]:
             tokens = resp.tokens
             total += len(tokens)
             warmup += min(prefix_len, len(tokens))
             pos = prefix_len
             while pos < len(tokens):
-                occs = index.get(tuple(tokens[pos - prefix_len : pos]))
-                best = 0
-                if occs:
-                    for h_idx, h_pos in occs:
-                        hist = history[h_idx]
-                        run = 0
-                        while (
-                            pos + run < len(tokens)
-                            and h_pos + run < len(hist)
-                            and hist[h_pos + run] == tokens[pos + run]
-                        ):
-                            run += 1
-                        best = max(best, run)
-                if best > 0:
-                    accepted += best
-                    pos += best
-                else:
-                    pos += 1
+                cursor = index.match_prefix(tokens[pos - prefix_len : pos])
+                run = 0
+                if cursor is not None:
+                    v = cursor.state
+                    while pos + run < len(tokens):
+                        v = nxt[v].get(tokens[pos + run])
+                        if v is None:
+                            break
+                        run += 1
+                accepted += run
+                pos += max(run, 1)
     return ReplayResult(accepted=accepted, total=total, warmup=warmup)

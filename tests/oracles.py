@@ -161,3 +161,38 @@ def random_monotone_table(rng, lens, max_wks):
         for k in range(1, max_wks + 1):
             table[(l, k)] = row[k - 1]
     return table
+
+
+# -- token-similarity replay oracle ---------------------------------------------
+
+
+def longest_continuation_replay(
+    history: list[list[int]], responses: list[list[int]], prefix_len: int
+) -> tuple[int, int, int]:
+    """(accepted, total, warmup) of replaying `responses` against `history`.
+
+    From position `prefix_len` on, every occurrence of the last `prefix_len`
+    tokens in every history response is scanned, and the longest continuation
+    it shares with the rest of the response is accepted in one jump; with no
+    shared continuation one token is decoded. No index: plain scans only.
+    """
+    accepted = total = warmup = 0
+    for tokens in responses:
+        total += len(tokens)
+        warmup += min(prefix_len, len(tokens))
+        pos = prefix_len
+        while pos < len(tokens):
+            prefix = tokens[pos - prefix_len : pos]
+            best = 0
+            for hist in history:
+                for i in range(len(hist) - prefix_len + 1):
+                    if hist[i : i + prefix_len] != prefix:
+                        continue
+                    run = 0
+                    while (pos + run < len(tokens) and i + prefix_len + run < len(hist)
+                           and hist[i + prefix_len + run] == tokens[pos + run]):
+                        run += 1
+                    best = max(best, run)
+            accepted += best
+            pos += max(best, 1)
+    return accepted, total, warmup

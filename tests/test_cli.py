@@ -80,6 +80,28 @@ class TestAnalyze:
         expected = token_similarity_replay(trace, (1, 2), 3)
         assert float(row[2]) == pytest.approx(expected.acceptance, abs=1e-6)
 
+    @pytest.mark.parametrize("groups", ["0", "1", "-1"])
+    def test_rank_bad_group_count_exits_two(self, workspace, groups, capsys):
+        tmp_path, spec_path, _ = workspace
+        trace_path = gen(tmp_path, spec_path)
+        assert main(["analyze", "rank", "--trace", str(trace_path),
+                     "--groups", groups]) == EXIT_CONFIG
+        assert "groups" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [{"tokens": []}, {"reward": math.nan}])
+    def test_similarity_rejects_bad_previous_response(self, workspace, edit, capsys):
+        tmp_path, spec_path, _ = workspace
+        responses = rio.read_trace(gen(tmp_path, spec_path))
+        first = responses[0]
+        assert first.epoch == 1
+        for key, value in edit.items():
+            setattr(first, key, value)
+        bad = tmp_path / "bad.jsonl"
+        rio.write_trace(bad, responses)
+        assert main(["analyze", "similarity", "--trace", str(bad),
+                     "--epochs", "1,2"]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
     def test_tree_stats_json(self, workspace):
         tmp_path, spec_path, _ = workspace
         trace_path = gen(tmp_path, spec_path)
@@ -112,6 +134,12 @@ class TestPlanAlloc:
                      "--analytic", "1.0,1.0,0.0,64", "--max-wks", "1",
                      "--out", str(tmp_path / "p.json")])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("flags", [["--max-wks", "0"], ["--min-wks", "0"],
+                                       ["--min-wks", "3", "--max-wks", "2"]])
+    def test_bad_worker_bounds_exit_two(self, tmp_path, flags):
+        assert main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "10", *flags,
+                     "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
 
 
 class TestRunSim:
@@ -174,6 +202,17 @@ class TestRunSim:
         bad.write_text(json.dumps(cfg))
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
                      "--policy", "streaming", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+    def test_zero_max_wks_config_rejected(self, workspace):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = json.loads(cluster_path.read_text())
+        cfg["cluster.max_wks"] = 0
+        bad = tmp_path / "maxwks.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
+                     "--policy", "histopipe_two_tier", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
 
 class TestUsage:
     @pytest.mark.parametrize("extra", [["--seed", "1"], ["--replicas", "2"]])

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from rhymesim import io
+from rhymesim.history import Response
 from rhymesim.tracegen import (
+    RankMetrics,
     Trace,
     TraceSpec,
     generate,
     rank_metrics,
     token_similarity_replay,
 )
+from test_sim import edited_prompt_set_traces
 
 
 def small_spec(**overrides):
@@ -174,6 +179,29 @@ class TestRankMetrics:
         with pytest.raises(ValueError):
             rank_metrics(trace, (1, 2), 8)
 
+    @pytest.mark.parametrize("name,pair,groups,counts", [
+        # (accurate, not in last 10%, within 1.1x, migrated) response counts
+        ("criterion_5", (1, 2), 8, (1261, 156, 69, 50)),
+        ("dropped", (1, 2), 4, (29, 0, 0, 1)),
+        ("dropped", (2, 3), 4, (28, 0, 1, 1)),
+        ("added", (1, 2), 4, (31, 0, 0, 1)),
+        ("added", (2, 3), 4, (32, 1, 1, 0)),
+    ])
+    def test_pinned_values(self, name, pair, groups, counts):
+        if name == "criterion_5":
+            # Epochs 1-2 of the 12-epoch criterion-5 trace: each prompt draws
+            # its epochs in order, so a shorter trace shares them.
+            responses = generate(TraceSpec(
+                num_prompts=96, epochs=2, group_size=16,
+                len_mu=math.log(60), len_sigma=0.8, similarity=0.9,
+                rank_noise=0.85, length_jitter=0.08, growth_mean=1.01, seed=11,
+            ))
+        else:
+            responses = edited_prompt_set_traces()[name]
+        total = sum(counts)
+        expected = RankMetrics(*(100.0 * c / total for c in counts))
+        assert rank_metrics(Trace(responses), pair, groups) == expected
+
 
 class TestTokenSimilarityReplay:
     def test_identical_epochs_accept_everything_after_warmup(self):
@@ -213,6 +241,25 @@ class TestTokenSimilarityReplay:
         acc3 = token_similarity_replay(trace, (1, 2), 3).acceptance
         acc7 = token_similarity_replay(trace, (1, 2), 7).acceptance
         assert acc7 <= acc3
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            vocab = rng.randint(2, 4)
+            prefix_len = rng.randint(1, 4)
+            responses = []
+            expected = [0, 0, 0]
+            for pid in ("a", "b")[: rng.randint(1, 2)]:
+                groups = []
+                for epoch in (1, 2):
+                    group = [[rng.randrange(vocab) for _ in range(rng.randint(1, 40))]
+                             for _ in range(rng.randint(1, 5))]
+                    responses += [Response(pid, epoch, t, float(rng.randint(0, 1))) for t in group]
+                    groups.append(group)
+                counts = oracles.longest_continuation_replay(groups[0], groups[1], prefix_len)
+                expected = [x + y for x, y in zip(expected, counts)]
+            result = token_similarity_replay(Trace(responses), (1, 2), prefix_len)
+            assert [result.accepted, result.total, result.warmup] == expected
 
     def test_bad_prefix_rejected(self):
         trace = Trace(generate(small_spec()))
