@@ -121,14 +121,27 @@ def cmd_gen_trace(args) -> int:
     return EXIT_OK
 
 
-def _adjacent_pairs(trace: Trace) -> list[tuple[int, int]]:
+def _require_epochs(trace: Trace, *epochs: int) -> None:
+    missing = sorted(set(epochs) - set(trace.epochs))
+    if missing:
+        raise ConfigError(f"trace has no epoch {', '.join(map(str, missing))} "
+                          f"(it has {', '.join(map(str, trace.epochs))})")
+
+
+def _epoch_pairs(trace: Trace, text: str | None) -> list[tuple[int, int]]:
+    """The pair named by --epochs, which must be in the trace, or every
+    adjacent pair of the trace's epochs."""
+    if text:
+        pair = _parse_epoch_pair(text)
+        _require_epochs(trace, *pair)
+        return [pair]
     epochs = trace.epochs
     return list(zip(epochs, epochs[1:]))
 
 
 def cmd_analyze_rank(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
-    pairs = [_parse_epoch_pair(args.epochs)] if args.epochs else _adjacent_pairs(trace)
+    pairs = _epoch_pairs(trace, args.epochs)
     rows = []
     for pair in pairs:
         m = rank_metrics(trace, pair, args.groups)
@@ -145,7 +158,7 @@ def cmd_analyze_rank(args) -> int:
 
 def cmd_analyze_similarity(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
-    pairs = [_parse_epoch_pair(args.epochs)] if args.epochs else _adjacent_pairs(trace)
+    pairs = _epoch_pairs(trace, args.epochs)
     header = ["epoch_prev", "epoch_cur", "acceptance", "acceptance_after_warmup",
               "accepted", "total"]
     rows = []
@@ -160,6 +173,7 @@ def cmd_analyze_similarity(args) -> int:
 def cmd_analyze_tree_stats(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
     epoch = args.epoch if args.epoch is not None else trace.epochs[-1]
+    _require_epochs(trace, epoch)
     store = HistoryStore()
     for pid, group in sorted(trace.epoch_responses(epoch).items()):
         store.ingest_epoch(pid, epoch, group)
@@ -169,6 +183,7 @@ def cmd_analyze_tree_stats(args) -> int:
         "prompt_count": stats.prompt_count,
         "total_nodes": stats.total_nodes,
         "total_tokens": stats.total_tokens,
+        "index_bytes": stats.index_bytes,
     }
     if args.out:
         rio.write_json(args.out, payload)
@@ -343,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_similarity)
 
     p = asub.add_parser("tree-stats", help="suffix-index statistics for one epoch "
-                        "(total_nodes counts suffix automaton states)")
+                        "(total_nodes counts suffix automaton states; index_bytes is "
+                        "the memory of the packed indexes)")
     p.add_argument("--trace", required=True)
     p.add_argument("--epoch", type=int, default=None, help="default: last epoch")
     p.add_argument("--out", default=None, help="JSON output path (default: stdout)")

@@ -11,6 +11,17 @@ one whose extension has the largest mass, ties to the smallest token id, so
 continuations drawn from high-reward responses win. Construction is linear
 in the total token count n, and the automaton has at most 2n + 1 states.
 
+The automaton is built with one transition dict per state and then packed.
+The root keeps its dict, one entry per distinct token, because every lookup
+starts there and a dict is the fastest way to miss. Every other state is a
+row of flat `array` columns: its mass (8 bytes), its best token and that
+token's target (4 each) and a CSR offset (4). Only branching states, 3-9% of
+them on the benchmark traces, have transitions besides the best one, stored
+as (token, target) pairs of C ints. On the benchmark's epoch-2 indexes the
+packed index holds about 55 bytes per indexed token at cross-epoch
+similarity 0.9 and 74 at 0.3, against 447 and 357 with every dict kept;
+`SuffixTree.index_bytes` reports it.
+
 A :class:`HistoryStore` holds one immutable index per prompt (latest
 ingested epoch only). It builds a replacement on the caller's thread and
 swaps it in once complete, so readers always see a whole index.
@@ -19,8 +30,17 @@ swaps it in once complete, so readers always see a whole index.
 from __future__ import annotations
 
 import math
+import struct
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple
+
+
+# Token ids and state numbers are stored as C ints; -1 marks "none".
+MAX_TOKEN = 2**31 - 1
 
 
 class StaleEpochError(ValueError):
@@ -63,67 +83,120 @@ class Cursor(NamedTuple):
 
 
 class SuffixTree:
-    """Generalized suffix automaton over one prompt's responses of one epoch.
+    """Generalized suffix automaton over one prompt's responses of one epoch,
+    packed into flat columns once :func:`build_tree` has built it.
 
-    State 0 is the empty string. `next[v]` maps a token to the state reached
-    by appending it, `mass[v]` is the reward mass of the end positions of
-    the strings in `v`, and `best[v]` is the draft's next token out of `v`
-    (-1 when the strings of `v` are never followed by a token). The name is
-    the one the index has always had; :func:`build_tree` makes it.
+    State 0 is the empty string. Its transitions, one per distinct token,
+    are the dict `root`, since every lookup starts there. Four columns have
+    one entry per state: `mass[v]` is the reward mass of the end positions
+    of the strings in `v`, `best[v]` is the draft's next token out of `v`
+    (-1 when the strings of `v` are never followed by a token, and for the
+    root), `best_to[v]` is the state that token leads to (-1 with it), and
+    `off` is a CSR offset (one more entry than states). The other
+    transitions of a branching state are `etok[off[v]:off[v + 1]]` (tokens,
+    ascending) leading to the states at the same positions of `eto`.
+    :meth:`step` follows any token, so no caller needs the layout. The name
+    is the one the index has always had.
     """
 
-    def __init__(self, prompt_id: str, epoch: int, next: list[dict[int, int]],
-                 mass: list[float], best: list[int], total_tokens: int):
+    __slots__ = ("prompt_id", "epoch", "total_tokens", "root", "mass", "best", "best_to",
+                 "off", "etok", "eto")
+
+    def __init__(self, prompt_id: str, epoch: int, root: dict[int, int], mass: array,
+                 best: array, best_to: array, off: array, etok: array, eto: array,
+                 total_tokens: int):
         self.prompt_id = prompt_id
         self.epoch = epoch
-        self.next = next
+        self.root = root
         self.mass = mass
         self.best = best
+        self.best_to = best_to
+        self.off = off
+        self.etok = etok
+        self.eto = eto
         self.total_tokens = total_tokens
 
     @property
     def node_count(self) -> int:
         return len(self.mass)
 
+    @property
+    def index_bytes(self) -> int:
+        """Bytes held by the index: `itemsize * len` of each column, plus the
+        root dict's table and its state ids above 256 (CPython caches the
+        smaller ints; the token keys are the responses' own objects)."""
+        columns = (self.mass, self.best, self.best_to, self.off, self.etok, self.eto)
+        return (sum(a.itemsize * len(a) for a in columns) + sys.getsizeof(self.root)
+                + sum(sys.getsizeof(v) for v in self.root.values() if v > 256))
+
+    def step(self, state: int, tok: int) -> int:
+        """The state reached from `state` by appending `tok`; -1 when the
+        extended string occurs in no response."""
+        if state == 0:
+            return self.root.get(tok, -1)
+        if self.best[state] == tok:
+            return self.best_to[state]
+        lo, hi = self.off[state], self.off[state + 1]
+        etok = self.etok
+        j = bisect_left(etok, tok, lo, hi)
+        return self.eto[j] if j < hi and etok[j] == tok else -1
+
     def match_prefix(self, prefix: list[int]) -> Cursor | None:
         """Walk `prefix` from state 0; None when it occurs in no response."""
         if not prefix:
             raise ValueError("prefix must be non-empty")
-        nxt = self.next
         v = 0
         for tok in prefix:
-            v = nxt[v].get(tok)
-            if v is None:
+            v = self.step(v, tok)
+            if v < 0:
                 return None
         return Cursor(v, self.mass[v])
 
     def extract_draft(self, prefix: list[int], window: int) -> DraftResult:
         """Greedy max-mass continuation of `prefix`, up to `window` tokens.
 
-        Ties between equal-mass continuations go to the smallest token.
+        Ties between equal-mass continuations go to the smallest token. This
+        is the lookup every speculative iteration makes, so it walks the
+        prefix with :meth:`step` inlined.
         """
         if window < 1:
             raise ValueError("window must be >= 1")
-        cursor = self.match_prefix(prefix)
-        if cursor is None:
+        if not prefix:
+            raise ValueError("prefix must be non-empty")
+        best, best_to = self.best, self.best_to
+        rest = iter(prefix)
+        v = self.root.get(next(rest), -1)
+        for tok in rest:
+            if v < 0:
+                break
+            if best[v] == tok:
+                v = best_to[v]
+            else:
+                lo, hi = self.off[v], self.off[v + 1]
+                etok = self.etok
+                j = bisect_left(etok, tok, lo, hi)
+                v = self.eto[j] if j < hi and etok[j] == tok else -1
+        if v < 0:
             return DraftResult(tokens=[], matched_prefix_len=0, source_priority=0.0)
-        nxt, best = self.next, self.best
+        priority = self.mass[v]
         out: list[int] = []
-        v = cursor.state
-        while len(out) < window:
+        for _ in range(window):
             tok = best[v]
             if tok < 0:
                 break
             out.append(tok)
-            v = nxt[v][tok]
-        return DraftResult(tokens=out, matched_prefix_len=len(prefix), source_priority=cursor.priority)
+            v = best_to[v]
+        return DraftResult(tokens=out, matched_prefix_len=len(prefix), source_priority=priority)
 
 
 def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixTree:
     """Build the suffix index for one prompt's epoch of responses.
 
-    An empty response list yields the index of the empty string alone. NaN
-    rewards, empty token lists, and mismatched prompt ids are rejected.
+    The automaton is built with one transition dict per state, then packed
+    into the columns of :class:`SuffixTree`; only the branching states'
+    transitions are copied one by one. An empty response list yields the
+    index of the empty string alone. NaN rewards, empty token lists, token
+    ids outside [0, MAX_TOKEN] and mismatched prompt ids are rejected.
     """
     nxt: list[dict[int, int]] = [{}]
     link = [-1]
@@ -152,20 +225,25 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
             raise ValueError("cannot index an empty response")
         if not math.isfinite(resp.reward):
             raise ValueError(f"reward must be finite, got {resp.reward!r}")
+        if min(resp.tokens) < 0 or max(resp.tokens) > MAX_TOKEN:
+            raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]")
         total_tokens += len(resp.tokens)
+        reward = resp.reward
         last = 0
         for tok in resp.tokens:
-            q = nxt[last].get(tok)
+            t = nxt[last]
+            q = t.get(tok)
             if q is not None:
                 # The extended prefix already occurs in an earlier response.
                 last = q if length[q] == length[last] + 1 else split(last, tok, q)
             else:
                 cur = len(length)
+                t[tok] = cur
                 nxt.append({})
                 length.append(length[last] + 1)
                 link.append(0)
                 mass.append(0.0)
-                p = last
+                p = link[last]
                 while p >= 0 and tok not in nxt[p]:
                     nxt[p][tok] = cur
                     p = link[p]
@@ -173,15 +251,46 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
                     q = nxt[p][tok]
                     link[cur] = q if length[q] == length[p] + 1 else split(p, tok, q)
                 last = cur
-            mass[last] += resp.reward
+            mass[last] += reward
     # A string's end positions are those of its own state and of every state
     # whose suffix link chain passes through it; longer states come first.
     for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
         mass[link[v]] += mass[v]
-    # Most states have at most one transition; only branching ones compare.
-    best = [next(iter(t), -1) if len(t) < 2 else max(t, key=lambda tok: (mass[t[tok]], -tok))
-            for t in nxt]
-    return SuffixTree(prompt_id, epoch, nxt, mass, best, total_tokens)
+    # Most states have at most one transition, which is their best one. A
+    # branching state other than the root keeps its other transitions in CSR
+    # order, ascending by token; extra[v + 1] counts them, so the running
+    # sum is `off`.
+    best = list(map(next, map(iter, nxt), repeat(-1)))
+    best[0] = -1
+    extra = [0] * (len(nxt) + 1)
+    etok: list[int] = []
+    eto: list[int] = []
+    for v in [v for v, t in enumerate(nxt) if v and len(t) > 1]:
+        t = nxt[v]
+        toks = sorted(t)
+        tos = list(map(t.__getitem__, toks))
+        masses = list(map(mass.__getitem__, tos))
+        # The first maximum in token order: ties go to the smallest token.
+        i = masses.index(max(masses))
+        best[v] = toks.pop(i)
+        del tos[i]
+        etok += toks
+        eto += tos
+        extra[v + 1] = len(toks)
+    best_to = list(map(dict.get, nxt, best, repeat(-1)))
+    return SuffixTree(prompt_id, epoch, nxt[0], _column("d", mass), _column("i", best),
+                      _column("i", best_to), _column("i", list(accumulate(extra))),
+                      _column("i", etok), _column("i", eto), total_tokens)
+
+
+def _column(typecode: str, values: list) -> array:
+    # array(typecode, values) parses each item with a format string; packing
+    # the same C values with struct first takes about half the time (a
+    # Struct of its own, as struct.pack would cache every length's format).
+    # An array made from bytes over-allocates by about 6%; its slice copy
+    # holds exactly `itemsize * len` bytes.
+    packed = struct.Struct(f"{len(values)}{typecode}").pack(*values)
+    return array(typecode, packed)[:]
 
 
 @dataclass
@@ -189,6 +298,7 @@ class MemoryStats:
     prompt_count: int
     total_nodes: int
     total_tokens: int
+    index_bytes: int  # the packed columns of every index, see SuffixTree.index_bytes
 
 
 class HistoryStore:
@@ -218,4 +328,5 @@ class HistoryStore:
     def memory_stats(self) -> MemoryStats:
         trees = list(self._trees.values())
         return MemoryStats(len(trees), sum(t.node_count for t in trees),
-                           sum(t.total_tokens for t in trees))
+                           sum(t.total_tokens for t in trees),
+                           sum(t.index_bytes for t in trees))

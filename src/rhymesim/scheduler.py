@@ -318,11 +318,17 @@ class MigrationDecision:
 NO_MIGRATION = MigrationDecision("none")
 
 
+def straggler_tail_size(total: int, alpha_pct: float = ALPHA_PCT) -> int:
+    """How many of a group's `total` rollouts make up its last alpha%: the
+    floor of alpha% of them, and at least one."""
+    return max(1, math.floor(alpha_pct / 100.0 * total))
+
+
 def in_straggler_tail(completed: int, total: int, policy: MigrationPolicy) -> bool:
-    """True while the group's remaining rollouts are its last alpha%, at
-    least one: the per-group half of the migration test, which no rollout's
-    length affects."""
-    return total - completed <= max(1, math.floor(policy.alpha_pct / 100.0 * total))
+    """True while the group's remaining rollouts are its last alpha%: the
+    per-group half of the migration test, which no rollout's length
+    affects."""
+    return total - completed <= straggler_tail_size(total, policy.alpha_pct)
 
 
 def migration_decision(

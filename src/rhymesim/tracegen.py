@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .history import Response, build_tree
-from .scheduler import ALPHA_PCT, BETA_FLOOR, build_groups, partition_sizes, prompt_stats
+from .scheduler import (
+    BETA_FLOOR,
+    build_groups,
+    partition_sizes,
+    prompt_stats,
+    straggler_tail_size,
+)
 
 
 @dataclass
@@ -238,13 +244,14 @@ def rank_metrics(trace: Trace, epoch_pair: tuple[int, int], num_groups: int) -> 
             real_group[rec[1:3]] = g
         idx += size
 
-    # Last-alpha% membership is judged within the predicted (scheduled) group.
+    # Last-alpha% membership is judged within the predicted (scheduled)
+    # group, with the tail size the simulator migrates from.
     per_group: dict[int, list[tuple[int, int]]] = {}
     for length, prank, member, pgroup in records:
         per_group.setdefault(pgroup, []).append((prank, member))
     in_last_alpha: set[tuple[int, int]] = set()
     for members in per_group.values():
-        in_last_alpha.update(members[-max(1, math.ceil(len(members) * ALPHA_PCT / 100.0)):])
+        in_last_alpha.update(members[-straggler_tail_size(len(members)):])
 
     counts = {"accurate": 0, "not_last": 0, "within": 0, "migrated": 0}
     for length, prank, member, pgroup in records:
@@ -309,7 +316,6 @@ def token_similarity_replay(
     accepted = total = warmup = 0
     for prompt_id in sorted(set(prev) & set(cur)):
         index = build_tree(prompt_id, epoch_pair[0], prev[prompt_id])
-        nxt = index.next
         for resp in cur[prompt_id]:
             tokens = resp.tokens
             total += len(tokens)
@@ -321,8 +327,8 @@ def token_similarity_replay(
                 if cursor is not None:
                     v = cursor.state
                     while pos + run < len(tokens):
-                        v = nxt[v].get(tokens[pos + run])
-                        if v is None:
+                        v = index.step(v, tokens[pos + run])
+                        if v < 0:
                             break
                         run += 1
                 accepted += run

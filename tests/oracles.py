@@ -46,6 +46,21 @@ def end_mass(corpus: list[tuple[list[int], float]], pattern: list[int]) -> float
     )
 
 
+def end_position_classes(corpus: list[tuple[list[int], float]]) -> int:
+    """Number of distinct end-position sets over the non-empty substrings.
+
+    Two substrings are equivalent when they end at exactly the same
+    (response, position) pairs; the suffix automaton has one state per
+    class plus the empty string's.
+    """
+    ends: dict[tuple[int, ...], set[tuple[int, int]]] = {}
+    for r_idx, (tokens, _) in enumerate(corpus):
+        for end in range(1, len(tokens) + 1):
+            for start in range(end):
+                ends.setdefault(tuple(tokens[start:end]), set()).add((r_idx, end))
+    return len({frozenset(e) for e in ends.values()})
+
+
 def greedy_draft(
     corpus: list[tuple[list[int], float]], prefix: list[int], window: int
 ) -> list[int]:

@@ -111,7 +111,22 @@ class TestAnalyze:
         stats = rio.read_json(out)
         assert stats["prompt_count"] == 10
         assert stats["total_nodes"] <= 2 * stats["total_tokens"] + 1
-        assert set(stats) == {"epoch", "prompt_count", "total_nodes", "total_tokens"}
+        assert set(stats) == {"epoch", "prompt_count", "total_nodes", "total_tokens",
+                              "index_bytes"}
+        assert 0 < stats["index_bytes"] <= 64 * stats["total_tokens"]
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--epochs", "3,4"],
+        ["similarity", "--epochs", "3,4"],
+        ["tree-stats", "--epoch", "9"],
+    ])
+    def test_missing_epoch_exits_two(self, workspace, argv, capsys):
+        tmp_path, spec_path, _ = workspace
+        trace_path = gen(tmp_path, spec_path)
+        assert main(["analyze", argv[0], "--trace", str(trace_path), *argv[1:]]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"trace has no epoch {argv[-1].split(',')[-1]}" in err
+        assert "Traceback" not in err
 
 
 class TestPlanAlloc:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import threading
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +13,13 @@ from hypothesis import strategies as st
 
 import oracles
 from rhymesim.history import (
+    MAX_TOKEN,
     HistoryStore,
     Response,
     StaleEpochError,
     build_tree,
 )
+from rhymesim.tracegen import Trace, TraceSpec, generate
 
 
 def corpus_tree(corpus, prompt_id="p", epoch=1):
@@ -282,3 +288,121 @@ class TestHistoryStore:
             assert not t.is_alive()
         assert not errors
         assert store.get_tree("p").epoch == 5
+
+
+def all_strings(vocab, max_len):
+    return [list(s) for m in range(1, max_len + 1) for s in itertools.product(range(vocab), repeat=m)]
+
+
+def best_walk(tree, state, window):
+    out = []
+    while len(out) < window and tree.best[state] >= 0:
+        out.append(tree.best[state])
+        state = tree.best_to[state]
+    return out
+
+
+def similarity_09_groups(num_prompts):
+    # The spec_hisim benchmark shape: 4 samples per prompt, median 150
+    # tokens, similarity 0.9; the indexes are those of epoch 2, as the
+    # simulator drafts from them in epoch 3.
+    spec = TraceSpec(num_prompts=num_prompts, epochs=2, group_size=4, similarity=0.9,
+                     len_mu=math.log(150.0), len_sigma=0.8, rank_noise=0.9,
+                     length_jitter=0.06, growth_mean=1.005, seed=1)
+    return Trace(generate(spec)).epoch_responses(2)
+
+
+class TestPackedLayout:
+    def test_exhaustive_small_corpora(self):
+        # Every string of length <= 4 over the vocabulary: the packed index
+        # finds it exactly when it occurs, through match_prefix and through
+        # step, and the best/best_to columns spell the draft from its state.
+        rng = random.Random(29)
+        for vocab in (3, 4):
+            strings = all_strings(vocab, 4)
+            for _ in range(12):
+                corpus = random_corpus(rng, max_responses=5, max_len=10, vocab=vocab)
+                tree = corpus_tree(corpus)
+                for s in strings:
+                    occurs = oracles.prefix_occurs(corpus, s)
+                    assert (tree.match_prefix(s) is not None) == occurs
+                    state = 0
+                    for tok in s:
+                        state = tree.step(state, tok)
+                        if state < 0:
+                            break
+                    assert (state >= 0) == occurs
+                    if occurs:
+                        draft = tree.extract_draft(s, 6)
+                        assert draft.tokens == best_walk(tree, state, 6)
+                        assert draft.tokens == oracles.greedy_draft(corpus, s, 6)
+                    else:
+                        assert tree.extract_draft(s, 6).tokens == []
+
+    def test_step_at_a_branching_state(self):
+        tree = corpus_tree([([1, 2, 1, 3], 1.0)])
+        assert tree.step(0, 7) == -1
+        # [1] branches to 2 and 3: one is its best token, the other is kept
+        # in the CSR columns.
+        v = tree.step(0, 1)
+        assert tree.step(v, 2) == tree.match_prefix([1, 2]).state
+        assert tree.step(v, 3) == tree.match_prefix([1, 3]).state
+        assert tree.step(v, 1) == -1 and tree.step(v, 4) == -1
+        assert tree.step(tree.match_prefix([3]).state, 1) == -1
+
+    def test_node_count_pinned(self):
+        # One state per class of substrings with the same end positions,
+        # plus the empty string's. [1, 2, 1, 2]: {1}, {2, 12}, {21, 121},
+        # {212, 1212} -> 5. [1, 2, 3, 2, 3]: {1}, {12}, {2}, {3, 23}, {123},
+        # {32, 232, 1232}, {323, 2323, 12323} -> 8. [1, 2, 1, 2] with
+        # [2, 1, 3]: {1}, {2}, {12}, {21}, {121}, {212, 1212},
+        # {3, 13, 213} -> 8.
+        for corpus, states in [
+            ([([1, 2, 1, 2], 1.0)], 5),
+            ([([1, 2, 3, 2, 3], 1.0)], 8),
+            ([([1, 2, 1, 2], 1.0), ([2, 1, 3], 0.5)], 8),
+        ]:
+            assert corpus_tree(corpus).node_count == states
+            assert oracles.end_position_classes(corpus) + 1 == states
+
+    def test_node_count_is_end_position_classes(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            corpus = random_corpus(rng, max_responses=5, max_len=12, vocab=3)
+            assert corpus_tree(corpus).node_count == oracles.end_position_classes(corpus) + 1
+
+    def test_only_the_root_keeps_a_dict(self):
+        tree = corpus_tree([([1, 2, 3, 1, 2, 4], 1.0), ([2, 3, 5], 0.5)])
+        for name in ("mass", "best", "best_to", "off", "etok", "eto"):
+            assert isinstance(getattr(tree, name), array)
+        assert not hasattr(tree, "next") and not hasattr(tree, "__dict__")
+        assert len(tree.best) == len(tree.best_to) == len(tree.off) - 1 == tree.node_count
+        assert sorted(tree.root) == [1, 2, 3, 4, 5]
+        assert tree.best[0] == tree.best_to[0] == -1 and tree.off[1] == 0
+        # [1, 2] is followed by 3 and by 4, so its state branches.
+        v = tree.match_prefix([1, 2]).state
+        assert tree.off[v + 1] - tree.off[v] == 1
+
+    @pytest.mark.parametrize("tok", [-1, MAX_TOKEN + 1])
+    def test_token_ids_out_of_range_rejected(self, tok):
+        with pytest.raises(ValueError):
+            build_tree("p", 1, [Response("p", 1, [1, tok], 0.5)])
+
+    def test_index_bytes_per_token_bound(self):
+        store = HistoryStore()
+        for pid, group in similarity_09_groups(48).items():
+            store.ingest_epoch(pid, 2, group)
+        stats = store.memory_stats()
+        assert stats.index_bytes / stats.total_tokens <= 64.0
+
+    def test_index_bytes_matches_tracemalloc(self):
+        groups = similarity_09_groups(12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trees = [build_tree(pid, 2, group) for pid, group in groups.items()]
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        measured = sum(t.index_bytes for t in trees)
+        assert abs(measured - used) <= 0.1 * used

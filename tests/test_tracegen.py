@@ -180,8 +180,12 @@ class TestRankMetrics:
             rank_metrics(trace, (1, 2), 8)
 
     @pytest.mark.parametrize("name,pair,groups,counts", [
-        # (accurate, not in last 10%, within 1.1x, migrated) response counts
-        ("criterion_5", (1, 2), 8, (1261, 156, 69, 50)),
+        # (accurate, not in last 10%, within 1.1x, migrated) response counts.
+        # criterion_5's predicted groups hold 192 responses each, so their
+        # last 10% is floor(19.2) = 19 of them, as the simulator migrates
+        # from; five groups' 20th-from-last response moved up within 1.1x
+        # and counts as not in the last 10%.
+        ("criterion_5", (1, 2), 8, (1261, 161, 64, 50)),
         ("dropped", (1, 2), 4, (29, 0, 0, 1)),
         ("dropped", (2, 3), 4, (28, 0, 1, 1)),
         ("added", (1, 2), 4, (31, 0, 0, 1)),
