@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields
 
 from . import io as rio
-from .history import HistoryStore
+from .history import build_tree
 from .scheduler import AnalyticCostModel, ProfileCostModel, plan_allocation
 from .sim import (
     EVENTS_SCHEMA_VERSION,
@@ -82,18 +82,14 @@ def _build_dataclass(cls, values: dict, where: str):
         raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
-def _coerce_spec_section(section: dict) -> dict:
-    if "gate_table" in section:
-        section["gate_table"] = tuple(int(v) for v in section["gate_table"])
-    return section
-
-
 def load_run_config(path: str) -> tuple[ClusterSpec, CostConfig, SpecConfig, dict]:
     cfg = _load_flat_config(path)
     cluster = _build_dataclass(ClusterSpec, _pop_section(cfg, "cluster"), "cluster")
     cost = _build_dataclass(CostConfig, _pop_section(cfg, "cost"), "cost")
-    spec = _build_dataclass(SpecConfig, _coerce_spec_section(_pop_section(cfg, "spec")), "spec")
+    spec = _build_dataclass(SpecConfig, _pop_section(cfg, "spec"), "spec")
     policy_defaults = _pop_section(cfg, "policy")
+    if "name" in policy_defaults:
+        raise ConfigError("policy.name is not a config key: --policy chooses the policy")
     if cfg:
         raise ConfigError(f"unknown config keys: {sorted(cfg)}")
     return cluster, cost, spec, policy_defaults
@@ -174,16 +170,14 @@ def cmd_analyze_tree_stats(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
     epoch = args.epoch if args.epoch is not None else trace.epochs[-1]
     _require_epochs(trace, epoch)
-    store = HistoryStore()
-    for pid, group in sorted(trace.epoch_responses(epoch).items()):
-        store.ingest_epoch(pid, epoch, group)
-    stats = store.memory_stats()
+    trees = [build_tree(pid, epoch, group)
+             for pid, group in sorted(trace.epoch_responses(epoch).items())]
     payload = {
         "epoch": epoch,
-        "prompt_count": stats.prompt_count,
-        "total_nodes": stats.total_nodes,
-        "total_tokens": stats.total_tokens,
-        "index_bytes": stats.index_bytes,
+        "prompt_count": len(trees),
+        "total_nodes": sum(t.node_count for t in trees),
+        "total_tokens": sum(t.total_tokens for t in trees),
+        "index_bytes": sum(t.index_bytes for t in trees),
     }
     if args.out:
         rio.write_json(args.out, payload)

@@ -22,9 +22,9 @@ packed index holds about 55 bytes per indexed token at cross-epoch
 similarity 0.9 and 74 at 0.3, against 447 and 357 with every dict kept;
 `SuffixTree.index_bytes` reports it.
 
-A :class:`HistoryStore` holds one immutable index per prompt (latest
-ingested epoch only). It builds a replacement on the caller's thread and
-swaps it in once complete, so readers always see a whole index.
+An index is built once and never changed. A caller that drafts over several
+epochs keeps a plain `dict` from prompt id to its latest index and updates it
+with each epoch's :func:`build_tree` results.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ from typing import NamedTuple
 MAX_TOKEN = 2**31 - 1
 
 
-class StaleEpochError(ValueError):
-    """Raised when ingesting an epoch not newer than what the store holds."""
-
-
 @dataclass
 class Response:
     """One rollout sample: a token sequence with its scalar reward."""
@@ -63,15 +59,12 @@ class Response:
 
 @dataclass
 class DraftResult:
-    """Draft tokens extracted for a prefix, empty when the prefix is unknown."""
+    """Draft tokens extracted for a prefix. `found` tells whether the prefix
+    occurs in the index at all; the tokens are empty when it does not, and
+    also when every occurrence ends a response."""
 
     tokens: list[int]
-    matched_prefix_len: int
-    source_priority: float
-
-    @property
-    def found(self) -> bool:
-        return self.matched_prefix_len > 0
+    found: bool
 
 
 class Cursor(NamedTuple):
@@ -177,8 +170,7 @@ class SuffixTree:
                 j = bisect_left(etok, tok, lo, hi)
                 v = self.eto[j] if j < hi and etok[j] == tok else -1
         if v < 0:
-            return DraftResult(tokens=[], matched_prefix_len=0, source_priority=0.0)
-        priority = self.mass[v]
+            return DraftResult([], False)
         out: list[int] = []
         for _ in range(window):
             tok = best[v]
@@ -186,7 +178,7 @@ class SuffixTree:
                 break
             out.append(tok)
             v = best_to[v]
-        return DraftResult(tokens=out, matched_prefix_len=len(prefix), source_priority=priority)
+        return DraftResult(out, True)
 
 
 def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixTree:
@@ -291,42 +283,3 @@ def _column(typecode: str, values: list) -> array:
     # holds exactly `itemsize * len` bytes.
     packed = struct.Struct(f"{len(values)}{typecode}").pack(*values)
     return array(typecode, packed)[:]
-
-
-@dataclass
-class MemoryStats:
-    prompt_count: int
-    total_nodes: int
-    total_tokens: int
-    index_bytes: int  # the packed columns of every index, see SuffixTree.index_bytes
-
-
-class HistoryStore:
-    """Latest-epoch suffix indexes for many prompts.
-
-    `ingest_epoch` builds the new index completely and only then replaces the
-    visible one, so `get_tree` always returns a whole, immutable snapshot.
-    Re-ingesting an old or current epoch raises :class:`StaleEpochError`.
-    """
-
-    def __init__(self):
-        self._trees: dict[str, SuffixTree] = {}
-
-    def ingest_epoch(self, prompt_id: str, epoch: int, responses: list[Response]) -> None:
-        """Index one prompt's epoch and make it the visible index."""
-        current = self._trees.get(prompt_id)
-        if current is not None and epoch <= current.epoch:
-            raise StaleEpochError(
-                f"epoch {epoch} for prompt {prompt_id!r} is not newer than "
-                f"already-ingested epoch {current.epoch}"
-            )
-        self._trees[prompt_id] = build_tree(prompt_id, epoch, responses)
-
-    def get_tree(self, prompt_id: str) -> SuffixTree | None:
-        return self._trees.get(prompt_id)
-
-    def memory_stats(self) -> MemoryStats:
-        trees = list(self._trees.values())
-        return MemoryStats(len(trees), sum(t.node_count for t in trees),
-                           sum(t.total_tokens for t in trees),
-                           sum(t.index_bytes for t in trees))

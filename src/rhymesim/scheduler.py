@@ -251,11 +251,14 @@ def plan_allocation(
 
     Each group gets `min_wks` to `max_wks` workers. `max_wks=None` is the
     default: what the budget leaves when every other group has one worker,
-    and never less than `min_wks`.
+    and never less than `min_wks`. The search stops once the gradient is
+    known to within `precision` (which must be > 0) or to within one float.
     """
     n = len(lens)
     if n < 2:
         raise ValueError("plan_allocation needs at least 2 groups")
+    if not precision > 0:
+        raise ValueError(f"precision must be > 0, got {precision}")
     if any(lens[i] > lens[i + 1] for i in range(n - 1)):
         raise ValueError("lens must be sorted ascending")
     if max_wks is None:
@@ -275,6 +278,8 @@ def plan_allocation(
     best_plan, best_d = plan, d_max
     while d_max - d_min > precision:
         mid = (d_max + d_min) / 2.0
+        if mid == d_min or mid == d_max:
+            break  # no float lies between the endpoints
         needed, plan = cal_wks(mid, lens, t0, model, min_wks, max_wks)
         if needed > wks:
             d_min = mid

@@ -31,7 +31,8 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .history import HistoryStore, Response
+from . import history
+from .history import Response, SuffixTree
 from .scheduler import (
     BETA_FLOOR,
     AllocationPlan,
@@ -127,6 +128,8 @@ class Policy:
             raise ValueError(f"unknown policy {self.name!r}; expected one of {POLICIES}")
         if not (0.0 <= self.oversample_pct < 100.0):
             raise ValueError("oversample_pct must be in [0, 100)")
+        if not self.plan_precision > 0:
+            raise ValueError(f"plan_precision must be > 0, got {self.plan_precision}")
 
     @property
     def is_histopipe(self) -> bool:
@@ -307,9 +310,10 @@ class _Simulation:
         self._seq = 0
         self.now = 0.0
 
-        self.store = HistoryStore() if policy.speculation else None
+        # Each prompt's latest index: a prompt missing from the last epoch
+        # keeps drafting from an older one. None without speculation.
+        self.trees: dict[str, SuffixTree] | None = {} if policy.speculation else None
         self.stats = SpecStats()
-        self.gate = spec_config.gate()
         self.spec_stats_rows: list[list] = []
 
         self.plans: dict[int, _StepPlan] = {}
@@ -362,14 +366,14 @@ class _Simulation:
             flags[wid] = (
                 self.policy.speculation
                 and step >= 2
-                and gate_check(self.gate, len(members), self.stats.acceptance_rate)
+                and gate_check(self.spec_config, len(members), self.stats.acceptance_rate)
             )
         shares: dict[int, list[_Task]] = {}
         for wid in sorted(shares_raw):
             share = []
             for member, resp, group_idx in shares_raw[wid]:
                 sid = f"{resp.prompt_id}/e{resp.epoch}/{member}"
-                tree = self.store.get_tree(resp.prompt_id) if flags[wid] else None
+                tree = self.trees.get(resp.prompt_id) if flags[wid] else None
                 replay = replay_response(resp.tokens, tree, self.spec_config, stats=self.stats)
                 profile = None
                 if replay.iterations != replay.total_tokens:
@@ -393,12 +397,14 @@ class _Simulation:
         if step > 1:
             self._ensure_plan(step - 1)
 
-        if self.store is not None and step >= 2:
+        if self.trees is not None and step >= 2:
             # History becomes visible at epoch granularity: step k drafts from
-            # the previous epoch's responses.
+            # the previous epoch's responses. Called through the module, so a
+            # wrapper set on `history.build_tree` (the traced benchmark run)
+            # sees every build.
             prev = self.trace.epoch_responses(step - 1)
-            for pid in sorted(prev):
-                self.store.ingest_epoch(pid, step - 1, prev[pid])
+            self.trees.update((pid, history.build_tree(pid, step - 1, prev[pid]))
+                              for pid in sorted(prev))
 
         counters_before = (self.stats.tokens_total, self.stats.tokens_speculated,
                            self.stats.tokens_accepted, self.stats.verify_passes,

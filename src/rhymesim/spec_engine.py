@@ -31,31 +31,6 @@ GATE_BUCKETS = 10
 GATE_DEFAULT_MAX_BATCH = 8192
 
 
-@dataclass(frozen=True)
-class BatchGate:
-    """Max viable batch size per acceptance-rate decile.
-
-    `table[i]` caps the batch for acceptance rates in [i/10, (i+1)/10); rates
-    of exactly 1.0 fall into the top bucket. Lower acceptance must never allow
-    a larger batch than higher acceptance.
-    """
-
-    table: tuple[int, ...] = (GATE_DEFAULT_MAX_BATCH,) * GATE_BUCKETS
-
-    def __post_init__(self):
-        if len(self.table) != GATE_BUCKETS:
-            raise ValueError(f"gate table needs {GATE_BUCKETS} buckets, got {len(self.table)}")
-        if any(a > b for a, b in zip(self.table, self.table[1:])):
-            raise ValueError("gate table must be non-decreasing in acceptance bucket")
-
-
-def gate_check(gate: BatchGate, current_batch: int, recent_acceptance: float) -> bool:
-    """True when speculation stays enabled for this batch size."""
-    bucket = min(int(recent_acceptance * GATE_BUCKETS), GATE_BUCKETS - 1)
-    bucket = max(bucket, 0)
-    return current_batch <= gate.table[bucket]
-
-
 def verify(draft: list[int], truth: list[int]) -> int:
     """Accepted token count: the longest common prefix of draft and truth."""
     n = 0
@@ -87,7 +62,16 @@ class SpecStats:
 
 @dataclass
 class SpecConfig:
-    """Engine knobs; mirrored one-to-one by the `spec.*` config keys."""
+    """Engine knobs; mirrored one-to-one by the `spec.*` config keys.
+
+    `gate_table` is the batch gate: `gate_table[i]` is the largest batch a
+    worker may speculate on when the acceptance rate so far is in
+    [i/10, (i+1)/10), a rate of exactly 1.0 falling into the top bucket. It
+    has 10 buckets and never decreases: lower acceptance never allows a
+    larger batch. Any sequence of numbers is taken and kept as a tuple of
+    ints, so a JSON list in a config file works. The default allows 8192
+    in-flight rollouts at any acceptance rate.
+    """
 
     window_init: int = WINDOW_INIT
     window_add: int = WINDOW_ADD
@@ -101,9 +85,18 @@ class SpecConfig:
             raise ValueError(f"window needs 1 <= window_init <= window_max: {self}")
         if not (1 <= self.prefix_min <= self.prefix_init):
             raise ValueError(f"prefix needs 1 <= prefix_min <= prefix_init: {self}")
+        table = self.gate_table = tuple(int(v) for v in self.gate_table)
+        if len(table) != GATE_BUCKETS:
+            raise ValueError(f"gate table needs {GATE_BUCKETS} buckets, got {len(table)}")
+        if any(a > b for a, b in zip(table, table[1:])):
+            raise ValueError("gate table must be non-decreasing in acceptance bucket")
 
-    def gate(self) -> BatchGate:
-        return BatchGate(tuple(self.gate_table))
+
+def gate_check(config: SpecConfig, current_batch: int, recent_acceptance: float) -> bool:
+    """True when speculation stays enabled for this batch size."""
+    bucket = min(int(recent_acceptance * GATE_BUCKETS), GATE_BUCKETS - 1)
+    bucket = max(bucket, 0)
+    return current_batch <= config.gate_table[bucket]
 
 
 def next_window(config: SpecConfig, size: int, all_accepted: bool) -> int:

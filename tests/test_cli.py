@@ -150,6 +150,16 @@ class TestPlanAlloc:
                      "--out", str(tmp_path / "p.json")])
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("precision", ["0", "-1", "nan"])
+    def test_non_positive_precision_exits_two(self, tmp_path, precision, time_limit, capsys):
+        assert main(["plan-alloc", "--lens", "100,200,400,800", "--wks", "16",
+                     "--precision", precision, "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
+        assert "precision" in capsys.readouterr().err
+
+    def test_precision_below_float_resolution_ends(self, tmp_path, time_limit):
+        assert main(["plan-alloc", "--lens", "100,200,400,800", "--wks", "16",
+                     "--precision", "1e-300", "--out", str(tmp_path / "p.json")]) == EXIT_OK
+
     @pytest.mark.parametrize("flags", [["--max-wks", "0"], ["--min-wks", "0"],
                                        ["--min-wks", "3", "--max-wks", "2"]])
     def test_bad_worker_bounds_exit_two(self, tmp_path, flags):
@@ -227,6 +237,71 @@ class TestRunSim:
         bad.write_text(json.dumps(cfg))
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
                      "--policy", "histopipe_two_tier", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_plan_precision_config_rejected(self, workspace, value, time_limit):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = json.loads(cluster_path.read_text())
+        cfg["policy.plan_precision"] = value
+        bad = tmp_path / "precision.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
+                     "--policy", "histopipe_two_tier", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+    def test_policy_name_config_key_rejected(self, workspace, capsys):
+        # The policy is chosen by --policy alone; a config key naming another
+        # one must not override it.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = json.loads(cluster_path.read_text())
+        cfg["policy.name"] = "colocated"
+        bad = tmp_path / "policyname.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
+                     "--policy", "streaming", "--out", str(out)]) == EXIT_CONFIG
+        assert "policy.name" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_gate_table_turns_speculation_off(self, workspace):
+        # A gate table of zeros allows no batch to speculate, so every
+        # rollout takes one engine iteration per token; with the default
+        # table the same run speculates.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = json.loads(cluster_path.read_text())
+        iters_below_tokens = {}
+        for label, table in (("default", None), ("zero", [0] * 10)):
+            if table is not None:
+                cfg["spec.gate_table"] = table
+            path = tmp_path / f"gate-{label}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"run-{label}.json"
+            assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(path),
+                         "--policy", "histopipe_two_tier", "--speculation",
+                         "--out", str(out)]) == EXIT_OK
+            finishes = [json.loads(line) for line in
+                        (tmp_path / f"run-{label}.events.jsonl").read_text().splitlines()]
+            finishes = [e for e in finishes if e["kind"] == "rollout_finish"]
+            assert finishes
+            iters_below_tokens[label] = sum(e["iterations"] < e["tokens"] for e in finishes)
+            if label == "zero":
+                assert all(e["iterations"] == e["tokens"] for e in finishes)
+        assert iters_below_tokens["default"] > 0
+
+    @pytest.mark.parametrize("table", [[100] * 9, [100] * 5 + [50] * 5])
+    def test_bad_gate_table_exits_two(self, workspace, table, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = json.loads(cluster_path.read_text())
+        cfg["spec.gate_table"] = table
+        bad = tmp_path / "gate.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
+                     "--policy", "streaming", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+        assert "gate table" in capsys.readouterr().err
 
 
 class TestUsage:

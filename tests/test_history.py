@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import threading
 import tracemalloc
 from array import array
 
@@ -12,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rhymesim.history import (
-    MAX_TOKEN,
-    HistoryStore,
-    Response,
-    StaleEpochError,
-    build_tree,
-)
+from rhymesim.history import MAX_TOKEN, Response, build_tree
 from rhymesim.tracegen import Trace, TraceSpec, generate
 
 
@@ -135,7 +128,7 @@ class TestMatchPrefix:
         assert cursor is not None
         draft = tree.extract_draft([5, 6, 7], window=8)
         assert draft.tokens == []
-        assert draft.matched_prefix_len == 3
+        assert draft.found
 
     def test_empty_prefix_rejected(self):
         tree = corpus_tree([([1], 1.0)])
@@ -171,8 +164,7 @@ class TestExtractDraft:
         tree = corpus_tree([([1, 2, 3], 1.0)])
         draft = tree.extract_draft([7, 8], window=4)
         assert draft.tokens == []
-        assert draft.matched_prefix_len == 0
-        assert draft.source_priority == 0.0
+        assert not draft.found
 
     def test_window_caps_length(self):
         tree = corpus_tree([(list(range(20)), 1.0)])
@@ -205,89 +197,11 @@ class TestExtractDraft:
         expected = oracles.greedy_draft(corpus, prefix, window)
         got = tree.extract_draft(prefix, window)
         assert got.tokens == expected
+        assert got.found == oracles.prefix_occurs(corpus, prefix)
         if got.found:
-            assert got.source_priority == pytest.approx(
+            assert tree.match_prefix(prefix).priority == pytest.approx(
                 oracles.subtree_mass(corpus, prefix), abs=1e-6
             )
-
-
-class TestHistoryStore:
-    def test_no_history_before_first_ingest(self):
-        store = HistoryStore()
-        assert store.get_tree("p") is None
-
-    def test_ingest_then_query(self):
-        store = HistoryStore()
-        store.ingest_epoch("p", 1, [Response("p", 1, [1, 2, 3], 1.0)])
-        tree = store.get_tree("p")
-        assert tree is not None and tree.epoch == 1
-
-    def test_stale_epoch_rejected(self):
-        store = HistoryStore()
-        store.ingest_epoch("p", 3, [Response("p", 3, [1], 1.0)])
-        with pytest.raises(StaleEpochError):
-            store.ingest_epoch("p", 3, [Response("p", 3, [1], 1.0)])
-        with pytest.raises(StaleEpochError):
-            store.ingest_epoch("p", 2, [Response("p", 2, [1], 1.0)])
-
-    def test_sequential_ingests_end_at_latest(self):
-        store = HistoryStore()
-        store.ingest_epoch("p", 3, [Response("p", 3, [1, 1], 1.0)])
-        store.ingest_epoch("p", 4, [Response("p", 4, [2, 2], 1.0)])
-        assert store.get_tree("p").epoch == 4
-
-    def test_memory_stats(self):
-        store = HistoryStore()
-        assert store.memory_stats().prompt_count == 0
-        tokens = list(range(12))
-        store.ingest_epoch("p", 1, [Response("p", 1, tokens, 1.0)])
-        stats = store.memory_stats()
-        assert stats.prompt_count == 1
-        assert stats.total_tokens == 12
-        assert stats.total_nodes <= 2 * 12 + 1
-        # Re-ingest replaces, never accumulates.
-        store.ingest_epoch("p", 2, [Response("p", 2, [5, 6], 1.0)])
-        assert store.memory_stats().total_tokens == 2
-
-    def test_concurrent_readers_see_consistent_snapshots(self):
-        # Readers on other threads query while this thread ingests newer
-        # epochs; every tree they see must be a whole index of one epoch.
-        store = HistoryStore()
-        epochs = {
-            epoch: [[epoch * 10 + i, epoch * 10 + i + 1, epoch] for i in range(4)]
-            for epoch in range(1, 6)
-        }
-        errors: list[str] = []
-
-        def reader():
-            for _ in range(300):
-                tree = store.get_tree("p")
-                if tree is None:
-                    continue
-                corpus = epochs[tree.epoch]
-                first = corpus[0]
-                draft = tree.extract_draft(first[:2], window=4)
-                joined = first[:2] + draft.tokens
-                ok = any(
-                    toks[i : i + len(joined)] == joined
-                    for toks in corpus
-                    for i in range(len(toks))
-                )
-                if not ok:
-                    errors.append(f"epoch {tree.epoch} draft {draft.tokens}")
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for epoch, corpus in epochs.items():
-            store.ingest_epoch(
-                "p", epoch, [Response("p", epoch, toks, 1.0) for toks in corpus]
-            )
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-        assert not errors
-        assert store.get_tree("p").epoch == 5
 
 
 def all_strings(vocab, max_len):
@@ -389,11 +303,8 @@ class TestPackedLayout:
             build_tree("p", 1, [Response("p", 1, [1, tok], 0.5)])
 
     def test_index_bytes_per_token_bound(self):
-        store = HistoryStore()
-        for pid, group in similarity_09_groups(48).items():
-            store.ingest_epoch(pid, 2, group)
-        stats = store.memory_stats()
-        assert stats.index_bytes / stats.total_tokens <= 64.0
+        trees = [build_tree(pid, 2, group) for pid, group in similarity_09_groups(48).items()]
+        assert sum(t.index_bytes for t in trees) / sum(t.total_tokens for t in trees) <= 64.0
 
     def test_index_bytes_matches_tracemalloc(self):
         groups = similarity_09_groups(12)

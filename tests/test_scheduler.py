@@ -166,6 +166,23 @@ class TestPlanAllocation:
                                 model=DivideModel(), min_wks=1, max_wks=1)
         assert not plan2.feasible
 
+    @pytest.mark.parametrize("precision", [0.0, -1.0, math.nan])
+    def test_non_positive_precision_rejected(self, precision, time_limit):
+        with pytest.raises(ValueError, match="precision"):
+            plan_allocation([10.0, 20.0, 40.0], wks=8, t_train=0.0, model=DivideModel(),
+                            precision=precision)
+
+    def test_precision_below_float_resolution_ends(self, time_limit):
+        # No two floats in (0, d_max] are 1e-300 apart, so the search ends
+        # when the midpoint rounds to an endpoint: at the smallest gradient a
+        # float can name, the one the exhaustive search finds.
+        lens = [8.0, 16.0, 32.0, 64.0]
+        plan = plan_allocation(lens, wks=10, t_train=0.0, model=DivideModel(),
+                               min_wks=1, max_wks=6, precision=1e-300)
+        assert plan.feasible
+        best = oracles.exhaustive_best_gradient(lens, 10, plan.t0, DivideModel().tau, 1, 6)
+        assert plan.gradient_d == pytest.approx(best, rel=1e-12)
+
     def test_degenerate_group_count_rejected(self):
         with pytest.raises(ValueError):
             plan_allocation([10.0], wks=4, t_train=0.0, model=DivideModel())

@@ -333,6 +333,10 @@ class TestPinnedEventLogs:
             "0c0b00f0bd636636112272f6545984ca0856a7d6865ec89f21aab11d3fdc0baa",
         ("histopipe_two_tier", False):
             "0b5bfc4446be89f593f39fafc5db1f5563e7745136544a39125a2cc25058003e",
+        ("colocated", False):
+            "a00b6052fed6f6f0dcee31794401dccb1f2d9d28e86c612a31f053aa20bec11c",
+        ("histopipe_naive", True):
+            "547f94e4565561497f6ee7dce51032504c99474efcb3814b53b7e4c12f970324",
     }
 
     @pytest.mark.parametrize("name,speculation", sorted(PINNED))
@@ -341,6 +345,32 @@ class TestPinnedEventLogs:
                   Policy(name, speculation=speculation), fast_cost())
         digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
         assert digest == self.PINNED[(name, speculation)]
+
+    # Prompts that leave or join between epochs, with speculation. In the
+    # dropped trace p0003 has no epoch 2, so its epoch-3 drafts come from its
+    # epoch-1 index: each prompt drafts from its latest earlier epoch.
+    PINNED_EDITED = {
+        ("dropped", "streaming"):
+            "04c5e48abec3380a2638b37e47dc7458b21057ddefe92ec029e6f47b59b1df68",
+        ("dropped", "histopipe_naive"):
+            "ce4a6bc02ff7b468209c3df0d36e3c0158589027abf7c1481b6ddcd94839c4da",
+        ("dropped", "histopipe_two_tier"):
+            "41c256cf00be93c3e3987910854b0c0ba59ddc28a039fa9e304d757ffa4199cc",
+        ("added", "streaming"):
+            "54154c92b1fd7c54c1c981dd4cfc5bc8e9d881f756bc338cdf2be1f097c43ed8",
+        ("added", "histopipe_naive"):
+            "16651d0e3aaf675e64d45544d918f5eed234122ad94483de4ec96b0d4f2c71f5",
+        ("added", "histopipe_two_tier"):
+            "69dece42022767f9db1d75b7392e40c60c0a6964fb7f5aedde0afbe4547f8214",
+    }
+
+    @pytest.mark.parametrize("edit,name", sorted(PINNED_EDITED))
+    def test_edited_prompt_set_events_sha256_pinned(self, edit, name):
+        res = run(edited_prompt_set_traces()[edit],
+                  ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
+                  Policy(name, speculation=True), fast_cost())
+        digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
+        assert digest == self.PINNED_EDITED[(edit, name)]
 
     # Runs that migrate often, both within a step and into the next, so the
     # migration path is pinned too: (sha256, migrations, inter-step ones).

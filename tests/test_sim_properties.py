@@ -1,0 +1,237 @@
+"""Property tests over the whole simulator.
+
+Small random traces, with prompts dropped or added between epochs, run under
+every policy with speculation on and off and with and without oversampling.
+Each run must either raise InfeasiblePlanError (two-tier planning found no
+allocation for the worker budget) or satisfy every invariant below, which
+are checked from the event log and the timeline alone. How often a drawn run
+is infeasible or migrates shows with `--hypothesis-show-statistics`.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter, defaultdict
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from rhymesim.scheduler import MigrationPolicy, in_straggler_tail
+from rhymesim.sim import ClusterSpec, CostConfig, InfeasiblePlanError, Policy, run
+from rhymesim.tracegen import Trace, TraceSpec, generate
+
+COST = CostConfig(per_iter_base=0.004, per_iter_batch=0.0008, reward_time=0.002,
+                  train_base=0.3, train_per_sample=0.003)
+EPS = 1e-9
+
+
+@st.composite
+def small_runs(draw):
+    """(responses, cluster): 2-4 epochs, 4-12 prompts, 1-4 samples each, on
+    2-3 groups of 2-8 workers. Some (prompt, epoch) cells are left out: a
+    prompt missing from an epoch before one it has is added, one missing
+    after is dropped. Every epoch keeps at least one prompt per group."""
+    epochs = draw(st.integers(2, 4))
+    num_prompts = draw(st.integers(4, 12))
+    n_groups = draw(st.integers(2, 3))
+    spec = TraceSpec(num_prompts=num_prompts, epochs=epochs, group_size=draw(st.integers(1, 4)),
+                     len_mu=math.log(draw(st.sampled_from([10, 30, 80]))), len_sigma=1.1,
+                     similarity=draw(st.sampled_from([0.3, 0.9])),
+                     rank_noise=draw(st.sampled_from([0.5, 0.95])), length_jitter=0.3,
+                     seed=draw(st.integers(0, 2**16)))
+    cells = draw(st.lists(st.tuples(st.integers(0, num_prompts - 1), st.integers(1, epochs)),
+                          max_size=num_prompts, unique=True))
+    left = Counter({e: num_prompts for e in range(1, epochs + 1)})
+    absent = set()
+    for p, e in cells:
+        if left[e] > n_groups:
+            absent.add((spec.prompt_id(p), e))
+            left[e] -= 1
+    responses = [r for r in generate(spec) if (r.prompt_id, r.epoch) not in absent]
+    cluster = ClusterSpec(rollout_workers=draw(st.integers(n_groups, 8)),
+                          reward_workers=draw(st.integers(1, 3)), n_groups=n_groups)
+    return responses, cluster
+
+
+def sample_ids_of(trace: Trace, epoch: int) -> set[str]:
+    return {f"{pid}/e{epoch}/{member}"
+            for pid, group in trace.epoch_responses(epoch).items()
+            for member in range(len(group))}
+
+
+def check_finishes(res, trace):
+    finishes = Counter(e.payload["sample"] for e in res.events if e.kind == "rollout_finish")
+    assert set(finishes) == set().union(*(sample_ids_of(trace, e) for e in trace.epochs))
+    assert set(finishes.values()) == {1}
+
+
+def check_weight_versions(res, policy):
+    # Version v is current for step v + 1. Colocated trains step v and then
+    # publishes v; pipelined policies publish v from step v - 1, one step off
+    # policy. Steps before the first publication roll out the initial weights.
+    lag = 0 if policy.name == "colocated" else 1
+    available = {}
+    for e in res.events:
+        if e.kind == "weight_update":
+            assert e.payload["trained_on_step"] == e.payload["version"] - lag
+            available[e.payload["version"]] = e.payload["available_at"]
+    for e in res.events:
+        if e.kind != "rollout_finish":
+            continue
+        p = e.payload
+        scheduled = p["scheduled_step"]
+        assert p["weight_version"] == scheduled - 1
+        version = scheduled - 1
+        if p["continuation_version"] is not None:
+            # An inter-step continuation finishes in the next step, under
+            # that step's weights.
+            assert p["continuation_version"] == scheduled
+            assert p["step"] == scheduled + 1
+            version = scheduled
+        else:
+            assert p["step"] == scheduled
+        if version >= 1 + lag:
+            assert e.time >= available[version] - EPS
+        else:
+            assert version not in available
+
+
+def check_causal_order(res, trace, policy):
+    finished = {}
+    rewards_for = defaultdict(list)  # step counted for -> [(seq, time)]
+    rewarded = Counter()
+    for e in res.events:
+        p = e.payload
+        if e.kind == "rollout_finish":
+            finished[p["sample"]] = e.time
+        elif e.kind == "reward_done":
+            # A sample is rewarded once, after it finishes.
+            assert e.time >= finished[p["sample"]] - EPS
+            rewarded[p["sample"]] += 1
+            target = p["buffered_for"] if p["buffered_for"] is not None else p["step"]
+            rewards_for[target].append((e.seq, e.time))
+    assert set(rewarded) == set(finished) and set(rewarded.values()) == {1}
+    trains = {e.payload["step"]: e for e in res.events if e.kind == "train_done"}
+    last = len(trace.epochs)
+    assert sorted(trains) == list(range(1, last + 1))
+    for step, e in trains.items():
+        batch = e.payload["batch"]
+        # The first `batch` rewards for a step are the ones its train job
+        # counts: all came in before the job started.
+        assert 1 <= batch <= len(rewards_for[step])
+        assert rewards_for[step][batch - 1][1] <= e.time - e.payload["duration"] + EPS
+    # A reward that comes after its step's train job started counts for the
+    # next step still open; it counts for none only once the last step's job
+    # has its batch.
+    last_counted = rewards_for[last][trains[last].payload["batch"] - 1][0]
+    for step, e in trains.items():
+        for seq, _ in rewards_for[step][e.payload["batch"]:]:
+            assert seq > last_counted
+    if policy.oversample_pct == 0.0:
+        # Without oversampling a step trains on every sample it expects: its
+        # own, less those migrated into the next step, plus those migrated in.
+        expected = Counter({e: len(sample_ids_of(trace, e)) for e in trace.epochs})
+        for e in res.events:
+            if e.kind == "migration" and e.payload["migration_kind"] == "inter_step":
+                expected[e.payload["to_step"] - 1] -= 1
+                expected[e.payload["to_step"]] += 1
+        assert {s: e.payload["batch"] for s, e in trains.items()} == dict(expected)
+
+
+def check_worker_intervals(res):
+    by_worker = defaultdict(list)
+    for wid, start, end, _kind in res.timeline:
+        assert start <= end
+        by_worker[wid].append((start, end))
+    for spans in by_worker.values():
+        spans.sort()
+        for (_, prev_end), (start, _) in zip(spans, spans[1:]):
+            assert start >= prev_end - EPS
+
+
+def check_migrations(res, trace, policy):
+    """Migrations happen only under histopipe, in grouped steps, and each one
+    in a group down to its last alpha% of rollouts. Each group's rollout
+    count and finished count are rebuilt from the event log: a rollout counts
+    for the group of the worker it started on, moves with an intra-step
+    migration, and an inter-step one leaves its step for the group its
+    prompt has in the next step (none when the prompt is not in it), joining
+    it once that step is planned."""
+    migrations = {e.payload["sample"]: e.payload for e in res.events if e.kind == "migration"}
+    if not policy.is_histopipe:
+        assert not migrations
+        return
+    event("migrated" if migrations else "no migration")
+    worker_groups = {e.payload["step"]: {int(w): g for w, g in e.payload["workers"].items()}
+                     for e in res.events
+                     if e.kind == "step_boundary" and e.payload["policy"] == policy.name}
+    finishes = {e.payload["sample"]: e.payload for e in res.events if e.kind == "rollout_finish"}
+    total = defaultdict(Counter)
+    completed = defaultdict(Counter)
+    counted_in: dict[str, tuple[int, int | None]] = {}
+    for sid, fin in finishes.items():
+        step = fin["scheduled_step"]
+        if step in worker_groups:
+            first = migrations[sid]["from_worker"] if sid in migrations else fin["worker"]
+            group = worker_groups[step][first]
+            total[step][group] += 1
+            counted_in[sid] = (step, group)
+    tail = MigrationPolicy()
+    planned = set()
+    unbound = defaultdict(list)
+    for e in res.events:
+        p = e.payload
+        if e.kind == "step_boundary":
+            planned.add(p["step"])
+            for group in unbound.pop(p["step"], []):
+                total[p["step"]][group] += 1
+        elif e.kind == "rollout_finish" and p["sample"] in counted_in:
+            step, group = counted_in[p["sample"]]
+            assert p["step"] == step
+            if group is not None:
+                completed[step][group] += 1
+        elif e.kind == "migration":
+            sid = p["sample"]
+            step, group = counted_in[sid]
+            assert step in worker_groups and group == p["from_group"]
+            assert in_straggler_tail(completed[step][group], total[step][group], tail)
+            total[step][group] -= 1
+            if p["migration_kind"] == "intra_step":
+                total[step][p["to_group"]] += 1
+                counted_in[sid] = (step, p["to_group"])
+                continue
+            nxt = p["to_step"]
+            assert nxt == step + 1
+            prompt = sid.split("/", 1)[0]
+            group = (worker_groups[nxt][finishes[sid]["worker"]]
+                     if prompt in trace.prompts(nxt) else None)
+            counted_in[sid] = (nxt, group)
+            if group is not None:
+                if nxt in planned:
+                    total[nxt][group] += 1
+                else:
+                    unbound[nxt].append(group)
+
+
+@pytest.mark.parametrize("oversample_pct", [0.0, 20.0])
+@pytest.mark.parametrize("speculation", [False, True])
+@pytest.mark.parametrize("name", ["colocated", "streaming", "histopipe_naive",
+                                  "histopipe_two_tier"])
+@settings(max_examples=15, deadline=None)
+@given(drawn=small_runs())
+def test_simulator_invariants(name, speculation, oversample_pct, drawn):
+    responses, cluster = drawn
+    trace = Trace(responses)
+    policy = Policy(name, speculation=speculation, oversample_pct=oversample_pct)
+    try:
+        res = run(trace, cluster, policy, COST)
+    except InfeasiblePlanError:
+        event("InfeasiblePlanError")
+        return
+    check_finishes(res, trace)
+    check_weight_versions(res, policy)
+    check_causal_order(res, trace, policy)
+    check_worker_intervals(res)
+    check_migrations(res, trace, policy)
+    assert run(trace, cluster, policy, COST).events_jsonl() == res.events_jsonl()

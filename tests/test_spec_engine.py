@@ -8,7 +8,6 @@ import pytest
 import oracles
 from rhymesim.history import Response, build_tree
 from rhymesim.spec_engine import (
-    BatchGate,
     SpecConfig,
     SpecStats,
     gate_check,
@@ -87,26 +86,26 @@ class TestVerify:
 
 class TestBatchGate:
     def test_batch_one_always_speculates(self):
-        gate = BatchGate()
+        config = SpecConfig()
         for acc in (0.0, 0.35, 0.99, 1.0):
-            assert gate_check(gate, 1, acc)
+            assert gate_check(config, 1, acc)
 
     def test_batch_above_bucket_limit_disables(self):
         table = tuple([64] * 5 + [1024] * 5)
-        gate = BatchGate(table)
-        assert not gate_check(gate, 65, 0.2)
-        assert gate_check(gate, 65, 0.8)
+        config = SpecConfig(gate_table=table)
+        assert not gate_check(config, 65, 0.2)
+        assert gate_check(config, 65, 0.8)
 
     def test_profile_table_fixture(self):
         # Buckets for [0.6, 0.8) allow 4096 concurrent rollouts.
         table = tuple([256] * 6 + [4096] * 2 + [8192] * 2)
-        gate = BatchGate(table)
-        assert gate_check(gate, 2176, 0.7)
-        assert not gate_check(gate, 4097, 0.7)
+        config = SpecConfig(gate_table=table)
+        assert gate_check(config, 2176, 0.7)
+        assert not gate_check(config, 4097, 0.7)
 
     def test_non_monotone_table_rejected(self):
         with pytest.raises(ValueError):
-            BatchGate(tuple([100] * 5 + [50] * 5))
+            SpecConfig(gate_table=tuple([100] * 5 + [50] * 5))
 
 
 class SpyTree:
