@@ -2,10 +2,17 @@
 
 One simulated step replays one trace epoch: every response's content and
 iteration profile come from the speculation engine replay, and the event loop
-only decides *when* things happen. Time advances fluidly: a worker's in-flight
-responses all progress together at `1 / t_iter(batch)` iterations per second,
-so completions, migrations, and weight waits fall out of plain arithmetic and
-two runs with the same inputs produce byte-identical event logs.
+only decides *when* things happen. A rollout worker is a processor-sharing
+server: all of its in-flight responses advance one iteration per
+`t_iter(batch)`. Each worker therefore keeps one iteration clock `v`, the
+iterations a decoding response has completed since the worker's step began,
+and commits it only when its batch changes (a join, a finish or a
+migration); between commits `v` is linear in time. A response stores the
+clock value `v_start` at which its progress was 0, so its progress at any
+time is read off the clock without writing anything, and it finishes when
+`v` reaches `v_start + total_iters`. Completions, migrations and weight waits
+fall out of plain arithmetic, and two runs with the same inputs produce
+byte-identical event logs.
 
 Weight versions are named by the step they become current for. Pipelined
 policies overlap: the job that trains step k's samples runs while step k+1
@@ -17,8 +24,9 @@ starts once a batch-size worth of the step's samples has been rewarded;
 oversampling lowers that threshold and late samples count toward the next
 step's batch.
 
-Inter-step migrated rollouts keep their generated tokens, pay a prefill
-recompute charge when they resume, finish under the next step's version, and
+Migrated rollouts keep their generated tokens and pay a prefill recompute
+charge when they join a worker: a timed phase at the end of which their
+`v_start` is fixed. Inter-step ones finish under the next step's version and
 count toward the next step's batch.
 """
 
@@ -187,7 +195,8 @@ class SimEvent:
 class MetricsReport:
     samples_per_second: float
     makespan: float
-    samples: int
+    samples: int            # rollouts completed
+    trained_samples: int    # of those, the ones a train job used
     steps: int
     bubble_fraction: float
     bubble_per_worker: list[float]
@@ -202,6 +211,7 @@ class MetricsReport:
             "samples_per_second": self.samples_per_second,
             "makespan": self.makespan,
             "samples": self.samples,
+            "trained_samples": self.trained_samples,
             "steps": self.steps,
             "bubble_fraction": self.bubble_fraction,
             "bubble_per_worker": list(self.bubble_per_worker),
@@ -239,15 +249,15 @@ class _Task:
     profile: list[int] | None  # cumulative tokens per iteration; None = 1/iter
     group: int | None
     weight_version: int
-    remaining: float = 0.0
-    prefill_left: float = 0.0
+    v_start: float = 0.0      # worker clock at progress 0; inf while prefilling
+    done: float = 0.0         # iterations completed before joining its worker
+    ready_at: float = 0.0     # time its prefill ends, while prefilling
     worker: int | None = None
     migrated: bool = False
     continuation_version: int | None = None
 
-    def generated_len(self) -> int:
-        done = self.total_iters - self.remaining
-        idx = min(self.total_iters, max(0, math.floor(done + _EPS)))
+    def generated_len(self, progress: float) -> int:
+        idx = min(self.total_iters, max(0, math.floor(progress + _EPS)))
         if idx <= 0:
             return 0
         if self.profile is None:
@@ -261,6 +271,8 @@ class _Worker:
     free_at: float = 0.0
     step: int = 0
     inflight: dict = field(default_factory=dict)
+    prefilling: list = field(default_factory=list)  # in-flight tasks not decoding yet
+    v: float = 0.0             # iteration clock, committed at last_advance
     last_advance: float = 0.0
     sched_version: int = 0
     busy_since: tuple[float, str] | None = None
@@ -385,8 +397,7 @@ class _Simulation:
                 share.append(_Task(
                     sid=sid, prompt=resp.prompt_id, epoch=resp.epoch, member=member,
                     tokens_len=resp.generated_len, total_iters=replay.iterations,
-                    profile=profile, group=group_idx, weight_version=step - 1,
-                    remaining=float(replay.iterations), worker=wid,
+                    profile=profile, group=group_idx, weight_version=step - 1, worker=wid,
                 ))
             shares[wid] = share
         return shares
@@ -574,40 +585,56 @@ class _Simulation:
         running = self.workers[target]
         if running.step == plan.step:
             self._advance_worker(running, self.now)
-            running.inflight[task.sid] = task
+            self._join(running, task)
             running.begin("rollout", self.now)
-            running.last_advance = self.now
             self._reschedule(running)
 
-    # -- time advancement ------------------------------------------------------
+    # -- the worker clock ------------------------------------------------------
 
     def _t_iter(self, worker: _Worker) -> float:
         return self.cost.t_iter(len(worker.inflight))
 
     def _advance_worker(self, worker: _Worker, to_time: float) -> None:
+        """Commit the worker's clock to `to_time`. Called only when its batch
+        is about to change, since the rate `t_iter(batch)` changes with it.
+        A prefill ending inside the interval fixes that task's `v_start`
+        exactly, because the clock is linear between commits."""
         elapsed = to_time - worker.last_advance
         if elapsed > 0 and worker.inflight:
             rate = self._t_iter(worker)
-            iters = elapsed / rate  # the whole slice, for tasks with no prefill left
-            for task in worker.inflight.values():
-                if task.prefill_left <= 0:
-                    task.remaining -= iters
-                    continue
-                used = min(task.prefill_left, elapsed)
-                task.prefill_left -= used
-                slice_left = elapsed - used
-                if slice_left > 0:
-                    task.remaining -= slice_left / rate
+            if worker.prefilling:
+                for task in worker.prefilling:
+                    if task.ready_at <= to_time:
+                        task.v_start = (worker.v + (task.ready_at - worker.last_advance) / rate
+                                        - task.done)
+                worker.prefilling = [t for t in worker.prefilling if t.ready_at > to_time]
+            worker.v += elapsed / rate
         worker.last_advance = max(worker.last_advance, to_time)
+
+    def _join(self, worker: _Worker, task: _Task) -> None:
+        """Put `task` in flight on `worker`, whose clock is committed to now.
+        A task with generated tokens first pays their prefill recompute."""
+        worker.inflight[task.sid] = task
+        prefill = task.generated_len(task.done) * self.cost.prefill_per_token
+        if prefill > 0:
+            task.v_start = math.inf
+            task.ready_at = self.now + prefill
+            worker.prefilling.append(task)
+        else:
+            task.v_start = worker.v - task.done
 
     def _reschedule(self, worker: _Worker) -> None:
         worker.sched_version += 1
         if not worker.inflight:
             return
         rate = self._t_iter(worker)
-        best = min(task.prefill_left + max(0.0, task.remaining) * rate
-                   for task in worker.inflight.values())
-        self._push(worker.last_advance + best, "completion", (worker.wid, worker.sched_version))
+        v_end = min(task.v_start + task.total_iters for task in worker.inflight.values())
+        when = worker.last_advance + max(0.0, v_end - worker.v) * rate
+        # Timed from `ready_at` and never before it, so that the commit at
+        # `when` sees the prefill end even when no iterations are left.
+        for task in worker.prefilling:
+            when = min(when, task.ready_at + max(0.0, task.total_iters - task.done) * rate)
+        self._push(when, "completion", (worker.wid, worker.sched_version))
 
     # -- worker lifecycle -------------------------------------------------------
 
@@ -632,11 +659,12 @@ class _Simulation:
             self._push(start, "start", (worker.wid, step))
             return
         worker.step = step
-        share = list(plan.shares.get(worker.wid, []))
-        share.extend(t for t in self.carry_in.get(step, [])
-                     if t.worker == worker.wid and t.sid not in worker.inflight)
-        worker.inflight = {t.sid: t for t in share}
+        worker.v = 0.0
         worker.last_advance = self.now
+        worker.inflight = {t.sid: t for t in plan.shares.get(worker.wid, [])}
+        for task in self.carry_in.get(step, []):
+            if task.worker == worker.wid:
+                self._join(worker, task)
         if worker.inflight:
             worker.begin("rollout", self.now)
             self._reschedule(worker)
@@ -659,9 +687,9 @@ class _Simulation:
             return
         self._advance_worker(worker, self.now)
         plan = self.plans[worker.step]
-        finished = [sid for sid in sorted(worker.inflight)
-                    if worker.inflight[sid].remaining <= _EPS
-                    and worker.inflight[sid].prefill_left <= _EPS]
+        v = worker.v
+        finished = sorted(sid for sid, task in worker.inflight.items()
+                          if task.v_start + task.total_iters - v <= _EPS)
         for sid in finished:
             task = worker.inflight.pop(sid)
             self.completed_ids[sid] = worker.step
@@ -708,17 +736,20 @@ class _Simulation:
 
         Only a group down to its last alpha% (`in_straggler_tail`) can
         migrate anything, so the per-rollout test runs in those groups
-        alone. The skip is exact: while a group is scanned, only its own
-        migrations change its counts, and a group outside its tail makes
-        none. Every live worker is still advanced to now, in the same order,
-        because advancing a worker in a different set of time slices changes
-        the float bits of its progress and hence the event log: observing
-        progress mutates it. Making progress a pure function of the time the
-        worker's batch last changed would remove that coupling, at the price
-        of pinning new event-log hashes once.
+        alone, and the check returns at once when no group is in its tail.
+        That is exact: an intra-step migration only raises its target
+        group's total, and an inter-step one only lowers the scanned group's
+        own, so no group enters its tail during a check. A group can leave
+        it, by receiving a migrant before its own scan, so each group's tail
+        test is made when its scan begins. Progress is read off each
+        worker's clock and nothing is committed here; a migration commits
+        the two workers whose batches it changes.
         """
-        n_groups = self.cluster.n_groups
         policy = MigrationPolicy(beta=self._beta_for_step(plan.step))
+        completed, total = plan.group_completed, plan.group_total
+        if not any(in_straggler_tail(completed.get(g, 0), n, policy) for g, n in total.items()):
+            return
+        n_groups = self.cluster.n_groups
         live: dict[int, list[_Worker]] = {}
         for wid in sorted(plan.worker_groups):
             worker = self.workers[wid]
@@ -728,20 +759,18 @@ class _Simulation:
             g: sum(len(w.inflight) for w in ws) / len(ws) for g, ws in live.items()
         }
         for g in sorted(live):
+            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0), policy):
+                continue
             group = plan.groups[g]
-            in_tail = in_straggler_tail(plan.group_completed.get(g, 0),
-                                        plan.group_total.get(g, 0), policy)
             for worker in live[g]:
-                self._advance_worker(worker, self.now)
-                if not in_tail:
-                    continue
-                for sid in sorted(list(worker.inflight)):
+                v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
+                for sid in sorted(worker.inflight):
                     task = worker.inflight.get(sid)
                     if task is None or task.migrated:
                         continue
                     decision = migration_decision(
-                        group, task.generated_len(), plan.group_completed.get(g, 0),
-                        plan.group_total.get(g, 0), policy, n_groups, active_loads,
+                        group, task.generated_len(v - task.v_start), completed.get(g, 0),
+                        total.get(g, 0), policy, n_groups, active_loads,
                     )
                     if not decision.migrates:
                         continue
@@ -749,6 +778,12 @@ class _Simulation:
                         self._migrate_intra(plan, worker, task, decision.target_group)
                     elif plan.step < self.steps:
                         self._migrate_inter(plan, worker, task)
+
+    def _detach(self, source: _Worker, task: _Task) -> None:
+        """Take a decoding `task` off `source`, keeping its progress in `done`."""
+        self._advance_worker(source, self.now)
+        del source.inflight[task.sid]
+        task.done = source.v - task.v_start
 
     def _migrate_intra(self, plan: _StepPlan, source: _Worker, task: _Task,
                        target_group: int) -> None:
@@ -761,17 +796,16 @@ class _Simulation:
         if not candidates:
             return
         target = min(candidates, key=lambda w: (len(w.inflight), w.wid))
-        del source.inflight[task.sid]
+        self._detach(source, task)
+        generated = task.generated_len(task.done)
         self._advance_worker(target, self.now)
-        generated = task.generated_len()
-        task.prefill_left = generated * self.cost.prefill_per_token
+        self._join(target, task)
         task.migrated = True
         old_group = task.group
         task.group = target_group
         task.worker = target.wid
         plan.group_total[old_group] -= 1
         plan.group_total[target_group] += 1
-        target.inflight[task.sid] = task
         self.migrations += 1
         self._emit("migration", {
             "sample": task.sid, "migration_kind": "intra_step",
@@ -789,10 +823,9 @@ class _Simulation:
         next_step = plan.step + 1
         if next_step in self.plans and not self._carry_targets(self.plans[next_step], task)[1]:
             return  # no worker could resume it next step: it finishes where it is
-        del source.inflight[task.sid]
-        generated = task.generated_len()
+        self._detach(source, task)
+        generated = task.generated_len(task.done)
         task.migrated = True
-        task.prefill_left = generated * self.cost.prefill_per_token
         task.continuation_version = next_step - 1
         plan.group_total[task.group] -= 1
         task.worker = None
@@ -985,11 +1018,15 @@ class _Simulation:
             "train": _union_length(self.train_spans),
         }
 
-        samples = len(self.completed_ids)
+        # Throughput counts the samples some step trained on: with
+        # oversampling, those rewarded after the last train job started are
+        # completed but never used.
+        trained = sum(self.rewarded.get(step, 0) for step in self.train_done_time)
         metrics = MetricsReport(
-            samples_per_second=samples / makespan if makespan > 0 else 0.0,
+            samples_per_second=trained / makespan if makespan > 0 else 0.0,
             makespan=makespan,
-            samples=samples,
+            samples=len(self.completed_ids),
+            trained_samples=trained,
             steps=self.steps,
             bubble_fraction=idle_total / wall,
             bubble_per_worker=bubble_per_worker,

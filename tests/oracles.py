@@ -211,3 +211,83 @@ def longest_continuation_replay(
             accepted += best
             pos += max(best, 1)
     return accepted, total, warmup
+
+
+# -- rollout worker oracle --------------------------------------------------------
+
+
+def _tokens_done(total_iters: int, profile: list[int] | None, progress: float) -> int:
+    idx = min(total_iters, max(0, math.floor(progress + 1e-9)))
+    if idx == 0:
+        return 0
+    return idx if profile is None else profile[idx - 1]
+
+
+def sliced_worker(tasks: dict, ops: list, t_iter, prefill_per_token: float):
+    """Finish times and observed progress of one rollout worker, advanced
+    slice by slice: every in-flight task's iterations left and prefill
+    seconds left are decremented over each interval between events.
+
+    `tasks` maps a sid to (total_iters, profile), `profile` being cumulative
+    tokens per iteration or None for one token per iteration. `ops` is a
+    time-ordered list of (time, kind, sid):
+      - "join" puts a task in flight. A task detached earlier keeps its
+        progress and first spends prefill_per_token seconds per generated
+        token on prefill.
+      - "detach" takes a task that was never detached off the worker.
+      - "check" (sid None) reads every in-flight task never detached.
+    Ops a task cannot take (it is finished, in flight, or detached before)
+    are skipped. Every in-flight task counts in the batch; one past its
+    prefill advances 1 / t_iter(batch) iterations per second.
+
+    Returns (finishes, observed): sid -> finish time, and one
+    (time, sid, progress, tokens) per detach and per task a check reads, in
+    op order and by sid within a check.
+    """
+    remaining: dict[str, float] = {}     # in flight: iterations left
+    prefill_left: dict[str, float] = {}  # in flight: prefill seconds left
+    kept: dict[str, float] = {}          # detached: iterations done
+    finishes: dict[str, float] = {}
+    observed = []
+
+    def advance(elapsed: float) -> None:
+        if elapsed > 0 and remaining:
+            rate = t_iter(len(remaining))
+            for s in remaining:
+                used = min(prefill_left[s], elapsed)
+                prefill_left[s] -= used
+                remaining[s] -= (elapsed - used) / rate
+
+    now = 0.0
+    for time, kind, sid in list(ops) + [(math.inf, "end", None)]:
+        while remaining:
+            rate = t_iter(len(remaining))
+            to = now + min(prefill_left[s] + max(0.0, remaining[s]) * rate for s in remaining)
+            if to > time:
+                break
+            advance(to - now)
+            now = to
+            for s in sorted(remaining):
+                if remaining[s] <= 1e-9 and prefill_left[s] <= 1e-9:
+                    del remaining[s], prefill_left[s]
+                    finishes[s] = now
+        if math.isinf(time):
+            break
+        advance(time - now)
+        now = time
+        total, profile = tasks.get(sid, (0, None))
+        if kind == "join" and sid not in remaining and sid not in finishes:
+            progress = kept.get(sid, 0.0)
+            remaining[sid] = total - progress
+            prefill_left[sid] = _tokens_done(total, profile, progress) * prefill_per_token
+        elif kind == "detach" and sid in remaining and sid not in kept:
+            progress = total - remaining.pop(sid)
+            del prefill_left[sid]
+            kept[sid] = progress
+            observed.append((time, sid, progress, _tokens_done(total, profile, progress)))
+        elif kind == "check":
+            for s in sorted(remaining):
+                if s not in kept:
+                    progress = tasks[s][0] - remaining[s]
+                    observed.append((time, s, progress, _tokens_done(*tasks[s], progress)))
+    return finishes, observed

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections import defaultdict
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 import rhymesim.sim as sim_module
 from rhymesim.history import Response
-from rhymesim.scheduler import in_straggler_tail
+from rhymesim.scheduler import MigrationDecision, in_straggler_tail
 from rhymesim.sim import (
     ClusterSpec,
     CostConfig,
@@ -107,6 +112,18 @@ class TestDeterminismAndConservation:
                   Policy(name, speculation=True, oversample_pct=20.0), fast_cost())
         assert res.metrics.samples == len(res.accounting["scheduled"]) == 768
         assert res.accounting["inter_migrations"] > 0
+
+    @pytest.mark.parametrize("oversample_pct,trained", [(0.0, 1152), (20.0, 924)])
+    @pytest.mark.parametrize("name", ["streaming", "histopipe_two_tier"])
+    def test_throughput_counts_trained_samples(self, name, oversample_pct, trained):
+        # With oversampling, the samples rewarded after the last step's
+        # train job started complete but are trained on by no step.
+        res = run(longtail_trace(epochs=6), ClusterSpec(**CLUSTER),
+                  Policy(name, oversample_pct=oversample_pct), fast_cost())
+        batches = sum(e.payload["batch"] for e in res.events if e.kind == "train_done")
+        assert res.metrics.samples == 1152
+        assert res.metrics.trained_samples == batches == trained
+        assert res.metrics.samples_per_second == trained / res.metrics.makespan
 
     def test_lost_reward_raises_stalled(self, monkeypatch):
         queue_reward = sim_module._Simulation._queue_reward
@@ -328,15 +345,15 @@ class TestPinnedEventLogs:
 
     PINNED = {
         ("histopipe_two_tier", True):
-            "695603809ed24548c44f585794c34092b6fc5a28c263a835a1924359025db162",
+            "9e2510386f4300a1e55c7635aed38239cfd5d84a7033cbc8be590b68b4121f27",
         ("streaming", True):
-            "0c0b00f0bd636636112272f6545984ca0856a7d6865ec89f21aab11d3fdc0baa",
+            "b475e0b275e3032655cb540c8aa6215dae317ab9a1f500017d5437d6f8090d03",
         ("histopipe_two_tier", False):
-            "0b5bfc4446be89f593f39fafc5db1f5563e7745136544a39125a2cc25058003e",
+            "a15bca5a92822cea44d46e4009ae0a6162b8c1769b4efaeec36af43314c318f1",
         ("colocated", False):
-            "a00b6052fed6f6f0dcee31794401dccb1f2d9d28e86c612a31f053aa20bec11c",
+            "4574b6ce6c34f12ff43e17c155097411412aa8b65915d6fb146927dc7b583360",
         ("histopipe_naive", True):
-            "547f94e4565561497f6ee7dce51032504c99474efcb3814b53b7e4c12f970324",
+            "551fdfe7a3e6a9d295e27150b362c9dc48e1ece2cbd502c5f5caef4344da5a35",
     }
 
     @pytest.mark.parametrize("name,speculation", sorted(PINNED))
@@ -351,17 +368,17 @@ class TestPinnedEventLogs:
     # epoch-1 index: each prompt drafts from its latest earlier epoch.
     PINNED_EDITED = {
         ("dropped", "streaming"):
-            "04c5e48abec3380a2638b37e47dc7458b21057ddefe92ec029e6f47b59b1df68",
+            "67012de3de7555e8dbec5c395ce3e60663c8a2e6b18aadc4dae8a1ed063a13ea",
         ("dropped", "histopipe_naive"):
-            "ce4a6bc02ff7b468209c3df0d36e3c0158589027abf7c1481b6ddcd94839c4da",
+            "cfddfb98a1fa1fdadf0c0365d919d7bf2411126686163de2266f66ef4b1a5912",
         ("dropped", "histopipe_two_tier"):
-            "41c256cf00be93c3e3987910854b0c0ba59ddc28a039fa9e304d757ffa4199cc",
+            "7729336fad269442637f1b89694fa0fb7aacca4101c8f875030d3f52e70e49de",
         ("added", "streaming"):
-            "54154c92b1fd7c54c1c981dd4cfc5bc8e9d881f756bc338cdf2be1f097c43ed8",
+            "6f5e4c195199e5d7817f25d06d48c130076361cc1f38f2b3a33874a9b8bc3b28",
         ("added", "histopipe_naive"):
-            "16651d0e3aaf675e64d45544d918f5eed234122ad94483de4ec96b0d4f2c71f5",
+            "6a5cc8624312a89ac335d65a6735a8338bb7c9a103665e78e922169d60604199",
         ("added", "histopipe_two_tier"):
-            "69dece42022767f9db1d75b7392e40c60c0a6964fb7f5aedde0afbe4547f8214",
+            "60f2b5dedfd842697305abddd4e36006e3536e36738c103c2b218aa5c554c707",
     }
 
     @pytest.mark.parametrize("edit,name", sorted(PINNED_EDITED))
@@ -376,9 +393,9 @@ class TestPinnedEventLogs:
     # migration path is pinned too: (sha256, migrations, inter-step ones).
     PINNED_MIGRATING = {
         "histopipe_two_tier":
-            ("f86321e6685085964ba6ca037e5957ae830afd71f79e670969036a10c853afb4", 15, 6),
+            ("84be31dade089d7b74412eee8b5444191c042e4bb1b5fdb1857d53c64886ccf5", 15, 6),
         "histopipe_naive":
-            ("f7632ddb591a5ec448a91f6ba9251bc7b1ee4fc87517d908ece07e2824bc39da", 11, 3),
+            ("dec6072f798d02b7167cb3ad88be3a994f94280ed98db2647c2cff45ca2d9c33", 11, 3),
     }
 
     @staticmethod
@@ -410,3 +427,133 @@ class TestPinnedEventLogs:
         res = self.run_migrating("histopipe_two_tier")
         assert calls
         assert res.accounting["migrations"] == self.PINNED_MIGRATING["histopipe_two_tier"][1]
+
+
+@st.composite
+def worker_scripts(draw):
+    """(tasks, ops) for `oracles.sliced_worker`: up to 6 tasks of 1-40
+    iterations, some speculative (1-4 tokens per iteration), and up to 25
+    joins, detaches and checks 0-50 ms apart."""
+    tasks = {}
+    for i in range(draw(st.integers(1, 6))):
+        total = draw(st.integers(1, 40))
+        steps = draw(st.none() | st.lists(st.integers(1, 4), min_size=total, max_size=total))
+        tasks[f"s{i}"] = (total, None if steps is None else list(itertools.accumulate(steps)))
+    ops = []
+    time = 0.0
+    for _ in range(draw(st.integers(1, 25))):
+        time += draw(st.floats(0.0, 0.05))
+        kind = draw(st.sampled_from(["join", "join", "detach", "check"]))
+        ops.append((time, kind, None if kind == "check" else draw(st.sampled_from(sorted(tasks)))))
+    return tasks, ops
+
+
+class TestWorkerClock:
+    """One worker's iteration clock against `oracles.sliced_worker`, the
+    slice-by-slice model it replaced. Joins and detaches go through the
+    simulator's own migration helpers, checks through `_check_migrations`
+    and finishes through `_on_completion`; only the event loop is scripted."""
+
+    COST = fast_cost(prefill_per_token=0.002)
+
+    @classmethod
+    def one_worker(cls):
+        """A simulation whose event loop the test drives: worker 0 runs step
+        1, in one group that is in its straggler tail. Returns it and the
+        list its completions are scheduled into."""
+        sim = sim_module._Simulation(uniform_trace(epochs=1),
+                                     ClusterSpec(rollout_workers=1, reward_workers=1, n_groups=1),
+                                     Policy("streaming", migration=False), cls.COST,
+                                     sim_module.SpecConfig())
+        sim.plans[1] = sim_module._StepPlan(step=1, groups=[None], worker_groups={0: 0},
+                                            shares={}, group_total={0: 100},
+                                            group_completed={0: 99}, policy_kind="clock")
+        sim.workers[0].step = 1
+        completions = []
+        sim._push = lambda time, kind, data: kind == "completion" and completions.append(time)
+        return sim, completions
+
+    @staticmethod
+    def settle(sim, completions, until):
+        """Run worker 0's completions due by `until`. The latest one pushed
+        is the live one: every reschedule pushes one."""
+        worker = sim.workers[0]
+        while worker.inflight and completions[-1] <= until:
+            sim.now = completions[-1]
+            before = len(sim.events)
+            sim._on_completion(0, worker.sched_version)
+            assert len(sim.events) > before, "a completion fired with nothing finished"
+
+    @staticmethod
+    def task(sid, total, profile=None):
+        return sim_module._Task(sid=sid, prompt="p", epoch=1, member=0,
+                                tokens_len=profile[-1] if profile else total, total_iters=total,
+                                profile=profile, group=None, weight_version=0, worker=0)
+
+    @classmethod
+    def run_clock(cls, tasks, ops):
+        sim, completions = cls.one_worker()
+        plan, worker = sim.plans[1], sim.workers[0]
+        by_sid = {sid: cls.task(sid, total, profile) for sid, (total, profile) in tasks.items()}
+        read = []
+        observed = []
+
+        def decide(group, generated_len, *rest):
+            read.append(generated_len)
+            return MigrationDecision("none")
+
+        with mock.patch.object(sim_module, "migration_decision", decide):
+            for time, kind, sid in ops:
+                cls.settle(sim, completions, time)
+                sim.now = time
+                task = by_sid.get(sid)
+                if kind == "join" and sid not in worker.inflight and sid not in sim.completed_ids:
+                    sim._advance_worker(worker, time)
+                    sim._join(worker, task)
+                    sim._reschedule(worker)
+                elif kind == "detach" and sid in worker.inflight and not task.migrated:
+                    sim._detach(worker, task)
+                    task.migrated = True
+                    observed.append((time, sid, task.generated_len(task.done)))
+                    sim._reschedule(worker)
+                elif kind == "check":
+                    read.clear()
+                    sim._check_migrations(plan)
+                    readable = sorted(s for s, t in worker.inflight.items() if not t.migrated)
+                    assert len(read) == len(readable)
+                    observed += [(time, s, n) for s, n in zip(readable, read)]
+            cls.settle(sim, completions, math.inf)
+        finishes = {e.payload["sample"]: e.time for e in sim.events if e.kind == "rollout_finish"}
+        return finishes, observed
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=worker_scripts())
+    def test_matches_sliced_model(self, drawn):
+        tasks, ops = drawn
+        want, want_observed = oracles.sliced_worker(tasks, ops, self.COST.t_iter,
+                                                    self.COST.prefill_per_token)
+        # Away from ties: no op at a finish time, and no progress read within
+        # 1e-6 of a nonzero integer, where a last-bit difference may change
+        # the token count.
+        assume(all(abs(t - f) > 1e-9 * max(1.0, f) for f in want.values() for t, _, _ in ops))
+        assume(all(p == 0 or abs(p - round(p)) > 1e-6 for _, _, p, _ in want_observed))
+        finishes, observed = self.run_clock(tasks, ops)
+        assert finishes.keys() == want.keys()
+        for sid, t in want.items():
+            assert finishes[sid] == pytest.approx(t, rel=1e-9, abs=1e-12)
+        assert observed == [(t, sid, tokens) for t, sid, _, tokens in want_observed]
+
+    def test_rollout_moved_as_it_finishes_ends_after_its_prefill(self, time_limit):
+        # A rollout can be migrated at the instant it completes, when another
+        # worker's check comes first at a tied time; it joins with `done` a
+        # hair past its iterations and must still finish, once its prefill ends.
+        sim, completions = self.one_worker()
+        worker, task = sim.workers[0], self.task("s0", 10)
+        task.done = 10 + 1e-10
+        sim.now = 100.0
+        sim._advance_worker(worker, sim.now)
+        sim._join(worker, task)
+        sim._reschedule(worker)
+        self.settle(sim, completions, math.inf)
+        [finish] = [e.time for e in sim.events if e.kind == "rollout_finish"]
+        assert finish == pytest.approx(100.0 + 10 * self.COST.prefill_per_token, abs=1e-12)
