@@ -30,6 +30,8 @@ from .sim import (
     CostConfig,
     InfeasiblePlanError,
     Policy,
+    SimEvent,
+    derive,
     run,
 )
 from .spec_engine import SpecConfig
@@ -207,6 +209,11 @@ def cmd_plan_alloc(args) -> int:
     return EXIT_OK if plan.feasible else EXIT_INFEASIBLE
 
 
+def _events_path(run_path: str) -> str:
+    """Where run-sim writes the event log of the run JSON at `run_path`."""
+    return os.path.splitext(run_path)[0] + ".events.jsonl"
+
+
 def cmd_run_sim(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
     cluster, cost, spec, policy_kwargs = load_run_config(args.cluster)
@@ -218,7 +225,7 @@ def cmd_run_sim(args) -> int:
         policy_kwargs["oversample_pct"] = args.oversample
     policy = _build_dataclass(Policy, {"name": args.policy, **policy_kwargs}, "policy")
     result = run(trace, cluster, policy, cost, spec)
-    events_path = os.path.splitext(args.out)[0] + ".events.jsonl"
+    events_path = _events_path(args.out)
     rio.atomic_write_text(events_path, result.events_jsonl())
     payload = {
         "schema": RUN_SCHEMA_VERSION,
@@ -233,10 +240,10 @@ def cmd_run_sim(args) -> int:
         "cluster_config": args.cluster,
         "metrics": result.metrics.as_dict(),
         "events_path": events_path,
-        "timeline": [[w, s, e, k] for w, s, e, k in result.timeline],
         "spec_stats": {
             "header": SPEC_STATS_HEADER,
-            "rows": result.spec_stats_rows,
+            "rows": [[step, f"{spec_rate:.6f}", f"{acc_rate:.6f}", verify, decode]
+                     for step, spec_rate, acc_rate, verify, decode in result.spec_stats],
         },
         "accounting": {
             "migrations": result.accounting["migrations"],
@@ -263,18 +270,13 @@ def cmd_report(args) -> int:
     rows = []
     for path, payload in runs:
         m = payload["metrics"]
-        rows.append([
-            os.path.basename(path), payload["policy"],
-            f"{m['samples_per_second']:.6f}",
-            f"{m['samples_per_second'] / base_sps:.6f}" if base_sps else "0",
-            f"{m['bubble_fraction']:.6f}",
-            f"{m['stage_shares'].get('rollout', 0.0):.6f}",
-            f"{m['stage_shares'].get('train', 0.0):.6f}",
-            f"{m['stage_shares'].get('idle', 0.0):.6f}",
-            f"{m['migration_pct']:.6f}",
-            f"{m['speculation_rate']:.6f}",
-            f"{m['acceptance_rate']:.6f}",
-        ])
+        shares = m["stage_shares"]
+        normalized = f"{m['samples_per_second'] / base_sps:.6f}" if base_sps else "0"
+        figures = (m["bubble_fraction"], shares.get("rollout", 0.0), shares.get("train", 0.0),
+                   shares.get("idle", 0.0), m["migration_pct"], m["speculation_rate"],
+                   m["acceptance_rate"])
+        rows.append([os.path.basename(path), payload["policy"], f"{m['samples_per_second']:.6f}",
+                     normalized, *(f"{x:.6f}" for x in figures)])
     if args.csv:
         rio.write_csv(args.csv, header, rows)
         print(f"wrote {args.csv}")
@@ -282,10 +284,13 @@ def cmd_report(args) -> int:
         _print_table(header, rows, pretty=args.pretty)
     if args.timeline:
         timeline_rows = []
-        for path, payload in runs:
-            name = os.path.basename(path)
-            for w, s, e, kind in payload["timeline"]:
-                timeline_rows.append([name, w, s, e, kind])
+        for path in args.runs:
+            events_path = _events_path(path)
+            if not os.path.isfile(events_path):
+                raise OSError(f"{path}: its events log {events_path} is missing")
+            with open(events_path, encoding="utf-8") as fh:
+                timeline = derive(SimEvent.from_dict(json.loads(line)) for line in fh).timeline
+            timeline_rows += [[os.path.basename(path), *row] for row in timeline]
         rio.write_csv(args.timeline, ["run", "worker_id", "start", "end", "activity"],
                       timeline_rows)
         print(f"wrote {args.timeline}")
@@ -393,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="compare runs and export CSV/timelines")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--csv", default=None, help="comparison CSV path (default: stdout)")
-    p.add_argument("--timeline", default=None, help="per-worker timeline CSV path")
+    p.add_argument("--timeline", default=None,
+                   help="per-worker timeline CSV path; the timeline is derived from each "
+                        "run's events log, the run JSON path with its extension replaced "
+                        "by .events.jsonl")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_report)
 

@@ -28,16 +28,43 @@ Migrated rollouts keep their generated tokens and pay a prefill recompute
 charge when they join a worker: a timed phase at the end of which their
 `v_start` is fixed. Inter-step ones finish under the next step's version and
 count toward the next step's batch.
+
+The event log is the run's one record: `derive` computes the timeline,
+metrics, accounting and per-step speculation rows from it alone, in memory or
+from the `.events.jsonl` beside a run JSON. Each event has `time`, `seq` (its
+place in the log) and `kind`, and each kind carries:
+
+- `step_boundary`: `step`, the planning `policy`, `workers` (worker id ->
+  group), the two-tier `allocation` or null, and `replay`, the `SpecStats`
+  counters of the step's replayed responses.
+- `share_start`, `share_end`: `worker`, `step`. A share runs from a worker's
+  first rollout of a step to its last; a continuation handed to a drained
+  worker opens another.
+- `rollout_finish`: `sample`, `worker`, `step` (finished in),
+  `scheduled_step`, `weight_version`, `continuation_version`, `tokens`,
+  `iterations`, `migrated`.
+- `migration`: `sample`, `migration_kind`, `from_group`, `from_worker`,
+  `generated`, and `to_group`, `to_worker` (intra-step) or `to_step`.
+- `reward_done`: `sample`, `step`, `buffered_for` (a later step it counts
+  toward, or null), `start` (when a reward worker took it).
+- `train_done`: `step`, `batch`, `start`, `duration`, `publishes_version`,
+  `switch`: colocated's [start of the switch to training, end of the switch
+  back], else null.
+- `weight_update`: `version`, `trained_on_step`, `available_at`.
+- `run_end`: `rollout_workers`. Its time is the makespan, which can follow
+  the last other event (colocated's trailing switch).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import statistics
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, field
 
 from . import history
 from .history import Response, SuffixTree
@@ -60,8 +87,8 @@ from .spec_engine import SpecConfig, SpecStats, gate_check, replay_response
 from .tracegen import Trace
 
 POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
-EVENTS_SCHEMA_VERSION = 1
-RUN_SCHEMA_VERSION = 2
+EVENTS_SCHEMA_VERSION = 2
+RUN_SCHEMA_VERSION = 3
 SPEC_STATS_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_passes",
                      "decode_passes"]
 
@@ -119,7 +146,7 @@ class _GroupProfileModel:
             for i, l in enumerate(member_lens):
                 shares[i % workers].append(l)
             worst = max(self._share_makespan(s) for s in shares)
-            self._tau[key] = worst / (1.0 + self._app) + self._cost.fixed_step_overhead
+            self._tau[key] = worst / (1.0 + self._app)
         return self._tau[key]
 
 
@@ -150,7 +177,6 @@ class CostConfig:
 
     per_iter_base: float = 0.02      # engine iteration floor
     per_iter_batch: float = 0.0003   # added per in-flight response on the worker
-    fixed_step_overhead: float = 0.0
     prefill_per_token: float = 0.00005  # KV recompute charge on migration
     reward_time: float = 0.01        # per sample on a reward worker
     train_base: float = 0.5
@@ -190,6 +216,11 @@ class SimEvent:
     def as_dict(self) -> dict:
         return {"time": self.time, "seq": self.seq, "kind": self.kind, **self.payload}
 
+    @classmethod
+    def from_dict(cls, record: dict) -> SimEvent:
+        """An event read back from its `as_dict` form (one `.events.jsonl` line)."""
+        return cls(record["time"], record["seq"], record["kind"], record)
+
 
 @dataclass
 class MetricsReport:
@@ -207,29 +238,22 @@ class MetricsReport:
     acceptance_rate: float
 
     def as_dict(self) -> dict:
-        return {
-            "samples_per_second": self.samples_per_second,
-            "makespan": self.makespan,
-            "samples": self.samples,
-            "trained_samples": self.trained_samples,
-            "steps": self.steps,
-            "bubble_fraction": self.bubble_fraction,
-            "bubble_per_worker": list(self.bubble_per_worker),
-            "stage_shares": dict(self.stage_shares),
-            "stage_durations": dict(self.stage_durations),
-            "migration_pct": self.migration_pct,
-            "speculation_rate": self.speculation_rate,
-            "acceptance_rate": self.acceptance_rate,
-        }
+        return asdict(self)
 
 
 @dataclass
-class SimResult:
+class RunSummary:
+    """What a run reports, all of it computed from the event log by `derive`."""
+
     metrics: MetricsReport
-    events: list[SimEvent]
     timeline: list[tuple[int, float, float, str]]  # worker, start, end, activity
     accounting: dict
-    spec_stats_rows: list = field(default_factory=list)
+    spec_stats: list[list]  # SPEC_STATS_HEADER columns, the rates as floats
+
+
+@dataclass
+class SimResult(RunSummary):
+    events: list[SimEvent] = field(default_factory=list)
 
     def events_jsonl(self) -> str:
         # One encoder for every event: json.dumps with an option builds a new
@@ -258,11 +282,7 @@ class _Task:
 
     def generated_len(self, progress: float) -> int:
         idx = min(self.total_iters, max(0, math.floor(progress + _EPS)))
-        if idx <= 0:
-            return 0
-        if self.profile is None:
-            return idx
-        return self.profile[idx - 1]
+        return self.profile[idx - 1] if idx and self.profile is not None else idx
 
 
 @dataclass
@@ -275,19 +295,7 @@ class _Worker:
     v: float = 0.0             # iteration clock, committed at last_advance
     last_advance: float = 0.0
     sched_version: int = 0
-    busy_since: tuple[float, str] | None = None
-    intervals: list = field(default_factory=list)
-
-    def begin(self, kind: str, start: float) -> None:
-        if self.busy_since is None:
-            self.busy_since = (start, kind)
-
-    def finish(self, end: float) -> None:
-        if self.busy_since is not None:
-            start, kind = self.busy_since
-            if end > start:
-                self.intervals.append((start, end, kind))
-            self.busy_since = None
+    share_open: bool = False   # between its share_start and share_end events
 
 
 @dataclass
@@ -326,7 +334,6 @@ class _Simulation:
         # keeps drafting from an older one. None without speculation.
         self.trees: dict[str, SuffixTree] | None = {} if policy.speculation else None
         self.stats = SpecStats()
-        self.spec_stats_rows: list[list] = []
 
         self.plans: dict[int, _StepPlan] = {}
         self.carry_in: dict[int, list[_Task]] = {}   # step -> inter-migrated tasks
@@ -342,13 +349,7 @@ class _Simulation:
         self.expected: dict[int, int] = {}
         self._beta_cache: dict[int, float] = {}
 
-        self.completed_ids: dict[str, int] = {}      # sid -> completion step
         self.scheduled_ids: dict[str, int] = {}
-        self.migrations = 0
-        self.inter_migrations = 0
-
-        self.reward_spans: list[tuple[float, float]] = []
-        self.train_spans: list[tuple[float, float]] = []
 
     # -- event plumbing -----------------------------------------------------
 
@@ -373,13 +374,9 @@ class _Simulation:
 
     def _make_tasks(self, step: int, shares_raw: dict[int, list]) -> dict[int, list[_Task]]:
         """Replay every assigned response and wrap it as a schedulable task."""
-        flags: dict[int, bool] = {}
-        for wid, members in shares_raw.items():
-            flags[wid] = (
-                self.policy.speculation
-                and step >= 2
-                and gate_check(self.spec_config, len(members), self.stats.acceptance_rate)
-            )
+        flags = {wid: self.policy.speculation and step >= 2
+                 and gate_check(self.spec_config, len(members), self.stats.acceptance_rate)
+                 for wid, members in shares_raw.items()}
         shares: dict[int, list[_Task]] = {}
         for wid in sorted(shares_raw):
             share = []
@@ -389,11 +386,7 @@ class _Simulation:
                 replay = replay_response(resp.tokens, tree, self.spec_config, stats=self.stats)
                 profile = None
                 if replay.iterations != replay.total_tokens:
-                    acc = 0
-                    profile = []
-                    for t in replay.tokens_per_iter:
-                        acc += t
-                        profile.append(acc)
+                    profile = list(itertools.accumulate(replay.tokens_per_iter))
                 share.append(_Task(
                     sid=sid, prompt=resp.prompt_id, epoch=resp.epoch, member=member,
                     tokens_len=resp.generated_len, total_iters=replay.iterations,
@@ -417,22 +410,16 @@ class _Simulation:
             self.trees.update((pid, history.build_tree(pid, step - 1, prev[pid]))
                               for pid in sorted(prev))
 
-        counters_before = (self.stats.tokens_total, self.stats.tokens_speculated,
-                           self.stats.tokens_accepted, self.stats.verify_passes,
-                           self.stats.decode_passes)
+        before = vars(self.stats).copy()
         if self.policy.is_histopipe and step >= 2:
             plan = self._plan_histopipe(step)
         else:
             plan = self._plan_round_robin(step)
         self.plans[step] = plan
-        self._record_step_spec_stats(step, counters_before)
 
-        scheduled = 0
-        for share in plan.shares.values():
-            for task in share:
-                self.scheduled_ids[task.sid] = step
-                scheduled += 1
-        self.expected[step] = self.expected.get(step, 0) + scheduled
+        tasks = [task for share in plan.shares.values() for task in share]
+        self.scheduled_ids.update((task.sid, step) for task in tasks)
+        self.expected[step] = self.expected.get(step, 0) + len(tasks)
         self.rewarded.setdefault(step, 0)
         for task in self.carry_in.get(step, []):
             if task.worker is None:
@@ -443,6 +430,7 @@ class _Simulation:
             "policy": plan.policy_kind,
             "workers": {str(w): g for w, g in sorted(plan.worker_groups.items())},
             "allocation": plan.allocation.as_dict() if plan.allocation else None,
+            "replay": {k: v - before[k] for k, v in vars(self.stats).items()},
         })
         return plan
 
@@ -517,16 +505,11 @@ class _Simulation:
         else:
             counts = partition_sizes(wks, n_groups)
 
-        worker_groups: dict[int, int] = {}
-        next_wid = 0
-        for slot in range(n_groups):
-            g = order[slot]
-            for _ in range(counts[g]):
-                worker_groups[next_wid] = g
-                next_wid += 1
+        # Worker slots take the groups in assignment order, counts[g] each.
+        worker_groups = dict(enumerate(g for g in order for _ in range(counts[g])))
         group_workers: dict[int, list[int]] = {g.index: [] for g in groups}
-        for wid in sorted(worker_groups):
-            group_workers[worker_groups[wid]].append(wid)
+        for wid, g in worker_groups.items():
+            group_workers[g].append(wid)
 
         shares_raw: dict[int, list] = {w.wid: [] for w in self.workers}
         for grp in groups:
@@ -542,18 +525,6 @@ class _Simulation:
             group_total=dict(group_batches),
             group_completed={g.index: 0 for g in groups},
             policy_kind=self.policy.name, allocation=allocation,
-        )
-
-    def _record_step_spec_stats(self, step: int, before: tuple) -> None:
-        total = self.stats.tokens_total - before[0]
-        speculated = self.stats.tokens_speculated - before[1]
-        accepted = self.stats.tokens_accepted - before[2]
-        verify = self.stats.verify_passes - before[3]
-        decode = self.stats.decode_passes - before[4]
-        spec_rate = accepted / total if total else 0.0
-        acc_rate = accepted / speculated if speculated else 0.0
-        self.spec_stats_rows.append(
-            [step, f"{spec_rate:.6f}", f"{acc_rate:.6f}", verify, decode]
         )
 
     def _accepted_per_pass(self) -> float:
@@ -586,7 +557,7 @@ class _Simulation:
         if running.step == plan.step:
             self._advance_worker(running, self.now)
             self._join(running, task)
-            running.begin("rollout", self.now)
+            self._open_share(running)
             self._reschedule(running)
 
     # -- the worker clock ------------------------------------------------------
@@ -666,13 +637,23 @@ class _Simulation:
             if task.worker == worker.wid:
                 self._join(worker, task)
         if worker.inflight:
-            worker.begin("rollout", self.now)
+            self._open_share(worker)
             self._reschedule(worker)
         else:
             self._finish_step_share(worker)
 
+    def _open_share(self, worker: _Worker) -> None:
+        if not worker.share_open:
+            worker.share_open = True
+            self._emit("share_start", {"worker": worker.wid, "step": worker.step})
+
+    def _close_share(self, worker: _Worker) -> None:
+        if worker.share_open:
+            worker.share_open = False
+            self._emit("share_end", {"worker": worker.wid, "step": worker.step})
+
     def _finish_step_share(self, worker: _Worker) -> None:
-        worker.finish(self.now)
+        self._close_share(worker)
         worker.free_at = max(worker.free_at, self.now)
         if worker.step + 1 <= self.steps:
             self._push(self.now, "start", (worker.wid, worker.step + 1))
@@ -692,7 +673,6 @@ class _Simulation:
                           if task.v_start + task.total_iters - v <= _EPS)
         for sid in finished:
             task = worker.inflight.pop(sid)
-            self.completed_ids[sid] = worker.step
             if task.group is not None:
                 plan.group_completed[task.group] = plan.group_completed.get(task.group, 0) + 1
             self._emit("rollout_finish", {
@@ -708,7 +688,9 @@ class _Simulation:
             self._check_migrations(plan)
         if worker.inflight:
             self._reschedule(worker)
-        elif worker.busy_since is not None:
+        elif worker.share_open:
+            # Skipped when a migration made by this check already drained the
+            # worker and closed its share, which also pushed its next start.
             self._finish_step_share(worker)
 
     def _queue_reward(self, sid: str, attr_step: int) -> None:
@@ -716,8 +698,7 @@ class _Simulation:
         start = max(self.now, free_t)
         done = start + self.cost.reward_time
         heapq.heappush(self.reward_free, (done, ridx))
-        self.reward_spans.append((start, done))
-        self._push(done, "reward_done", (sid, attr_step))
+        self._push(done, "reward_done", (sid, attr_step, start))
 
     def _beta_for_step(self, step: int) -> float:
         if step not in self._beta_cache:
@@ -766,7 +747,11 @@ class _Simulation:
                 v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
                 for sid in sorted(worker.inflight):
                     task = worker.inflight.get(sid)
-                    if task is None or task.migrated:
+                    # A rollout that has run all its iterations is finished,
+                    # though its completion may not be handled yet (a tie
+                    # with this worker's): it never migrates.
+                    if (task is None or task.migrated
+                            or task.v_start + task.total_iters - v <= _EPS):
                         continue
                     decision = migration_decision(
                         group, task.generated_len(v - task.v_start), completed.get(g, 0),
@@ -806,7 +791,6 @@ class _Simulation:
         task.worker = target.wid
         plan.group_total[old_group] -= 1
         plan.group_total[target_group] += 1
-        self.migrations += 1
         self._emit("migration", {
             "sample": task.sid, "migration_kind": "intra_step",
             "from_group": old_group, "to_group": target_group,
@@ -831,8 +815,6 @@ class _Simulation:
         task.worker = None
         self.expected[plan.step] = self.expected.get(plan.step, 0) - 1
         self.expected[next_step] = self.expected.get(next_step, 0) + 1
-        self.migrations += 1
-        self.inter_migrations += 1
         self._emit("migration", {
             "sample": task.sid, "migration_kind": "inter_step",
             "from_group": task.group, "to_step": next_step,
@@ -847,21 +829,20 @@ class _Simulation:
         else:
             self._finish_step_share(source)
 
-    def _on_reward_done(self, sid: str, attr_step: int) -> None:
+    def _on_reward_done(self, sid: str, attr_step: int, start: float) -> None:
         # A sample rewarded after its step's train started counts toward the
-        # next step still accepting samples.
+        # next step still accepting samples, if there is one.
         step = attr_step
         while step in self.train_started and step < self.steps:
             step += 1
-        if step in self.train_started:
-            self._emit("reward_done", {"sample": sid, "step": attr_step, "buffered_for": None})
-            return
-        self.rewarded[step] = self.rewarded.get(step, 0) + 1
+        counted = step not in self.train_started
         self._emit("reward_done", {
-            "sample": sid, "step": attr_step,
-            "buffered_for": step if step != attr_step else None,
+            "sample": sid, "step": attr_step, "start": start,
+            "buffered_for": step if counted and step != attr_step else None,
         })
-        self._push(self.now, "train_check", (step,))
+        if counted:
+            self.rewarded[step] = self.rewarded.get(step, 0) + 1
+            self._push(self.now, "train_check", (step,))
 
     def _train_threshold(self, step: int) -> int:
         frac = 1.0 - self.policy.oversample_pct / 100.0
@@ -881,8 +862,7 @@ class _Simulation:
             duration = self.cost.t_train(self.rewarded.get(step, 0))
             self.train_started.add(step)
             self.train_free = start + duration
-            self.train_spans.append((start, start + duration))
-            self._push(start + duration, "train_done", (step, start))
+            self._push(start + duration, "train_done", (step, start, None))
 
     def _start_colocated_train(self, step: int) -> None:
         # Strict alternation: every worker must have drained this step first.
@@ -896,17 +876,14 @@ class _Simulation:
         duration = self.cost.t_train(batch)
         switch = self.cost.context_switch_frac * duration
         start = self.now
+        # Every worker switches to training, trains, and switches back.
+        switch_span = [start, start + 2 * switch + duration]
         for worker in self.workers:
-            worker.finish(self.now)
-            worker.intervals.append((start, start + switch, "switch"))
-            worker.intervals.append((start + switch, start + switch + duration, "train"))
-            worker.intervals.append((start + switch + duration,
-                                     start + 2 * switch + duration, "switch"))
-            worker.free_at = start + 2 * switch + duration
-        self.train_spans.append((start + switch, start + switch + duration))
-        self._push(start + switch + duration, "train_done", (step, start + switch))
+            self._close_share(worker)
+            worker.free_at = switch_span[1]
+        self._push(start + switch + duration, "train_done", (step, start + switch, switch_span))
 
-    def _on_train_done(self, step: int, start: float) -> None:
+    def _on_train_done(self, step: int, start: float, switch: list[float] | None) -> None:
         duration = self.now - start
         self.last_train_duration = duration
         self.train_done_time[step] = self.now
@@ -914,15 +891,13 @@ class _Simulation:
         # alternation and for step k+2 in the overlapped pipeline; the version
         # is named by the step it serves.
         if self.policy.name == "colocated":
-            version = step
-            avail = self.now
+            version, avail = step, self.now
         else:
-            version = step + 1
-            avail = self.now + self.cluster.weight_propagation_delay
+            version, avail = step + 1, self.now + self.cluster.weight_propagation_delay
         self.weight_avail[version] = avail
         self._emit("train_done", {
-            "step": step, "batch": self.rewarded.get(step, 0),
-            "duration": duration, "publishes_version": version,
+            "step": step, "batch": self.rewarded.get(step, 0), "start": start,
+            "duration": duration, "publishes_version": version, "switch": switch,
         })
         self._emit("weight_update", {
             "version": version, "trained_on_step": step, "available_at": avail,
@@ -981,69 +956,93 @@ class _Simulation:
 
     def _finalize(self) -> SimResult:
         self._check_drained()
-        makespan = self.now
-        for worker in self.workers:
-            worker.finish(makespan)
-        timeline = []
-        busy = {}
-        kinds: dict[str, float] = {"rollout": 0.0, "train": 0.0, "switch": 0.0}
-        rollout_spans = []
-        for worker in self.workers:
-            intervals = sorted(worker.intervals)
-            total = 0.0
-            prev_end = 0.0
-            for start, end, kind in intervals:
-                if start < prev_end - 1e-6:
-                    raise AssertionError(f"overlapping intervals on worker {worker.wid}")
-                prev_end = end
-                total += end - start
-                kinds[kind] = kinds.get(kind, 0.0) + (end - start)
-                timeline.append((worker.wid, start, end, kind))
-                if kind == "rollout":
-                    rollout_spans.append((start, end))
-            busy[worker.wid] = total
-        n = len(self.workers)
-        wall = makespan * n if makespan > 0 else 1.0
-        bubble_per_worker = [
-            (makespan - busy[w.wid]) / makespan if makespan > 0 else 0.0
-            for w in self.workers
-        ]
-        idle_total = sum(makespan - busy[w.wid] for w in self.workers)
-        shares = {k: v / wall for k, v in kinds.items()}
-        shares["idle"] = idle_total / wall
+        self._emit("run_end", {"rollout_workers": len(self.workers)})
+        return SimResult(events=self.events, **vars(derive(self.events)))
 
-        durations = {
-            "rollout": _union_length(rollout_spans),
-            "reward": _union_length(self.reward_spans),
-            "train": _union_length(self.train_spans),
-        }
 
-        # Throughput counts the samples some step trained on: with
-        # oversampling, those rewarded after the last train job started are
-        # completed but never used.
-        trained = sum(self.rewarded.get(step, 0) for step in self.train_done_time)
-        metrics = MetricsReport(
-            samples_per_second=trained / makespan if makespan > 0 else 0.0,
-            makespan=makespan,
-            samples=len(self.completed_ids),
-            trained_samples=trained,
-            steps=self.steps,
-            bubble_fraction=idle_total / wall,
-            bubble_per_worker=bubble_per_worker,
-            stage_shares=shares,
-            stage_durations=durations,
-            migration_pct=100.0 * self.migrations / len(self.scheduled_ids) if self.scheduled_ids else 0.0,
-            speculation_rate=self.stats.speculation_rate,
-            acceptance_rate=self.stats.acceptance_rate,
-        )
-        accounting = {
-            "scheduled": dict(sorted(self.scheduled_ids.items())),
-            "completed": dict(sorted(self.completed_ids.items())),
-            "migrations": self.migrations,
-            "inter_migrations": self.inter_migrations,
-        }
-        return SimResult(metrics=metrics, events=self.events, timeline=sorted(timeline),
-                         accounting=accounting, spec_stats_rows=self.spec_stats_rows)
+def derive(events: Iterable[SimEvent]) -> RunSummary:
+    """The timeline, metrics, accounting and per-step speculation rows of a
+    run, from its event log alone: in memory, or read back from a written
+    `.events.jsonl` with `SimEvent.from_dict`."""
+    activity = defaultdict(list)  # worker -> [(start, end, activity)]
+    share_opened: dict[int, float] = {}
+    colocated, rewards, trains, spec_stats = [], [], [], []
+    scheduled, completed = {}, {}
+    migrations = inter_step = trained = 0
+    totals = Counter()
+    for event in events:
+        kind, time, e = event.kind, event.time, event.payload
+        if kind == "rollout_finish":
+            scheduled[e["sample"]] = e["scheduled_step"]
+            completed[e["sample"]] = e["step"]
+        elif kind == "reward_done":
+            rewards.append((e["start"], time))
+        elif kind == "share_start":
+            share_opened[e["worker"]] = time
+        elif kind == "share_end":
+            start = share_opened.pop(e["worker"])
+            if time > start:
+                activity[e["worker"]].append((start, time, "rollout"))
+        elif kind == "migration":
+            migrations += 1
+            inter_step += e["migration_kind"] == "inter_step"
+        elif kind == "train_done":
+            trained += e["batch"]
+            trains.append((e["start"], time))
+            if e["switch"] is not None:
+                # Colocated training holds every rollout worker: a context
+                # switch, the train job, and a switch back.
+                before, after = e["switch"]
+                colocated += [(before, e["start"], "switch"), (e["start"], time, "train"),
+                              (time, after, "switch")]
+        elif kind == "step_boundary":
+            totals.update(e["replay"])
+            r = SpecStats(**e["replay"])
+            spec_stats.append([e["step"], r.speculation_rate, r.acceptance_rate,
+                               r.verify_passes, r.decode_passes])
+        elif kind == "run_end":
+            makespan, n = time, e["rollout_workers"]
+
+    timeline, busy = [], []
+    kinds = {"rollout": 0.0, "train": 0.0, "switch": 0.0}
+    for wid in range(n):
+        total = prev_end = 0.0
+        for start, end, kind in sorted(activity[wid] + colocated):
+            if start < prev_end - 1e-6:
+                raise AssertionError(f"overlapping activities on worker {wid}")
+            prev_end = end
+            total += end - start
+            kinds[kind] += end - start
+            timeline.append((wid, start, end, kind))
+        busy.append(total)
+    wall = makespan * n if makespan > 0 else 1.0
+    idle_total = sum(makespan - b for b in busy)
+    replay = SpecStats(**totals)
+    # Throughput counts the samples some step trained on: with
+    # oversampling, those rewarded after the last train job started are
+    # completed but never used.
+    metrics = MetricsReport(
+        samples_per_second=trained / makespan if makespan > 0 else 0.0,
+        makespan=makespan,
+        samples=len(completed),
+        trained_samples=trained,
+        steps=len(spec_stats),
+        bubble_fraction=idle_total / wall,
+        bubble_per_worker=[(makespan - b) / makespan if makespan > 0 else 0.0 for b in busy],
+        stage_shares={**{k: v / wall for k, v in kinds.items()}, "idle": idle_total / wall},
+        stage_durations={
+            "rollout": _union_length([(s, e) for _, s, e, k in timeline if k == "rollout"]),
+            "reward": _union_length(rewards),
+            "train": _union_length(trains),
+        },
+        migration_pct=100.0 * migrations / len(scheduled) if scheduled else 0.0,
+        speculation_rate=replay.speculation_rate,
+        acceptance_rate=replay.acceptance_rate,
+    )
+    accounting = {"scheduled": dict(sorted(scheduled.items())),
+                  "completed": dict(sorted(completed.items())),
+                  "migrations": migrations, "inter_migrations": inter_step}
+    return RunSummary(metrics, sorted(timeline), accounting, spec_stats)
 
 
 def _union_length(spans: list[tuple[float, float]]) -> float:

@@ -208,14 +208,6 @@ class RankMetrics:
     within_1p1x_pct: float
     migrated_pct: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "accurate_pct": self.accurate_pct,
-            "not_last_10_pct": self.not_last_10_pct,
-            "within_1p1x_pct": self.within_1p1x_pct,
-            "migrated_pct": self.migrated_pct,
-        }
-
 
 def rank_metrics(trace: Trace, epoch_pair: tuple[int, int], num_groups: int) -> RankMetrics:
     """Score epoch A's ranking groups as predictions of epoch B's lengths.

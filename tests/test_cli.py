@@ -6,8 +6,9 @@ import math
 import pytest
 
 from rhymesim import io as rio
-from rhymesim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
+from rhymesim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, load_run_config, main
 from rhymesim.scheduler import AnalyticCostModel, plan_allocation
+from rhymesim.sim import Policy, run
 from rhymesim.tracegen import Trace, TraceSpec, generate, token_similarity_replay
 
 
@@ -185,7 +186,38 @@ class TestRunSim:
         base_row = lines[1].split(",")
         assert float(base_row[3]) == 1.0  # first run normalizes to itself
         payload = rio.read_json(run_b)
-        assert payload["schema"] == 2 and "seed" not in payload
+        assert payload["schema"] == 3 and "seed" not in payload and "timeline" not in payload
+
+    def test_report_timeline_reads_events_log_beside_run(self, workspace, monkeypatch, capsys):
+        # run-sim records events_path relative to the directory it ran in;
+        # report finds the log beside the run JSON from any directory.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "colocated", "--out", "runs/a.json"]) == EXIT_OK
+        cluster, cost, spec, policy_kwargs = load_run_config(str(cluster_path))
+        result = run(Trace(rio.read_trace(trace_path)), cluster,
+                     Policy("colocated", **policy_kwargs), cost, spec)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        timeline = tmp_path / "tl.csv"
+        assert main(["report", "--runs", str(runs / "a.json"), "--csv", str(tmp_path / "c.csv"),
+                     "--timeline", str(timeline)]) == EXIT_OK
+        rows = timeline.read_text().splitlines()
+        assert rows[0] == "run,worker_id,start,end,activity"
+        assert rows[1:] == [f"a.json,{w},{s!r},{e!r},{k}" for w, s, e, k in result.timeline]
+        assert any(r.endswith(",rollout") for r in rows)
+
+        (runs / "a.events.jsonl").unlink()
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs / "a.json"),
+                     "--timeline", str(tmp_path / "tl2.csv")]) == EXIT_IO
+        assert "a.events.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "tl2.csv").exists()
 
     def test_identical_runs_identical_reports(self, workspace):
         tmp_path, spec_path, cluster_path = workspace
@@ -227,6 +259,18 @@ class TestRunSim:
         bad.write_text(json.dumps(cfg))
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
                      "--policy", "streaming", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+    def test_fixed_step_overhead_config_rejected(self, workspace, capsys):
+        # The simulator never charged it, so the key is gone.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = json.loads(cluster_path.read_text())
+        cfg["cost.fixed_step_overhead"] = 0.5
+        bad = tmp_path / "overhead.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
+                     "--policy", "histopipe_two_tier", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+        assert "fixed_step_overhead" in capsys.readouterr().err
 
     def test_zero_max_wks_config_rejected(self, workspace):
         tmp_path, spec_path, cluster_path = workspace

@@ -20,7 +20,9 @@ from rhymesim.sim import (
     CostConfig,
     InfeasiblePlanError,
     Policy,
+    SimEvent,
     SimulationStalledError,
+    derive,
     run,
 )
 from rhymesim.tracegen import Trace, TraceSpec, generate
@@ -257,6 +259,20 @@ class TestPolicyBehavior:
             assert ev.payload["generated"] >= 0
         assert res.metrics.migration_pct <= 6.0
 
+    @pytest.mark.parametrize("seed,name", [(507, "histopipe_two_tier"), (509, "histopipe_naive")])
+    def test_finished_rollout_never_migrates(self, seed, name):
+        # On these seeds a rollout used to be migrated, inter-step, after its
+        # last token: its completion tied with the one whose check moved it.
+        spec = TraceSpec(num_prompts=128, group_size=8, epochs=3, len_mu=math.log(150),
+                         len_sigma=0.8, similarity=0.9, rank_noise=0.9, length_jitter=0.06,
+                         growth_mean=1.005, seed=seed)
+        res = run(Trace(generate(spec)), ClusterSpec(64, 8, 8), Policy(name), fast_cost())
+        tokens = {e.payload["sample"]: e.payload["tokens"] for e in res.events
+                  if e.kind == "rollout_finish"}
+        migrations = [e.payload for e in res.events if e.kind == "migration"]
+        assert migrations
+        assert all(m["generated"] < tokens[m["sample"]] for m in migrations)
+
     def test_speculation_shrinks_rollout_time(self):
         trace = longtail_trace(epochs=5)
         cluster = ClusterSpec(**CLUSTER)
@@ -310,7 +326,35 @@ class TestEventLog:
         for line in res.events_jsonl().splitlines():
             obj = json.loads(line)
             assert obj["kind"] in {"rollout_finish", "migration", "weight_update",
-                                   "reward_done", "train_done", "step_boundary"}
+                                   "reward_done", "train_done", "step_boundary",
+                                   "share_start", "share_end", "run_end"}
+
+    @pytest.mark.parametrize("oversample_pct", [0.0, 20.0])
+    @pytest.mark.parametrize("speculation", [False, True])
+    @pytest.mark.parametrize("name", ALL_POLICIES)
+    def test_written_log_derives_the_run(self, tmp_path, name, speculation, oversample_pct):
+        # The event log is the run's one record: read back from its JSONL,
+        # it gives every reported figure exactly.
+        res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
+                  Policy(name, speculation=speculation, oversample_pct=oversample_pct),
+                  fast_cost())
+        path = tmp_path / "run.events.jsonl"
+        path.write_text(res.events_jsonl())
+        summary = derive(SimEvent.from_dict(json.loads(line))
+                         for line in path.read_text().splitlines())
+        assert summary.metrics == res.metrics
+        assert summary.timeline == res.timeline
+        assert summary.accounting == res.accounting
+        assert summary.spec_stats == res.spec_stats
+
+    def test_colocated_makespan_is_run_end(self):
+        # The trailing context switch ends after the last train_done.
+        res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy("colocated"),
+                  fast_cost())
+        last = res.events[-1]
+        last_train = max(e.time for e in res.events if e.kind == "train_done")
+        assert last.kind == "run_end"
+        assert res.metrics.makespan == last.time > last_train
 
 
 def edited_prompt_set_traces():
@@ -345,15 +389,15 @@ class TestPinnedEventLogs:
 
     PINNED = {
         ("histopipe_two_tier", True):
-            "9e2510386f4300a1e55c7635aed38239cfd5d84a7033cbc8be590b68b4121f27",
+            "7cd54f0166c87c3fe1a0765a61bbd9e3d5b753878dbc476eba3a188eb3dcc0e6",
         ("streaming", True):
-            "b475e0b275e3032655cb540c8aa6215dae317ab9a1f500017d5437d6f8090d03",
+            "77775f67f8c40a3c434476efeb67ac1a8bb6522a3f849b36c2a921ce3dae8e4a",
         ("histopipe_two_tier", False):
-            "a15bca5a92822cea44d46e4009ae0a6162b8c1769b4efaeec36af43314c318f1",
+            "1a0a27d3bca7e9180d768b18db83719f64dd34adc1cf01464e8eb1db18bda55a",
         ("colocated", False):
-            "4574b6ce6c34f12ff43e17c155097411412aa8b65915d6fb146927dc7b583360",
+            "d384cadc0143c8c6f60ea362a19bc5301c11872525c2447006730ea61c16ae41",
         ("histopipe_naive", True):
-            "551fdfe7a3e6a9d295e27150b362c9dc48e1ece2cbd502c5f5caef4344da5a35",
+            "9e2effed2a265513791664ea2ff0eddb95690130bb1dd91620e05bae1c8ff0d2",
     }
 
     @pytest.mark.parametrize("name,speculation", sorted(PINNED))
@@ -368,17 +412,17 @@ class TestPinnedEventLogs:
     # epoch-1 index: each prompt drafts from its latest earlier epoch.
     PINNED_EDITED = {
         ("dropped", "streaming"):
-            "67012de3de7555e8dbec5c395ce3e60663c8a2e6b18aadc4dae8a1ed063a13ea",
+            "15cd8d2f66a154ab9ed8d6accabfb54911580f94d641fc4eb460ed6660e43ca3",
         ("dropped", "histopipe_naive"):
-            "cfddfb98a1fa1fdadf0c0365d919d7bf2411126686163de2266f66ef4b1a5912",
+            "16395d5565debab0bcbb3be0e3631ff0d55ac8a8c87f58ac4c72e4b0672c214c",
         ("dropped", "histopipe_two_tier"):
-            "7729336fad269442637f1b89694fa0fb7aacca4101c8f875030d3f52e70e49de",
+            "950cb09048e47312dd1fb17f9f8ab63e2a3461b6f878b595f9a08c544b011df4",
         ("added", "streaming"):
-            "6f5e4c195199e5d7817f25d06d48c130076361cc1f38f2b3a33874a9b8bc3b28",
+            "3e410af2523aa99c214772ec4b0c9edf40aea51555d4faca33cf847792d54edb",
         ("added", "histopipe_naive"):
-            "6a5cc8624312a89ac335d65a6735a8338bb7c9a103665e78e922169d60604199",
+            "cca5413bad0c1df83f184e47c998957575712f2a3f6c4119e1905fbeadbb9a71",
         ("added", "histopipe_two_tier"):
-            "60f2b5dedfd842697305abddd4e36006e3536e36738c103c2b218aa5c554c707",
+            "5ad96524a184c4f35543dbd1e1432c7d3c717dd8cb028ea74341730ea1c677cc",
     }
 
     @pytest.mark.parametrize("edit,name", sorted(PINNED_EDITED))
@@ -393,9 +437,9 @@ class TestPinnedEventLogs:
     # migration path is pinned too: (sha256, migrations, inter-step ones).
     PINNED_MIGRATING = {
         "histopipe_two_tier":
-            ("84be31dade089d7b74412eee8b5444191c042e4bb1b5fdb1857d53c64886ccf5", 15, 6),
+            ("5855d3a451608550eeb733559dfaa3bd67c755fa7104cd1e427f0e9c4ef1f463", 15, 6),
         "histopipe_naive":
-            ("dec6072f798d02b7167cb3ad88be3a994f94280ed98db2647c2cff45ca2d9c33", 11, 3),
+            ("ffe3aa198a549ae86d94daa27b16030d8691a44cb867ba672c02f531c88040d5", 11, 3),
     }
 
     @staticmethod
@@ -507,7 +551,8 @@ class TestWorkerClock:
                 cls.settle(sim, completions, time)
                 sim.now = time
                 task = by_sid.get(sid)
-                if kind == "join" and sid not in worker.inflight and sid not in sim.completed_ids:
+                finished = {e.payload["sample"] for e in sim.events if e.kind == "rollout_finish"}
+                if kind == "join" and sid not in worker.inflight and sid not in finished:
                     sim._advance_worker(worker, time)
                     sim._join(worker, task)
                     sim._reschedule(worker)

@@ -152,12 +152,12 @@ def check_worker_intervals(res):
 
 def check_migrations(res, trace, policy):
     """Migrations happen only under histopipe, in grouped steps, and each one
-    in a group down to its last alpha% of rollouts. Each group's rollout
-    count and finished count are rebuilt from the event log: a rollout counts
-    for the group of the worker it started on, moves with an intra-step
-    migration, and an inter-step one leaves its step for the group its
-    prompt has in the next step (none when the prompt is not in it), joining
-    it once that step is planned."""
+    moves an unfinished rollout of a group down to its last alpha% of
+    rollouts. Each group's rollout count and finished count are rebuilt from
+    the event log: a rollout counts for the group of the worker it started
+    on, moves with an intra-step migration, and an inter-step one leaves its
+    step for the group its prompt has in the next step (none when the prompt
+    is not in it), joining it once that step is planned."""
     migrations = {e.payload["sample"]: e.payload for e in res.events if e.kind == "migration"}
     if not policy.is_histopipe:
         assert not migrations
@@ -167,6 +167,8 @@ def check_migrations(res, trace, policy):
                      for e in res.events
                      if e.kind == "step_boundary" and e.payload["policy"] == policy.name}
     finishes = {e.payload["sample"]: e.payload for e in res.events if e.kind == "rollout_finish"}
+    # A rollout that has generated all its tokens is finished: it never moves.
+    assert all(m["generated"] < finishes[sid]["tokens"] for sid, m in migrations.items())
     total = defaultdict(Counter)
     completed = defaultdict(Counter)
     counted_in: dict[str, tuple[int, int | None]] = {}
