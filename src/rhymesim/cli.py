@@ -214,6 +214,20 @@ def _events_path(run_path: str) -> str:
     return os.path.splitext(run_path)[0] + ".events.jsonl"
 
 
+def _read_events(events_path: str) -> list[SimEvent]:
+    """A run's events log, one `SimEvent` per line. A line that is not JSON
+    or not an event record is an I/O error naming the log and the line."""
+    events = []
+    with open(events_path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                events.append(SimEvent.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise OSError(f"{events_path} line {lineno} is not an event record: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    return events
+
+
 def cmd_run_sim(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
     cluster, cost, spec, policy_kwargs = load_run_config(args.cluster)
@@ -288,8 +302,7 @@ def cmd_report(args) -> int:
             events_path = _events_path(path)
             if not os.path.isfile(events_path):
                 raise OSError(f"{path}: its events log {events_path} is missing")
-            with open(events_path, encoding="utf-8") as fh:
-                timeline = derive(SimEvent.from_dict(json.loads(line)) for line in fh).timeline
+            timeline = derive(_read_events(events_path)).timeline
             timeline_rows += [[os.path.basename(path), *row] for row in timeline]
         rio.write_csv(args.timeline, ["run", "worker_id", "start", "end", "activity"],
                       timeline_rows)

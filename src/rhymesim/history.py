@@ -15,12 +15,19 @@ The automaton is built with one transition dict per state and then packed.
 The root keeps its dict, one entry per distinct token, because every lookup
 starts there and a dict is the fastest way to miss. Every other state is a
 row of flat `array` columns: its mass (8 bytes), its best token and that
-token's target (4 each) and a CSR offset (4). Only branching states, 3-9% of
-them on the benchmark traces, have transitions besides the best one, stored
-as (token, target) pairs of C ints. On the benchmark's epoch-2 indexes the
-packed index holds about 55 bytes per indexed token at cross-epoch
-similarity 0.9 and 74 at 0.3, against 447 and 357 with every dict kept;
+token's target (4 each), its suffix link and the length of its longest
+string (4 each) and a CSR offset (4). Only branching states, 3-9% of them on
+the benchmark traces, have transitions besides the best one, stored as
+(token, target) pairs of C ints. On the benchmark's epoch-2 indexes the
+packed index holds about 67 bytes per indexed token at cross-epoch
+similarity 0.9 and 83 at 0.3, against 447 and 357 with every dict kept;
 `SuffixTree.index_bytes` reports it.
+
+The suffix links and lengths serve :meth:`SuffixTree.match_lengths`, which
+walks a whole response through the index once and reports, at every
+position, the longest suffix so far that occurs in the history: the matching
+statistics of Chang and Lawler (1994). A replay reads from them where a
+lookup prefix occurs, and asks for a draft only there.
 
 An index is built once and never changed. A caller that drafts over several
 epochs keeps a plain `dict` from prompt id to its latest index and updates it
@@ -80,30 +87,35 @@ class SuffixTree:
     packed into flat columns once :func:`build_tree` has built it.
 
     State 0 is the empty string. Its transitions, one per distinct token,
-    are the dict `root`, since every lookup starts there. Four columns have
+    are the dict `root`, since every lookup starts there. Six columns have
     one entry per state: `mass[v]` is the reward mass of the end positions
     of the strings in `v`, `best[v]` is the draft's next token out of `v`
     (-1 when the strings of `v` are never followed by a token, and for the
-    root), `best_to[v]` is the state that token leads to (-1 with it), and
-    `off` is a CSR offset (one more entry than states). The other
+    root), `best_to[v]` is the state that token leads to (-1 with it),
+    `length[v]` is the length of the longest string in `v`, `link[v]` is the
+    state of its longest suffix that lies in another state (-1 for the
+    root), and `off` is a CSR offset (one more entry than states). The other
     transitions of a branching state are `etok[off[v]:off[v + 1]]` (tokens,
     ascending) leading to the states at the same positions of `eto`.
-    :meth:`step` follows any token, so no caller needs the layout. The name
-    is the one the index has always had.
+    :meth:`step` follows any token and :meth:`match_lengths` walks a whole
+    sequence, so no caller needs the layout. The name is the one the index
+    has always had.
     """
 
     __slots__ = ("prompt_id", "epoch", "total_tokens", "root", "mass", "best", "best_to",
-                 "off", "etok", "eto")
+                 "link", "length", "off", "etok", "eto")
 
     def __init__(self, prompt_id: str, epoch: int, root: dict[int, int], mass: array,
-                 best: array, best_to: array, off: array, etok: array, eto: array,
-                 total_tokens: int):
+                 best: array, best_to: array, link: array, length: array, off: array,
+                 etok: array, eto: array, total_tokens: int):
         self.prompt_id = prompt_id
         self.epoch = epoch
         self.root = root
         self.mass = mass
         self.best = best
         self.best_to = best_to
+        self.link = link
+        self.length = length
         self.off = off
         self.etok = etok
         self.eto = eto
@@ -118,7 +130,8 @@ class SuffixTree:
         """Bytes held by the index: `itemsize * len` of each column, plus the
         root dict's table and its state ids above 256 (CPython caches the
         smaller ints; the token keys are the responses' own objects)."""
-        columns = (self.mass, self.best, self.best_to, self.off, self.etok, self.eto)
+        columns = (self.mass, self.best, self.best_to, self.link, self.length, self.off,
+                   self.etok, self.eto)
         return (sum(a.itemsize * len(a) for a in columns) + sys.getsizeof(self.root)
                 + sum(sys.getsizeof(v) for v in self.root.values() if v > 256))
 
@@ -148,9 +161,9 @@ class SuffixTree:
     def extract_draft(self, prefix: list[int], window: int) -> DraftResult:
         """Greedy max-mass continuation of `prefix`, up to `window` tokens.
 
-        Ties between equal-mass continuations go to the smallest token. This
-        is the lookup every speculative iteration makes, so it walks the
-        prefix with :meth:`step` inlined.
+        Ties between equal-mass continuations go to the smallest token. A
+        replay makes this lookup at every iteration whose prefix occurs, so
+        it walks the prefix with :meth:`step` inlined.
         """
         if window < 1:
             raise ValueError("window must be >= 1")
@@ -179,6 +192,42 @@ class SuffixTree:
             out.append(tok)
             v = best_to[v]
         return DraftResult(out, True)
+
+    def match_lengths(self, tokens: list[int]) -> list[int]:
+        """Matching statistics of `tokens` against the index (Chang and
+        Lawler, 1994): `out[p]` is the length of the longest suffix of
+        `tokens[:p + 1]` that occurs in some indexed response.
+
+        One walk carries the state of that suffix along `tokens`. A token the
+        state cannot follow takes the suffix link, to the longest shorter
+        suffix in another state, until one can or the root is reached; the
+        walk is linear in `len(tokens)`. :meth:`step` is inlined.
+        """
+        root, best, best_to, off, etok, eto = (self.root, self.best, self.best_to, self.off,
+                                               self.etok, self.eto)
+        link, length = self.link, self.length
+        out: list[int] = []
+        v = m = 0
+        for tok in tokens:
+            while v:
+                if best[v] == tok:
+                    v = best_to[v]
+                    m += 1
+                    break
+                lo, hi = off[v], off[v + 1]
+                if lo < hi:
+                    j = bisect_left(etok, tok, lo, hi)
+                    if j < hi and etok[j] == tok:
+                        v = eto[j]
+                        m += 1
+                        break
+                v = link[v]
+                m = length[v]
+            else:
+                v = root.get(tok, 0)
+                m = 1 if v else 0
+            out.append(m)
+        return out
 
 
 def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixTree:
@@ -271,8 +320,9 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
         extra[v + 1] = len(toks)
     best_to = list(map(dict.get, nxt, best, repeat(-1)))
     return SuffixTree(prompt_id, epoch, nxt[0], _column("d", mass), _column("i", best),
-                      _column("i", best_to), _column("i", list(accumulate(extra))),
-                      _column("i", etok), _column("i", eto), total_tokens)
+                      _column("i", best_to), _column("i", link), _column("i", length),
+                      _column("i", list(accumulate(extra))), _column("i", etok),
+                      _column("i", eto), total_tokens)
 
 
 def _column(typecode: str, values: list) -> array:

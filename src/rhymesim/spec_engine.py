@@ -13,7 +13,11 @@ acceptance rate.
 
 :func:`replay_response` runs one response to completion as a single loop
 over plain integers (position, window size, prefix length); a response
-replayed without a tree takes one iteration per token.
+replayed without a tree takes one iteration per token. A response walks its
+prompt's index once, up front: `SuffixTree.match_lengths` gives, at every
+position, the longest suffix of the truth so far that occurs in the history.
+A lookup prefix occurs exactly when that length reaches its own, so the index
+is asked for a draft only then, and a miss costs one comparison.
 """
 
 from __future__ import annotations
@@ -146,22 +150,33 @@ def replay_response(truth: list[int], tree: SuffixTree | None, config: SpecConfi
     if tree is None:
         per_iter = [1] * n
     else:
+        # The prefix ending at pos occurs exactly when matched[pos - 1] is at
+        # least its length.
+        matched = tree.match_lengths(truth)
         pos = 0
         window = config.window_init
         prefix_len = config.prefix_init
+        prefix_min = config.prefix_min
         while pos < n:
             if pos < prefix_len:
                 pos += 1
                 per_iter.append(1)
                 continue
-            result = tree.extract_draft(truth[pos - prefix_len : pos], window)
-            draft = result.tokens
-            if not draft:
-                # Plain decode: a miss, or a match that ends exactly at a
-                # response boundary.
+            if matched[pos - 1] < prefix_len:
+                # A miss: decode, and shrink the prefix as next_prefix_len
+                # does, inlined since most iterations of a dissimilar
+                # response end here.
                 pos += 1
                 per_iter.append(1)
-                prefix_len = next_prefix_len(config, prefix_len, result.found)
+                if prefix_len > prefix_min:
+                    prefix_len -= 1
+                continue
+            draft = tree.extract_draft(truth[pos - prefix_len : pos], window).tokens
+            prefix_len = next_prefix_len(config, prefix_len, True)
+            if not draft:
+                # Plain decode: the prefix occurs only at the ends of responses.
+                pos += 1
+                per_iter.append(1)
                 continue
             landed = verify(draft, truth[pos : pos + len(draft)])
             # The verify forward pass itself emits the next token.
@@ -172,7 +187,6 @@ def replay_response(truth: list[int], tree: SuffixTree | None, config: SpecConfi
             accepted += landed
             verify_passes += 1
             window = next_window(config, window, landed == len(draft))
-            prefix_len = next_prefix_len(config, prefix_len, True)
     if stats is not None:
         stats.tokens_total += n
         stats.tokens_speculated += drafted

@@ -295,11 +295,12 @@ def token_similarity_replay(
     never be accepted and are reported as warm-up.
 
     Each prompt's previous epoch is indexed once by `build_tree`, which
-    rejects empty responses and non-finite rewards. The longest continuation
-    is a walk of the prompt's suffix automaton along the response's own
-    tokens from the prefix's state: a string has a path from state 0 exactly
-    when it occurs inside one previous response. Linear in the tokens for a
-    fixed prefix.
+    rejects empty responses and non-finite rewards. Each response is walked
+    through the index once, by `SuffixTree.match_lengths`: `matched[p]` is
+    the longest suffix of `tokens[:p + 1]` that occurs inside one previous
+    response. The prefix ending at `pos` continues for `run` tokens exactly
+    while `matched[pos + i] >= prefix_len + i + 1` for every `i < run`, so
+    the replay is linear in the tokens.
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
@@ -309,20 +310,15 @@ def token_similarity_replay(
     for prompt_id in sorted(set(prev) & set(cur)):
         index = build_tree(prompt_id, epoch_pair[0], prev[prompt_id])
         for resp in cur[prompt_id]:
-            tokens = resp.tokens
-            total += len(tokens)
-            warmup += min(prefix_len, len(tokens))
+            n = len(resp.tokens)
+            total += n
+            warmup += min(prefix_len, n)
+            matched = index.match_lengths(resp.tokens)
             pos = prefix_len
-            while pos < len(tokens):
-                cursor = index.match_prefix(tokens[pos - prefix_len : pos])
+            while pos < n:
                 run = 0
-                if cursor is not None:
-                    v = cursor.state
-                    while pos + run < len(tokens):
-                        v = index.step(v, tokens[pos + run])
-                        if v < 0:
-                            break
-                        run += 1
+                while pos + run < n and matched[pos + run] > prefix_len + run:
+                    run += 1
                 accepted += run
                 pos += max(run, 1)
     return ReplayResult(accepted=accepted, total=total, warmup=warmup)

@@ -24,7 +24,24 @@ def occurrences(tokens: list[int], pattern: list[int]) -> int:
 
 
 def prefix_occurs(corpus: list[tuple[list[int], float]], prefix: list[int]) -> bool:
-    return any(occurrences(tokens, prefix) > 0 for tokens, _ in corpus)
+    m = len(prefix)
+    return any(tokens[i : i + m] == prefix
+               for tokens, _ in corpus for i in range(len(tokens) - m + 1))
+
+
+def match_lengths(corpus: list[tuple[list[int], float]], tokens: list[int]) -> list[int]:
+    """For each position p, the length of the longest suffix of
+    `tokens[:p + 1]` that occurs in some response, found by trying the
+    suffixes from the longest down. A suffix that occurs drops its last token
+    to one that occurs at p - 1, so none is longer than the one found there
+    plus one, and the search starts at that length."""
+    out = []
+    m = 0
+    for end in range(1, len(tokens) + 1):
+        longest_first = range(m + 1, 0, -1)
+        m = next((k for k in longest_first if prefix_occurs(corpus, tokens[end - k : end])), 0)
+        out.append(m)
+    return out
 
 
 def subtree_mass(corpus: list[tuple[list[int], float]], pattern: list[int]) -> float:
@@ -94,6 +111,62 @@ def greedy_draft(
         out.append(best)
         live = [(r, p + 1) for r, p in live if p < len(corpus[r][0]) and corpus[r][0][p] == best]
     return out
+
+
+# -- speculative replay oracle ---------------------------------------------------
+
+
+def sliced_replay(truth: list[int], tree, config):
+    """Replay `truth` by re-slicing its lookup prefix at every iteration.
+
+    Past the warm-up, each iteration slices the last `prefix_len` tokens of
+    the truth and asks `tree.extract_draft` for a draft of up to `window`
+    tokens. A draft lands its longest prefix that agrees with the truth plus
+    one bonus token (none past the end). The window grows by
+    `config.window_add` (capped at `window_max`) on a fully accepted draft
+    and resets to `window_init` otherwise. The prefix resets to
+    `prefix_init` when it occurs and shrinks by one (floored at
+    `prefix_min`) when it does not.
+
+    Returns (tokens_per_iter, drafted, accepted, verify_passes, lookups),
+    `lookups` holding one (prefix, window, draft) per `extract_draft` call.
+    """
+    n = len(truth)
+    per_iter: list[int] = []
+    lookups = []
+    drafted = accepted = verify_passes = 0
+    pos = 0
+    window = config.window_init
+    prefix_len = config.prefix_init
+    while pos < n:
+        if pos < prefix_len:
+            pos += 1
+            per_iter.append(1)
+            continue
+        prefix = truth[pos - prefix_len : pos]
+        result = tree.extract_draft(prefix, window)
+        draft = list(result.tokens)
+        lookups.append((prefix, window, draft))
+        prefix_len = config.prefix_init if result.found else max(prefix_len - 1,
+                                                                  config.prefix_min)
+        if not draft:
+            pos += 1
+            per_iter.append(1)
+            continue
+        landed = 0
+        while landed < len(draft) and pos + landed < n and draft[landed] == truth[pos + landed]:
+            landed += 1
+        bonus = 1 if pos + landed < n else 0
+        pos += landed + bonus
+        per_iter.append(landed + bonus)
+        drafted += len(draft)
+        accepted += landed
+        verify_passes += 1
+        if landed == len(draft):
+            window = min(window + config.window_add, config.window_max)
+        else:
+            window = config.window_init
+    return per_iter, drafted, accepted, verify_passes, lookups
 
 
 # -- AIMD oracle -------------------------------------------------------------

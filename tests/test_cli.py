@@ -114,7 +114,7 @@ class TestAnalyze:
         assert stats["total_nodes"] <= 2 * stats["total_tokens"] + 1
         assert set(stats) == {"epoch", "prompt_count", "total_nodes", "total_tokens",
                               "index_bytes"}
-        assert 0 < stats["index_bytes"] <= 64 * stats["total_tokens"]
+        assert 0 < stats["index_bytes"] <= 76 * stats["total_tokens"]
 
     @pytest.mark.parametrize("argv", [
         ["rank", "--epochs", "3,4"],
@@ -218,6 +218,23 @@ class TestRunSim:
                      "--timeline", str(tmp_path / "tl2.csv")]) == EXIT_IO
         assert "a.events.jsonl" in capsys.readouterr().err
         assert not (tmp_path / "tl2.csv").exists()
+
+    @pytest.mark.parametrize("bad_line", ["{not json", '{"seq": 1}'])
+    def test_report_timeline_bad_events_line_is_io_error(self, workspace, capsys, bad_line):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        run_path = tmp_path / "r.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "streaming", "--out", str(run_path)]) == EXIT_OK
+        events_path = tmp_path / "r.events.jsonl"
+        lines = events_path.read_text().count("\n")
+        with open(events_path, "a", encoding="utf-8") as fh:
+            fh.write(bad_line + "\n")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run_path),
+                     "--timeline", str(tmp_path / "tl.csv")]) == EXIT_IO
+        assert f"r.events.jsonl line {lines + 1} " in capsys.readouterr().err
+        assert not (tmp_path / "tl.csv").exists()
 
     def test_identical_runs_identical_reports(self, workspace):
         tmp_path, spec_path, cluster_path = workspace

@@ -226,32 +226,57 @@ def similarity_09_groups(num_prompts):
     return Trace(generate(spec)).epoch_responses(2)
 
 
+def small_corpora():
+    # Twelve corpora over each of the vocabularies 3 and 4.
+    rng = random.Random(29)
+    for vocab in (3, 4):
+        for _ in range(12):
+            yield vocab, random_corpus(rng, max_responses=5, max_len=10, vocab=vocab)
+
+
 class TestPackedLayout:
     def test_exhaustive_small_corpora(self):
         # Every string of length <= 4 over the vocabulary: the packed index
         # finds it exactly when it occurs, through match_prefix and through
         # step, and the best/best_to columns spell the draft from its state.
-        rng = random.Random(29)
-        for vocab in (3, 4):
-            strings = all_strings(vocab, 4)
-            for _ in range(12):
-                corpus = random_corpus(rng, max_responses=5, max_len=10, vocab=vocab)
-                tree = corpus_tree(corpus)
-                for s in strings:
-                    occurs = oracles.prefix_occurs(corpus, s)
-                    assert (tree.match_prefix(s) is not None) == occurs
-                    state = 0
-                    for tok in s:
-                        state = tree.step(state, tok)
-                        if state < 0:
-                            break
-                    assert (state >= 0) == occurs
-                    if occurs:
-                        draft = tree.extract_draft(s, 6)
-                        assert draft.tokens == best_walk(tree, state, 6)
-                        assert draft.tokens == oracles.greedy_draft(corpus, s, 6)
-                    else:
-                        assert tree.extract_draft(s, 6).tokens == []
+        for vocab, corpus in small_corpora():
+            tree = corpus_tree(corpus)
+            for s in all_strings(vocab, 4):
+                occurs = oracles.prefix_occurs(corpus, s)
+                assert (tree.match_prefix(s) is not None) == occurs
+                state = 0
+                for tok in s:
+                    state = tree.step(state, tok)
+                    if state < 0:
+                        break
+                assert (state >= 0) == occurs
+                if occurs:
+                    draft = tree.extract_draft(s, 6)
+                    assert draft.tokens == best_walk(tree, state, 6)
+                    assert draft.tokens == oracles.greedy_draft(corpus, s, 6)
+                else:
+                    assert tree.extract_draft(s, 6).tokens == []
+
+    def test_match_lengths_exhaustive(self):
+        # Every string of length 6 over the vocabulary, and so, as their
+        # prefixes, every shorter one: at each position the walk reports the
+        # longest suffix that occurs in the corpus. Then random 60-token
+        # strings, long enough to lose and regain matches many times.
+        rng = random.Random(37)
+        for vocab, corpus in small_corpora():
+            tree = corpus_tree(corpus)
+            strings = [list(s) for s in itertools.product(range(vocab), repeat=6)]
+            strings += [[rng.randrange(vocab) for _ in range(60)] for _ in range(20)]
+            for s in strings:
+                assert tree.match_lengths(s) == oracles.match_lengths(corpus, s)
+
+    def test_match_lengths_of_a_response_is_its_positions(self):
+        corpus = [([1, 2, 3, 1, 2, 4], 1.0), ([2, 3, 5], 0.5)]
+        tree = corpus_tree(corpus)
+        assert tree.match_lengths([1, 2, 3, 1, 2, 4]) == [1, 2, 3, 4, 5, 6]
+        # 9 occurs nowhere; [2, 3, 1] only inside the first response.
+        assert tree.match_lengths([9, 2, 3, 5, 9, 2, 3, 1]) == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert tree.match_lengths([]) == []
 
     def test_step_at_a_branching_state(self):
         tree = corpus_tree([([1, 2, 1, 3], 1.0)])
@@ -287,10 +312,11 @@ class TestPackedLayout:
 
     def test_only_the_root_keeps_a_dict(self):
         tree = corpus_tree([([1, 2, 3, 1, 2, 4], 1.0), ([2, 3, 5], 0.5)])
-        for name in ("mass", "best", "best_to", "off", "etok", "eto"):
+        for name in ("mass", "best", "best_to", "link", "length", "off", "etok", "eto"):
             assert isinstance(getattr(tree, name), array)
         assert not hasattr(tree, "next") and not hasattr(tree, "__dict__")
-        assert len(tree.best) == len(tree.best_to) == len(tree.off) - 1 == tree.node_count
+        assert (len(tree.best) == len(tree.best_to) == len(tree.link) == len(tree.length)
+                == len(tree.off) - 1 == tree.node_count)
         assert sorted(tree.root) == [1, 2, 3, 4, 5]
         assert tree.best[0] == tree.best_to[0] == -1 and tree.off[1] == 0
         # [1, 2] is followed by 3 and by 4, so its state branches.
@@ -304,7 +330,7 @@ class TestPackedLayout:
 
     def test_index_bytes_per_token_bound(self):
         trees = [build_tree(pid, 2, group) for pid, group in similarity_09_groups(48).items()]
-        assert sum(t.index_bytes for t in trees) / sum(t.total_tokens for t in trees) <= 64.0
+        assert sum(t.index_bytes for t in trees) / sum(t.total_tokens for t in trees) <= 76.0
 
     def test_index_bytes_matches_tracemalloc(self):
         groups = similarity_09_groups(12)

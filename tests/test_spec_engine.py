@@ -108,18 +108,40 @@ class TestBatchGate:
             SpecConfig(gate_table=tuple([100] * 5 + [50] * 5))
 
 
+def corpus_tree(corpus):
+    return build_tree("p", 1, [Response("p", 1, list(t), r) for t, r in corpus])
+
+
 class SpyTree:
-    """Forwards `extract_draft` to a real suffix tree and records each call
-    as (prefix, window, draft tokens)."""
+    """Forwards `match_lengths` and `extract_draft` to a real suffix tree and
+    records each draft lookup as (prefix, window, draft tokens)."""
 
     def __init__(self, corpus):
-        self.tree = build_tree("p", 1, [Response("p", 1, list(t), r) for t, r in corpus])
+        self.tree = corpus_tree(corpus)
         self.calls: list[tuple[list[int], int, list[int]]] = []
+
+    def match_lengths(self, tokens):
+        return self.tree.match_lengths(tokens)
 
     def extract_draft(self, prefix, window):
         result = self.tree.extract_draft(prefix, window)
         self.calls.append((list(prefix), window, list(result.tokens)))
         return result
+
+
+def assert_replays_agree(truth, tree, config):
+    """`replay_response` equals the per-iteration sliced replay on the
+    iteration profile and every counter; returns the sliced lookups."""
+    stats = SpecStats()
+    replay = replay_response(truth, tree, config, stats=stats)
+    per_iter, drafted, accepted, verify_passes, lookups = oracles.sliced_replay(
+        truth, tree, config)
+    assert (replay.tokens_per_iter, replay.drafted, replay.accepted) == (
+        per_iter, drafted, accepted)
+    assert stats == SpecStats(tokens_total=len(truth), tokens_speculated=drafted,
+                              tokens_accepted=accepted, verify_passes=verify_passes,
+                              decode_passes=len(per_iter) - verify_passes)
+    return lookups
 
 
 class TestStepResponse:
@@ -145,16 +167,18 @@ class TestStepResponse:
 
     def test_window_grows_on_full_accept_and_resets_on_partial(self):
         truth = list(range(40))
-        # History agrees with the truth up to token 19, then diverges.
-        spy = SpyTree([(list(range(20)) + [999] * 5, 1.0)])
+        # History agrees with the truth up to token 19, then diverges. The
+        # lookup after the partial draft misses, so only the sliced replay,
+        # which asks the index at every iteration, records its window.
+        tree = corpus_tree([(list(range(20)) + [999] * 5, 1.0)])
         config = SpecConfig(prefix_init=3, prefix_min=3)
-        replay_response(truth, spy, config)
-        windows = [window for _, window, _ in spy.calls]
+        lookups = assert_replays_agree(truth, tree, config)
+        windows = [window for _, window, _ in lookups]
         assert windows[:3] == [2, 4, 6]
-        partial = next(i for i, (prefix, window, draft) in enumerate(spy.calls)
+        partial = next(i for i, (prefix, window, draft) in enumerate(lookups)
                        if 999 in draft)
-        assert spy.calls[partial][2][:2] == [18, 19]
-        assert spy.calls[partial + 1][1] == config.window_init
+        assert lookups[partial][2][:2] == [18, 19]
+        assert lookups[partial + 1][1] == config.window_init
 
     def test_output_equals_truth_regardless_of_drafts(self):
         rng = random.Random(5)
@@ -186,15 +210,26 @@ class TestStepResponse:
 
     def test_prefix_policy_shrinks_on_miss_and_resets_on_hit(self):
         truth = list(range(30))
-        # The first lookups miss; truth[10:20] occurs in the history.
-        spy = SpyTree([(list(range(100, 130)), 1.0), (list(range(10, 20)), 1.0)])
+        # The first lookups miss; truth[10:20] occurs in the history. The
+        # replay under test never asks the index on a miss, so the prefix
+        # lengths are read off the sliced replay it must agree with.
+        tree = corpus_tree([(list(range(100, 130)), 1.0), (list(range(10, 20)), 1.0)])
         config = SpecConfig(prefix_init=5, prefix_min=3)
-        replay_response(truth, spy, config)
-        lens = [len(prefix) for prefix, _, _ in spy.calls]
+        lookups = assert_replays_agree(truth, tree, config)
+        lens = [len(prefix) for prefix, _, _ in lookups]
         assert lens[:4] == [5, 4, 3, 3]
-        hit = next(i for i, (_, _, draft) in enumerate(spy.calls) if draft)
-        assert spy.calls[hit][0] == [10, 11, 12]
+        hit = next(i for i, (_, _, draft) in enumerate(lookups) if draft)
+        assert lookups[hit][0] == [10, 11, 12]
         assert lens[hit + 1] == config.prefix_init
+
+    def test_misses_never_call_the_index(self):
+        # Same history as above: only the prefixes that occur are looked up.
+        truth = list(range(30))
+        spy = SpyTree([(list(range(100, 130)), 1.0), (list(range(10, 20)), 1.0)])
+        replay_response(truth, spy, SpecConfig(prefix_init=5, prefix_min=3))
+        assert spy.calls and all(
+            oracles.prefix_occurs([(list(range(10, 20)), 1.0)], prefix)
+            for prefix, _, _ in spy.calls)
 
     def test_identical_history_reaches_full_acceptance(self):
         truth = list(range(400))
@@ -223,3 +258,49 @@ class TestReplayResponse:
         assert stats.tokens_accepted <= stats.tokens_speculated
         assert 0.0 <= stats.speculation_rate <= 1.0
         assert stats.verify_passes + stats.decode_passes == replay.iterations
+
+
+class TestReplayEquivalence:
+    """`replay_response` walks each response through the index once and
+    asks for a draft only where the prefix occurs; it must land exactly what
+    the per-iteration sliced replay lands."""
+
+    CONFIGS = [
+        SpecConfig(),
+        SpecConfig(prefix_init=3, prefix_min=1),
+        SpecConfig(prefix_init=1, prefix_min=1),
+        SpecConfig(window_init=1, window_add=1, window_max=2, prefix_init=4, prefix_min=2),
+        SpecConfig(window_init=2, window_max=2, prefix_init=2, prefix_min=1),
+    ]
+
+    def test_random_corpora(self):
+        rng = random.Random(41)
+        for case in range(200):
+            vocab = rng.randint(2, 6)
+            corpus = [([rng.randrange(vocab) for _ in range(rng.randint(1, 30))],
+                       rng.choice([0.0, 0.5, 1.0])) for _ in range(rng.randint(1, 4))]
+            if case % 3 == 0:
+                # A truth that copies the start of a history response, so
+                # drafts often run past the truth's end, then may run on.
+                head = corpus[0][0][:rng.randint(1, len(corpus[0][0]))]
+                truth = head + [rng.randrange(vocab) for _ in range(rng.choice([0, 0, 5]))]
+            else:
+                truth = [rng.randrange(vocab) for _ in range(rng.randint(1, 40))]
+            tree = corpus_tree(corpus)
+            assert_replays_agree(truth, tree, self.CONFIGS[case % len(self.CONFIGS)])
+
+    def test_truth_shorter_than_the_prefix(self):
+        tree = corpus_tree([([1, 2, 3, 4], 1.0)])
+        for truth in ([1], [1, 2], [1, 2, 3, 4, 5, 6]):
+            lookups = assert_replays_agree(truth, tree, SpecConfig())
+            assert lookups == []
+
+    def test_draft_past_the_end_of_the_truth(self):
+        # The history runs on after the truth ends: the draft is cut by the
+        # truth's end, and no bonus token follows it.
+        tree = corpus_tree([(list(range(12)), 1.0)])
+        config = SpecConfig(prefix_init=2, prefix_min=1, window_init=8, window_max=8)
+        lookups = assert_replays_agree(list(range(6)), tree, config)
+        assert lookups == [([0, 1], 8, list(range(2, 10)))]
+        replay = replay_response(list(range(6)), tree, config)
+        assert replay.tokens_per_iter == [1, 1, 4]
