@@ -5,8 +5,8 @@ Config files are flat JSON key-value maps with dotted keys (for example
 so typos fail loudly. Outputs are machine-readable by default and written
 atomically; `--pretty` switches the analysis commands to human tables.
 
-Exit codes: 0 success, 2 bad usage or config, 3 infeasible allocation plan,
-4 I/O failure.
+Exit codes: 0 success, 2 bad usage, config or trace record, 3 infeasible
+allocation plan, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -302,7 +302,11 @@ def cmd_report(args) -> int:
             events_path = _events_path(path)
             if not os.path.isfile(events_path):
                 raise OSError(f"{path}: its events log {events_path} is missing")
-            timeline = derive(_read_events(events_path)).timeline
+            try:
+                timeline = derive(_read_events(events_path)).timeline
+            except (KeyError, ValueError) as exc:
+                raise OSError(f"{events_path} is not the events log of one run: "
+                              f"{type(exc).__name__}: {exc}") from exc
             timeline_rows += [[os.path.basename(path), *row] for row in timeline]
         rio.write_csv(args.timeline, ["run", "worker_id", "start", "end", "activity"],
                       timeline_rows)
@@ -435,9 +439,6 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasiblePlanError as exc:
         print(f"error: infeasible plan: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except rio.TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,15 +13,17 @@ in the total token count n, and the automaton has at most 2n + 1 states.
 
 The automaton is built with one transition dict per state and then packed.
 The root keeps its dict, one entry per distinct token, because every lookup
-starts there and a dict is the fastest way to miss. Every other state is a
-row of flat `array` columns: its mass (8 bytes), its best token and that
-token's target (4 each), its suffix link and the length of its longest
-string (4 each) and a CSR offset (4). Only branching states, 3-9% of them on
-the benchmark traces, have transitions besides the best one, stored as
-(token, target) pairs of C ints. On the benchmark's epoch-2 indexes the
-packed index holds about 67 bytes per indexed token at cross-epoch
-similarity 0.9 and 83 at 0.3, against 447 and 357 with every dict kept;
-`SuffixTree.index_bytes` reports it.
+starts there and a dict is the fastest way to miss. Its token keys are the
+index's own int objects (28 bytes each above 256), made as the build reads
+the responses' `array('i')` tokens. Every other state is a row of flat
+`array` columns: its mass (8 bytes), its best token and that token's target
+(4 each), its suffix link and the length of its longest string (4 each) and
+a CSR offset (4). Only branching states, 3-9% of them on the benchmark
+traces, have transitions besides the best one, stored as (token, target)
+pairs of C ints. On the benchmark's epoch-2 indexes the packed index holds
+about 77 bytes per indexed token at cross-epoch similarity 0.9 and 106 at
+0.3, 11 and 24 of them the root's token keys, against 447 and 357 with
+every dict kept; `SuffixTree.index_bytes` reports it.
 
 The suffix links and lengths serve :meth:`SuffixTree.match_lengths`, which
 walks a whole response through the index once and reports, at every
@@ -41,6 +43,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import NamedTuple
@@ -52,12 +55,24 @@ MAX_TOKEN = 2**31 - 1
 
 @dataclass
 class Response:
-    """One rollout sample: a token sequence with its scalar reward."""
+    """One rollout sample: a token sequence with its scalar reward.
+
+    `tokens` is one `array('i')`, 4 bytes per token, from the moment a
+    response is read or generated: a list would hold a 28-byte int object
+    per token id above 256 besides its 8-byte pointer. Any other sequence of
+    ints is converted; an `array('i')` is kept as it is, uncopied. A token
+    that is not an int raises TypeError, and a token id outside
+    [0, MAX_TOKEN] ValueError.
+    """
 
     prompt_id: str
     epoch: int
-    tokens: list[int]
+    tokens: array
     reward: float
+
+    def __post_init__(self):
+        if not (isinstance(self.tokens, array) and self.tokens.typecode == "i"):
+            self.tokens = _token_column(self.tokens)
 
     @property
     def generated_len(self) -> int:
@@ -128,12 +143,13 @@ class SuffixTree:
     @property
     def index_bytes(self) -> int:
         """Bytes held by the index: `itemsize * len` of each column, plus the
-        root dict's table and its state ids above 256 (CPython caches the
-        smaller ints; the token keys are the responses' own objects)."""
+        root dict's table and its token keys and state ids above 256 (CPython
+        caches the smaller ints). The keys are the index's own: the build
+        makes them as it reads each response's `array('i')`."""
         columns = (self.mass, self.best, self.best_to, self.link, self.length, self.off,
                    self.etok, self.eto)
         return (sum(a.itemsize * len(a) for a in columns) + sys.getsizeof(self.root)
-                + sum(sys.getsizeof(v) for v in self.root.values() if v > 256))
+                + sum(sys.getsizeof(x) for item in self.root.items() for x in item if x > 256))
 
     def step(self, state: int, tok: int) -> int:
         """The state reached from `state` by appending `tok`; -1 when the
@@ -147,7 +163,7 @@ class SuffixTree:
         j = bisect_left(etok, tok, lo, hi)
         return self.eto[j] if j < hi and etok[j] == tok else -1
 
-    def match_prefix(self, prefix: list[int]) -> Cursor | None:
+    def match_prefix(self, prefix: Sequence[int]) -> Cursor | None:
         """Walk `prefix` from state 0; None when it occurs in no response."""
         if not prefix:
             raise ValueError("prefix must be non-empty")
@@ -158,7 +174,7 @@ class SuffixTree:
                 return None
         return Cursor(v, self.mass[v])
 
-    def extract_draft(self, prefix: list[int], window: int) -> DraftResult:
+    def extract_draft(self, prefix: Sequence[int], window: int) -> DraftResult:
         """Greedy max-mass continuation of `prefix`, up to `window` tokens.
 
         Ties between equal-mass continuations go to the smallest token. A
@@ -193,7 +209,7 @@ class SuffixTree:
             v = best_to[v]
         return DraftResult(out, True)
 
-    def match_lengths(self, tokens: list[int]) -> list[int]:
+    def match_lengths(self, tokens: Sequence[int]) -> list[int]:
         """Matching statistics of `tokens` against the index (Chang and
         Lawler, 1994): `out[p]` is the length of the longest suffix of
         `tokens[:p + 1]` that occurs in some indexed response.
@@ -266,7 +282,7 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
             raise ValueError("cannot index an empty response")
         if not math.isfinite(resp.reward):
             raise ValueError(f"reward must be finite, got {resp.reward!r}")
-        if min(resp.tokens) < 0 or max(resp.tokens) > MAX_TOKEN:
+        if min(resp.tokens) < 0:
             raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]")
         total_tokens += len(resp.tokens)
         reward = resp.reward
@@ -323,6 +339,23 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
                       _column("i", best_to), _column("i", link), _column("i", length),
                       _column("i", list(accumulate(extra))), _column("i", etok),
                       _column("i", eto), total_tokens)
+
+
+def _token_column(values) -> array:
+    # The sign check compares the caller's own int objects; scanning the
+    # array instead would make an int object per token.
+    if len(values) and min(values) < 0:
+        raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]")
+    try:
+        return _column("i", values)
+    except struct.error:
+        pass
+    # struct raises the same error for a token that is not an int and for
+    # one above MAX_TOKEN; array() tells them apart.
+    try:
+        return array("i", values)
+    except OverflowError:
+        raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]") from None
 
 
 def _column(typecode: str, values: list) -> array:

@@ -94,6 +94,22 @@ SPEC_STATS_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_pass
 
 _EPS = 1e-9
 
+# The payload fields of each event kind, as the module docstring lists them.
+# A migration also carries `to_group` and `to_worker` (intra-step) or
+# `to_step` (inter-step).
+EVENT_FIELDS = {
+    "step_boundary": ("step", "policy", "workers", "allocation", "replay"),
+    "share_start": ("worker", "step"),
+    "share_end": ("worker", "step"),
+    "rollout_finish": ("sample", "worker", "step", "scheduled_step", "weight_version",
+                       "continuation_version", "tokens", "iterations", "migrated"),
+    "migration": ("sample", "migration_kind", "from_group", "from_worker", "generated"),
+    "reward_done": ("sample", "step", "buffered_for", "start"),
+    "train_done": ("step", "batch", "start", "duration", "publishes_version", "switch"),
+    "weight_update": ("version", "trained_on_step", "available_at"),
+    "run_end": ("rollout_workers",),
+}
+
 
 class InfeasiblePlanError(RuntimeError):
     """Two-tier planning could not fit the worker budget."""
@@ -218,8 +234,16 @@ class SimEvent:
 
     @classmethod
     def from_dict(cls, record: dict) -> SimEvent:
-        """An event read back from its `as_dict` form (one `.events.jsonl` line)."""
-        return cls(record["time"], record["seq"], record["kind"], record)
+        """An event read back from its `as_dict` form (one `.events.jsonl`
+        line). A record of an unknown kind, or one that lacks a field of its
+        kind (`EVENT_FIELDS`), raises ValueError."""
+        event = cls(record["time"], record["seq"], record["kind"], record)
+        if event.kind not in EVENT_FIELDS:
+            raise ValueError(f"unknown event kind {event.kind!r}")
+        missing = [f for f in EVENT_FIELDS[event.kind] if f not in record]
+        if missing:
+            raise ValueError(f"a {event.kind} event needs {', '.join(missing)}")
+        return event
 
 
 @dataclass
@@ -963,13 +987,15 @@ class _Simulation:
 def derive(events: Iterable[SimEvent]) -> RunSummary:
     """The timeline, metrics, accounting and per-step speculation rows of a
     run, from its event log alone: in memory, or read back from a written
-    `.events.jsonl` with `SimEvent.from_dict`."""
+    `.events.jsonl` with `SimEvent.from_dict`. A log that is not one run's,
+    such as one cut before its `run_end`, raises KeyError or ValueError."""
     activity = defaultdict(list)  # worker -> [(start, end, activity)]
     share_opened: dict[int, float] = {}
     colocated, rewards, trains, spec_stats = [], [], [], []
     scheduled, completed = {}, {}
     migrations = inter_step = trained = 0
     totals = Counter()
+    n = None
     for event in events:
         kind, time, e = event.kind, event.time, event.payload
         if kind == "rollout_finish":
@@ -1003,6 +1029,8 @@ def derive(events: Iterable[SimEvent]) -> RunSummary:
         elif kind == "run_end":
             makespan, n = time, e["rollout_workers"]
 
+    if n is None:
+        raise ValueError("the log has no run_end event")
     timeline, busy = [], []
     kinds = {"rollout": 0.0, "train": 0.0, "switch": 0.0}
     for wid in range(n):

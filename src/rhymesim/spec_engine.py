@@ -22,6 +22,7 @@ is asked for a draft only then, and a miss costs one comparison.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .history import SuffixTree
@@ -35,7 +36,7 @@ GATE_BUCKETS = 10
 GATE_DEFAULT_MAX_BATCH = 8192
 
 
-def verify(draft: list[int], truth: list[int]) -> int:
+def verify(draft: list[int], truth: Sequence[int]) -> int:
     """Accepted token count: the longest common prefix of draft and truth."""
     n = 0
     for d, t in zip(draft, truth):
@@ -136,7 +137,7 @@ class ResponseReplay:
         return sum(self.tokens_per_iter)
 
 
-def replay_response(truth: list[int], tree: SuffixTree | None, config: SpecConfig,
+def replay_response(truth: Sequence[int], tree: SuffixTree | None, config: SpecConfig,
                     stats: SpecStats | None = None) -> ResponseReplay:
     """Run a response to completion and report its iteration profile.
 

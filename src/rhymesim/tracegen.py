@@ -26,11 +26,12 @@ accepting the longest continuation of a fixed-size prefix.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .history import Response, build_tree
+from .history import MAX_TOKEN, Response, build_tree
 from .scheduler import (
     BETA_FLOOR,
     build_groups,
@@ -62,6 +63,8 @@ class TraceSpec:
     def __post_init__(self):
         if self.num_prompts < 1 or self.epochs < 1 or self.group_size < 1:
             raise ValueError("num_prompts, epochs and group_size must be >= 1")
+        if not (1 <= self.vocab_size <= MAX_TOKEN + 1):
+            raise ValueError(f"vocab_size must be in [1, {MAX_TOKEN + 1}]")
         if not (0.0 <= self.similarity <= 1.0):
             raise ValueError("similarity must be in [0, 1]")
         if not (0.0 <= self.rank_noise <= 1.0):
@@ -160,7 +163,10 @@ def generate(spec: TraceSpec) -> list[Response]:
                 target = max(1, int(round(median_len * jitter)))
                 tokens = _derive_tokens(rng, parent, s_e, target, spec.vocab_size, spec.burst_mean)
                 reward = 1.0 if rng.random() < spec.high_reward_frac else 0.0
-                group.append(Response(pid, epoch, tokens.tolist(), reward))
+                # Straight from numpy's C ints, with no int object per token.
+                packed = array("i")
+                packed.frombytes(tokens.astype(np.int32).tobytes())
+                group.append(Response(pid, epoch, packed, reward))
             parent = np.asarray(group[0].tokens, dtype=np.int64)
             out_by_epoch[epoch - 1].extend(group)
             z = ar * z + drift * rng.standard_normal()

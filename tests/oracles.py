@@ -4,6 +4,10 @@ Everything here deliberately avoids the library's data structures: plain
 scans over raw token lists, exhaustive enumeration over small plan spaces,
 and closed-form recurrences. Expected values frozen into tests come from
 these functions, never from the code under test.
+
+Token sequences are copied to lists where they enter: a slice of the
+`array('i')` a `Response` holds never equals a list, so a scan comparing the
+two would find nothing and every check over what it found would pass.
 """
 
 from __future__ import annotations
@@ -15,8 +19,13 @@ import math
 # -- suffix index oracles ----------------------------------------------------
 
 
+def _lists(corpus) -> list[tuple[list[int], float]]:
+    return [(list(tokens), reward) for tokens, reward in corpus]
+
+
 def occurrences(tokens: list[int], pattern: list[int]) -> int:
     """Number of (possibly overlapping) occurrences of `pattern`."""
+    tokens, pattern = list(tokens), list(pattern)
     if not pattern or len(pattern) > len(tokens):
         return 0
     m = len(pattern)
@@ -24,6 +33,10 @@ def occurrences(tokens: list[int], pattern: list[int]) -> int:
 
 
 def prefix_occurs(corpus: list[tuple[list[int], float]], prefix: list[int]) -> bool:
+    return _occurs(_lists(corpus), list(prefix))
+
+
+def _occurs(corpus: list[tuple[list[int], float]], prefix: list[int]) -> bool:
     m = len(prefix)
     return any(tokens[i : i + m] == prefix
                for tokens, _ in corpus for i in range(len(tokens) - m + 1))
@@ -35,11 +48,12 @@ def match_lengths(corpus: list[tuple[list[int], float]], tokens: list[int]) -> l
     suffixes from the longest down. A suffix that occurs drops its last token
     to one that occurs at p - 1, so none is longer than the one found there
     plus one, and the search starts at that length."""
+    corpus, tokens = _lists(corpus), list(tokens)
     out = []
     m = 0
     for end in range(1, len(tokens) + 1):
         longest_first = range(m + 1, 0, -1)
-        m = next((k for k in longest_first if prefix_occurs(corpus, tokens[end - k : end])), 0)
+        m = next((k for k in longest_first if _occurs(corpus, tokens[end - k : end])), 0)
         out.append(m)
     return out
 
@@ -55,10 +69,11 @@ def subtree_mass(corpus: list[tuple[list[int], float]], pattern: list[int]) -> f
 
 def end_mass(corpus: list[tuple[list[int], float]], pattern: list[int]) -> float:
     """Reward mass of responses that end exactly with `pattern`."""
+    pattern = list(pattern)
     m = len(pattern)
     return sum(
         reward
-        for tokens, reward in corpus
+        for tokens, reward in _lists(corpus)
         if len(tokens) >= m and tokens[len(tokens) - m :] == pattern
     )
 
@@ -71,7 +86,7 @@ def end_position_classes(corpus: list[tuple[list[int], float]]) -> int:
     class plus the empty string's.
     """
     ends: dict[tuple[int, ...], set[tuple[int, int]]] = {}
-    for r_idx, (tokens, _) in enumerate(corpus):
+    for r_idx, (tokens, _) in enumerate(_lists(corpus)):
         for end in range(1, len(tokens) + 1):
             for start in range(end):
                 ends.setdefault(tuple(tokens[start:end]), set()).add((r_idx, end))
@@ -89,6 +104,7 @@ def greedy_draft(
     id). Occurrences are tracked incrementally, which changes nothing
     semantically versus rescanning the corpus with the grown pattern.
     """
+    corpus, prefix = _lists(corpus), list(prefix)
     m = len(prefix)
     live: list[tuple[int, int]] = []  # (response index, position after match)
     for r_idx, (tokens, _) in enumerate(corpus):
@@ -131,6 +147,7 @@ def sliced_replay(truth: list[int], tree, config):
     Returns (tokens_per_iter, drafted, accepted, verify_passes, lookups),
     `lookups` holding one (prefix, window, draft) per `extract_draft` call.
     """
+    truth = list(truth)
     n = len(truth)
     per_iter: list[int] = []
     lookups = []
@@ -264,6 +281,7 @@ def longest_continuation_replay(
     it shares with the rest of the response is accepted in one jump; with no
     shared continuation one token is decoded. No index: plain scans only.
     """
+    history, responses = list(map(list, history)), list(map(list, responses))
     accepted = total = warmup = 0
     for tokens in responses:
         total += len(tokens)

@@ -114,7 +114,9 @@ class TestAnalyze:
         assert stats["total_nodes"] <= 2 * stats["total_tokens"] + 1
         assert set(stats) == {"epoch", "prompt_count", "total_nodes", "total_tokens",
                               "index_bytes"}
-        assert 0 < stats["index_bytes"] <= 76 * stats["total_tokens"]
+        # 76 B/token for the columns and the root's table, plus 28 B per root
+        # token key the index owns: 0.41 distinct tokens per indexed token.
+        assert 0 < stats["index_bytes"] <= 87 * stats["total_tokens"]
 
     @pytest.mark.parametrize("argv", [
         ["rank", "--epochs", "3,4"],
@@ -219,7 +221,12 @@ class TestRunSim:
         assert "a.events.jsonl" in capsys.readouterr().err
         assert not (tmp_path / "tl2.csv").exists()
 
-    @pytest.mark.parametrize("bad_line", ["{not json", '{"seq": 1}'])
+    @pytest.mark.parametrize("bad_line", [
+        "{not json", '{"seq": 1}',
+        # The envelope of an event, without the fields its kind carries.
+        '{"time": 99.0, "seq": 999999, "kind": "rollout_finish"}',
+        '{"time": 99.0, "seq": 999999, "kind": "no_such_kind"}',
+    ])
     def test_report_timeline_bad_events_line_is_io_error(self, workspace, capsys, bad_line):
         tmp_path, spec_path, cluster_path = workspace
         trace_path = gen(tmp_path, spec_path)
@@ -236,6 +243,22 @@ class TestRunSim:
         assert f"r.events.jsonl line {lines + 1} " in capsys.readouterr().err
         assert not (tmp_path / "tl.csv").exists()
 
+    def test_report_timeline_log_cut_before_run_end_is_io_error(self, workspace, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        run_path = tmp_path / "r.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "colocated", "--out", str(run_path)]) == EXIT_OK
+        events_path = tmp_path / "r.events.jsonl"
+        lines = events_path.read_text().splitlines(keepends=True)
+        assert '"run_end"' in lines[-1]
+        events_path.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run_path),
+                     "--timeline", str(tmp_path / "tl.csv")]) == EXIT_IO
+        assert "r.events.jsonl is not the events log of one run" in capsys.readouterr().err
+        assert not (tmp_path / "tl.csv").exists()
+
     def test_identical_runs_identical_reports(self, workspace):
         tmp_path, spec_path, cluster_path = workspace
         trace_path = gen(tmp_path, spec_path)
@@ -249,6 +272,34 @@ class TestRunSim:
         b = json.loads(outs[1].read_text())
         assert a["metrics"] == b["metrics"]
         assert (tmp_path / "r1.events.jsonl").read_bytes() == (tmp_path / "r2.events.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("speculation", ["--speculation", "--no-speculation"])
+    @pytest.mark.parametrize("edit", ["empty tokens", "nan reward", "token 2**31",
+                                      "negative token"])
+    def test_unindexable_record_rejected_before_the_run(self, workspace, capsys, edit,
+                                                        speculation):
+        # A record the suffix index cannot hold exits 2 when the trace is
+        # read, with or without speculation: before the run starts, and
+        # naming the trace line.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        bad = records[len(records) // 2]
+        if edit == "empty tokens":
+            bad["tokens"] = []
+        elif edit == "nan reward":
+            bad["reward"] = math.nan
+        elif edit == "token 2**31":
+            bad["tokens"][-1] = 2**31
+        else:
+            bad["tokens"][0] = -1
+        trace_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "streaming", speculation, "--out", str(out)]) == EXIT_CONFIG
+        assert f"t.jsonl line {len(records) // 2 + 1}: bad trace record" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_trace_io_error(self, workspace):
         tmp_path, _, cluster_path = workspace

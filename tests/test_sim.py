@@ -16,6 +16,7 @@ import rhymesim.sim as sim_module
 from rhymesim.history import Response
 from rhymesim.scheduler import MigrationDecision, in_straggler_tail
 from rhymesim.sim import (
+    EVENT_FIELDS,
     ClusterSpec,
     CostConfig,
     InfeasiblePlanError,
@@ -325,9 +326,7 @@ class TestEventLog:
         assert times == sorted(times)
         for line in res.events_jsonl().splitlines():
             obj = json.loads(line)
-            assert obj["kind"] in {"rollout_finish", "migration", "weight_update",
-                                   "reward_done", "train_done", "step_boundary",
-                                   "share_start", "share_end", "run_end"}
+            assert set(EVENT_FIELDS[obj["kind"]]) <= set(obj)
 
     @pytest.mark.parametrize("oversample_pct", [0.0, 20.0])
     @pytest.mark.parametrize("speculation", [False, True])

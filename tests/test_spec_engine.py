@@ -275,6 +275,7 @@ class TestReplayEquivalence:
 
     def test_random_corpora(self):
         rng = random.Random(41)
+        lookups = drafts = 0
         for case in range(200):
             vocab = rng.randint(2, 6)
             corpus = [([rng.randrange(vocab) for _ in range(rng.randint(1, 30))],
@@ -287,7 +288,11 @@ class TestReplayEquivalence:
             else:
                 truth = [rng.randrange(vocab) for _ in range(rng.randint(1, 40))]
             tree = corpus_tree(corpus)
-            assert_replays_agree(truth, tree, self.CONFIGS[case % len(self.CONFIGS)])
+            found = assert_replays_agree(truth, tree, self.CONFIGS[case % len(self.CONFIGS)])
+            lookups += len(found)
+            drafts += sum(1 for _, _, draft in found if draft)
+        # Lookups of the sliced replay, and those that drafted something.
+        assert (lookups, drafts) == (2204, 1323)
 
     def test_truth_shorter_than_the_prefix(self):
         tree = corpus_tree([([1, 2, 3, 4], 1.0)])

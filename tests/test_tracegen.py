@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import re
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from scipy import stats
 
 import oracles
 from rhymesim import io
-from rhymesim.history import Response
+from rhymesim.history import MAX_TOKEN, Response
 from rhymesim.tracegen import (
     RankMetrics,
     Trace,
@@ -77,9 +81,63 @@ class TestGenerate:
             for a, b in zip(responses, loaded)
         )
 
+    @pytest.mark.parametrize("similarity,seed,digest", [
+        (0.9, 5, "4d4bfcca0b3a63a10a6676da097ae436155f0ff1e6c18f4d42ca0430e2852206"),
+        (0.9, 17, "ea17a964aa22cb9e55552d849e754dc1198e43d67d0de7206af97b8509742b36"),
+        (0.3, 5, "459b8f51f057f073fc805566279b0409bc643e331a49a38ecf8f3b6596114d6a"),
+        (0.3, 17, "db2173771d3946761026f80886d9a1f188f88f2b35ec3b555f7bbfc909042dd2"),
+    ])
+    def test_trace_bytes_pinned(self, tmp_path, similarity, seed, digest):
+        # The bytes gen-trace writes for these specs, pinned when tokens
+        # were still held as lists of int objects.
+        path = tmp_path / "t.jsonl"
+        io.write_trace(path, generate(small_spec(similarity=similarity, seed=seed)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_tokens_are_c_int_arrays(self, tmp_path):
+        responses = generate(small_spec())
+        path = tmp_path / "t.jsonl"
+        io.write_trace(path, responses)
+        loaded = io.read_trace(path)
+        for resp in responses + loaded:
+            assert isinstance(resp.tokens, array) and resp.tokens.typecode == "i"
+        assert [r.tokens for r in loaded] == [r.tokens for r in responses]
+        # An array('i') is kept as it is; any other int sequence is converted.
+        tokens = array("i", [3, 300, 70000])
+        assert Response("p", 1, tokens, 1.0).tokens is tokens
+        assert Response("p", 1, (3, 300), 1.0).tokens == array("i", [3, 300])
+
+    def test_read_trace_holds_at_most_8_bytes_per_token(self, tmp_path):
+        # A token id above 256 held as a list item costs a 28-byte int object
+        # and an 8-byte pointer; as an array('i') item, 4 bytes. The rest is
+        # per response: its object, prompt id and array header.
+        path = tmp_path / "t.jsonl"
+        io.write_trace(path, generate(small_spec(len_mu=math.log(300))))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = io.read_trace(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * sum(len(r.tokens) for r in loaded)
+
+    @pytest.mark.parametrize("record,reason", [
+        ('"tokens":[],"reward":1', "empty token list"),
+        ('"tokens":[1,2],"reward":NaN', "reward must be finite"),
+        ('"tokens":[1,2],"reward":-Infinity', "reward must be finite"),
+        ('"tokens":[1,2147483648],"reward":1', "token ids must be in [0, 2147483647]"),
+        ('"tokens":[1,-1],"reward":1', "token ids must be in [0, 2147483647]"),
+        ('"tokens":[1,"-2"],"reward":1', "token ids must be in [0, 2147483647]"),
+        ('"tokens":[1,1e300],"reward":1', "token ids must be in [0, 2147483647]"),
+    ])
+    def test_unindexable_records_rejected(self, record, reason):
+        with pytest.raises(io.TraceFormatError, match=re.escape(reason)):
+            io.parse_response_line('{"prompt_id":"p","epoch":1,' + record + "}")
+
     def test_non_integer_tokens_converted_or_rejected(self):
         line = '{"prompt_id":"p","epoch":1,"tokens":[1,"2",3.0,true],"reward":1}'
-        assert io.parse_response_line(line).tokens == [1, 2, 3, 1]
+        assert list(io.parse_response_line(line).tokens) == [1, 2, 3, 1]
         for tokens in ('["x"]', "[null]", "7"):
             with pytest.raises(io.TraceFormatError):
                 io.parse_response_line(f'{{"prompt_id":"p","epoch":1,"tokens":{tokens},"reward":1}}')
@@ -110,6 +168,14 @@ class TestGenerate:
             small_spec(burst_mean=0.5)
         with pytest.raises(ValueError):
             small_spec(similarity_schedule=[0.5])
+        # Token ids are C ints: at most MAX_TOKEN + 1 of them.
+        for vocab_size in (0, MAX_TOKEN + 2):
+            with pytest.raises(ValueError):
+                small_spec(vocab_size=vocab_size)
+
+    def test_largest_vocabulary_generates(self):
+        spec = small_spec(num_prompts=2, epochs=1, vocab_size=MAX_TOKEN + 1)
+        assert max(max(r.tokens) for r in generate(spec)) > 2**30
 
 
 def mean_metrics(trace, num_groups, epochs):
