@@ -57,13 +57,14 @@ place in the log) and `kind`, and each kind carries:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
 import math
 import statistics
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 
 from . import history
@@ -332,6 +333,43 @@ class _StepPlan:
     group_completed: dict[int, int]
     policy_kind: str
     allocation: AllocationPlan | None = None
+    group_workers: dict[int, list[int]] = field(init=False)  # group -> workers
+
+    def __post_init__(self):
+        # Both ascending: the migration check scans groups in index order.
+        by_group = defaultdict(list)
+        for wid, g in sorted(self.worker_groups.items()):
+            by_group[g].append(wid)
+        self.group_workers = dict(sorted(by_group.items()))
+
+
+class _GroupLoads(Mapping):
+    """Each group's mean in-flight batch over the workers still rolling out
+    `plan`'s step, taken when first read: `migration_decision` reads it only
+    for an intra-step candidate, and most checks make no such decision."""
+
+    def __init__(self, workers: list[_Worker], plan: _StepPlan):
+        self._workers, self._plan = workers, plan
+
+    @functools.cached_property
+    def _loads(self) -> dict[int, float]:
+        plan, workers = self._plan, self._workers
+        loads = {}
+        for g, wids in plan.group_workers.items():
+            batches = [len(workers[w].inflight) for w in wids
+                       if workers[w].step == plan.step and workers[w].inflight]
+            if batches:
+                loads[g] = sum(batches) / len(batches)
+        return loads
+
+    def __getitem__(self, group: int) -> float:
+        return self._loads[group]
+
+    def __iter__(self):
+        return iter(self._loads)
+
+    def __len__(self) -> int:
+        return len(self._loads)
 
 
 class _Simulation:
@@ -530,26 +568,23 @@ class _Simulation:
             counts = partition_sizes(wks, n_groups)
 
         # Worker slots take the groups in assignment order, counts[g] each.
-        worker_groups = dict(enumerate(g for g in order for _ in range(counts[g])))
-        group_workers: dict[int, list[int]] = {g.index: [] for g in groups}
-        for wid, g in worker_groups.items():
-            group_workers[g].append(wid)
-
+        plan = _StepPlan(
+            step=step, groups=groups,
+            worker_groups=dict(enumerate(g for g in order for _ in range(counts[g]))),
+            shares={}, group_total=dict(group_batches),
+            group_completed={g.index: 0 for g in groups},
+            policy_kind=self.policy.name, allocation=allocation,
+        )
         shares_raw: dict[int, list] = {w.wid: [] for w in self.workers}
         for grp in groups:
-            wids = group_workers[grp.index]
+            wids = plan.group_workers[grp.index]
             i = 0
             for pid in grp.prompt_ids:
                 for member, resp in enumerate(self.trace.group(step, pid)):
                     shares_raw[wids[i % len(wids)]].append((member, resp, grp.index))
                     i += 1
-        shares = self._make_tasks(step, shares_raw)
-        return _StepPlan(
-            step=step, groups=groups, worker_groups=worker_groups, shares=shares,
-            group_total=dict(group_batches),
-            group_completed={g.index: 0 for g in groups},
-            policy_kind=self.policy.name, allocation=allocation,
-        )
+        plan.shares = self._make_tasks(step, shares_raw)
+        return plan
 
     def _accepted_per_pass(self) -> float:
         passes = self.stats.verify_passes + self.stats.decode_passes
@@ -740,34 +775,37 @@ class _Simulation:
         """Migrate the stragglers of every group still rolling out this step.
 
         Only a group down to its last alpha% (`in_straggler_tail`) can
-        migrate anything, so the per-rollout test runs in those groups
-        alone, and the check returns at once when no group is in its tail.
-        That is exact: an intra-step migration only raises its target
-        group's total, and an inter-step one only lowers the scanned group's
-        own, so no group enters its tail during a check. A group can leave
-        it, by receiving a migrant before its own scan, so each group's tail
-        test is made when its scan begins. Progress is read off each
-        worker's clock and nothing is committed here; a migration commits
-        the two workers whose batches it changes.
+        migrate anything, so the per-rollout test runs over those groups'
+        live workers alone, and the check returns at once when no group is
+        in its tail. That is exact: an intra-step migration only raises its
+        target group's total, and an inter-step one only lowers the scanned
+        group's own, so no group enters its tail during a check. A group can
+        leave it, by receiving a migrant before its own scan, so each group's
+        tail test is made when its scan begins. Only a worker's own scan can
+        drain it, so the workers live at its scan are those live when the
+        check began. Progress is read off each worker's clock and nothing is
+        committed here; a migration commits the two workers whose batches it
+        changes.
+
+        The groups' loads are read by the first intra-step candidate, if
+        any. The groups are scanned in index order, so every such candidate,
+        in a short group, comes before the long groups' inter-step
+        migrations, and the loads read are those before any migration.
         """
         policy = MigrationPolicy(beta=self._beta_for_step(plan.step))
         completed, total = plan.group_completed, plan.group_total
         if not any(in_straggler_tail(completed.get(g, 0), n, policy) for g, n in total.items()):
             return
         n_groups = self.cluster.n_groups
-        live: dict[int, list[_Worker]] = {}
-        for wid in sorted(plan.worker_groups):
-            worker = self.workers[wid]
-            if worker.step == plan.step and worker.inflight:
-                live.setdefault(plan.worker_groups[wid], []).append(worker)
-        active_loads = {
-            g: sum(len(w.inflight) for w in ws) / len(ws) for g, ws in live.items()
-        }
-        for g in sorted(live):
+        active_loads = _GroupLoads(self.workers, plan)
+        for g, wids in plan.group_workers.items():
             if not in_straggler_tail(completed.get(g, 0), total.get(g, 0), policy):
                 continue
             group = plan.groups[g]
-            for worker in live[g]:
+            for wid in wids:
+                worker = self.workers[wid]
+                if worker.step != plan.step or not worker.inflight:
+                    continue
                 v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
                 for sid in sorted(worker.inflight):
                     task = worker.inflight.get(sid)
@@ -797,10 +835,8 @@ class _Simulation:
     def _migrate_intra(self, plan: _StepPlan, source: _Worker, task: _Task,
                        target_group: int) -> None:
         candidates = [
-            self.workers[wid]
-            for wid, g in plan.worker_groups.items()
-            if g == target_group and self.workers[wid].step == plan.step
-            and self.workers[wid].inflight
+            self.workers[wid] for wid in plan.group_workers[target_group]
+            if self.workers[wid].step == plan.step and self.workers[wid].inflight
         ]
         if not candidates:
             return

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import re
+import tempfile
 import tracemalloc
 from array import array
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
@@ -110,17 +116,24 @@ class TestGenerate:
     def test_read_trace_holds_at_most_8_bytes_per_token(self, tmp_path):
         # A token id above 256 held as a list item costs a 28-byte int object
         # and an 8-byte pointer; as an array('i') item, 4 bytes. The rest is
-        # per response: its object, prompt id and array header.
+        # per response: its object, prompt id and array header. The reader
+        # holds one chunk of lines at a time, so over 20 chunks its peak stays
+        # near what it keeps; a reader that took in the whole file would peak
+        # at several times that.
+        spec = small_spec(len_mu=math.log(300), num_prompts=-(-20 * io.READ_CHUNK_LINES // 12))
         path = tmp_path / "t.jsonl"
-        io.write_trace(path, generate(small_spec(len_mu=math.log(300))))
+        io.write_trace(path, generate(spec))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             loaded = io.read_trace(path)
-            held = tracemalloc.get_traced_memory()[0] - before
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
+        assert len(loaded) >= 20 * io.READ_CHUNK_LINES
         assert held <= 8 * sum(len(r.tokens) for r in loaded)
+        assert peak <= 1.5 * held
 
     @pytest.mark.parametrize("record,reason", [
         ('"tokens":[],"reward":1', "empty token list"),
@@ -130,6 +143,10 @@ class TestGenerate:
         ('"tokens":[1,-1],"reward":1', "token ids must be in [0, 2147483647]"),
         ('"tokens":[1,"-2"],"reward":1', "token ids must be in [0, 2147483647]"),
         ('"tokens":[1,1e300],"reward":1', "token ids must be in [0, 2147483647]"),
+        ('"tokens":[1,3.5],"reward":1', "token must be an integer, got 3.5"),
+        ('"tokens":"12","reward":1', "tokens must be a JSON array, got str"),
+        ('"tokens":{"1":2},"reward":1', "tokens must be a JSON array, got dict"),
+        ('"tokens":[1,2],"reward":1,"epoch":1.7', "epoch must be an integer, got 1.7"),
     ])
     def test_unindexable_records_rejected(self, record, reason):
         with pytest.raises(io.TraceFormatError, match=re.escape(reason)):
@@ -141,6 +158,44 @@ class TestGenerate:
         for tokens in ('["x"]', "[null]", "7"):
             with pytest.raises(io.TraceFormatError):
                 io.parse_response_line(f'{{"prompt_id":"p","epoch":1,"tokens":{tokens},"reward":1}}')
+
+    def test_written_traces_read_without_the_line_parser(self, tmp_path):
+        # What gen-trace writes, also with json's default ", " and ": "
+        # separators, is plain: no chunk of it is parsed line by line.
+        responses = generate(small_spec(num_prompts=40))
+        path = tmp_path / "t.jsonl"
+        io.write_trace(path, responses)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("".join(json.dumps(json.loads(line)) + "\n"
+                                  for line in path.read_text().splitlines()))
+        assert b", " in spaced.read_bytes()
+        for p in (path, spaced):
+            with mock.patch.object(io, "parse_response_line", side_effect=AssertionError):
+                loaded = io.read_trace(p)
+            assert [(r.prompt_id, r.epoch, r.tokens, r.reward) for r in loaded] == [
+                (r.prompt_id, r.epoch, r.tokens, r.reward) for r in responses]
+
+    def test_error_names_its_line_in_a_later_chunk(self, tmp_path):
+        lines = [io.response_to_json(r) + "\n" for r in generate(small_spec(num_prompts=30))]
+        assert len(lines) > 2 * io.READ_CHUNK_LINES + 5
+        lines[3] = "\n"
+        bad = 2 * io.READ_CHUNK_LINES + 5
+        lines[bad - 1] = lines[bad - 1].replace('"tokens":[', '"tokens":[3.5,')
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(io.TraceFormatError,
+                           match=re.escape(f"{path} line {bad}: bad trace record: token must")):
+            io.read_trace(path)
+
+    def test_deeply_nested_record_rejected(self, tmp_path):
+        # json gives up on it with a RecursionError, not a JSONDecodeError.
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"prompt_id":"p","epoch":1,"tokens":[1],"reward":1}\n'
+                        '{"prompt_id":"p","epoch":1,"tokens":[1],"reward":1,"x":'
+                        + "[" * 100_000 + "]" * 100_000 + "}\n")
+        with pytest.raises(io.TraceFormatError,
+                           match=re.escape(f"{path} line 2: bad JSONL line: maximum recursion")):
+            io.read_trace(path)
 
     def test_identical_epochs_config_really_identical(self):
         trace = Trace(generate(small_spec(**IDENTICAL_EPOCHS)))
@@ -335,3 +390,132 @@ class TestTokenSimilarityReplay:
         trace = Trace(generate(small_spec()))
         with pytest.raises(ValueError):
             token_similarity_replay(trace, (1, 2), 0)
+
+
+def read_line_by_line(path):
+    """The trace reader with every line through `parse_response_line`."""
+    responses = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                try:
+                    responses.append(io.parse_response_line(line))
+                except io.TraceFormatError as exc:
+                    raise io.TraceFormatError(f"{path} line {lineno}: {exc}") from exc
+    return responses
+
+
+def read_outcome(reader, path):
+    try:
+        return [(r.prompt_id, r.epoch, list(r.tokens), r.reward) for r in reader(path)]
+    except io.TraceFormatError as exc:
+        return str(exc)
+
+
+# Each is one change to a plain record. Some of them both readers accept
+# (3.0, "2", an escaped prompt id, a nested "tokens" beside the real one),
+# the rest both reject.
+RECORD_CHANGES = [("token", t) for t in [
+    "007", "+1", "-1", "-0", "1e3", "3.0", "3.5", '"2"', "true", "null", "[1]",
+    str(2**31), str(2**32 + 10**9), str(10**20), "1 2", "",
+]] + [
+    ("tokens", "[]"), ("tokens", "[1,]"), ("tokens", '"12"'), ("tokens", '{"1":2}'),
+    ("tokens", 'null,"meta":[3]'), ("epoch", "1.7"), ("epoch", "2.0"), ("epoch", '"3"'),
+    ("reward", "NaN"), ("prompt_id", json.dumps('q"tokens":[1')),
+    ("prompt_id", json.dumps("caf\u00e9")), ("prompt_id", '"tokens"'),
+    ("extra", ("tokens", "[5]")), ("extra", ("tokens", "null")),
+    ("extra", ("meta", '{"tokens":[9]}')), ("extra", ("meta", "[1,2]")),
+    ("extra", ("tok\\u0065ns", "null")), ("nest", None), ("wrap", None), ("after", " 1"),
+]
+
+
+@st.composite
+def trace_record(draw, change=None):
+    """One trace line: a plain record, written with or without json's
+    default spaces, in any key order and with either line ending, and
+    with `change` made to it."""
+    comma = draw(st.sampled_from([",", ", "]))
+    colon = draw(st.sampled_from([":", ": "]))
+    tokens = draw(st.lists(st.integers(0, MAX_TOKEN).map(str), min_size=1, max_size=6))
+    fields = {
+        "prompt_id": json.dumps(draw(st.sampled_from(["p0", "p1"]))),
+        "epoch": draw(st.sampled_from(["1", "2"])),
+        "tokens": None,
+        "reward": draw(st.sampled_from(["1", "0.5", "-2.25", "1e-3"])),
+    }
+    kind, value = change or (None, None)
+    if kind == "token":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = value
+    fields["tokens"] = "[" + comma.join(tokens) + "]"
+    if kind in fields:
+        fields[kind] = value
+    if kind == "nest":
+        fields["meta"] = "{" + f'"tokens"{colon}' + fields.pop("tokens") + "}"
+    items = list(fields.items())
+    if kind == "extra":
+        items.insert(draw(st.integers(0, len(items))), value)
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    line = "{" + comma.join(f'"{k}"{colon}{v}' for k, v in items) + "}"
+    if kind == "wrap":
+        line = f"[{line}]"
+    if kind == "after":
+        line += value
+    return line + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@st.composite
+def trace_text(draw):
+    """Up to ten plain records, up to two of them changed, and maybe a blank
+    line."""
+    lines = draw(st.lists(trace_record(), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(RECORD_CHANGES))
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(trace_record(change))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", " \r\n"])))
+    return "".join(lines)
+
+
+# Records the json reader rejects though numpy, or a naive search for the
+# token list, would read them: each needs one of the fast path's checks.
+EDGE_RECORDS = [
+    '{"prompt_id":"p","epoch":1,"tokens":[1,2],"reward":1,"tokens":null}',
+    '{"prompt_id":"p","epoch":1,"tokens":[1,2],"reward":1,"tok\\u0065ns":null}',
+    '{"prompt_id":"p","epoch":1,"tokens":null,"meta":[1,2],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"meta":{"tokens":[1,2]},"reward":1}',
+    '[{"prompt_id":"p","epoch":1,"tokens":[1,2],"reward":1}]',
+    '{"prompt_id":"p","epoch":1,"tokens":[1,2],"reward":1} 1',
+    '{"prompt_id":"p","epoch":1,"tokens":[1,"2]"],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"tokens":[01,2],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"tokens":[1,+2],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"tokens":[1,2,],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"tokens":[1,,2],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"tokens":[1 2],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"tokens":[5294967296],"reward":1}',
+    '{"prompt_id":"p","epoch":1,"tokens":[100000000000000000000],"reward":1}',
+]
+
+
+@pytest.mark.parametrize("record", EDGE_RECORDS)
+def test_edge_records_rejected_as_by_the_line_parser(tmp_path, record):
+    plain = '{"prompt_id":"p","epoch":1,"tokens":[1,2],"reward":1}\n'
+    path = tmp_path / "t.jsonl"
+    path.write_text(plain + record + "\n")
+    want = read_outcome(read_line_by_line, path)
+    assert isinstance(want, str) and f"{path} line 2: " in want
+    assert read_outcome(io.read_trace, path) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=trace_text(), chunk=st.sampled_from([1, 3, 128]))
+def test_read_trace_matches_the_line_parser(text, chunk):
+    """Whatever the chunk size, reading a trace gives the records, or the
+    error, that parsing it line by line gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(io, "READ_CHUNK_LINES", chunk):
+            got = read_outcome(io.read_trace, path)
+        assert got == read_outcome(read_line_by_line, path)
