@@ -11,8 +11,8 @@ an array, an empty token list, a token id outside [0, MAX_TOKEN] and a reward
 that is not finite. A token or epoch that is not a JSON integer is converted
 with `int()` when it is a string of an integer, an integral number or a
 boolean ("2", 3.0 and true are read as 2, 3 and 1), and rejected otherwise:
-3.5 is not truncated. Every rejection is a :class:`TraceFormatError` naming
-the file and the line.
+3.5 is not truncated. A byte that is not UTF-8 is rejected too. Every
+rejection is a :class:`TraceFormatError` naming the file and the line.
 
 :func:`read_trace` reads READ_CHUNK_LINES lines at a time. When every record
 of a chunk is plain, as `gen-trace` writes them (see
@@ -133,7 +133,9 @@ def read_trace(path: str | os.PathLike) -> list[Response]:
     """Read a JSONL trace, READ_CHUNK_LINES lines at a time: a chunk that
     :func:`_parse_plain_chunk` cannot prove plain is parsed line by line."""
     responses: list[Response] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 is decoded to a lone surrogate, so that the
+    # line holding it can be named (see _check_utf8).
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = 1
         while lines := list(islice(fh, READ_CHUNK_LINES)):
             chunk = _parse_plain_chunk(lines)
@@ -148,14 +150,27 @@ def _parse_lines(path, first: int, lines: list[str]) -> list[Response]:
     """Each non-blank line through :func:`parse_response_line`; an error names
     the file and the line, `first` being the number of `lines[0]`."""
     responses = []
-    for lineno, line in enumerate(lines, first):
-        line = line.strip()
+    for lineno, raw in enumerate(lines, first):
+        line = raw.strip()
         if line:
             try:
+                if not line.isascii():
+                    _check_utf8(raw)
                 responses.append(parse_response_line(line))
             except TraceFormatError as exc:
                 raise TraceFormatError(f"{path} line {lineno}: {exc}") from exc
     return responses
+
+
+def _check_utf8(line: str) -> None:
+    """Reject the first byte of `line` that was not UTF-8, which the reader
+    decoded to a lone surrogate."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        column = len(line[:exc.start].encode("utf-8")) + 1
+        byte = line[exc.start].encode("utf-8", "surrogateescape")[0]
+        raise TraceFormatError(f"byte 0x{byte:02x} at column {column} is not UTF-8") from None
 
 
 def _parse_plain_chunk(lines: list[str]) -> list[Response] | None:
@@ -183,6 +198,11 @@ def _parse_plain_chunk(lines: list[str]) -> list[Response] | None:
     joined = "".join(metas)
     if "\\" in joined or joined.count('"tokens"') != len(metas):
         return None
+    if not joined.isascii():
+        try:
+            joined.encode("utf-8")  # fails on a byte that was not UTF-8
+        except UnicodeEncodeError:
+            return None
     # numpy takes the line break between two lists as whitespace; no line
     # holds one, so it marks where each line's tokens end.
     try:

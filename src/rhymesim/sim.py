@@ -29,6 +29,15 @@ charge when they join a worker: a timed phase at the end of which their
 `v_start` is fixed. Inter-step ones finish under the next step's version and
 count toward the next step's batch.
 
+HistoSpec is one pass computed before the event loop (`histospec`): for every
+prompt of every step from 2 on, it builds the prompt's suffix index over its
+latest earlier epoch and replays the step's responses against it. It depends
+only on the trace and the `SpecConfig`, so it is split over the CPUs this
+process may use, one forked process per share beyond the one the simulating
+process computes itself. The batch gate only chooses: a share whose gate is
+open takes its responses' replays, and every other response decodes one
+token per iteration.
+
 The event log is the run's one record: `derive` computes the timeline,
 metrics, accounting and per-step speculation rows from it alone, in memory or
 from the `.events.jsonl` beside a run JSON. Each event has `time`, `seq` (its
@@ -57,18 +66,24 @@ place in the log) and `kind`, and each kind carries:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import itertools
 import json
 import math
+import os
+import pickle
+import signal
 import statistics
+import warnings
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import history
-from .history import Response, SuffixTree
+from .history import Response
 from .scheduler import (
     BETA_FLOOR,
     AllocationPlan,
@@ -372,6 +387,174 @@ class _GroupLoads(Mapping):
         return len(self._loads)
 
 
+class Replayed(NamedTuple):
+    """What the event loop needs of one response's HistoSpec replay."""
+
+    total_iters: int
+    profile: list[int] | None  # cumulative tokens per iteration; None = 1/iter
+    stats: SpecStats           # the response's counters
+
+
+# A HistoSpec unit: (step, prompt, the prompt's latest epoch before the step).
+_Unit = tuple[int, str, int]
+
+
+def histospec(trace: Trace, config: SpecConfig) -> dict[tuple[int, str], list[Replayed]]:
+    """Every response of every step from 2 on whose prompt appeared in an
+    earlier epoch, replayed against the prompt's index over the latest such
+    epoch: (step, prompt) -> one `Replayed` per group member, in order.
+
+    The units are split over the usable CPUs, balanced by token count. This
+    process computes one share and forks one child per other share; a child
+    pickles its results, or the exception that stopped it, into a pipe and
+    ends with `os._exit`. Every child is reaped before this returns or
+    raises, and a child's exception is raised here. Everything runs here
+    when there is one CPU or one unit, or when no process can be forked.
+    """
+    shares = _split(trace, _units(trace), _usable_cpus())
+    if not shares:
+        return {}
+    own = shares[0]
+    children: list[int] = []
+    pipes: list[int] = []  # the read end of each child's pipe
+    received: list[bytes] = []
+    try:
+        for share in shares[1:]:
+            child = _fork_share(trace, config, share)
+            if child is None:
+                own += share
+            else:
+                children.append(child[0])
+                pipes.append(child[1])
+        results = _replay_units(trace, config, own)
+        for fd in pipes:
+            with open(fd, "rb", closefd=False) as pipe:
+                received.append(pipe.read())
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        # A child not read to the end is still working or blocked on its pipe.
+        for pid in children[len(received):]:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+    for data in received:
+        try:
+            outcome = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("a HistoSpec process ended before sending its results") from None
+        if isinstance(outcome, BaseException):
+            raise outcome
+        results.update(outcome)
+    return results
+
+
+def _units(trace: Trace) -> list[_Unit]:
+    latest: dict[str, int] = {}  # prompt -> the last epoch it appeared in
+    units = []
+    for step in trace.epochs:
+        prompts = trace.prompts(step)
+        units += [(step, pid, latest[pid]) for pid in prompts if pid in latest]
+        latest.update(dict.fromkeys(prompts, step))
+    return units
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(trace: Trace, units: list[_Unit], parts: int) -> list[list[_Unit]]:
+    """At most `parts` non-empty shares of `units`, balanced by the tokens
+    each unit indexes and replays: the heaviest unit goes first, each to the
+    lightest share so far."""
+    def tokens(unit: _Unit) -> int:
+        step, pid, epoch = unit
+        return sum(len(r.tokens) for e in (epoch, step) for r in trace.group(e, pid))
+
+    shares: list[list[_Unit]] = [[] for _ in range(min(parts, len(units)))]
+    loads = [(0, i) for i in range(len(shares))]
+    for weight, unit in sorted(((tokens(u), u) for u in units), reverse=True):
+        load, i = heapq.heappop(loads)
+        shares[i].append(unit)
+        heapq.heappush(loads, (load + weight, i))
+    return shares
+
+
+def _replay_units(trace: Trace, config: SpecConfig,
+                  units: list[_Unit]) -> dict[tuple[int, str], list[Replayed]]:
+    # Both calls go through their modules' globals, so a wrapper set on
+    # `history.build_tree` or `sim.replay_response` (the traced benchmark
+    # run) sees the calls made in this process.
+    results = {}
+    for step, pid, epoch in units:
+        tree = history.build_tree(pid, epoch, trace.group(epoch, pid))
+        replays = []
+        for resp in trace.group(step, pid):
+            stats = SpecStats()
+            replay = replay_response(resp.tokens, tree, config, stats=stats)
+            profile = None
+            if replay.iterations != replay.total_tokens:
+                profile = list(itertools.accumulate(replay.tokens_per_iter))
+            replays.append(Replayed(replay.iterations, profile, stats))
+        results[step, pid] = replays
+    return results
+
+
+def _fork_share(trace: Trace, config: SpecConfig, units: list[_Unit]) -> tuple[int, int] | None:
+    """(pid, read end of its pipe) of a child computing `units`, or None when
+    no process can be forked."""
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with other OS threads forks,
+            # because a lock another thread holds stays held in the child.
+            # numpy's BLAS pool is such a thread. The child runs only this
+            # package's pure-Python index and replay code, takes no lock
+            # another thread could hold, and leaves through os._exit.
+            warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                outcome = _replay_units(trace, config, units)
+            except BaseException as exc:  # sent to the parent, which raises it
+                outcome = _picklable(exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _picklable(exc: BaseException) -> BaseException:
+    """`exc` if it survives pickling, else a RuntimeError naming its type
+    and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
 class _Simulation:
     def __init__(self, trace: Trace, cluster: ClusterSpec, policy: Policy,
                  cost: CostConfig, spec_config: SpecConfig):
@@ -392,9 +575,9 @@ class _Simulation:
         self._seq = 0
         self.now = 0.0
 
-        # Each prompt's latest index: a prompt missing from the last epoch
-        # keeps drafting from an older one. None without speculation.
-        self.trees: dict[str, SuffixTree] | None = {} if policy.speculation else None
+        # (step, prompt) -> its responses' HistoSpec replays, filled by run()
+        # before the event loop; empty without speculation.
+        self.replayed: dict[tuple[int, str], list[Replayed]] = {}
         self.stats = SpecStats()
 
         self.plans: dict[int, _StepPlan] = {}
@@ -435,7 +618,10 @@ class _Simulation:
         return {pid: known.get(pid, cold) for pid in self.trace.epoch_responses(step)}
 
     def _make_tasks(self, step: int, shares_raw: dict[int, list]) -> dict[int, list[_Task]]:
-        """Replay every assigned response and wrap it as a schedulable task."""
+        """Wrap every assigned response as a schedulable task. A share whose
+        batch gate is open takes its responses' HistoSpec replays; any other
+        response, or one whose prompt has no earlier epoch, is replayed
+        without an index. The counters are added in plan order."""
         flags = {wid: self.policy.speculation and step >= 2
                  and gate_check(self.spec_config, len(members), self.stats.acceptance_rate)
                  for wid, members in shares_raw.items()}
@@ -444,14 +630,17 @@ class _Simulation:
             share = []
             for member, resp, group_idx in shares_raw[wid]:
                 sid = f"{resp.prompt_id}/e{resp.epoch}/{member}"
-                tree = self.trees.get(resp.prompt_id) if flags[wid] else None
-                replay = replay_response(resp.tokens, tree, self.spec_config, stats=self.stats)
-                profile = None
-                if replay.iterations != replay.total_tokens:
-                    profile = list(itertools.accumulate(replay.tokens_per_iter))
+                replays = self.replayed.get((step, resp.prompt_id)) if flags[wid] else None
+                if replays is None:
+                    replay = replay_response(resp.tokens, None, self.spec_config,
+                                             stats=self.stats)
+                    total_iters, profile = replay.iterations, None
+                else:
+                    total_iters, profile, stats = replays[member]
+                    self.stats.add(stats)
                 share.append(_Task(
                     sid=sid, prompt=resp.prompt_id, epoch=resp.epoch, member=member,
-                    tokens_len=resp.generated_len, total_iters=replay.iterations,
+                    tokens_len=resp.generated_len, total_iters=total_iters,
                     profile=profile, group=group_idx, weight_version=step - 1, worker=wid,
                 ))
             shares[wid] = share
@@ -462,15 +651,6 @@ class _Simulation:
             return self.plans[step]
         if step > 1:
             self._ensure_plan(step - 1)
-
-        if self.trees is not None and step >= 2:
-            # History becomes visible at epoch granularity: step k drafts from
-            # the previous epoch's responses. Called through the module, so a
-            # wrapper set on `history.build_tree` (the traced benchmark run)
-            # sees every build.
-            prev = self.trace.epoch_responses(step - 1)
-            self.trees.update((pid, history.build_tree(pid, step - 1, prev[pid]))
-                              for pid in sorted(prev))
 
         before = vars(self.stats).copy()
         if self.policy.is_histopipe and step >= 2:
@@ -776,16 +956,12 @@ class _Simulation:
 
         Only a group down to its last alpha% (`in_straggler_tail`) can
         migrate anything, so the per-rollout test runs over those groups'
-        live workers alone, and the check returns at once when no group is
-        in its tail. That is exact: an intra-step migration only raises its
-        target group's total, and an inter-step one only lowers the scanned
-        group's own, so no group enters its tail during a check. A group can
-        leave it, by receiving a migrant before its own scan, so each group's
-        tail test is made when its scan begins. Only a worker's own scan can
-        drain it, so the workers live at its scan are those live when the
-        check began. Progress is read off each worker's clock and nothing is
-        committed here; a migration commits the two workers whose batches it
-        changes.
+        live workers alone. Each group is tested once, when its scan begins:
+        a group can leave its tail during a check, by receiving a migrant
+        before its own scan. Only a worker's own scan can drain it, so the
+        workers live at its scan are those live when the check began.
+        Progress is read off each worker's clock and nothing is committed
+        here; a migration commits the two workers whose batches it changes.
 
         The groups' loads are read by the first intra-step candidate, if
         any. The groups are scanned in index order, so every such candidate,
@@ -794,8 +970,6 @@ class _Simulation:
         """
         policy = MigrationPolicy(beta=self._beta_for_step(plan.step))
         completed, total = plan.group_completed, plan.group_total
-        if not any(in_straggler_tail(completed.get(g, 0), n, policy) for g, n in total.items()):
-            return
         n_groups = self.cluster.n_groups
         active_loads = _GroupLoads(self.workers, plan)
         for g, wids in plan.group_workers.items():
@@ -972,6 +1146,8 @@ class _Simulation:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> SimResult:
+        if self.policy.speculation:
+            self.replayed = histospec(self.trace, self.spec_config)
         for worker in self.workers:
             self._push(0.0, "start", (worker.wid, 1))
         while self._heap:

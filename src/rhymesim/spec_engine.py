@@ -56,6 +56,14 @@ class SpecStats:
     verify_passes: int = 0
     decode_passes: int = 0
 
+    def add(self, other: SpecStats) -> None:
+        """Add `other`'s counters to these."""
+        self.tokens_total += other.tokens_total
+        self.tokens_speculated += other.tokens_speculated
+        self.tokens_accepted += other.tokens_accepted
+        self.verify_passes += other.verify_passes
+        self.decode_passes += other.decode_passes
+
     @property
     def speculation_rate(self) -> float:
         return self.tokens_accepted / self.tokens_total if self.tokens_total else 0.0

@@ -301,6 +301,19 @@ class TestRunSim:
         assert f"t.jsonl line {len(records) // 2 + 1}: bad trace record" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_trace_exits_two_naming_the_line(self, workspace, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        lines = trace_path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"prompt_id":"', b'"prompt_id":"\xff', 1)
+        trace_path.write_bytes(b"".join(lines))
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "streaming", "--out", str(out)]) == EXIT_CONFIG
+        assert "t.jsonl line 2: byte 0xff at column" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trace_io_error(self, workspace):
         tmp_path, _, cluster_path = workspace
         assert main(["run-sim", "--trace", str(tmp_path / "nope.jsonl"),

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from collections import defaultdict
 from unittest import mock
 
@@ -380,6 +381,117 @@ class TestPromptSetChanges:
         assert res.metrics.samples == len(responses)
         assert len(res.accounting["completed"]) == len(responses)
         assert {sid.rsplit("/", 1)[0] for sid in res.accounting["completed"]} == expected
+
+
+class TestHistoSpecPass:
+    """The HistoSpec pass split over forked processes gives the same run as
+    the pass computed in this process alone, and leaves no process behind.
+    A hung child fails the test through `time_limit`, whose alarm interrupts
+    the wait for it."""
+
+    @staticmethod
+    def events(monkeypatch, cpus, responses, cluster, policy, spec_config=None):
+        forked = []
+        fork_share = sim_module._fork_share
+
+        def counted(*args):
+            child = fork_share(*args)
+            forked.append(child is not None)
+            return child
+
+        monkeypatch.setattr(sim_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sim_module, "_fork_share", counted)
+        res = run(responses, cluster, policy, fast_cost(), spec_config)
+        assert any(forked) == (cpus > 1) and len(forked) < cpus
+        return res.events_jsonl()
+
+    CASES = {
+        "longtail": (lambda: longtail_trace(epochs=3), ClusterSpec(**CLUSTER)),
+        "dropped": (lambda: edited_prompt_set_traces()["dropped"],
+                    ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4)),
+        "added": (lambda: edited_prompt_set_traces()["added"],
+                  ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4)),
+    }
+
+    @pytest.mark.parametrize("policy", ["streaming", "histopipe_two_tier"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_cpu_gives_the_forked_events(self, monkeypatch, time_limit, case, policy):
+        make, cluster = self.CASES[case]
+        responses = make()
+        logs = [self.events(monkeypatch, cpus, responses, cluster,
+                            Policy(policy, speculation=True)) for cpus in (1, 3)]
+        assert logs[0] == logs[1]
+
+    def test_closed_gate_shares_give_the_forked_events(self, monkeypatch, time_limit):
+        # Two-tier shares of 6 to 48 responses; the gate closes those above 16.
+        gated = []
+        check = sim_module.gate_check
+
+        def spy(*args):
+            gated.append(check(*args))
+            return gated[-1]
+
+        monkeypatch.setattr(sim_module, "gate_check", spy)
+        config = sim_module.SpecConfig(gate_table=(16,) * 10)
+        logs = [self.events(monkeypatch, cpus, longtail_trace(epochs=3),
+                            ClusterSpec(**CLUSTER), Policy("histopipe_two_tier", speculation=True),
+                            config) for cpus in (1, 2)]
+        assert logs[0] == logs[1]
+        assert True in gated and False in gated
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_outlives_a_run(self, monkeypatch, time_limit):
+        monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 3)
+        run(edited_prompt_set_traces()["added"],
+            ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
+            Policy("streaming", speculation=True), fast_cost())
+        self.assert_no_child_left()
+
+    @staticmethod
+    def fail_builds(monkeypatch, where, exc):
+        """Make `history.build_tree` raise `exc` in this process ("parent")
+        or in the forked ones ("child")."""
+        parent = os.getpid()
+        build = sim_module.history.build_tree
+
+        def failing(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise exc
+            return build(*args)
+
+        monkeypatch.setattr(sim_module.history, "build_tree", failing)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failed_build_raises_and_leaves_no_child(self, monkeypatch, time_limit, where):
+        # A build failing in a child reaches the caller with its type and
+        # message; one failing in this process stops the children.
+        monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 3)
+        self.fail_builds(monkeypatch, where, LookupError(f"index build failed in the {where}"))
+        with pytest.raises(LookupError, match=f"^index build failed in the {where}$"):
+            run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
+                Policy("histopipe_two_tier", speculation=True), fast_cost())
+        self.assert_no_child_left()
+
+    def test_unpicklable_child_error_keeps_its_type_name_and_message(self, monkeypatch,
+                                                                     time_limit):
+        class Unpicklable(Exception):  # local classes cannot be pickled
+            pass
+
+        monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
+        self.fail_builds(monkeypatch, "child", Unpicklable("no way back"))
+        with pytest.raises(RuntimeError, match="^Unpicklable: no way back$"):
+            run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
+                Policy("streaming", speculation=True), fast_cost())
+        self.assert_no_child_left()
+
+    def test_no_fork_without_speculation(self, monkeypatch):
+        monkeypatch.setattr(sim_module, "_fork_share", None)  # calling it would fail
+        run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy("histopipe_two_tier"),
+            fast_cost())
 
 
 class TestPinnedEventLogs:

@@ -10,15 +10,20 @@ is infeasible or migrates shows with `--hypothesis-show-statistics`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import rhymesim.sim as sim_module
+from rhymesim.history import build_tree
 from rhymesim.scheduler import MigrationPolicy, in_straggler_tail
-from rhymesim.sim import ClusterSpec, CostConfig, InfeasiblePlanError, Policy, run
+from rhymesim.sim import ClusterSpec, CostConfig, InfeasiblePlanError, Policy, histospec, run
+from rhymesim.spec_engine import SpecConfig, SpecStats, replay_response
 from rhymesim.tracegen import Trace, TraceSpec, generate
 
 COST = CostConfig(per_iter_base=0.004, per_iter_batch=0.0008, reward_time=0.002,
@@ -237,3 +242,34 @@ def test_simulator_invariants(name, speculation, oversample_pct, drawn):
     check_worker_intervals(res)
     check_migrations(res, trace, policy)
     assert run(trace, cluster, policy, COST).events_jsonl() == res.events_jsonl()
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=small_runs(), cpus=st.integers(1, 3),
+       config=st.builds(SpecConfig, window_init=st.integers(1, 4), prefix_init=st.integers(3, 7),
+                        prefix_min=st.just(2)))
+def test_histospec_replays_against_the_latest_earlier_index(drawn, cpus, config):
+    """Each response of a step from 2 on whose prompt appeared before is
+    replayed against the index over the prompt's latest earlier epoch,
+    however the units are split; no other response has a replay."""
+    trace = Trace(drawn[0])
+    with mock.patch.object(sim_module, "_usable_cpus", lambda: cpus):
+        got = histospec(trace, config)
+    want = {}
+    for step in trace.epochs:
+        for pid in trace.prompts(step):
+            earlier = [e for e in trace.epochs if e < step and pid in trace.prompts(e)]
+            if not earlier:
+                continue
+            tree = build_tree(pid, earlier[-1], trace.group(earlier[-1], pid))
+            want[step, pid] = []
+            for resp in trace.group(step, pid):
+                stats = SpecStats()
+                replay = replay_response(resp.tokens, tree, config, stats=stats)
+                want[step, pid].append(
+                    (replay.iterations, list(itertools.accumulate(replay.tokens_per_iter)), stats))
+    assert got.keys() == want.keys()
+    for key, replays in got.items():
+        # A profile of None is one token per iteration.
+        assert [(r.total_iters, r.profile or list(range(1, r.total_iters + 1)), r.stats)
+                for r in replays] == want[key]

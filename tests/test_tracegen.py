@@ -187,6 +187,35 @@ class TestGenerate:
                            match=re.escape(f"{path} line {bad}: bad trace record: token must")):
             io.read_trace(path)
 
+    @pytest.mark.parametrize("field", ["prompt_id", "tokens"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, field):
+        # The bad byte sits in the third chunk, in a string or in a token list.
+        lines = [io.response_to_json(r) + "\n" for r in generate(small_spec(num_prompts=30))]
+        bad = 2 * io.READ_CHUNK_LINES + 5
+        line = lines[bad - 1].encode()
+        line = line.replace(b'":"', b'":"\xff', 1) if field == "prompt_id" else \
+            line.replace(b'"tokens":[', b'"tokens":[\xff', 1)
+        column = line.index(b"\xff") + 1
+        path = tmp_path / "t.jsonl"
+        path.write_bytes("".join(lines[:bad - 1]).encode() + line
+                         + "".join(lines[bad:]).encode())
+        with pytest.raises(io.TraceFormatError,
+                           match=re.escape(f"{path} line {bad}: byte 0xff at column "
+                                           f"{column} is not UTF-8")):
+            io.read_trace(path)
+
+    def test_non_ascii_utf8_read_without_the_line_parser(self, tmp_path):
+        responses = [Response(f"p\u00e9{i}", 1, [1, 2, i], 1.0) for i in range(5)]
+        path = tmp_path / "t.jsonl"
+        path.write_bytes("".join(json.dumps({"prompt_id": r.prompt_id, "epoch": 1,
+                                             "tokens": list(r.tokens), "reward": 1.0},
+                                            ensure_ascii=False) + "\n"
+                                 for r in responses).encode())
+        with mock.patch.object(io, "parse_response_line", side_effect=AssertionError):
+            loaded = io.read_trace(path)
+        assert [(r.prompt_id, list(r.tokens)) for r in loaded] == [
+            (r.prompt_id, list(r.tokens)) for r in responses]
+
     def test_deeply_nested_record_rejected(self, tmp_path):
         # json gives up on it with a RecursionError, not a JSONDecodeError.
         path = tmp_path / "t.jsonl"
