@@ -12,7 +12,8 @@ that is not finite. A token or epoch that is not a JSON integer is converted
 with `int()` when it is a string of an integer, an integral number or a
 boolean ("2", 3.0 and true are read as 2, 3 and 1), and rejected otherwise:
 3.5 is not truncated. A byte that is not UTF-8 is rejected too. Every
-rejection is a :class:`TraceFormatError` naming the file and the line.
+rejection is a :class:`TraceFormatError` naming the file and the line, or
+only the file when it holds no record at all.
 
 :func:`read_trace` reads READ_CHUNK_LINES lines at a time. When every record
 of a chunk is plain, as `gen-trace` writes them (see
@@ -130,8 +131,9 @@ def write_trace(path: str | os.PathLike, responses: Iterable[Response]) -> None:
 
 
 def read_trace(path: str | os.PathLike) -> list[Response]:
-    """Read a JSONL trace, READ_CHUNK_LINES lines at a time: a chunk that
-    :func:`_parse_plain_chunk` cannot prove plain is parsed line by line."""
+    """Read a JSONL trace of at least one record, READ_CHUNK_LINES lines at a
+    time: a chunk that :func:`_parse_plain_chunk` cannot prove plain is parsed
+    line by line."""
     responses: list[Response] = []
     # A byte that is not UTF-8 is decoded to a lone surrogate, so that the
     # line holding it can be named (see _check_utf8).
@@ -143,6 +145,8 @@ def read_trace(path: str | os.PathLike) -> list[Response]:
                 chunk = _parse_lines(path, first, lines)
             responses += chunk
             first += len(lines)
+    if not responses:
+        raise TraceFormatError(f"{path} holds no trace records")
     return responses
 
 

@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulation of the rollout/reward/train pipeline.
 
-One simulated step replays one trace epoch: every response's content and
-iteration profile come from the speculation engine replay, and the event loop
-only decides *when* things happen. A rollout worker is a processor-sharing
+One simulated step replays one trace epoch: every response's content comes
+from the trace, its iteration profile from its HistoSpec replay or, when it
+is not speculated, one token per iteration, and the event loop only decides
+*when* things happen. A rollout worker is a processor-sharing
 server: all of its in-flight responses advance one iteration per
 `t_iter(batch)`. Each worker therefore keeps one iteration clock `v`, the
 iterations a decoding response has completed since the worker's step began,
@@ -34,9 +35,11 @@ prompt of every step from 2 on, it builds the prompt's suffix index over its
 latest earlier epoch and replays the step's responses against it. It depends
 only on the trace and the `SpecConfig`, so it is split over the CPUs this
 process may use, one forked process per share beyond the one the simulating
-process computes itself. The batch gate only chooses: a share whose gate is
-open takes its responses' replays, and every other response decodes one
-token per iteration.
+process computes itself. Each response's replay is one
+`spec_engine.Replayed`: its iteration count, its cumulative profile as C ints
+and its counters. The batch gate only chooses: a share whose gate is open
+takes its responses' replays, and every other response decodes one token per
+iteration without any call into the engine.
 
 The event log is the run's one record: `derive` computes the timeline,
 metrics, accounting and per-step speculation rows from it alone, in memory or
@@ -45,7 +48,7 @@ place in the log) and `kind`, and each kind carries:
 
 - `step_boundary`: `step`, the planning `policy`, `workers` (worker id ->
   group), the two-tier `allocation` or null, and `replay`, the `SpecStats`
-  counters of the step's replayed responses.
+  counters of the step's responses, replayed or not.
 - `share_start`, `share_end`: `worker`, `step`. A share runs from a worker's
   first rollout of a step to its last; a continuation handed to a drained
   worker opens another.
@@ -69,7 +72,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
-import itertools
 import json
 import math
 import os
@@ -77,10 +79,10 @@ import pickle
 import signal
 import statistics
 import warnings
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 from . import history
 from .history import Response
@@ -99,7 +101,7 @@ from .scheduler import (
     plan_allocation,
     prompt_stats,
 )
-from .spec_engine import SpecConfig, SpecStats, gate_check, replay_response
+from .spec_engine import Replayed, SpecConfig, SpecStats, gate_check, replay_response
 from .tracegen import Trace
 
 POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
@@ -215,6 +217,15 @@ class CostConfig:
     train_per_sample: float = 0.005
     context_switch_frac: float = 0.05  # colocated only, fraction of train time
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        # A zero iteration time would finish every rollout at the instant it
+        # starts, and the event loop would never advance.
+        if not self.per_iter_base + self.per_iter_batch > 0:
+            raise ValueError("per_iter_base + per_iter_batch must be > 0")
+
     def t_iter(self, batch: int) -> float:
         return self.per_iter_base + self.per_iter_batch * batch
 
@@ -236,6 +247,10 @@ class ClusterSpec:
             raise ValueError("need at least one rollout and one reward worker")
         if self.rollout_workers < self.n_groups * self.min_wks:
             raise ValueError("rollout_workers must cover n_groups * min_wks")
+        if not (math.isfinite(self.weight_propagation_delay)
+                and self.weight_propagation_delay >= 0):
+            raise ValueError("weight_propagation_delay must be finite and >= 0, "
+                             f"got {self.weight_propagation_delay}")
 
 
 @dataclass
@@ -310,7 +325,7 @@ class _Task:
     member: int
     tokens_len: int
     total_iters: int
-    profile: list[int] | None  # cumulative tokens per iteration; None = 1/iter
+    profile: array | None  # cumulative tokens after each iteration; None = 1/iter
     group: int | None
     weight_version: int
     v_start: float = 0.0      # worker clock at progress 0; inf while prefilling
@@ -385,14 +400,6 @@ class _GroupLoads(Mapping):
 
     def __len__(self) -> int:
         return len(self._loads)
-
-
-class Replayed(NamedTuple):
-    """What the event loop needs of one response's HistoSpec replay."""
-
-    total_iters: int
-    profile: list[int] | None  # cumulative tokens per iteration; None = 1/iter
-    stats: SpecStats           # the response's counters
 
 
 # A HistoSpec unit: (step, prompt, the prompt's latest epoch before the step).
@@ -493,15 +500,8 @@ def _replay_units(trace: Trace, config: SpecConfig,
     results = {}
     for step, pid, epoch in units:
         tree = history.build_tree(pid, epoch, trace.group(epoch, pid))
-        replays = []
-        for resp in trace.group(step, pid):
-            stats = SpecStats()
-            replay = replay_response(resp.tokens, tree, config, stats=stats)
-            profile = None
-            if replay.iterations != replay.total_tokens:
-                profile = list(itertools.accumulate(replay.tokens_per_iter))
-            replays.append(Replayed(replay.iterations, profile, stats))
-        results[step, pid] = replays
+        results[step, pid] = [replay_response(resp.tokens, tree, config)
+                              for resp in trace.group(step, pid)]
     return results
 
 
@@ -620,8 +620,8 @@ class _Simulation:
     def _make_tasks(self, step: int, shares_raw: dict[int, list]) -> dict[int, list[_Task]]:
         """Wrap every assigned response as a schedulable task. A share whose
         batch gate is open takes its responses' HistoSpec replays; any other
-        response, or one whose prompt has no earlier epoch, is replayed
-        without an index. The counters are added in plan order."""
+        response, or one whose prompt has no earlier epoch, decodes one token
+        per iteration. The counters are added in plan order."""
         flags = {wid: self.policy.speculation and step >= 2
                  and gate_check(self.spec_config, len(members), self.stats.acceptance_rate)
                  for wid, members in shares_raw.items()}
@@ -631,17 +631,14 @@ class _Simulation:
             for member, resp, group_idx in shares_raw[wid]:
                 sid = f"{resp.prompt_id}/e{resp.epoch}/{member}"
                 replays = self.replayed.get((step, resp.prompt_id)) if flags[wid] else None
-                if replays is None:
-                    replay = replay_response(resp.tokens, None, self.spec_config,
-                                             stats=self.stats)
-                    total_iters, profile = replay.iterations, None
-                else:
-                    total_iters, profile, stats = replays[member]
-                    self.stats.add(stats)
+                replay = None if replays is None else replays[member]
+                self.stats.count(resp.generated_len, replay)
                 share.append(_Task(
                     sid=sid, prompt=resp.prompt_id, epoch=resp.epoch, member=member,
-                    tokens_len=resp.generated_len, total_iters=total_iters,
-                    profile=profile, group=group_idx, weight_version=step - 1, worker=wid,
+                    tokens_len=resp.generated_len,
+                    total_iters=resp.generated_len if replay is None else replay.iterations,
+                    profile=None if replay is None else replay.profile,
+                    group=group_idx, weight_version=step - 1, worker=wid,
                 ))
             shares[wid] = share
         return shares

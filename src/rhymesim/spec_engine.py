@@ -11,19 +11,23 @@ gate disables speculation outright when the worker's batch is already large
 enough that verification overhead would not pay off at the observed
 acceptance rate.
 
-:func:`replay_response` runs one response to completion as a single loop
-over plain integers (position, window size, prefix length); a response
-replayed without a tree takes one iteration per token. A response walks its
-prompt's index once, up front: `SuffixTree.match_lengths` gives, at every
-position, the longest suffix of the truth so far that occurs in the history.
-A lookup prefix occurs exactly when that length reaches its own, so the index
-is asked for a draft only then, and a miss costs one comparison.
+:func:`replay_response` runs one response against its prompt's index as a
+single loop over plain integers (position, window size, prefix length) and
+returns one :class:`Replayed`. A response that is not speculated is never
+replayed: it decodes one token per iteration, and :meth:`SpecStats.count`
+adds its counters as it adds a replay's. A response walks its prompt's index
+once, up front: `SuffixTree.match_lengths` gives, at every position, the
+longest suffix of the truth so far that occurs in the history. A lookup
+prefix occurs exactly when that length reaches its own, so the index is
+asked for a draft only then, and a miss costs one comparison.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .history import SuffixTree
 
@@ -46,9 +50,19 @@ def verify(draft: list[int], truth: Sequence[int]) -> int:
     return n
 
 
+class Replayed(NamedTuple):
+    """One response's replay against its prompt's index."""
+
+    iterations: int
+    profile: array | None  # cumulative tokens after each iteration; None = 1/iter
+    drafted: int
+    accepted: int
+    verify_passes: int
+
+
 @dataclass
 class SpecStats:
-    """Token and pass counters summed over every replayed response."""
+    """Token and pass counters summed over responses, replayed or not."""
 
     tokens_total: int = 0
     tokens_speculated: int = 0
@@ -56,13 +70,17 @@ class SpecStats:
     verify_passes: int = 0
     decode_passes: int = 0
 
-    def add(self, other: SpecStats) -> None:
-        """Add `other`'s counters to these."""
-        self.tokens_total += other.tokens_total
-        self.tokens_speculated += other.tokens_speculated
-        self.tokens_accepted += other.tokens_accepted
-        self.verify_passes += other.verify_passes
-        self.decode_passes += other.decode_passes
+    def count(self, tokens: int, replay: Replayed | None = None) -> None:
+        """Add the counters of one response of `tokens` tokens, replayed as
+        `replay`, or decoded one token per iteration when it is None."""
+        self.tokens_total += tokens
+        if replay is None:
+            self.decode_passes += tokens
+            return
+        self.tokens_speculated += replay.drafted
+        self.tokens_accepted += replay.accepted
+        self.verify_passes += replay.verify_passes
+        self.decode_passes += replay.iterations - replay.verify_passes
 
     @property
     def speculation_rate(self) -> float:
@@ -96,6 +114,8 @@ class SpecConfig:
     def __post_init__(self):
         if not (1 <= self.window_init <= self.window_max):
             raise ValueError(f"window needs 1 <= window_init <= window_max: {self}")
+        if self.window_add < 0:
+            raise ValueError(f"window_add must be >= 0, got {self.window_add}")
         if not (1 <= self.prefix_min <= self.prefix_init):
             raise ValueError(f"prefix needs 1 <= prefix_min <= prefix_init: {self}")
         table = self.gate_table = tuple(int(v) for v in self.gate_table)
@@ -128,78 +148,56 @@ def next_prefix_len(config: SpecConfig, length: int, found: bool) -> int:
     return max(length - 1, config.prefix_min)
 
 
-@dataclass
-class ResponseReplay:
-    """Full replay of one response: tokens landed per engine iteration."""
-
-    tokens_per_iter: list[int]
-    drafted: int
-    accepted: int
-
-    @property
-    def iterations(self) -> int:
-        return len(self.tokens_per_iter)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(self.tokens_per_iter)
-
-
-def replay_response(truth: Sequence[int], tree: SuffixTree | None, config: SpecConfig,
-                    stats: SpecStats | None = None) -> ResponseReplay:
-    """Run a response to completion and report its iteration profile.
+def replay_response(truth: Sequence[int], tree: SuffixTree, config: SpecConfig) -> Replayed:
+    """Run a response to completion against `tree` and report its iteration
+    profile and counters.
 
     Each iteration is either a plain decode of one token or a draft+verify
-    pass that lands the accepted run plus its bonus token. With `tree` None
-    nothing is drafted. `stats`, when given, receives the response's counters.
+    pass that lands the accepted run plus its bonus token, so every
+    iteration lands at least one token.
     """
     n = len(truth)
-    per_iter: list[int] = []
+    # Cumulative tokens after each iteration. It grows as a list: CPython
+    # appends to a list about three times as fast as to an array.
+    profile: list[int] = []
     drafted = accepted = verify_passes = 0
-    if tree is None:
-        per_iter = [1] * n
-    else:
-        # The prefix ending at pos occurs exactly when matched[pos - 1] is at
-        # least its length.
-        matched = tree.match_lengths(truth)
-        pos = 0
-        window = config.window_init
-        prefix_len = config.prefix_init
-        prefix_min = config.prefix_min
-        while pos < n:
-            if pos < prefix_len:
-                pos += 1
-                per_iter.append(1)
-                continue
-            if matched[pos - 1] < prefix_len:
-                # A miss: decode, and shrink the prefix as next_prefix_len
-                # does, inlined since most iterations of a dissimilar
-                # response end here.
-                pos += 1
-                per_iter.append(1)
-                if prefix_len > prefix_min:
-                    prefix_len -= 1
-                continue
-            draft = tree.extract_draft(truth[pos - prefix_len : pos], window).tokens
-            prefix_len = next_prefix_len(config, prefix_len, True)
-            if not draft:
-                # Plain decode: the prefix occurs only at the ends of responses.
-                pos += 1
-                per_iter.append(1)
-                continue
-            landed = verify(draft, truth[pos : pos + len(draft)])
-            # The verify forward pass itself emits the next token.
-            bonus = 1 if pos + landed < n else 0
-            pos += landed + bonus
-            per_iter.append(landed + bonus)
-            drafted += len(draft)
-            accepted += landed
-            verify_passes += 1
-            window = next_window(config, window, landed == len(draft))
-    if stats is not None:
-        stats.tokens_total += n
-        stats.tokens_speculated += drafted
-        stats.tokens_accepted += accepted
-        stats.verify_passes += verify_passes
-        stats.decode_passes += len(per_iter) - verify_passes
-    return ResponseReplay(per_iter, drafted, accepted)
+    # The prefix ending at pos occurs exactly when matched[pos - 1] is at
+    # least its length.
+    matched = tree.match_lengths(truth)
+    pos = 0
+    window = config.window_init
+    prefix_len = config.prefix_init
+    prefix_min = config.prefix_min
+    while pos < n:
+        if pos < prefix_len:
+            pos += 1
+            profile.append(pos)
+            continue
+        if matched[pos - 1] < prefix_len:
+            # A miss: decode, and shrink the prefix as next_prefix_len
+            # does, inlined since most iterations of a dissimilar
+            # response end here.
+            pos += 1
+            profile.append(pos)
+            if prefix_len > prefix_min:
+                prefix_len -= 1
+            continue
+        draft = tree.extract_draft(truth[pos - prefix_len : pos], window).tokens
+        prefix_len = next_prefix_len(config, prefix_len, True)
+        if not draft:
+            # Plain decode: the prefix occurs only at the ends of responses.
+            pos += 1
+            profile.append(pos)
+            continue
+        landed = verify(draft, truth[pos : pos + len(draft)])
+        # The verify forward pass itself emits the next token.
+        bonus = 1 if pos + landed < n else 0
+        pos += landed + bonus
+        profile.append(pos)
+        drafted += len(draft)
+        accepted += landed
+        verify_passes += 1
+        window = next_window(config, window, landed == len(draft))
+    iterations = len(profile)
+    return Replayed(iterations, array("i", profile) if iterations != n else None,
+                    drafted, accepted, verify_passes)

@@ -131,6 +131,17 @@ class TestAnalyze:
         assert f"trace has no epoch {argv[-1].split(',')[-1]}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_tree_stats_of_a_trace_without_records_exits_two(self, tmp_path, text, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(text)
+        out = tmp_path / "stats.json"
+        assert main(["analyze", "tree-stats", "--trace", str(empty),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{empty} holds no trace records" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPlanAlloc:
     def test_matches_library_plan(self, tmp_path, capsys):
@@ -314,6 +325,16 @@ class TestRunSim:
         assert "t.jsonl line 2: byte 0xff at column" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_without_records_exits_two(self, workspace, capsys):
+        tmp_path, _, cluster_path = workspace
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "x.json"
+        assert main(["run-sim", "--trace", str(empty), "--cluster", str(cluster_path),
+                     "--policy", "streaming", "--out", str(out)]) == EXIT_CONFIG
+        assert f"{empty} holds no trace records" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trace_io_error(self, workspace):
         tmp_path, _, cluster_path = workspace
         assert main(["run-sim", "--trace", str(tmp_path / "nope.jsonl"),
@@ -340,6 +361,28 @@ class TestRunSim:
         bad.write_text(json.dumps(cfg))
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
                      "--policy", "streaming", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("values", [
+        {"cost.per_iter_base": 0, "cost.per_iter_batch": 0},
+        {"cost.per_iter_batch": -0.0008},
+        {"cost.reward_time": -0.01},
+        {"cost.context_switch_frac": math.inf},
+        {"cluster.weight_propagation_delay": -0.1},
+        {"spec.window_add": -5},
+    ])
+    def test_bad_value_exits_two_naming_the_key(self, workspace, values, time_limit, capsys):
+        # A zero iteration time would never let the run end: the time limit
+        # turns that into a failure.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = {**json.loads(cluster_path.read_text()), **values}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
+                     "--policy", "histopipe_two_tier", "--out", str(out)]) == EXIT_CONFIG
+        assert list(values)[-1].split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fixed_step_overhead_config_rejected(self, workspace, capsys):
         # The simulator never charged it, so the key is gone.

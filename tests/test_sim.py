@@ -5,7 +5,7 @@ import itertools
 import json
 import math
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from unittest import mock
 
 import pytest
@@ -318,6 +318,28 @@ class TestPolicyBehavior:
             run(Trace(generate(spec)), ClusterSpec(rollout_workers=4, reward_workers=2, n_groups=2),
                 Policy("histopipe_naive"), fast_cost())
 
+    @pytest.mark.parametrize("key,value", [
+        ("per_iter_base", -0.001), ("per_iter_batch", -1e-4), ("prefill_per_token", math.nan),
+        ("reward_time", -0.01), ("train_base", math.inf), ("train_per_sample", -0.005),
+        ("context_switch_frac", -0.5),
+    ])
+    def test_bad_cost_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            fast_cost(**{key: value})
+
+    def test_zero_iteration_time_rejected(self):
+        # The event loop would push every completion at the time it starts
+        # and never advance.
+        with pytest.raises(ValueError, match="per_iter_base"):
+            fast_cost(per_iter_base=0.0, per_iter_batch=0.0)
+        assert fast_cost(per_iter_base=0.0).t_iter(1) > 0
+        assert fast_cost(per_iter_batch=0.0).t_iter(1) > 0
+
+    @pytest.mark.parametrize("delay", [-0.1, math.nan])
+    def test_bad_weight_propagation_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="weight_propagation_delay"):
+            ClusterSpec(**CLUSTER, weight_propagation_delay=delay)
+
 
 class TestEventLog:
     def test_events_are_time_ordered_and_json_round_trip(self):
@@ -487,6 +509,42 @@ class TestHistoSpecPass:
             run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
                 Policy("streaming", speculation=True), fast_cost())
         self.assert_no_child_left()
+
+    @staticmethod
+    def replayed_tokens(monkeypatch, trace, policy):
+        """The token arrays `sim.replay_response` was called with, in a run on
+        one CPU, so that every call is made in this process."""
+        calls = []
+        replay = sim_module.replay_response
+
+        def spy(truth, tree, config):
+            calls.append(truth)
+            return replay(truth, tree, config)
+
+        monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(sim_module, "replay_response", spy)
+        run(trace, ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4), policy,
+            fast_cost())
+        return calls
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_plain_decoding_makes_no_replay_call(self, monkeypatch, policy):
+        trace = Trace(edited_prompt_set_traces()["added"])
+        assert self.replayed_tokens(monkeypatch, trace, Policy(policy)) == []
+
+    @pytest.mark.parametrize("policy", ["streaming", "histopipe_two_tier"])
+    @pytest.mark.parametrize("edit", ["dropped", "added"])
+    def test_one_replay_call_per_response_with_history(self, monkeypatch, edit, policy):
+        # Step-1 responses, and those of a prompt new in their step, decode
+        # one token per iteration without a call.
+        trace = Trace(edited_prompt_set_traces()[edit])
+        calls = self.replayed_tokens(monkeypatch, trace, Policy(policy, speculation=True))
+        seen, want = set(), []
+        for step in trace.epochs:
+            want += [id(r.tokens) for pid in trace.prompts(step) if pid in seen
+                     for r in trace.group(step, pid)]
+            seen.update(trace.prompts(step))
+        assert Counter(map(id, calls)) == Counter(want)
 
     def test_no_fork_without_speculation(self, monkeypatch):
         monkeypatch.setattr(sim_module, "_fork_share", None)  # calling it would fail

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rhymesim.history import Response, build_tree
 from rhymesim.spec_engine import (
+    Replayed,
     SpecConfig,
     SpecStats,
     gate_check,
@@ -50,6 +54,9 @@ class TestAimdWindow:
             SpecConfig(window_init=64)
         with pytest.raises(ValueError):
             SpecConfig(window_init=0)
+        with pytest.raises(ValueError, match="window_add"):
+            SpecConfig(window_add=-5)
+        assert SpecConfig(window_add=0).window_add == 0
 
 
 class TestPrefixPolicy:
@@ -129,15 +136,25 @@ class SpyTree:
         return result
 
 
+def landed(replay: Replayed) -> list[int]:
+    """The cumulative tokens after each iteration of `replay`."""
+    if replay.profile is None:
+        return list(range(1, replay.iterations + 1))
+    return list(replay.profile)
+
+
 def assert_replays_agree(truth, tree, config):
     """`replay_response` equals the per-iteration sliced replay on the
-    iteration profile and every counter; returns the sliced lookups."""
-    stats = SpecStats()
-    replay = replay_response(truth, tree, config, stats=stats)
+    cumulative profile, which is None exactly when every iteration lands one
+    token, and on every counter; returns the sliced lookups."""
+    replay = replay_response(truth, tree, config)
     per_iter, drafted, accepted, verify_passes, lookups = oracles.sliced_replay(
         truth, tree, config)
-    assert (replay.tokens_per_iter, replay.drafted, replay.accepted) == (
-        per_iter, drafted, accepted)
+    profile = array("i", itertools.accumulate(per_iter))
+    assert replay == (len(per_iter), None if set(per_iter) <= {1} else profile,
+                      drafted, accepted, verify_passes)
+    stats = SpecStats()
+    stats.count(len(truth), replay)
     assert stats == SpecStats(tokens_total=len(truth), tokens_speculated=drafted,
                               tokens_accepted=accepted, verify_passes=verify_passes,
                               decode_passes=len(per_iter) - verify_passes)
@@ -148,11 +165,9 @@ class TestStepResponse:
     """Per-iteration behaviour, observed through `replay_response` and the
     draft lookups it makes."""
 
-    def test_no_history_falls_back_to_decode(self):
-        stats = SpecStats()
-        replay = replay_response([4, 5, 6], None, SpecConfig(), stats=stats)
-        assert replay.tokens_per_iter == [1, 1, 1]
-        assert (stats.decode_passes, stats.verify_passes) == (3, 0)
+    def test_unmatched_history_decodes_one_token_per_iteration(self):
+        replay = replay_response([4, 5, 6], corpus_tree([([7, 8, 9], 1.0)]), SpecConfig())
+        assert replay == Replayed(3, None, 0, 0, 0)
 
     def test_full_accept_appends_window_plus_bonus(self):
         truth = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
@@ -161,7 +176,7 @@ class TestStepResponse:
         replay = replay_response(truth, spy, config)
         # Three warm-up decodes until the prefix exists, then 2 accepted
         # draft tokens + 1 bonus token.
-        assert replay.tokens_per_iter[:4] == [1, 1, 1, 3]
+        assert list(replay.profile[:4]) == [1, 2, 3, 6]
         assert spy.calls[0] == ([1, 2, 3], 2, [4, 5])
         assert spy.calls[1][1] == 4
 
@@ -192,14 +207,14 @@ class TestStepResponse:
             if rng.random() < 0.5:
                 corpus.append((list(truth), 0.5))
             spy = SpyTree(corpus)
+            replay = replay_response(truth, spy, SpecConfig())
+            assert landed(replay)[-1] == len(truth)
             stats = SpecStats()
-            replay = replay_response(truth, spy, SpecConfig(), stats=stats)
-            assert replay.total_tokens == len(truth)
-            assert stats.tokens_total == len(truth)
+            stats.count(len(truth), replay)
             assert stats.verify_passes + stats.decode_passes == replay.iterations
             # Every lookup prefix is the generated text (= truth) just before
             # some iteration, in iteration order.
-            starts = list(itertools.accumulate(replay.tokens_per_iter, initial=0))[:-1]
+            starts = [0] + landed(replay)[:-1]
             matched = 0
             for pos in starts:
                 if matched < len(spy.calls):
@@ -235,7 +250,7 @@ class TestStepResponse:
         truth = list(range(400))
         tree = build_tree("p", 1, [Response("p", 1, list(truth), 1.0)])
         replay = replay_response(truth, tree, SpecConfig())
-        assert replay.total_tokens == len(truth)
+        assert replay.profile[-1] == len(truth)
         # After warm-up everything lands through accepted drafts.
         stats_accept = replay.accepted / (len(truth) - 7)
         assert stats_accept > 0.95
@@ -243,17 +258,17 @@ class TestStepResponse:
 
 
 class TestReplayResponse:
-    def test_disabled_speculation_is_one_token_per_iter(self):
-        truth = list(range(50))
-        replay = replay_response(truth, None, SpecConfig())
-        assert replay.iterations == 50
-        assert replay.tokens_per_iter == [1] * 50
+    def test_plain_decoding_counts_one_pass_per_token(self):
+        stats = SpecStats()
+        stats.count(50)
+        assert stats == SpecStats(tokens_total=50, decode_passes=50)
 
     def test_stats_accounting(self):
         truth = list(range(200))
         stats = SpecStats()
         tree = build_tree("p", 1, [Response("p", 1, list(truth), 1.0)])
-        replay = replay_response(truth, tree, SpecConfig(), stats=stats)
+        replay = replay_response(truth, tree, SpecConfig())
+        stats.count(len(truth), replay)
         assert stats.tokens_total == 200
         assert stats.tokens_accepted <= stats.tokens_speculated
         assert 0.0 <= stats.speculation_rate <= 1.0
@@ -308,4 +323,33 @@ class TestReplayEquivalence:
         lookups = assert_replays_agree(list(range(6)), tree, config)
         assert lookups == [([0, 1], 8, list(range(2, 10)))]
         replay = replay_response(list(range(6)), tree, config)
-        assert replay.tokens_per_iter == [1, 1, 4]
+        assert list(replay.profile) == [1, 2, 6]
+
+
+@st.composite
+def replay_cases(draw):
+    """(truth, corpus, config) over a vocabulary of 2-5 tokens, the truth
+    sometimes copying the start of a history response."""
+    vocab = draw(st.integers(2, 5))
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=30)
+    corpus = draw(st.lists(st.tuples(tokens, st.sampled_from([0.0, 0.5, 1.0])),
+                           min_size=1, max_size=3))
+    truth = draw(tokens)
+    if draw(st.booleans()):
+        head = corpus[0][0]
+        truth = head[:draw(st.integers(1, len(head)))] + truth[:draw(st.integers(0, 5))]
+    prefix_min = draw(st.integers(1, 4))
+    window_init = draw(st.integers(1, 4))
+    config = SpecConfig(window_init=window_init, window_add=draw(st.integers(0, 3)),
+                        window_max=draw(st.integers(window_init, 8)),
+                        prefix_init=draw(st.integers(prefix_min, 7)), prefix_min=prefix_min)
+    return truth, corpus, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=replay_cases())
+def test_replay_matches_the_sliced_oracle(case):
+    """`profile` is the running sum of the sliced replay's tokens per
+    iteration, None exactly when each is 1, and the counters agree."""
+    truth, corpus, config = case
+    assert_replays_agree(truth, corpus_tree(corpus), config)
