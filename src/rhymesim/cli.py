@@ -15,6 +15,7 @@ import argparse
 import csv
 import io as stringio
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -24,6 +25,7 @@ from .history import build_tree
 from .scheduler import AnalyticCostModel, ProfileCostModel, plan_allocation
 from .sim import (
     EVENTS_SCHEMA_VERSION,
+    POLICIES,
     RUN_SCHEMA_VERSION,
     SPEC_STATS_HEADER,
     ClusterSpec,
@@ -188,17 +190,45 @@ def cmd_analyze_tree_stats(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative(text: str) -> float:
+    """A finite number >= 0: the only kind a plan can be made from."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _group_lens(text: str) -> list[float]:
+    """At least 2 ascending group lengths, shortest group first."""
+    lens = [_nonnegative(x) for x in text.split(",")]
+    if len(lens) < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 group lengths, got {text!r}")
+    if any(a > b for a, b in zip(lens, lens[1:])):
+        raise argparse.ArgumentTypeError(f"group lengths must be ascending, got {text!r}")
+    return lens
+
+
+def _analytic_terms(text: str) -> list[float]:
+    terms = [_nonnegative(x) for x in text.split(",")]
+    if len(terms) != 4:
+        raise argparse.ArgumentTypeError(f"expected 4 terms a,b,c,batch, got {text!r}")
+    return terms
+
+
 def cmd_plan_alloc(args) -> int:
-    lens = [float(x) for x in args.lens.split(",")]
     if args.profile:
         model = ProfileCostModel.from_csv(args.profile)
         model.accepted_per_pass = args.accepted_per_pass
     else:
-        a, b, c, batch = (float(x) for x in args.analytic.split(","))
+        a, b, c, batch = args.analytic
         model = AnalyticCostModel(per_iter_base=a, per_iter_batch=b, fixed=c,
                                   batch_size=int(batch),
                                   accepted_per_pass=args.accepted_per_pass)
-    plan = plan_allocation(lens, args.wks, args.t_train, model,
+    plan = plan_allocation(len(args.lens), args.wks, args.t_train,
+                           lambda g, k: model.tau(args.lens[g], k),
                            min_wks=args.min_wks, max_wks=args.max_wks,
                            precision=args.precision)
     payload = {"schema": SCHEMA_VERSIONS["plan"], **plan.as_dict()}
@@ -382,13 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_tree_stats)
 
     p = sub.add_parser("plan-alloc", help="two-tier worker allocation for group lengths")
-    p.add_argument("--lens", required=True, help="comma-separated ascending group lengths")
+    p.add_argument("--lens", required=True, type=_group_lens,
+                   help="comma-separated ascending group lengths, at least 2, each >= 0")
     p.add_argument("--wks", type=int, required=True)
-    p.add_argument("--t-train", type=float, default=0.0, dest="t_train")
+    p.add_argument("--t-train", type=_nonnegative, default=0.0, dest="t_train")
     p.add_argument("--profile", default=None, help="CSV len,dp,seconds profile for tau")
-    p.add_argument("--analytic", default="0.004,0.0008,0.0,16",
-                   help="a,b,c,batch for tau = l*(a+b*ceil(batch/dp))+c")
-    p.add_argument("--accepted-per-pass", type=float, default=0.0)
+    p.add_argument("--analytic", type=_analytic_terms, default="0.004,0.0008,0.0,16",
+                   help="a,b,c,batch (each >= 0) for tau = l*(a+b*ceil(batch/dp))+c")
+    p.add_argument("--accepted-per-pass", type=_nonnegative, default=0.0)
     p.add_argument("--min-wks", type=int, default=1)
     p.add_argument("--max-wks", type=int, default=None)
     p.add_argument("--precision", type=float, default=1.0)
@@ -400,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "inputs give byte-identical outputs)")
     p.add_argument("--trace", required=True)
     p.add_argument("--cluster", required=True, help="flat JSON config (cluster.* cost.* spec.* policy.*)")
-    p.add_argument("--policy", required=True,
-                   choices=["colocated", "streaming", "histopipe_naive", "histopipe_two_tier"])
+    p.add_argument("--policy", required=True, choices=POLICIES)
     p.add_argument("--out", required=True,
                    help="run JSON output path; the event log is written beside it, "
                         "its extension replaced by .events.jsonl")

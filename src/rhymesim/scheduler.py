@@ -8,6 +8,12 @@ workload is roughly constant. On top of that, the two-tier planner chooses an
 unequal per-group worker count: it binary-searches the smallest finish-time
 gradient `d` such that group i can finish by `t0 + i*d` within the worker
 budget, reshaping long-tailed group times toward a linear profile.
+
+The planner asks one question of its caller: `tau(group, workers)`, the
+estimated time of a group on that many workers, where group 0 is the
+shortest and group n-1 the longest. The simulator answers it from each
+group's own history; `AnalyticCostModel` and `ProfileCostModel` answer it
+per length, and the `plan-alloc` command binds them to its groups' lengths.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .history import Response
 
@@ -55,7 +61,6 @@ def prompt_stats(responses_by_prompt: Mapping[str, Sequence[Response]]) -> dict[
 class RankingGroup:
     index: int
     prompt_ids: list[str]
-    representative_len: float  # mean of member medians
     max_hist_len: float
 
 
@@ -81,15 +86,7 @@ def build_groups(
     for g, size in enumerate(sizes):
         members = ranked[idx : idx + size]
         idx += size
-        medians = [stats[p].median_len for p in members]
-        groups.append(
-            RankingGroup(
-                index=g,
-                prompt_ids=members,
-                representative_len=sum(medians) / len(medians),
-                max_hist_len=max(stats[p].max_len for p in members),
-            )
-        )
+        groups.append(RankingGroup(g, members, max(stats[p].max_len for p in members)))
     return groups
 
 
@@ -103,13 +100,6 @@ def assignment_order(step_index: int, n_groups: int) -> list[int]:
         raise ValueError("step_index starts at 1")
     order = list(range(n_groups))
     return order if step_index % 2 == 1 else order[::-1]
-
-
-class CostModel(Protocol):
-    def tau(self, length: float, workers: int) -> float:
-        """Estimated group execution time; non-increasing in workers,
-        non-decreasing in length."""
-        ...
 
 
 @dataclass
@@ -189,25 +179,25 @@ class ProfileCostModel:
 
 def cal_wks(
     d: float,
-    lens: Sequence[float],
+    n_groups: int,
     t0: float,
-    model: CostModel,
+    tau: Callable[[int, int], float],
     min_wks: int,
     max_wks: int,
 ) -> tuple[float, list[int]]:
-    """Minimum workers per group so group i finishes by t0 + i*d.
+    """Minimum workers per group so group i finishes by t0 + i*d, where
+    `tau(i, k)` is group i's time on k workers.
 
     Returns (inf, []) when some group cannot meet its target even at
     max_wks; the planner compares the returned total against its budget.
     """
-    n = len(lens)
     needed = 0
     plan: list[int] = []
-    for i in range(n):
+    for i in range(n_groups):
         target = t0 + i * d
         group_wks = -1
         for k in range(min_wks, max_wks + 1):
-            if model.tau(lens[i], k) <= target:
+            if tau(i, k) <= target:
                 group_wks = k
                 break
         if group_wks == -1:
@@ -234,17 +224,19 @@ class AllocationPlan:
 
 
 def plan_allocation(
-    lens: Sequence[float],
+    n_groups: int,
     wks: int,
     t_train: float,
-    model: CostModel,
+    tau: Callable[[int, int], float],
     min_wks: int = 1,
     max_wks: int | None = None,
     precision: float = 1.0,
 ) -> AllocationPlan:
     """Binary-search the smallest finish-time gradient within the budget.
 
-    t0 is the shortest group's best possible time, floored at the training
+    `tau(i, k)` is group i's estimated time on k workers, for groups
+    0..n_groups-1 ordered shortest first; it should not grow with k. t0 is
+    the shortest group's best possible time, floored at the training
     stage's duration so the next step never waits on fresh weights. The
     search keeps the last feasible plan; infeasibility even at the widest
     gradient is reported rather than raised.
@@ -254,25 +246,22 @@ def plan_allocation(
     and never less than `min_wks`. The search stops once the gradient is
     known to within `precision` (which must be > 0) or to within one float.
     """
-    n = len(lens)
-    if n < 2:
+    if n_groups < 2:
         raise ValueError("plan_allocation needs at least 2 groups")
     if not precision > 0:
         raise ValueError(f"precision must be > 0, got {precision}")
-    if any(lens[i] > lens[i + 1] for i in range(n - 1)):
-        raise ValueError("lens must be sorted ascending")
     if max_wks is None:
-        max_wks = max(min_wks, wks - (n - 1))
+        max_wks = max(min_wks, wks - (n_groups - 1))
     if min_wks < 1 or max_wks < min_wks:
         raise ValueError(f"need 1 <= min_wks <= max_wks, got min_wks={min_wks}, max_wks={max_wks}")
-    if wks < n * min_wks:
+    if wks < n_groups * min_wks:
         return AllocationPlan([], 0.0, t_train, feasible=False)
 
-    t0 = max(model.tau(lens[0], max_wks), t_train)
-    d_max = max(0.0, (model.tau(lens[-1], min_wks) - t0) / (n - 1))
+    t0 = max(tau(0, max_wks), t_train)
+    d_max = max(0.0, (tau(n_groups - 1, min_wks) - t0) / (n_groups - 1))
     d_min = 0.0
 
-    needed, plan = cal_wks(d_max, lens, t0, model, min_wks, max_wks)
+    needed, plan = cal_wks(d_max, n_groups, t0, tau, min_wks, max_wks)
     if needed > wks:
         return AllocationPlan([], d_max, t0, feasible=False)
     best_plan, best_d = plan, d_max
@@ -280,7 +269,7 @@ def plan_allocation(
         mid = (d_max + d_min) / 2.0
         if mid == d_min or mid == d_max:
             break  # no float lies between the endpoints
-        needed, plan = cal_wks(mid, lens, t0, model, min_wks, max_wks)
+        needed, plan = cal_wks(mid, n_groups, t0, tau, min_wks, max_wks)
         if needed > wks:
             d_min = mid
         else:

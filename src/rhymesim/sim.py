@@ -139,49 +139,17 @@ class SimulationStalledError(RuntimeError):
     still waits for weights."""
 
 
-class _GroupProfileModel:
-    """Execution-time estimates pre-profiled from each group's history.
-
-    For tau(l, k) the group is looked up by its representative length (the
-    planner asks only for the lengths it was given; any other raises
-    KeyError) and its last-epoch member lengths are dealt across k workers
-    exactly the way the simulator will deal next epoch's responses; the
-    returned time is the slowest worker's decayed-batch makespan. This is
-    the simulator's analog of profiling the inference engine, and it knows
-    nothing about the epoch being planned. tau is a pure function of its
-    arguments, so each (length, workers) cell is computed once: the
-    allocation search asks the same cells again at every gradient it tries.
-    """
-
-    def __init__(self, member_lens_by_rep: dict[float, list[int]], cost: "CostConfig",
-                 accepted_per_pass: float):
-        self._groups = member_lens_by_rep
-        self._cost = cost
-        self._app = accepted_per_pass
-        self._tau: dict[tuple[float, int], float] = {}
-
-    def _share_makespan(self, lens: list[int]) -> float:
-        # All responses in a share iterate together; the batch shrinks as the
-        # shorter ones finish.
-        total = 0.0
-        batch = len(lens)
-        prev = 0
-        for length in sorted(lens):
-            total += (length - prev) * self._cost.t_iter(batch)
-            batch -= 1
-            prev = length
-        return total
-
-    def tau(self, length: float, workers: int) -> float:
-        key = (length, workers)
-        if key not in self._tau:
-            member_lens = self._groups[length]
-            shares: list[list[int]] = [[] for _ in range(workers)]
-            for i, l in enumerate(member_lens):
-                shares[i % workers].append(l)
-            worst = max(self._share_makespan(s) for s in shares)
-            self._tau[key] = worst / (1.0 + self._app)
-        return self._tau[key]
+def _share_makespan(lens: list[int], cost: CostConfig) -> float:
+    """One worker's time to decode `lens` as one batch: all iterate together
+    and the batch shrinks as the shorter ones finish."""
+    total = 0.0
+    batch = len(lens)
+    prev = 0
+    for length in sorted(lens):
+        total += (length - prev) * cost.t_iter(batch)
+        batch -= 1
+        prev = length
+    return total
 
 
 @dataclass
@@ -564,6 +532,8 @@ class _Simulation:
         self.cost = cost
         self.spec_config = spec_config
         self.steps = len(trace.epochs)
+        if not self.steps:
+            raise ValueError("trace has no responses")
         if trace.epochs != list(range(1, self.steps + 1)):
             raise ValueError("trace epochs must be contiguous starting at 1")
         if policy.is_histopipe and self.steps < 2:
@@ -700,23 +670,24 @@ class _Simulation:
         }
         allocation = None
         if self.policy.name == "histopipe_two_tier":
-            # Pre-profile tau from each group's previous-epoch member lengths
-            # (members new in this epoch have none), keyed by representative
-            # length (distinct per group; reps are non-decreasing by
-            # construction).
+            # tau(g, k) deals group g's previous-epoch member lengths (members
+            # new in this epoch have none) over k workers the way this epoch's
+            # responses will be dealt: the slowest worker's decayed-batch
+            # makespan, the simulator's analog of profiling the engine. The
+            # search asks each cell at every gradient it tries, so it is cached.
             prev_epoch = self.trace.epoch_responses(step - 1)
-            member_lens_by_rep: dict[float, list[int]] = {}
-            reps = []
-            for g in groups:
-                rep = g.representative_len
-                while rep in member_lens_by_rep:
-                    rep = math.nextafter(rep, math.inf)
-                member_lens_by_rep[rep] = [
-                    r.generated_len for pid in g.prompt_ids if pid in prev_epoch
-                    for r in prev_epoch[pid]
-                ]
-                reps.append(rep)
-            model = _GroupProfileModel(member_lens_by_rep, self.cost, self._accepted_per_pass())
+            member_lens = [
+                [r.generated_len for pid in g.prompt_ids if pid in prev_epoch
+                 for r in prev_epoch[pid]]
+                for g in groups
+            ]
+            speedup = 1.0 + self._accepted_per_pass()
+
+            @functools.cache
+            def tau(g: int, k: int) -> float:
+                lens = member_lens[g]
+                return max(_share_makespan(lens[i::k], self.cost) for i in range(k)) / speedup
+
             # Until a train stage has actually run, estimate its duration from
             # the cost model; the t0 >= t_train floor is what keeps the
             # shortest group from hogging near-max workers.
@@ -724,8 +695,8 @@ class _Simulation:
             if not self.train_done_time:
                 t_train = self.cost.t_train(sum(group_batches.values()))
             allocation = plan_allocation(
-                reps, wks, t_train,
-                model, min_wks=self.cluster.min_wks, max_wks=self.cluster.max_wks,
+                n_groups, wks, t_train,
+                tau, min_wks=self.cluster.min_wks, max_wks=self.cluster.max_wks,
                 precision=self.policy.plan_precision,
             )
             if not allocation.feasible:

@@ -203,7 +203,7 @@ def window_after(history: list[bool], init: int = 2, step: int = 2, cap: int = 3
 
 
 def exhaustive_best_gradient(
-    lens: list[float],
+    n_groups: int,
     wks: int,
     t0: float,
     tau,
@@ -214,21 +214,21 @@ def exhaustive_best_gradient(
     """Smallest feasible finish-time gradient over all worker assignments.
 
     A plan (k_0..k_{N-1}) with sum <= wks achieves gradient d iff
-    tau(lens[i], k_i) <= t0 + i*d for all i. The planner under test only
+    tau(i, k_i) <= t0 + i*d for all i. The planner under test only
     searches d in [0, d_cap] (the published search interval), so plans whose
     minimum achievable gradient exceeds the cap do not count. Returns None
     when nothing is feasible in that domain.
     """
-    n = len(lens)
+    n = n_groups
     best: float | None = None
     for plan in itertools.product(range(min_wks, max_wks + 1), repeat=n):
         if sum(plan) > wks:
             continue
-        if tau(lens[0], plan[0]) > t0 + 1e-12:
+        if tau(0, plan[0]) > t0 + 1e-12:
             continue
         need = 0.0
         for i in range(1, n):
-            need = max(need, (tau(lens[i], plan[i]) - t0) / i)
+            need = max(need, (tau(i, plan[i]) - t0) / i)
         need = max(need, 0.0)
         if d_cap is not None and need > d_cap + 1e-12:
             continue

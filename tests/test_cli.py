@@ -153,10 +153,39 @@ class TestPlanAlloc:
         payload = rio.read_json(out)
         model = AnalyticCostModel(per_iter_base=0.01, per_iter_batch=0.002,
                                   fixed=0.0, batch_size=16)
-        plan = plan_allocation([8, 16, 32, 64], 10, 0.0, model, 1, 6, 0.01)
+        lens = [8, 16, 32, 64]
+        plan = plan_allocation(4, 10, 0.0, lambda g, k: model.tau(lens[g], k), 1, 6, 0.01)
         assert payload["per_group_workers"] == plan.per_group_workers
         assert payload["d"] == pytest.approx(plan.gradient_d)
         assert payload["feasible"] is True
+
+    # The exact plan JSON of one analytic and one profiled instance, pinned so
+    # that a change moving the CLI and the library together still shows.
+    PINNED_ANALYTIC = ('{\n  "d": 0.6133333333333333,\n  "feasible": true,\n'
+                       '  "per_group_workers": [\n    6,\n    1,\n    1,\n    2\n  ],\n'
+                       '  "schema": 1,\n  "t0": 0.128\n}\n')
+    PINNED_PROFILE = ('{\n  "d": 2.2287326388888893,\n  "feasible": true,\n'
+                      '  "per_group_workers": [\n    2,\n    2,\n    3,\n    3\n  ],\n'
+                      '  "schema": 1,\n  "t0": 5.0\n}\n')
+
+    def test_analytic_plan_json_pinned(self, tmp_path):
+        out = tmp_path / "plan.json"
+        assert main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "10",
+                     "--analytic", "0.01,0.002,0.0,16", "--max-wks", "6",
+                     "--precision", "0.01", "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == self.PINNED_ANALYTIC
+
+    def test_profile_plan_json_pinned(self, tmp_path):
+        profile = tmp_path / "profile.csv"
+        profile.write_text("len,dp,seconds\n100,1,10.0\n100,2,6.0\n100,4,4.0\n"
+                           "200,1,20.0\n200,2,12.0\n200,4,7.0\n"
+                           "400,1,40.0\n400,2,22.0\n400,4,13.0\n")
+        out = tmp_path / "plan.json"
+        assert main(["plan-alloc", "--lens", "100,150,300,400", "--wks", "10",
+                     "--profile", str(profile), "--t-train", "5",
+                     "--accepted-per-pass", "0.5", "--precision", "0.01",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == self.PINNED_PROFILE
 
     def test_infeasible_exit_code(self, tmp_path):
         code = main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "3",
@@ -179,6 +208,33 @@ class TestPlanAlloc:
     def test_bad_worker_bounds_exit_two(self, tmp_path, flags):
         assert main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "10", *flags,
                      "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
+
+    # Numbers no plan can be made from exit 2 and name their flag; none of
+    # them may reach the planner (a ZeroDivisionError, an "infeasible" exit
+    # 3 with NaN in the plan, or a silently ignored NaN).
+    @pytest.mark.parametrize("flags", [
+        ["--accepted-per-pass", "-1"],
+        ["--accepted-per-pass", "nan"],
+        ["--lens", "10,nan"],
+        ["--lens", "nan,10"],
+        ["--lens", "10,inf"],
+        ["--lens", "-1,10"],
+        ["--lens", "10"],
+        ["--lens", "10,x"],
+        ["--lens", "20,10"],
+        ["--t-train", "nan"],
+        ["--t-train", "inf"],
+        ["--t-train", "-1"],
+        ["--analytic", "0.01,-0.002,0.0,16"],
+        ["--analytic", "0.01,0.002,nan,16"],
+        ["--analytic", "0.01,0.002,0.0"],
+    ], ids="=".join)
+    def test_unplannable_number_exits_two(self, tmp_path, flags, capsys):
+        argv = ["plan-alloc", "--lens", "8,16,32,64", "--wks", "10", *flags]
+        out = tmp_path / "p.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"argument {flags[0]}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunSim:

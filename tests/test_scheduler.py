@@ -22,29 +22,19 @@ from rhymesim.scheduler import (
 )
 
 
-class DivideModel:
-    """tau(l, k) = l / k; the simplest monotone cost model."""
-
-    def tau(self, length, workers):
-        return length / workers
-
-
-class TableModel:
-    def __init__(self, table):
-        self.table = table  # {(len, workers): seconds}
-
-    def tau(self, length, workers):
-        return self.table[(length, workers)]
+def divide(lens):
+    """tau(i, k) = lens[i] / k; the simplest monotone cost model."""
+    return lambda i, k: lens[i] / k
 
 
 class TestBuildGroups:
-    def test_even_split_representatives(self):
+    def test_even_split(self):
         stats = {f"p{i}": float(i + 1) for i in range(8)}
         groups = build_groups(stats, 4)
         assert [g.prompt_ids for g in groups] == [
             ["p0", "p1"], ["p2", "p3"], ["p4", "p5"], ["p6", "p7"],
         ]
-        assert [g.representative_len for g in groups] == [1.5, 3.5, 5.5, 7.5]
+        assert [g.index for g in groups] == [0, 1, 2, 3]
 
     def test_remainder_goes_to_longest_groups(self):
         stats = {f"p{i}": float(i) for i in range(10)}
@@ -86,31 +76,30 @@ class TestAssignmentOrder:
 
 class TestCalWks:
     def test_hand_example(self):
-        needed, plan = cal_wks(10.0, [10.0, 20.0], t0=10.0,
-                               model=DivideModel(), min_wks=1, max_wks=4)
+        needed, plan = cal_wks(10.0, 2, t0=10.0,
+                               tau=divide([10.0, 20.0]), min_wks=1, max_wks=4)
         assert (needed, plan) == (2, [1, 1])
 
     def test_infeasible_target(self):
         # Group 1 needs tau <= 0.5 but even 4 workers give 20/4 = 5.
-        needed, plan = cal_wks(0.0, [1.0, 20.0], t0=0.5,
-                               model=DivideModel(), min_wks=1, max_wks=4)
+        needed, plan = cal_wks(0.0, 2, t0=0.5,
+                               tau=divide([1.0, 20.0]), min_wks=1, max_wks=4)
         assert needed == math.inf
         assert plan == []
 
     def test_large_gradient_gives_min_workers(self):
-        needed, plan = cal_wks(1000.0, [10.0, 20.0, 30.0], t0=10.0,
-                               model=DivideModel(), min_wks=1, max_wks=4)
+        needed, plan = cal_wks(1000.0, 3, t0=10.0,
+                               tau=divide([10.0, 20.0, 30.0]), min_wks=1, max_wks=4)
         assert plan == [1, 1, 1]
 
 
 class TestPlanAllocation:
     def test_reference_instance_matches_exhaustive_search(self):
-        lens = [8.0, 16.0, 32.0, 64.0]
-        model = DivideModel()
-        plan = plan_allocation(lens, wks=10, t_train=0.0, model=model,
+        tau = divide([8.0, 16.0, 32.0, 64.0])
+        plan = plan_allocation(4, wks=10, t_train=0.0, tau=tau,
                                min_wks=1, max_wks=6, precision=0.01)
         assert plan.feasible
-        best = oracles.exhaustive_best_gradient(lens, 10, plan.t0, model.tau, 1, 6)
+        best = oracles.exhaustive_best_gradient(4, 10, plan.t0, tau, 1, 6)
         assert plan.gradient_d == pytest.approx(best, abs=0.01)
 
     def test_random_instances_match_exhaustive_search(self):
@@ -120,76 +109,70 @@ class TestPlanAllocation:
             max_wks = rng.randint(2, 6)
             wks = rng.randint(n, 20)
             lens = sorted(round(rng.uniform(1, 50), 1) for _ in range(n))
-            model = TableModel(oracles.random_monotone_table(rng, lens, max_wks))
+            table = oracles.random_monotone_table(rng, lens, max_wks)
+
+            def tau(i, k):
+                return table[(lens[i], k)]
+
             p = 0.05
-            plan = plan_allocation(lens, wks, 0.0, model, 1, max_wks, p)
-            t0 = max(model.tau(lens[0], max_wks), 0.0)
-            d_cap = max(0.0, (model.tau(lens[-1], 1) - t0) / (n - 1))
-            best = oracles.exhaustive_best_gradient(lens, wks, t0, model.tau, 1, max_wks,
-                                                    d_cap=d_cap)
+            plan = plan_allocation(n, wks, 0.0, tau, 1, max_wks, p)
+            t0 = max(tau(0, max_wks), 0.0)
+            d_cap = max(0.0, (tau(n - 1, 1) - t0) / (n - 1))
+            best = oracles.exhaustive_best_gradient(n, wks, t0, tau, 1, max_wks, d_cap=d_cap)
             if best is None:
                 assert not plan.feasible, trial
             else:
                 assert plan.feasible, trial
                 assert plan.gradient_d <= best + p, trial
                 # The returned plan must really meet its own gradient.
-                needed, check = cal_wks(plan.gradient_d, lens, plan.t0, model, 1, max_wks)
+                needed, check = cal_wks(plan.gradient_d, n, plan.t0, tau, 1, max_wks)
                 assert needed <= wks and check == plan.per_group_workers
 
     def test_ample_workers_drive_gradient_to_zero(self):
         # Resource-rich limit: with t_train flooring t0, enough workers let
         # every group finish within t0 + epsilon.
-        plan = plan_allocation([10.0, 20.0, 40.0], wks=1000, t_train=5.0,
-                               model=DivideModel(), min_wks=1, max_wks=500,
-                               precision=0.01)
+        tau = divide([10.0, 20.0, 40.0])
+        plan = plan_allocation(3, wks=1000, t_train=5.0, tau=tau,
+                               min_wks=1, max_wks=500, precision=0.01)
         assert plan.feasible
         assert plan.gradient_d <= 0.01
-        model = DivideModel()
         for i, k in enumerate(plan.per_group_workers):
-            assert model.tau([10.0, 20.0, 40.0][i], k) <= plan.t0 + plan.gradient_d * i + 1e-9
+            assert tau(i, k) <= plan.t0 + plan.gradient_d * i + 1e-9
 
     def test_train_time_dominates_t0(self):
-        plan = plan_allocation([10.0, 20.0], wks=8, t_train=50.0,
-                               model=DivideModel(), min_wks=1, max_wks=4)
+        plan = plan_allocation(2, wks=8, t_train=50.0,
+                               tau=divide([10.0, 20.0]), min_wks=1, max_wks=4)
         assert plan.t0 == 50.0
 
     def test_infeasible_reported_not_raised(self):
-        class Slow:
-            def tau(self, length, workers):
-                return 1000.0
-
-        plan = plan_allocation([10.0, 20.0], wks=2, t_train=0.0,
-                               model=Slow(), min_wks=1, max_wks=1, precision=0.5)
+        plan = plan_allocation(2, wks=2, t_train=0.0, tau=lambda i, k: 1000.0,
+                               min_wks=1, max_wks=1, precision=0.5)
         # t0 = 1000 and every group takes 1000: targets are satisfiable.
         assert plan.feasible
-        plan2 = plan_allocation([10.0, 20.0], wks=1, t_train=0.0,
-                                model=DivideModel(), min_wks=1, max_wks=1)
+        plan2 = plan_allocation(2, wks=1, t_train=0.0, tau=divide([10.0, 20.0]),
+                                min_wks=1, max_wks=1)
         assert not plan2.feasible
 
     @pytest.mark.parametrize("precision", [0.0, -1.0, math.nan])
     def test_non_positive_precision_rejected(self, precision, time_limit):
         with pytest.raises(ValueError, match="precision"):
-            plan_allocation([10.0, 20.0, 40.0], wks=8, t_train=0.0, model=DivideModel(),
+            plan_allocation(3, wks=8, t_train=0.0, tau=divide([10.0, 20.0, 40.0]),
                             precision=precision)
 
     def test_precision_below_float_resolution_ends(self, time_limit):
         # No two floats in (0, d_max] are 1e-300 apart, so the search ends
         # when the midpoint rounds to an endpoint: at the smallest gradient a
         # float can name, the one the exhaustive search finds.
-        lens = [8.0, 16.0, 32.0, 64.0]
-        plan = plan_allocation(lens, wks=10, t_train=0.0, model=DivideModel(),
+        tau = divide([8.0, 16.0, 32.0, 64.0])
+        plan = plan_allocation(4, wks=10, t_train=0.0, tau=tau,
                                min_wks=1, max_wks=6, precision=1e-300)
         assert plan.feasible
-        best = oracles.exhaustive_best_gradient(lens, 10, plan.t0, DivideModel().tau, 1, 6)
+        best = oracles.exhaustive_best_gradient(4, 10, plan.t0, tau, 1, 6)
         assert plan.gradient_d == pytest.approx(best, rel=1e-12)
 
     def test_degenerate_group_count_rejected(self):
         with pytest.raises(ValueError):
-            plan_allocation([10.0], wks=4, t_train=0.0, model=DivideModel())
-
-    def test_unsorted_lens_rejected(self):
-        with pytest.raises(ValueError):
-            plan_allocation([20.0, 10.0], wks=4, t_train=0.0, model=DivideModel())
+            plan_allocation(1, wks=4, t_train=0.0, tau=divide([10.0]))
 
     def test_budget_respected(self):
         rng = random.Random(5)
@@ -197,7 +180,7 @@ class TestPlanAllocation:
             n = rng.randint(2, 5)
             wks = rng.randint(n, 12)
             lens = sorted(round(rng.uniform(1, 40), 1) for _ in range(n))
-            plan = plan_allocation(lens, wks, 0.0, DivideModel(), 1, wks, 0.1)
+            plan = plan_allocation(n, wks, 0.0, divide(lens), 1, wks, 0.1)
             if plan.feasible:
                 assert sum(plan.per_group_workers) <= wks
 
@@ -220,8 +203,7 @@ class TestBetaFromHistory:
 
 
 def group(index=0, max_hist=100.0):
-    return RankingGroup(index=index, prompt_ids=["p"], representative_len=50.0,
-                        max_hist_len=max_hist)
+    return RankingGroup(index=index, prompt_ids=["p"], max_hist_len=max_hist)
 
 
 class TestMigrationDecision:

@@ -290,14 +290,6 @@ class TestPolicyBehavior:
             run(trace, ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
                 Policy("histopipe_two_tier"), fast_cost())
 
-    def test_unprofiled_group_length_raises(self):
-        # tau answers only for the representative lengths it was profiled
-        # with; it never borrows another group's profile.
-        model = sim_module._GroupProfileModel({10.0: [8, 12]}, fast_cost(), 0.0)
-        assert model.tau(10.0, 2) > 0.0
-        with pytest.raises(KeyError):
-            model.tau(10.5, 2)
-
     def test_oversample_lets_train_start_early(self):
         trace = longtail_trace(epochs=5)
         cluster = ClusterSpec(**CLUSTER)
@@ -310,6 +302,12 @@ class TestPolicyBehavior:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             Policy("warp_drive")
+
+    @pytest.mark.parametrize("name", ALL_POLICIES)
+    @pytest.mark.parametrize("trace", [Trace([]), []], ids=["Trace", "list"])
+    def test_empty_trace_rejected(self, name, trace):
+        with pytest.raises(ValueError, match="trace has no responses"):
+            run(trace, ClusterSpec(rollout_workers=4), Policy(name))
 
     def test_histopipe_needs_history(self):
         spec = TraceSpec(num_prompts=8, epochs=1, group_size=2, len_mu=math.log(40),
