@@ -174,15 +174,16 @@ def cmd_analyze_tree_stats(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
     epoch = args.epoch if args.epoch is not None else trace.epochs[-1]
     _require_epochs(trace, epoch)
-    trees = [build_tree(pid, epoch, group)
-             for pid, group in sorted(trace.epoch_responses(epoch).items())]
-    payload = {
-        "epoch": epoch,
-        "prompt_count": len(trees),
-        "total_nodes": sum(t.node_count for t in trees),
-        "total_tokens": sum(t.total_tokens for t in trees),
-        "index_bytes": sum(t.index_bytes for t in trees),
-    }
+    groups = trace.epoch_responses(epoch)
+    payload = {"epoch": epoch, "prompt_count": len(groups), "total_nodes": 0,
+               "total_tokens": 0, "index_bytes": 0}
+    # One index is alive at a time: each is counted and dropped.
+    for pid, group in sorted(groups.items()):
+        tree = build_tree(pid, epoch, group)
+        payload["total_nodes"] += tree.node_count
+        payload["total_tokens"] += tree.total_tokens
+        payload["index_bytes"] += tree.index_bytes
+        del tree
     if args.out:
         rio.write_json(args.out, payload)
     else:
@@ -198,6 +199,28 @@ def _nonnegative(text: str) -> float:
         value = math.nan
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A finite number > 0."""
+    try:
+        value = _nonnegative(text)
+    except argparse.ArgumentTypeError:
+        value = 0.0
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """An integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
 
 
@@ -404,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_similarity)
 
     p = asub.add_parser("tree-stats", help="suffix-index statistics for one epoch "
-                        "(total_nodes counts suffix automaton states; index_bytes is "
-                        "the memory of the packed indexes)")
+                        "(total_nodes counts suffix automaton states; index_bytes sums "
+                        "the memory of each prompt's index, built and dropped one at "
+                        "a time)")
     p.add_argument("--trace", required=True)
     p.add_argument("--epoch", type=int, default=None, help="default: last epoch")
     p.add_argument("--out", default=None, help="JSON output path (default: stdout)")
@@ -414,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan-alloc", help="two-tier worker allocation for group lengths")
     p.add_argument("--lens", required=True, type=_group_lens,
                    help="comma-separated ascending group lengths, at least 2, each >= 0")
-    p.add_argument("--wks", type=int, required=True)
+    p.add_argument("--wks", type=_positive_int, required=True)
     p.add_argument("--t-train", type=_nonnegative, default=0.0, dest="t_train")
     p.add_argument("--profile", default=None, help="CSV len,dp,seconds profile for tau")
     p.add_argument("--analytic", type=_analytic_terms, default="0.004,0.0008,0.0,16",
@@ -422,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accepted-per-pass", type=_nonnegative, default=0.0)
     p.add_argument("--min-wks", type=int, default=1)
     p.add_argument("--max-wks", type=int, default=None)
-    p.add_argument("--precision", type=float, default=1.0)
+    p.add_argument("--precision", type=_positive, default=1.0)
     p.add_argument("--out", default=None, help="JSON output (default: stdout)")
     p.set_defaults(func=cmd_plan_alloc)
 

@@ -11,29 +11,19 @@ one whose extension has the largest mass, ties to the smallest token id, so
 continuations drawn from high-reward responses win. Construction is linear
 in the total token count n, and the automaton has at most 2n + 1 states.
 
-The automaton is built with one transition dict per state and then packed.
-The root keeps its dict, one entry per distinct token, because every lookup
-starts there and a dict is the fastest way to miss. Its token keys are the
-index's own int objects (28 bytes each above 256), made as the build reads
-the responses' `array('i')` tokens. Every other state is a row of flat
-`array` columns: its mass (8 bytes), its best token and that token's target
-(4 each), its suffix link and the length of its longest string (4 each) and
-a CSR offset (4). Only branching states, 3-9% of them on the benchmark
-traces, have transitions besides the best one, stored as (token, target)
-pairs of C ints. On the benchmark's epoch-2 indexes the packed index holds
-about 77 bytes per indexed token at cross-epoch similarity 0.9 and 106 at
-0.3, 11 and 24 of them the root's token keys, against 447 and 357 with
-every dict kept; `SuffixTree.index_bytes` reports it.
-
 The suffix links and lengths serve :meth:`SuffixTree.match_lengths`, which
 walks a whole response through the index once and reports, at every
 position, the longest suffix so far that occurs in the history: the matching
 statistics of Chang and Lawler (1994). A replay reads from them where a
 lookup prefix occurs, and asks for a draft only there.
 
-An index is built once and never changed. A caller that drafts over several
-epochs keeps a plain `dict` from prompt id to its latest index and updates it
-with each epoch's :func:`build_tree` results.
+An index is built once and never changed. It keeps the lists its build
+makes, one transition dict per state, 400 to 500 bytes per indexed token
+on the benchmark traces (`SuffixTree.index_bytes`), and is not packed any
+smaller: the simulator builds each index for one (step, prompt) unit,
+replays that unit's responses against it and drops it before building the
+next, so at most one index is alive at a time and packing would only add
+to every build.
 """
 
 from __future__ import annotations
@@ -42,14 +32,13 @@ import math
 import struct
 import sys
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import chain
 from typing import NamedTuple
 
 
-# Token ids and state numbers are stored as C ints; -1 marks "none".
+# Token ids are stored as C ints.
 MAX_TOKEN = 2**31 - 1
 
 
@@ -98,42 +87,26 @@ class Cursor(NamedTuple):
 
 
 class SuffixTree:
-    """Generalized suffix automaton over one prompt's responses of one epoch,
-    packed into flat columns once :func:`build_tree` has built it.
+    """Generalized suffix automaton over one prompt's responses of one epoch.
 
-    State 0 is the empty string. Its transitions, one per distinct token,
-    are the dict `root`, since every lookup starts there. Six columns have
-    one entry per state: `mass[v]` is the reward mass of the end positions
-    of the strings in `v`, `best[v]` is the draft's next token out of `v`
-    (-1 when the strings of `v` are never followed by a token, and for the
-    root), `best_to[v]` is the state that token leads to (-1 with it),
-    `length[v]` is the length of the longest string in `v`, `link[v]` is the
-    state of its longest suffix that lies in another state (-1 for the
-    root), and `off` is a CSR offset (one more entry than states). The other
-    transitions of a branching state are `etok[off[v]:off[v + 1]]` (tokens,
-    ascending) leading to the states at the same positions of `eto`.
-    :meth:`step` follows any token and :meth:`match_lengths` walks a whole
-    sequence, so no caller needs the layout. The name is the one the index
-    has always had.
+    State 0 is the empty string. Four lists have one entry per state:
+    `nxt[v]` maps each token that follows the strings of `v` to the state of
+    the extended strings, `mass[v]` is the reward mass of their end
+    positions, `length[v]` is the length of the longest string in `v`, and
+    `link[v]` is the state of its longest suffix that lies in another state
+    (-1 for the root). The name is the one the index has always had.
     """
 
-    __slots__ = ("prompt_id", "epoch", "total_tokens", "root", "mass", "best", "best_to",
-                 "link", "length", "off", "etok", "eto")
+    __slots__ = ("prompt_id", "epoch", "total_tokens", "nxt", "link", "length", "mass")
 
-    def __init__(self, prompt_id: str, epoch: int, root: dict[int, int], mass: array,
-                 best: array, best_to: array, link: array, length: array, off: array,
-                 etok: array, eto: array, total_tokens: int):
+    def __init__(self, prompt_id: str, epoch: int, nxt: list[dict[int, int]], link: list[int],
+                 length: list[int], mass: list[float], total_tokens: int):
         self.prompt_id = prompt_id
         self.epoch = epoch
-        self.root = root
-        self.mass = mass
-        self.best = best
-        self.best_to = best_to
+        self.nxt = nxt
         self.link = link
         self.length = length
-        self.off = off
-        self.etok = etok
-        self.eto = eto
+        self.mass = mass
         self.total_tokens = total_tokens
 
     @property
@@ -142,71 +115,60 @@ class SuffixTree:
 
     @property
     def index_bytes(self) -> int:
-        """Bytes held by the index: `itemsize * len` of each column, plus the
-        root dict's table and its token keys and state ids above 256 (CPython
-        caches the smaller ints). The keys are the index's own: the build
-        makes them as it reads each response's `array('i')`."""
-        columns = (self.mass, self.best, self.best_to, self.link, self.length, self.off,
-                   self.etok, self.eto)
-        return (sum(a.itemsize * len(a) for a in columns) + sys.getsizeof(self.root)
-                + sum(sys.getsizeof(x) for item in self.root.items() for x in item if x > 256))
-
-    def step(self, state: int, tok: int) -> int:
-        """The state reached from `state` by appending `tok`; -1 when the
-        extended string occurs in no response."""
-        if state == 0:
-            return self.root.get(tok, -1)
-        if self.best[state] == tok:
-            return self.best_to[state]
-        lo, hi = self.off[state], self.off[state + 1]
-        etok = self.etok
-        j = bisect_left(etok, tok, lo, hi)
-        return self.eto[j] if j < hi and etok[j] == tok else -1
+        """Bytes held by the index: its lists and dicts, and each object they
+        hold counted once: the masses and the ints above 256 (CPython caches
+        the smaller ones). States and token ids are shared between the lists
+        and dicts that name them."""
+        nxt = self.nxt
+        items = chain(self.mass, self.link, self.length, *map(dict.keys, nxt),
+                      *map(dict.values, nxt))
+        held = {id(x): x for x in items if type(x) is float or x > 256}
+        return (sum(map(sys.getsizeof, (nxt, self.link, self.length, self.mass)))
+                + sum(map(sys.getsizeof, nxt)) + sum(map(sys.getsizeof, held.values())))
 
     def match_prefix(self, prefix: Sequence[int]) -> Cursor | None:
         """Walk `prefix` from state 0; None when it occurs in no response."""
         if not prefix:
             raise ValueError("prefix must be non-empty")
+        nxt = self.nxt
         v = 0
         for tok in prefix:
-            v = self.step(v, tok)
-            if v < 0:
+            v = nxt[v].get(tok)
+            if v is None:
                 return None
         return Cursor(v, self.mass[v])
 
     def extract_draft(self, prefix: Sequence[int], window: int) -> DraftResult:
         """Greedy max-mass continuation of `prefix`, up to `window` tokens.
 
-        Ties between equal-mass continuations go to the smallest token. A
-        replay makes this lookup at every iteration whose prefix occurs, so
-        it walks the prefix with :meth:`step` inlined.
+        Each draft token is the transition whose target has the largest
+        mass; ties between equal-mass continuations go to the smallest token.
+        A replay makes this lookup at every iteration whose prefix occurs, so
+        it walks the prefix with :meth:`match_prefix` inlined.
         """
         if window < 1:
             raise ValueError("window must be >= 1")
         if not prefix:
             raise ValueError("prefix must be non-empty")
-        best, best_to = self.best, self.best_to
-        rest = iter(prefix)
-        v = self.root.get(next(rest), -1)
-        for tok in rest:
-            if v < 0:
-                break
-            if best[v] == tok:
-                v = best_to[v]
-            else:
-                lo, hi = self.off[v], self.off[v + 1]
-                etok = self.etok
-                j = bisect_left(etok, tok, lo, hi)
-                v = self.eto[j] if j < hi and etok[j] == tok else -1
-        if v < 0:
-            return DraftResult([], False)
+        nxt, mass = self.nxt, self.mass
+        v = 0
+        for tok in prefix:
+            v = nxt[v].get(tok)
+            if v is None:
+                return DraftResult([], False)
         out: list[int] = []
         for _ in range(window):
-            tok = best[v]
-            if tok < 0:
+            t = nxt[v]
+            if len(t) == 1:
+                tok, = t
+                v = t[tok]
+            elif t:
+                # The first maximum in token order.
+                tok = max(sorted(t), key=lambda k: mass[t[k]])
+                v = t[tok]
+            else:
                 break
             out.append(tok)
-            v = best_to[v]
         return DraftResult(out, True)
 
     def match_lengths(self, tokens: Sequence[int]) -> list[int]:
@@ -217,31 +179,20 @@ class SuffixTree:
         One walk carries the state of that suffix along `tokens`. A token the
         state cannot follow takes the suffix link, to the longest shorter
         suffix in another state, until one can or the root is reached; the
-        walk is linear in `len(tokens)`. :meth:`step` is inlined.
+        walk is linear in `len(tokens)`.
         """
-        root, best, best_to, off, etok, eto = (self.root, self.best, self.best_to, self.off,
-                                               self.etok, self.eto)
-        link, length = self.link, self.length
+        nxt, link, length = self.nxt, self.link, self.length
         out: list[int] = []
         v = m = 0
         for tok in tokens:
-            while v:
-                if best[v] == tok:
-                    v = best_to[v]
-                    m += 1
-                    break
-                lo, hi = off[v], off[v + 1]
-                if lo < hi:
-                    j = bisect_left(etok, tok, lo, hi)
-                    if j < hi and etok[j] == tok:
-                        v = eto[j]
-                        m += 1
-                        break
+            u = nxt[v].get(tok)
+            while u is None and v:
                 v = link[v]
                 m = length[v]
-            else:
-                v = root.get(tok, 0)
-                m = 1 if v else 0
+                u = nxt[v].get(tok)
+            if u is not None:
+                v = u
+                m += 1
             out.append(m)
         return out
 
@@ -249,11 +200,9 @@ class SuffixTree:
 def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixTree:
     """Build the suffix index for one prompt's epoch of responses.
 
-    The automaton is built with one transition dict per state, then packed
-    into the columns of :class:`SuffixTree`; only the branching states'
-    transitions are copied one by one. An empty response list yields the
-    index of the empty string alone. NaN rewards, empty token lists, token
-    ids outside [0, MAX_TOKEN] and mismatched prompt ids are rejected.
+    An empty response list yields the index of the empty string alone. NaN
+    rewards, empty token lists, token ids outside [0, MAX_TOKEN] and
+    mismatched prompt ids are rejected.
     """
     nxt: list[dict[int, int]] = [{}]
     link = [-1]
@@ -313,32 +262,7 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
     # whose suffix link chain passes through it; longer states come first.
     for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
         mass[link[v]] += mass[v]
-    # Most states have at most one transition, which is their best one. A
-    # branching state other than the root keeps its other transitions in CSR
-    # order, ascending by token; extra[v + 1] counts them, so the running
-    # sum is `off`.
-    best = list(map(next, map(iter, nxt), repeat(-1)))
-    best[0] = -1
-    extra = [0] * (len(nxt) + 1)
-    etok: list[int] = []
-    eto: list[int] = []
-    for v in [v for v, t in enumerate(nxt) if v and len(t) > 1]:
-        t = nxt[v]
-        toks = sorted(t)
-        tos = list(map(t.__getitem__, toks))
-        masses = list(map(mass.__getitem__, tos))
-        # The first maximum in token order: ties go to the smallest token.
-        i = masses.index(max(masses))
-        best[v] = toks.pop(i)
-        del tos[i]
-        etok += toks
-        eto += tos
-        extra[v + 1] = len(toks)
-    best_to = list(map(dict.get, nxt, best, repeat(-1)))
-    return SuffixTree(prompt_id, epoch, nxt[0], _column("d", mass), _column("i", best),
-                      _column("i", best_to), _column("i", link), _column("i", length),
-                      _column("i", list(accumulate(extra))), _column("i", etok),
-                      _column("i", eto), total_tokens)
+    return SuffixTree(prompt_id, epoch, nxt, link, length, mass, total_tokens)
 
 
 def _token_column(values) -> array:
@@ -346,8 +270,13 @@ def _token_column(values) -> array:
     # array instead would make an int object per token.
     if len(values) and min(values) < 0:
         raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]")
+    # array("i", values) parses each item with a format string; packing the
+    # same C ints with struct first takes about half the time (a Struct of
+    # its own, as struct.pack would cache every length's format). An array
+    # made from bytes over-allocates by about 6%; its slice copy holds
+    # exactly 4 bytes per token.
     try:
-        return _column("i", values)
+        return array("i", struct.Struct(f"{len(values)}i").pack(*values))[:]
     except struct.error:
         pass
     # struct raises the same error for a token that is not an int and for
@@ -356,13 +285,3 @@ def _token_column(values) -> array:
         return array("i", values)
     except OverflowError:
         raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]") from None
-
-
-def _column(typecode: str, values: list) -> array:
-    # array(typecode, values) parses each item with a format string; packing
-    # the same C values with struct first takes about half the time (a
-    # Struct of its own, as struct.pack would cache every length's format).
-    # An array made from bytes over-allocates by about 6%; its slice copy
-    # holds exactly `itemsize * len` bytes.
-    packed = struct.Struct(f"{len(values)}{typecode}").pack(*values)
-    return array(typecode, packed)[:]

@@ -128,8 +128,9 @@ class AnalyticCostModel:
 class ProfileCostModel:
     """tau lookup over a pre-profiled (length, workers) grid.
 
-    The grid must be complete (every length x workers combination); queries
-    interpolate bilinearly and clamp outside the grid.
+    The grid must be complete (every length x workers combination), every
+    length finite and every time finite and >= 0; queries interpolate
+    bilinearly and clamp outside the grid.
     """
 
     lengths: list[float]
@@ -146,7 +147,14 @@ class ProfileCostModel:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(f"profile CSV needs columns {sorted(required)}")
             for row in reader:
-                cells[(float(row["len"]), int(row["dp"]))] = float(row["seconds"])
+                length, seconds = float(row["len"]), float(row["seconds"])
+                where = f"profile CSV line {reader.line_num}"
+                if not math.isfinite(length):
+                    raise ValueError(f"{where}: len must be finite, got {row['len']!r}")
+                if not (math.isfinite(seconds) and seconds >= 0):
+                    raise ValueError(f"{where}: seconds must be finite and >= 0, "
+                                     f"got {row['seconds']!r}")
+                cells[(length, int(row["dp"]))] = seconds
         lengths = sorted({l for l, _ in cells})
         workers = sorted({d for _, d in cells})
         try:

@@ -464,12 +464,14 @@ def _replay_units(trace: Trace, config: SpecConfig,
                   units: list[_Unit]) -> dict[tuple[int, str], list[Replayed]]:
     # Both calls go through their modules' globals, so a wrapper set on
     # `history.build_tree` or `sim.replay_response` (the traced benchmark
-    # run) sees the calls made in this process.
+    # run) sees the calls made in this process. Each index is dropped before
+    # the next is built, so one is alive at a time.
     results = {}
     for step, pid, epoch in units:
         tree = history.build_tree(pid, epoch, trace.group(epoch, pid))
         results[step, pid] = [replay_response(resp.tokens, tree, config)
                               for resp in trace.group(step, pid)]
+        del tree
     return results
 
 

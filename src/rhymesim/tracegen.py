@@ -301,7 +301,8 @@ def token_similarity_replay(
     never be accepted and are reported as warm-up.
 
     Each prompt's previous epoch is indexed once by `build_tree`, which
-    rejects empty responses and non-finite rewards. Each response is walked
+    rejects empty responses and non-finite rewards, and the index is dropped
+    before the next prompt's is built. Each response is walked
     through the index once, by `SuffixTree.match_lengths`: `matched[p]` is
     the longest suffix of `tokens[:p + 1]` that occurs inside one previous
     response. The prefix ending at `pos` continues for `run` tokens exactly
@@ -327,4 +328,5 @@ def token_similarity_replay(
                     run += 1
                 accepted += run
                 pos += max(run, 1)
+        del index
     return ReplayResult(accepted=accepted, total=total, warmup=warmup)

@@ -114,9 +114,9 @@ class TestAnalyze:
         assert stats["total_nodes"] <= 2 * stats["total_tokens"] + 1
         assert set(stats) == {"epoch", "prompt_count", "total_nodes", "total_tokens",
                               "index_bytes"}
-        # 76 B/token for the columns and the root's table, plus 28 B per root
-        # token key the index owns: 0.41 distinct tokens per indexed token.
-        assert 0 < stats["index_bytes"] <= 87 * stats["total_tokens"]
+        # One transition dict per state, and a float and some int objects
+        # per state and per transition: 476 B/token measured, plus 10.
+        assert 0 < stats["index_bytes"] <= 486 * stats["total_tokens"]
 
     @pytest.mark.parametrize("argv", [
         ["rank", "--epochs", "3,4"],
@@ -228,12 +228,27 @@ class TestPlanAlloc:
         ["--analytic", "0.01,-0.002,0.0,16"],
         ["--analytic", "0.01,0.002,nan,16"],
         ["--analytic", "0.01,0.002,0.0"],
+        ["--wks", "0"],
+        ["--wks", "-3"],
+        ["--precision", "inf"],
     ], ids="=".join)
     def test_unplannable_number_exits_two(self, tmp_path, flags, capsys):
         argv = ["plan-alloc", "--lens", "8,16,32,64", "--wks", "10", *flags]
         out = tmp_path / "p.json"
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
         assert f"argument {flags[0]}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    # A profile cell no plan can be made from exits 2 and names its line.
+    @pytest.mark.parametrize("cell", ["100,1,nan", "100,1,inf", "100,1,-12.0", "nan,1,10.0",
+                                      "inf,1,10.0"])
+    def test_bad_profile_cell_exits_two(self, tmp_path, cell, capsys):
+        profile = tmp_path / "profile.csv"
+        profile.write_text(f"len,dp,seconds\n100,2,6.0\n{cell}\n200,1,20.0\n200,2,12.0\n")
+        out = tmp_path / "p.json"
+        assert main(["plan-alloc", "--lens", "100,200", "--wks", "4", "--profile", str(profile),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "profile CSV line 3:" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -325,6 +325,30 @@ class TestReplayEquivalence:
         replay = replay_response(list(range(6)), tree, config)
         assert list(replay.profile) == [1, 2, 6]
 
+    def test_repetitive_histories_replay_in_linear_time(self, time_limit):
+        # Real RL responses repeat themselves; an index whose lookups grow
+        # with the number of occurrences would make these quadratic.
+        rng = random.Random(43)
+        phrases = [[rng.randrange(100, 200) for _ in range(20)] for _ in range(4)]
+        fresh = itertools.count(1000)
+        cases = [
+            # Four responses of 4,000 copies of one token.
+            ([([7] * 4000, 1.0)] * 4, [[7] * 4000]),
+            # Four responses, each one 20-token phrase repeated 200 times.
+            ([(phrase * 200, 0.25 * i) for i, phrase in enumerate(phrases)],
+             [phrases[0] * 200, phrases[3] * 100 + phrases[1] * 100]),
+            # A one-token history, against truths with a fresh token before
+            # every fourth repeat.
+            ([([7] * 4000, 1.0)],
+             [[tok for i in range(4000) for tok in ([next(fresh), 7] if i % 4 == k else [7])]
+              for k in range(4)]),
+        ]
+        for corpus, truths in cases:
+            tree = corpus_tree(corpus)
+            for truth in truths:
+                for config in (SpecConfig(), SpecConfig(prefix_init=3, prefix_min=1)):
+                    assert_replays_agree(truth, tree, config)
+
 
 @st.composite
 def replay_cases(draw):
