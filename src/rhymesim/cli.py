@@ -1,9 +1,10 @@
 """Single entry point tying generation, analysis, planning, and simulation.
 
 Config files are flat JSON key-value maps with dotted keys (for example
-"cluster.rollout_workers" or "spec.window_init"); unknown keys are rejected
-so typos fail loudly. Outputs are machine-readable by default and written
-atomically; `--pretty` switches the analysis commands to human tables.
+"cluster.rollout_workers" or "spec.window_init"); unknown keys and values of
+the wrong JSON type are rejected so typos fail loudly. Outputs are
+machine-readable by default and written atomically; `--pretty` switches the
+analysis commands to human tables.
 
 Exit codes: 0 success, 2 bad usage, config or trace record, 3 infeasible
 allocation plan, 4 I/O failure.
@@ -75,11 +76,25 @@ def _pop_section(cfg: dict, prefix: str) -> dict:
     return section
 
 
+# The JSON values a config field of each annotated type takes. An int field
+# holds a count, a size or a seed: 8.5, 8.0 or true would pass its range
+# checks and fail deep inside a run. A bool field would take "false" as true.
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+}
+
+
 def _build_dataclass(cls, values: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(values) - known
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(values) - set(types)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in values.items():
+        wanted = _JSON_TYPES.get(types[key])
+        if wanted and type(value) not in wanted[0]:
+            raise ConfigError(f"bad {where} config: {key} must be {wanted[1]}, got {value!r}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
@@ -301,7 +316,6 @@ def cmd_run_sim(args) -> int:
             "speculation": policy.speculation,
             "migration": policy.migration,
             "oversample_pct": policy.oversample_pct,
-            "plan_precision": policy.plan_precision,
         },
         "trace": args.trace,
         "cluster_config": args.cluster,

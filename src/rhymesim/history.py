@@ -35,7 +35,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 
 # Token ids are stored as C ints.
@@ -78,14 +77,6 @@ class DraftResult:
     found: bool
 
 
-class Cursor(NamedTuple):
-    """A matched prefix: the automaton state it reaches and that state's
-    reward mass."""
-
-    state: int
-    priority: float
-
-
 class SuffixTree:
     """Generalized suffix automaton over one prompt's responses of one epoch.
 
@@ -126,25 +117,11 @@ class SuffixTree:
         return (sum(map(sys.getsizeof, (nxt, self.link, self.length, self.mass)))
                 + sum(map(sys.getsizeof, nxt)) + sum(map(sys.getsizeof, held.values())))
 
-    def match_prefix(self, prefix: Sequence[int]) -> Cursor | None:
-        """Walk `prefix` from state 0; None when it occurs in no response."""
-        if not prefix:
-            raise ValueError("prefix must be non-empty")
-        nxt = self.nxt
-        v = 0
-        for tok in prefix:
-            v = nxt[v].get(tok)
-            if v is None:
-                return None
-        return Cursor(v, self.mass[v])
-
     def extract_draft(self, prefix: Sequence[int], window: int) -> DraftResult:
         """Greedy max-mass continuation of `prefix`, up to `window` tokens.
 
         Each draft token is the transition whose target has the largest
         mass; ties between equal-mass continuations go to the smallest token.
-        A replay makes this lookup at every iteration whose prefix occurs, so
-        it walks the prefix with :meth:`match_prefix` inlined.
         """
         if window < 1:
             raise ValueError("window must be >= 1")

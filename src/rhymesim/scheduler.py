@@ -29,7 +29,7 @@ from .history import Response
 
 # Migration thresholds: a straggler is among the last ALPHA_PCT% of its
 # group's rollouts and longer than beta times the group's longest history
-# length, where beta is never below BETA_FLOOR.
+# length, where `beta_from_history` never puts beta below BETA_FLOOR.
 ALPHA_PCT = 10.0
 BETA_FLOOR = 1.1
 
@@ -296,17 +296,6 @@ def beta_from_history(prev_epoch_growth_rates: Sequence[float]) -> float:
     return max(ordered[max(rank, 1) - 1], BETA_FLOOR)
 
 
-@dataclass
-class MigrationPolicy:
-    alpha_pct: float = ALPHA_PCT
-    beta: float = BETA_FLOOR
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_pct < 100.0):
-            raise ValueError("alpha_pct must be in (0, 100)")
-        self.beta = max(self.beta, BETA_FLOOR)
-
-
 @dataclass(frozen=True)
 class MigrationDecision:
     kind: str  # "none" | "intra_step" | "inter_step"
@@ -320,17 +309,17 @@ class MigrationDecision:
 NO_MIGRATION = MigrationDecision("none")
 
 
-def straggler_tail_size(total: int, alpha_pct: float = ALPHA_PCT) -> int:
-    """How many of a group's `total` rollouts make up its last alpha%: the
-    floor of alpha% of them, and at least one."""
-    return max(1, math.floor(alpha_pct / 100.0 * total))
+def straggler_tail_size(total: int) -> int:
+    """How many of a group's `total` rollouts make up its last ALPHA_PCT%:
+    the floor of that share of them, and at least one."""
+    return max(1, math.floor(ALPHA_PCT / 100.0 * total))
 
 
-def in_straggler_tail(completed: int, total: int, policy: MigrationPolicy) -> bool:
-    """True while the group's remaining rollouts are its last alpha%: the
-    per-group half of the migration test, which no rollout's length
+def in_straggler_tail(completed: int, total: int) -> bool:
+    """True while the group's remaining rollouts are its last ALPHA_PCT%:
+    the per-group half of the migration test, which no rollout's length
     affects."""
-    return total - completed <= straggler_tail_size(total, policy.alpha_pct)
+    return total - completed <= straggler_tail_size(total)
 
 
 def migration_decision(
@@ -338,20 +327,21 @@ def migration_decision(
     generated_len: int,
     completed: int,
     total: int,
-    policy: MigrationPolicy,
+    beta: float,
     n_groups: int,
     active_group_loads: Mapping[int, float],
 ) -> MigrationDecision:
     """Migrate a straggler only when both thresholds trip.
 
-    The rollout must be among the group's last remaining alpha% AND have
-    outgrown beta times the group's max historical length. Short and medium
-    groups (index < n_groups/2) hand the rollout to the least-loaded group
-    still rolling out this step; long groups defer it to the next step.
+    The rollout must be among the group's last remaining ALPHA_PCT% AND have
+    outgrown `beta` times the group's max historical length. Short and
+    medium groups (index < n_groups/2) hand the rollout to the least-loaded
+    group still rolling out this step; long groups defer it to the next
+    step.
     """
-    if not in_straggler_tail(completed, total, policy):
+    if not in_straggler_tail(completed, total):
         return NO_MIGRATION
-    if generated_len <= policy.beta * group.max_hist_len:
+    if generated_len <= beta * group.max_hist_len:
         return NO_MIGRATION
     if group.index < n_groups / 2:
         candidates = [(load, idx) for idx, load in active_group_loads.items() if idx != group.index]

@@ -37,9 +37,9 @@ only on the trace and the `SpecConfig`, so it is split over the CPUs this
 process may use, one forked process per share beyond the one the simulating
 process computes itself. Each response's replay is one
 `spec_engine.Replayed`: its iteration count, its cumulative profile as C ints
-and its counters. The batch gate only chooses: a share whose gate is open
-takes its responses' replays, and every other response decodes one token per
-iteration without any call into the engine.
+and its counters. A response without one (in step 1, in a run without
+speculation, or of a prompt new in its epoch) decodes one token per iteration
+without any call into the engine.
 
 The event log is the run's one record: `derive` computes the timeline,
 metrics, accounting and per-step speculation rows from it alone, in memory or
@@ -89,7 +89,6 @@ from .history import Response
 from .scheduler import (
     BETA_FLOOR,
     AllocationPlan,
-    MigrationPolicy,
     PromptStat,
     RankingGroup,
     assignment_order,
@@ -101,12 +100,15 @@ from .scheduler import (
     plan_allocation,
     prompt_stats,
 )
-from .spec_engine import Replayed, SpecConfig, SpecStats, gate_check, replay_response
+from .spec_engine import Replayed, SpecConfig, SpecStats, replay_response
 from .tracegen import Trace
 
 POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
 EVENTS_SCHEMA_VERSION = 2
-RUN_SCHEMA_VERSION = 3
+RUN_SCHEMA_VERSION = 4
+# Two-tier planning stops its gradient search once the gradient is known to
+# within this many simulated seconds.
+PLAN_PRECISION = 0.05
 SPEC_STATS_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_passes",
                      "decode_passes"]
 
@@ -158,15 +160,12 @@ class Policy:
     speculation: bool = False
     migration: bool = True
     oversample_pct: float = 0.0
-    plan_precision: float = 0.05
 
     def __post_init__(self):
         if self.name not in POLICIES:
             raise ValueError(f"unknown policy {self.name!r}; expected one of {POLICIES}")
         if not (0.0 <= self.oversample_pct < 100.0):
             raise ValueError("oversample_pct must be in [0, 100)")
-        if not self.plan_precision > 0:
-            raise ValueError(f"plan_precision must be > 0, got {self.plan_precision}")
 
     @property
     def is_histopipe(self) -> bool:
@@ -207,14 +206,12 @@ class ClusterSpec:
     reward_workers: int = 2
     n_groups: int = 4
     weight_propagation_delay: float = 0.1
-    min_wks: int = 1
-    max_wks: int | None = None
 
     def __post_init__(self):
         if self.rollout_workers < 1 or self.reward_workers < 1:
             raise ValueError("need at least one rollout and one reward worker")
-        if self.rollout_workers < self.n_groups * self.min_wks:
-            raise ValueError("rollout_workers must cover n_groups * min_wks")
+        if self.rollout_workers < self.n_groups:
+            raise ValueError("rollout_workers must be >= n_groups")
         if not (math.isfinite(self.weight_propagation_delay)
                 and self.weight_propagation_delay >= 0):
             raise ValueError("weight_propagation_delay must be finite and >= 0, "
@@ -590,19 +587,15 @@ class _Simulation:
         return {pid: known.get(pid, cold) for pid in self.trace.epoch_responses(step)}
 
     def _make_tasks(self, step: int, shares_raw: dict[int, list]) -> dict[int, list[_Task]]:
-        """Wrap every assigned response as a schedulable task. A share whose
-        batch gate is open takes its responses' HistoSpec replays; any other
-        response, or one whose prompt has no earlier epoch, decodes one token
+        """Wrap every assigned response as a schedulable task. A response
+        takes its HistoSpec replay if it has one; any other decodes one token
         per iteration. The counters are added in plan order."""
-        flags = {wid: self.policy.speculation and step >= 2
-                 and gate_check(self.spec_config, len(members), self.stats.acceptance_rate)
-                 for wid, members in shares_raw.items()}
         shares: dict[int, list[_Task]] = {}
         for wid in sorted(shares_raw):
             share = []
             for member, resp, group_idx in shares_raw[wid]:
                 sid = f"{resp.prompt_id}/e{resp.epoch}/{member}"
-                replays = self.replayed.get((step, resp.prompt_id)) if flags[wid] else None
+                replays = self.replayed.get((step, resp.prompt_id))
                 replay = None if replays is None else replays[member]
                 self.stats.count(resp.generated_len, replay)
                 share.append(_Task(
@@ -696,11 +689,7 @@ class _Simulation:
             t_train = self.last_train_duration
             if not self.train_done_time:
                 t_train = self.cost.t_train(sum(group_batches.values()))
-            allocation = plan_allocation(
-                n_groups, wks, t_train,
-                tau, min_wks=self.cluster.min_wks, max_wks=self.cluster.max_wks,
-                precision=self.policy.plan_precision,
-            )
+            allocation = plan_allocation(n_groups, wks, t_train, tau, precision=PLAN_PRECISION)
             if not allocation.feasible:
                 raise InfeasiblePlanError(
                     f"step {step}: no feasible allocation for {wks} workers over "
@@ -737,8 +726,10 @@ class _Simulation:
         return plan
 
     def _accepted_per_pass(self) -> float:
+        """Tokens landed per engine pass beyond the first, over every
+        response planned so far: 0.0 while none was replayed."""
         passes = self.stats.verify_passes + self.stats.decode_passes
-        if not self.policy.speculation or passes == 0:
+        if passes == 0:
             return 0.0
         return max(0.0, self.stats.tokens_total / passes - 1.0)
 
@@ -924,7 +915,7 @@ class _Simulation:
     def _check_migrations(self, plan: _StepPlan) -> None:
         """Migrate the stragglers of every group still rolling out this step.
 
-        Only a group down to its last alpha% (`in_straggler_tail`) can
+        Only a group down to its last ALPHA_PCT% (`in_straggler_tail`) can
         migrate anything, so the per-rollout test runs over those groups'
         live workers alone. Each group is tested once, when its scan begins:
         a group can leave its tail during a check, by receiving a migrant
@@ -938,12 +929,12 @@ class _Simulation:
         in a short group, comes before the long groups' inter-step
         migrations, and the loads read are those before any migration.
         """
-        policy = MigrationPolicy(beta=self._beta_for_step(plan.step))
+        beta = self._beta_for_step(plan.step)
         completed, total = plan.group_completed, plan.group_total
         n_groups = self.cluster.n_groups
         active_loads = _GroupLoads(self.workers, plan)
         for g, wids in plan.group_workers.items():
-            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0), policy):
+            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
                 continue
             group = plan.groups[g]
             for wid in wids:
@@ -961,7 +952,7 @@ class _Simulation:
                         continue
                     decision = migration_decision(
                         group, task.generated_len(v - task.v_start), completed.get(g, 0),
-                        total.get(g, 0), policy, n_groups, active_loads,
+                        total.get(g, 0), beta, n_groups, active_loads,
                     )
                     if not decision.migrates:
                         continue

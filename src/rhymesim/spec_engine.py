@@ -6,10 +6,7 @@ verification is an exact prefix comparison against the replayed ground-truth
 continuation, and every verify pass also yields the one token a normal decode
 step would have produced. The speculation window grows additively on full
 acceptance and collapses to its initial size on any rejection; the lookup
-prefix shrinks while matches fail and snaps back once one succeeds. A batch
-gate disables speculation outright when the worker's batch is already large
-enough that verification overhead would not pay off at the observed
-acceptance rate.
+prefix shrinks while matches fail and snaps back once one succeeds.
 
 :func:`replay_response` runs one response against its prompt's index as a
 single loop over plain integers (position, window size, prefix length) and
@@ -36,8 +33,6 @@ WINDOW_ADD = 2
 WINDOW_MAX = 32
 PREFIX_INIT = 7
 PREFIX_MIN = 3
-GATE_BUCKETS = 10
-GATE_DEFAULT_MAX_BATCH = 8192
 
 
 def verify(draft: list[int], truth: Sequence[int]) -> int:
@@ -93,23 +88,13 @@ class SpecStats:
 
 @dataclass
 class SpecConfig:
-    """Engine knobs; mirrored one-to-one by the `spec.*` config keys.
-
-    `gate_table` is the batch gate: `gate_table[i]` is the largest batch a
-    worker may speculate on when the acceptance rate so far is in
-    [i/10, (i+1)/10), a rate of exactly 1.0 falling into the top bucket. It
-    has 10 buckets and never decreases: lower acceptance never allows a
-    larger batch. Any sequence of numbers is taken and kept as a tuple of
-    ints, so a JSON list in a config file works. The default allows 8192
-    in-flight rollouts at any acceptance rate.
-    """
+    """Engine knobs; mirrored one-to-one by the `spec.*` config keys."""
 
     window_init: int = WINDOW_INIT
     window_add: int = WINDOW_ADD
     window_max: int = WINDOW_MAX
     prefix_init: int = PREFIX_INIT
     prefix_min: int = PREFIX_MIN
-    gate_table: tuple[int, ...] = (GATE_DEFAULT_MAX_BATCH,) * GATE_BUCKETS
 
     def __post_init__(self):
         if not (1 <= self.window_init <= self.window_max):
@@ -118,18 +103,6 @@ class SpecConfig:
             raise ValueError(f"window_add must be >= 0, got {self.window_add}")
         if not (1 <= self.prefix_min <= self.prefix_init):
             raise ValueError(f"prefix needs 1 <= prefix_min <= prefix_init: {self}")
-        table = self.gate_table = tuple(int(v) for v in self.gate_table)
-        if len(table) != GATE_BUCKETS:
-            raise ValueError(f"gate table needs {GATE_BUCKETS} buckets, got {len(table)}")
-        if any(a > b for a, b in zip(table, table[1:])):
-            raise ValueError("gate table must be non-decreasing in acceptance bucket")
-
-
-def gate_check(config: SpecConfig, current_batch: int, recent_acceptance: float) -> bool:
-    """True when speculation stays enabled for this batch size."""
-    bucket = min(int(recent_acceptance * GATE_BUCKETS), GATE_BUCKETS - 1)
-    bucket = max(bucket, 0)
-    return current_batch <= config.gate_table[bucket]
 
 
 def next_window(config: SpecConfig, size: int, all_accepted: bool) -> int:

@@ -65,16 +65,27 @@ class TraceSpec:
             raise ValueError("num_prompts, epochs and group_size must be >= 1")
         if not (1 <= self.vocab_size <= MAX_TOKEN + 1):
             raise ValueError(f"vocab_size must be in [1, {MAX_TOKEN + 1}]")
-        if not (0.0 <= self.similarity <= 1.0):
-            raise ValueError("similarity must be in [0, 1]")
-        if not (0.0 <= self.rank_noise <= 1.0):
-            raise ValueError("rank_noise must be in [0, 1]")
-        if self.burst_mean < 1.0:
-            raise ValueError("burst_mean must be >= 1")
-        if self.len_sigma < 0 or self.growth_mean <= 0:
-            raise ValueError("invalid length distribution parameters")
-        if self.similarity_schedule is not None and len(self.similarity_schedule) != self.epochs:
-            raise ValueError("similarity_schedule must have one entry per epoch")
+        # Every test is a chained comparison, which NaN fails.
+        inf = math.inf
+        for key, wanted, ok in (
+            ("len_mu", "finite", lambda x: -inf < x < inf),
+            ("len_sigma", "finite and >= 0", lambda x: 0.0 <= x < inf),
+            ("growth_mean", "finite and > 0", lambda x: 0.0 < x < inf),
+            ("burst_mean", "finite and >= 1", lambda x: 1.0 <= x < inf),
+            ("length_jitter", "finite and >= 0", lambda x: 0.0 <= x < inf),
+            ("similarity", "in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+            ("rank_noise", "in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+            ("high_reward_frac", "in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+        ):
+            if not ok(getattr(self, key)):
+                raise ValueError(f"{key} must be {wanted}, got {getattr(self, key)}")
+        schedule = self.similarity_schedule
+        if schedule is not None:
+            if len(schedule) != self.epochs:
+                raise ValueError("similarity_schedule must have one entry per epoch")
+            bad = [x for x in schedule if not 0.0 <= x <= 1.0]
+            if bad:
+                raise ValueError(f"similarity_schedule entries must be in [0, 1], got {bad[0]}")
 
     def similarity_for_epoch(self, epoch: int) -> float:
         if self.similarity_schedule is not None:

@@ -67,6 +67,18 @@ def subtree_mass(corpus: list[tuple[list[int], float]], pattern: list[int]) -> f
     return sum(reward * occurrences(tokens, pattern) for tokens, reward in corpus)
 
 
+def state_mass(tree, pattern: list[int]) -> float | None:
+    """The mass of the state `pattern` reaches in `tree`, walked from state 0
+    over `tree.nxt` and read from `tree.mass`; None when it occurs nowhere.
+    The index's side of a `subtree_mass` comparison."""
+    v = 0
+    for tok in pattern:
+        v = tree.nxt[v].get(tok)
+        if v is None:
+            return None
+    return tree.mass[v]
+
+
 def end_mass(corpus: list[tuple[list[int], float]], pattern: list[int]) -> float:
     """Reward mass of responses that end exactly with `pattern`."""
     pattern = list(pattern)

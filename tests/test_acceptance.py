@@ -87,7 +87,7 @@ def test_criterion_1_suffix_tree_oracle_equivalence():
             window = rng.randint(1, 16)
             expected = oracles.greedy_draft(corpus, prefix, window)
             got = tree.extract_draft(prefix, window)
-            assert (tree.match_prefix(prefix) is not None) == oracles.prefix_occurs(corpus, prefix)
+            assert got.found == oracles.prefix_occurs(corpus, prefix)
             assert got.tokens == expected, (trial, prefix)
             queries += 1
     elapsed = time.monotonic() - start

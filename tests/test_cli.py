@@ -59,6 +59,24 @@ class TestGenTrace:
         assert main(["gen-trace", "--spec", str(bad), "--out", str(tmp_path / "x.jsonl")]) == EXIT_CONFIG
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("num_prompts", 2.5), ("epochs", 3.0), ("group_size", 2.5), ("vocab_size", 100.5),
+        ("seed", 5.5), ("group_size", True), ("similarity", "0.9"),
+        ("similarity_schedule", [0.5, 2.0, -1.0]), ("similarity_schedule", [0.5, math.nan, 0.9]),
+        ("similarity_schedule", [0.5, 0.9, math.inf]), ("length_jitter", -0.5),
+        ("high_reward_frac", 3.0), ("high_reward_frac", -0.1), ("len_mu", math.nan),
+        ("len_mu", -math.inf), ("len_sigma", math.nan), ("growth_mean", math.nan),
+        ("growth_mean", math.inf), ("burst_mean", math.nan), ("length_jitter", math.inf),
+    ])
+    def test_bad_value_exits_two_naming_the_key(self, workspace, key, value, capsys):
+        tmp_path, spec_path, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(spec_path.read_text()), key: value}))
+        out = tmp_path / "x.jsonl"
+        assert main(["gen-trace", "--spec", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_rank_csv(self, workspace):
@@ -270,7 +288,8 @@ class TestRunSim:
         base_row = lines[1].split(",")
         assert float(base_row[3]) == 1.0  # first run normalizes to itself
         payload = rio.read_json(run_b)
-        assert payload["schema"] == 3 and "seed" not in payload and "timeline" not in payload
+        assert payload["schema"] == 4 and "seed" not in payload and "timeline" not in payload
+        assert sorted(payload["policy_config"]) == ["migration", "oversample_pct", "speculation"]
 
     def test_report_timeline_reads_events_log_beside_run(self, workspace, monkeypatch, capsys):
         # run-sim records events_path relative to the directory it ran in;
@@ -440,6 +459,15 @@ class TestRunSim:
         {"cost.context_switch_frac": math.inf},
         {"cluster.weight_propagation_delay": -0.1},
         {"spec.window_add": -5},
+        # A value of the wrong JSON type fails with its key named, not deep
+        # inside the run or, for a bool, as a truthy value.
+        {"cluster.rollout_workers": 8.5}, {"cluster.reward_workers": 2.5},
+        {"cluster.n_groups": 2.5}, {"cluster.rollout_workers": 8.0},
+        {"cluster.n_groups": True}, {"cluster.reward_workers": "4"},
+        {"spec.window_init": 2.5}, {"spec.window_add": 1.5}, {"spec.window_max": 31.5},
+        {"spec.prefix_init": 7.5}, {"spec.prefix_min": 2.5},
+        {"cost.per_iter_base": "0.02"}, {"cost.train_base": True},
+        {"policy.speculation": "false"}, {"policy.migration": 0},
     ])
     def test_bad_value_exits_two_naming_the_key(self, workspace, values, time_limit, capsys):
         # A zero iteration time would never let the run end: the time limit
@@ -467,28 +495,6 @@ class TestRunSim:
                      "--policy", "histopipe_two_tier", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
         assert "fixed_step_overhead" in capsys.readouterr().err
 
-    def test_zero_max_wks_config_rejected(self, workspace):
-        tmp_path, spec_path, cluster_path = workspace
-        trace_path = gen(tmp_path, spec_path)
-        cfg = json.loads(cluster_path.read_text())
-        cfg["cluster.max_wks"] = 0
-        bad = tmp_path / "maxwks.json"
-        bad.write_text(json.dumps(cfg))
-        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
-                     "--policy", "histopipe_two_tier", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
-
-
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_non_positive_plan_precision_config_rejected(self, workspace, value, time_limit):
-        tmp_path, spec_path, cluster_path = workspace
-        trace_path = gen(tmp_path, spec_path)
-        cfg = json.loads(cluster_path.read_text())
-        cfg["policy.plan_precision"] = value
-        bad = tmp_path / "precision.json"
-        bad.write_text(json.dumps(cfg))
-        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
-                     "--policy", "histopipe_two_tier", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
-
     def test_policy_name_config_key_rejected(self, workspace, capsys):
         # The policy is chosen by --policy alone; a config key naming another
         # one must not override it.
@@ -504,43 +510,24 @@ class TestRunSim:
         assert "policy.name" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_gate_table_turns_speculation_off(self, workspace):
-        # A gate table of zeros allows no batch to speculate, so every
-        # rollout takes one engine iteration per token; with the default
-        # table the same run speculates.
+    @pytest.mark.parametrize("key,value", [
+        ("spec.gate_table", [8192] * 10), ("policy.plan_precision", 0.05),
+        ("cluster.min_wks", 1), ("cluster.max_wks", 4),
+    ])
+    def test_removed_config_key_exits_two(self, workspace, key, value, capsys):
+        # Deleted settings that every run left at their defaults: even the
+        # old default is an unknown key now.
         tmp_path, spec_path, cluster_path = workspace
         trace_path = gen(tmp_path, spec_path)
-        cfg = json.loads(cluster_path.read_text())
-        iters_below_tokens = {}
-        for label, table in (("default", None), ("zero", [0] * 10)):
-            if table is not None:
-                cfg["spec.gate_table"] = table
-            path = tmp_path / f"gate-{label}.json"
-            path.write_text(json.dumps(cfg))
-            out = tmp_path / f"run-{label}.json"
-            assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(path),
-                         "--policy", "histopipe_two_tier", "--speculation",
-                         "--out", str(out)]) == EXIT_OK
-            finishes = [json.loads(line) for line in
-                        (tmp_path / f"run-{label}.events.jsonl").read_text().splitlines()]
-            finishes = [e for e in finishes if e["kind"] == "rollout_finish"]
-            assert finishes
-            iters_below_tokens[label] = sum(e["iterations"] < e["tokens"] for e in finishes)
-            if label == "zero":
-                assert all(e["iterations"] == e["tokens"] for e in finishes)
-        assert iters_below_tokens["default"] > 0
-
-    @pytest.mark.parametrize("table", [[100] * 9, [100] * 5 + [50] * 5])
-    def test_bad_gate_table_exits_two(self, workspace, table, capsys):
-        tmp_path, spec_path, cluster_path = workspace
-        trace_path = gen(tmp_path, spec_path)
-        cfg = json.loads(cluster_path.read_text())
-        cfg["spec.gate_table"] = table
-        bad = tmp_path / "gate.json"
+        cfg = {**json.loads(cluster_path.read_text()), key: value}
+        bad = tmp_path / "removed.json"
         bad.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
-                     "--policy", "streaming", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
-        assert "gate table" in capsys.readouterr().err
+                     "--policy", "histopipe_two_tier", "--out", str(out)]) == EXIT_CONFIG
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.events.jsonl").exists()
 
 
 class TestUsage:

@@ -35,7 +35,7 @@ def check_child_sums(tree, corpus, vocab):
     # Every suffix starting with s either ends right after s or continues
     # with one token c, so the mass of s is its end mass plus the masses of
     # all its one-token extensions. Checked for every pattern of length <= 4
-    # that occurs, through the query interface alone; returns how many.
+    # that occurs, walking the index from its root; returns how many.
     patterns = {
         tuple(tokens[i : i + m])
         for tokens, _ in corpus
@@ -43,9 +43,9 @@ def check_child_sums(tree, corpus, vocab):
         for i in range(len(tokens) - m + 1)
     }
     for pattern in map(list, patterns):
-        extensions = [tree.match_prefix(pattern + [c]) for c in range(vocab)]
-        assert tree.match_prefix(pattern).priority == oracles.end_mass(corpus, pattern) + sum(
-            cursor.priority for cursor in extensions if cursor is not None
+        extensions = [oracles.state_mass(tree, pattern + [c]) for c in range(vocab)]
+        assert oracles.state_mass(tree, pattern) == oracles.end_mass(corpus, pattern) + sum(
+            mass for mass in extensions if mass is not None
         )
     return len(patterns)
 
@@ -62,10 +62,10 @@ class TestBuildTree:
         # suffix carries the summed reward mass 0.9 + 0.1.
         corpus = [([1, 7, 8, 9], 0.9), ([2, 7, 8, 9], 0.1)]
         tree = corpus_tree(corpus)
-        cursor = tree.match_prefix([7, 8, 9])
-        assert cursor is not None
-        assert cursor.priority == pytest.approx(1.0)
-        assert cursor.priority == pytest.approx(oracles.subtree_mass(corpus, [7, 8, 9]))
+        mass = oracles.state_mass(tree, [7, 8, 9])
+        assert mass is not None
+        assert mass == pytest.approx(1.0)
+        assert mass == pytest.approx(oracles.subtree_mass(corpus, [7, 8, 9]))
 
     def test_root_priority_is_reward_times_suffix_count(self):
         rng = random.Random(7)
@@ -86,8 +86,7 @@ class TestBuildTree:
     def test_duplicate_responses_accumulate(self):
         corpus = [([4, 5], 0.25), ([4, 5], 0.5)]
         tree = corpus_tree(corpus)
-        cursor = tree.match_prefix([4, 5])
-        assert cursor.priority == pytest.approx(0.75)
+        assert oracles.state_mass(tree, [4, 5]) == pytest.approx(0.75)
 
     def test_nan_reward_rejected(self):
         with pytest.raises(ValueError):
@@ -116,18 +115,16 @@ class TestMatchPrefix:
         tree = corpus_tree(corpus)
         for i in range(5):
             for j in range(i + 1, 6):
-                assert tree.match_prefix([1, 2, 3, 4, 5][i:j]) is not None
+                assert tree.extract_draft([1, 2, 3, 4, 5][i:j], 1).found
 
     def test_absent_prefix_not_found(self):
         tree = corpus_tree([([1, 2, 3], 1.0)])
-        assert tree.match_prefix([3, 1]) is None
-        assert tree.match_prefix([9]) is None
+        assert not tree.extract_draft([3, 1], 1).found
+        assert not tree.extract_draft([9], 1).found
 
     def test_full_response_is_suffix_terminal(self):
         corpus = [([5, 6, 7], 1.0)]
         tree = corpus_tree(corpus)
-        cursor = tree.match_prefix([5, 6, 7])
-        assert cursor is not None
         draft = tree.extract_draft([5, 6, 7], window=8)
         assert draft.tokens == []
         assert draft.found
@@ -135,7 +132,7 @@ class TestMatchPrefix:
     def test_empty_prefix_rejected(self):
         tree = corpus_tree([([1], 1.0)])
         with pytest.raises(ValueError):
-            tree.match_prefix([])
+            tree.extract_draft([], 1)
 
     def test_match_agrees_with_scan(self):
         rng = random.Random(23)
@@ -145,9 +142,7 @@ class TestMatchPrefix:
             for _ in range(12):
                 plen = rng.randint(1, 6)
                 prefix = [rng.randrange(4) for _ in range(plen)]
-                assert (tree.match_prefix(prefix) is not None) == oracles.prefix_occurs(
-                    corpus, prefix
-                )
+                assert tree.extract_draft(prefix, 1).found == oracles.prefix_occurs(corpus, prefix)
 
 
 class TestExtractDraft:
@@ -201,7 +196,7 @@ class TestExtractDraft:
         assert got.tokens == expected
         assert got.found == oracles.prefix_occurs(corpus, prefix)
         if got.found:
-            assert tree.match_prefix(prefix).priority == pytest.approx(
+            assert oracles.state_mass(tree, prefix) == pytest.approx(
                 oracles.subtree_mass(corpus, prefix), abs=1e-6
             )
 
@@ -240,13 +235,9 @@ class TestAutomaton:
                 occurs = oracles.prefix_occurs(corpus, s)
                 checked += 1
                 occurring += occurs
-                assert (tree.match_prefix(s) is not None) == occurs
-                if occurs:
-                    draft = tree.extract_draft(s, 6)
-                    assert draft.found
-                    assert draft.tokens == oracles.greedy_draft(corpus, s, 6)
-                else:
-                    assert tree.extract_draft(s, 6).tokens == []
+                draft = tree.extract_draft(s, 6)
+                assert draft.found == occurs
+                assert draft.tokens == (oracles.greedy_draft(corpus, s, 6) if occurs else [])
         assert (checked, occurring) == (5520, 577)
 
     def test_match_lengths_exhaustive(self):

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from rhymesim.scheduler import (
+    BETA_FLOOR,
     AnalyticCostModel,
-    MigrationPolicy,
     ProfileCostModel,
     PromptStat,
     RankingGroup,
@@ -208,61 +208,59 @@ def group(index=0, max_hist=100.0):
 
 class TestMigrationDecision:
     def test_both_conditions_required(self):
-        policy = MigrationPolicy(beta=1.1)
         # In the last 10% and over the length threshold: migrate.
         d = migration_decision(group(0), generated_len=150, completed=19, total=20,
-                               policy=policy, n_groups=4, active_group_loads={1: 3.0})
+                               beta=1.1, n_groups=4, active_group_loads={1: 3.0})
         assert d.migrates
         # Over length but the group is only half done: stay.
         d = migration_decision(group(0), generated_len=150, completed=10, total=20,
-                               policy=policy, n_groups=4, active_group_loads={1: 3.0})
+                               beta=1.1, n_groups=4, active_group_loads={1: 3.0})
         assert not d.migrates
         # In the last 10% but under the threshold: stay.
         d = migration_decision(group(0), generated_len=105, completed=19, total=20,
-                               policy=policy, n_groups=4, active_group_loads={1: 3.0})
+                               beta=1.1, n_groups=4, active_group_loads={1: 3.0})
         assert not d.migrates
 
     def test_short_group_goes_intra_to_least_loaded(self):
-        d = migration_decision(group(1), 200, 19, 20, MigrationPolicy(), 4,
+        d = migration_decision(group(1), 200, 19, 20, BETA_FLOOR, 4,
                                active_group_loads={0: 5.0, 2: 1.0, 3: 9.0})
         assert d.kind == "intra_step"
         assert d.target_group == 2
 
     def test_long_group_goes_inter(self):
-        d = migration_decision(group(3), 200, 19, 20, MigrationPolicy(), 4,
+        d = migration_decision(group(3), 200, 19, 20, BETA_FLOOR, 4,
                                active_group_loads={0: 5.0})
         assert d.kind == "inter_step"
 
     def test_short_group_without_candidates_defers(self):
-        d = migration_decision(group(0), 200, 19, 20, MigrationPolicy(), 4,
+        d = migration_decision(group(0), 200, 19, 20, BETA_FLOOR, 4,
                                active_group_loads={})
         assert d.kind == "inter_step"
 
     def test_beta_floor_enforced(self):
-        assert MigrationPolicy(beta=0.9).beta == 1.1
+        # Beta is floored where it is computed from history, not where a
+        # decision reads it.
+        assert beta_from_history([0.9, 1.0]) == BETA_FLOOR == 1.1
 
 
 class TestInStragglerTail:
-    @pytest.mark.parametrize("alpha,total", [(10.0, 40), (10.0, 73), (25.0, 10), (10.0, 100)])
+    @pytest.mark.parametrize("alpha,total", [(10.0, 40), (10.0, 73), (10.0, 100)])
     def test_boundary_is_floor_of_alpha_share(self, alpha, total):
-        policy = MigrationPolicy(alpha_pct=alpha)
         tail = max(1, math.floor(alpha / 100.0 * total))
-        assert in_straggler_tail(total - tail, total, policy)
-        assert not in_straggler_tail(total - tail - 1, total, policy)
+        assert in_straggler_tail(total - tail, total)
+        assert not in_straggler_tail(total - tail - 1, total)
 
     @pytest.mark.parametrize("total", [2, 5, 9])
     def test_small_group_floors_to_last_rollout(self, total):
         # floor(0.1 * total) is 0 below ten rollouts; the last one still counts.
-        policy = MigrationPolicy()
-        assert in_straggler_tail(total - 1, total, policy)
-        assert not in_straggler_tail(total - 2, total, policy)
+        assert in_straggler_tail(total - 1, total)
+        assert not in_straggler_tail(total - 2, total)
 
     def test_migration_decision_migrates_only_in_tail(self):
-        policy = MigrationPolicy(beta=1.1)
         for total in range(1, 31):
             for completed in range(total):
-                d = migration_decision(group(3), 10_000, completed, total, policy, 4, {})
-                assert d.migrates == in_straggler_tail(completed, total, policy)
+                d = migration_decision(group(3), 10_000, completed, total, 1.1, 4, {})
+                assert d.migrates == in_straggler_tail(completed, total)
 
 
 class TestProfileCostModel:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import rhymesim.sim as sim_module
 from rhymesim.history import Response
-from rhymesim.scheduler import MigrationDecision, in_straggler_tail
+from rhymesim.scheduler import BETA_FLOOR, MigrationDecision, in_straggler_tail
 from rhymesim.sim import (
     EVENT_FIELDS,
     ClusterSpec,
@@ -410,7 +410,7 @@ class TestHistoSpecPass:
     the wait for it."""
 
     @staticmethod
-    def events(monkeypatch, cpus, responses, cluster, policy, spec_config=None):
+    def events(monkeypatch, cpus, responses, cluster, policy):
         forked = []
         fork_share = sim_module._fork_share
 
@@ -421,7 +421,7 @@ class TestHistoSpecPass:
 
         monkeypatch.setattr(sim_module, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(sim_module, "_fork_share", counted)
-        res = run(responses, cluster, policy, fast_cost(), spec_config)
+        res = run(responses, cluster, policy, fast_cost())
         assert any(forked) == (cpus > 1) and len(forked) < cpus
         return res.events_jsonl()
 
@@ -441,23 +441,6 @@ class TestHistoSpecPass:
         logs = [self.events(monkeypatch, cpus, responses, cluster,
                             Policy(policy, speculation=True)) for cpus in (1, 3)]
         assert logs[0] == logs[1]
-
-    def test_closed_gate_shares_give_the_forked_events(self, monkeypatch, time_limit):
-        # Two-tier shares of 6 to 48 responses; the gate closes those above 16.
-        gated = []
-        check = sim_module.gate_check
-
-        def spy(*args):
-            gated.append(check(*args))
-            return gated[-1]
-
-        monkeypatch.setattr(sim_module, "gate_check", spy)
-        config = sim_module.SpecConfig(gate_table=(16,) * 10)
-        logs = [self.events(monkeypatch, cpus, longtail_trace(epochs=3),
-                            ClusterSpec(**CLUSTER), Policy("histopipe_two_tier", speculation=True),
-                            config) for cpus in (1, 2)]
-        assert logs[0] == logs[1]
-        assert True in gated and False in gated
 
     @staticmethod
     def assert_no_child_left():
@@ -629,10 +612,11 @@ class TestPinnedEventLogs:
         calls = []
         decide = sim_module.migration_decision
 
-        def spy(group, generated_len, completed, total, policy, *rest):
+        def spy(group, generated_len, completed, total, beta, *rest):
             calls.append((completed, total))
-            assert in_straggler_tail(completed, total, policy)
-            return decide(group, generated_len, completed, total, policy, *rest)
+            assert in_straggler_tail(completed, total)
+            assert beta >= BETA_FLOOR
+            return decide(group, generated_len, completed, total, beta, *rest)
 
         monkeypatch.setattr(sim_module, "migration_decision", spy)
         res = self.run_migrating("histopipe_two_tier")

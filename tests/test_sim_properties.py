@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import rhymesim.sim as sim_module
 from rhymesim.history import build_tree
-from rhymesim.scheduler import MigrationPolicy, in_straggler_tail
+from rhymesim.scheduler import in_straggler_tail
 from rhymesim.sim import ClusterSpec, CostConfig, InfeasiblePlanError, Policy, histospec, run
 from rhymesim.spec_engine import SpecConfig, replay_response
 from rhymesim.tracegen import Trace, TraceSpec, generate
@@ -156,7 +156,7 @@ def check_worker_intervals(res):
 
 def check_migrations(res, trace, policy):
     """Migrations happen only under histopipe, in grouped steps, and each one
-    moves an unfinished rollout of a group down to its last alpha% of
+    moves an unfinished rollout of a group down to its last ALPHA_PCT% of
     rollouts. Each group's rollout count and finished count are rebuilt from
     the event log: a rollout counts for the group of the worker it started
     on, moves with an intra-step migration, and an inter-step one leaves its
@@ -183,7 +183,6 @@ def check_migrations(res, trace, policy):
             group = worker_groups[step][first]
             total[step][group] += 1
             counted_in[sid] = (step, group)
-    tail = MigrationPolicy()
     planned = set()
     unbound = defaultdict(list)
     for e in res.events:
@@ -201,7 +200,7 @@ def check_migrations(res, trace, policy):
             sid = p["sample"]
             step, group = counted_in[sid]
             assert step in worker_groups and group == p["from_group"]
-            assert in_straggler_tail(completed[step][group], total[step][group], tail)
+            assert in_straggler_tail(completed[step][group], total[step][group])
             total[step][group] -= 1
             if p["migration_kind"] == "intra_step":
                 total[step][p["to_group"]] += 1

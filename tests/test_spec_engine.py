@@ -14,7 +14,6 @@ from rhymesim.spec_engine import (
     Replayed,
     SpecConfig,
     SpecStats,
-    gate_check,
     next_prefix_len,
     next_window,
     replay_response,
@@ -89,30 +88,6 @@ class TestVerify:
 
     def test_draft_longer_than_truth(self):
         assert verify([1, 2, 3], [1, 2]) == 2
-
-
-class TestBatchGate:
-    def test_batch_one_always_speculates(self):
-        config = SpecConfig()
-        for acc in (0.0, 0.35, 0.99, 1.0):
-            assert gate_check(config, 1, acc)
-
-    def test_batch_above_bucket_limit_disables(self):
-        table = tuple([64] * 5 + [1024] * 5)
-        config = SpecConfig(gate_table=table)
-        assert not gate_check(config, 65, 0.2)
-        assert gate_check(config, 65, 0.8)
-
-    def test_profile_table_fixture(self):
-        # Buckets for [0.6, 0.8) allow 4096 concurrent rollouts.
-        table = tuple([256] * 6 + [4096] * 2 + [8192] * 2)
-        config = SpecConfig(gate_table=table)
-        assert gate_check(config, 2176, 0.7)
-        assert not gate_check(config, 4097, 0.7)
-
-    def test_non_monotone_table_rejected(self):
-        with pytest.raises(ValueError):
-            SpecConfig(gate_table=tuple([100] * 5 + [50] * 5))
 
 
 def corpus_tree(corpus):
