@@ -23,7 +23,6 @@ from dataclasses import fields
 
 from . import io as rio
 from .history import build_tree
-from .scheduler import AnalyticCostModel, ProfileCostModel, plan_allocation
 from .sim import (
     EVENTS_SCHEMA_VERSION,
     POLICIES,
@@ -35,6 +34,8 @@ from .sim import (
     Policy,
     SimEvent,
     derive,
+    histospec,
+    plan_step,
     run,
 )
 from .spec_engine import SpecConfig
@@ -44,7 +45,7 @@ SCHEMA_VERSIONS = {
     "trace": rio.TRACE_SCHEMA_VERSION,
     "run": RUN_SCHEMA_VERSION,
     "events": EVENTS_SCHEMA_VERSION,
-    "plan": 1,
+    "plan": 2,
     "report": 1,
 }
 
@@ -217,64 +218,26 @@ def _nonnegative(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> float:
-    """A finite number > 0."""
-    try:
-        value = _nonnegative(text)
-    except argparse.ArgumentTypeError:
-        value = 0.0
-    if value == 0:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """An integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _group_lens(text: str) -> list[float]:
-    """At least 2 ascending group lengths, shortest group first."""
-    lens = [_nonnegative(x) for x in text.split(",")]
-    if len(lens) < 2:
-        raise argparse.ArgumentTypeError(f"expected at least 2 group lengths, got {text!r}")
-    if any(a > b for a, b in zip(lens, lens[1:])):
-        raise argparse.ArgumentTypeError(f"group lengths must be ascending, got {text!r}")
-    return lens
-
-
-def _analytic_terms(text: str) -> list[float]:
-    terms = [_nonnegative(x) for x in text.split(",")]
-    if len(terms) != 4:
-        raise argparse.ArgumentTypeError(f"expected 4 terms a,b,c,batch, got {text!r}")
-    return terms
-
-
 def cmd_plan_alloc(args) -> int:
-    if args.profile:
-        model = ProfileCostModel.from_csv(args.profile)
-        model.accepted_per_pass = args.accepted_per_pass
-    else:
-        a, b, c, batch = args.analytic
-        model = AnalyticCostModel(per_iter_base=a, per_iter_batch=b, fixed=c,
-                                  batch_size=int(batch),
-                                  accepted_per_pass=args.accepted_per_pass)
-    plan = plan_allocation(len(args.lens), args.wks, args.t_train,
-                           lambda g, k: model.tau(args.lens[g], k),
-                           min_wks=args.min_wks, max_wks=args.max_wks,
-                           precision=args.precision)
-    payload = {"schema": SCHEMA_VERSIONS["plan"], **plan.as_dict()}
+    trace = Trace(rio.read_trace(args.trace))
+    cluster, cost, spec, policy_kwargs = load_run_config(args.cluster)
+    if args.speculation:
+        policy_kwargs["speculation"] = True
+    policy = _build_dataclass(Policy, {"name": "histopipe_two_tier", **policy_kwargs}, "policy")
+    replayed = histospec(trace, spec) if policy.speculation else {}
+    plan = plan_step(trace, replayed, args.step, cluster, cost, args.t_train)
+    # The two fields as the step's step_boundary event holds them.
+    payload = {
+        "schema": SCHEMA_VERSIONS["plan"],
+        "step": args.step,
+        "allocation": plan.allocation.as_dict(),
+        "workers": {str(w): g for w, g in sorted(plan.worker_groups.items())},
+    }
     if args.out:
         rio.write_json(args.out, payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK if plan.feasible else EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def _events_path(run_path: str) -> str:
@@ -358,23 +321,25 @@ def cmd_report(args) -> int:
                    m["acceptance_rate"])
         rows.append([os.path.basename(path), payload["policy"], f"{m['samples_per_second']:.6f}",
                      normalized, *(f"{x:.6f}" for x in figures)])
+    # Every timeline is derived before any file is written, so a missing or
+    # malformed events log leaves neither output behind.
+    timeline_rows = []
+    for path in args.runs if args.timeline else []:
+        events_path = _events_path(path)
+        if not os.path.isfile(events_path):
+            raise OSError(f"{path}: its events log {events_path} is missing")
+        try:
+            timeline = derive(_read_events(events_path)).timeline
+        except (KeyError, ValueError) as exc:
+            raise OSError(f"{events_path} is not the events log of one run: "
+                          f"{type(exc).__name__}: {exc}") from exc
+        timeline_rows += [[os.path.basename(path), *row] for row in timeline]
     if args.csv:
         rio.write_csv(args.csv, header, rows)
         print(f"wrote {args.csv}")
     else:
         _print_table(header, rows, pretty=args.pretty)
     if args.timeline:
-        timeline_rows = []
-        for path in args.runs:
-            events_path = _events_path(path)
-            if not os.path.isfile(events_path):
-                raise OSError(f"{path}: its events log {events_path} is missing")
-            try:
-                timeline = derive(_read_events(events_path)).timeline
-            except (KeyError, ValueError) as exc:
-                raise OSError(f"{events_path} is not the events log of one run: "
-                              f"{type(exc).__name__}: {exc}") from exc
-            timeline_rows += [[os.path.basename(path), *row] for row in timeline]
         rio.write_csv(args.timeline, ["run", "worker_id", "start", "end", "activity"],
                       timeline_rows)
         print(f"wrote {args.timeline}")
@@ -449,18 +414,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSON output path (default: stdout)")
     p.set_defaults(func=cmd_analyze_tree_stats)
 
-    p = sub.add_parser("plan-alloc", help="two-tier worker allocation for group lengths")
-    p.add_argument("--lens", required=True, type=_group_lens,
-                   help="comma-separated ascending group lengths, at least 2, each >= 0")
-    p.add_argument("--wks", type=_positive_int, required=True)
-    p.add_argument("--t-train", type=_nonnegative, default=0.0, dest="t_train")
-    p.add_argument("--profile", default=None, help="CSV len,dp,seconds profile for tau")
-    p.add_argument("--analytic", type=_analytic_terms, default="0.004,0.0008,0.0,16",
-                   help="a,b,c,batch (each >= 0) for tau = l*(a+b*ceil(batch/dp))+c")
-    p.add_argument("--accepted-per-pass", type=_nonnegative, default=0.0)
-    p.add_argument("--min-wks", type=int, default=1)
-    p.add_argument("--max-wks", type=int, default=None)
-    p.add_argument("--precision", type=_positive, default=1.0)
+    p = sub.add_parser("plan-alloc",
+                       help="the two-tier plan a histopipe_two_tier run makes for one step of "
+                            "a trace: its allocation and worker -> group map, as the step's "
+                            "step_boundary event holds them (exit 3 when no allocation fits)")
+    p.add_argument("--trace", required=True)
+    p.add_argument("--cluster", required=True,
+                   help="run-sim's flat JSON config (cluster.* cost.* spec.* policy.*)")
+    p.add_argument("--step", type=int, required=True,
+                   help="the step to plan, from 2 to the trace's last epoch")
+    p.add_argument("--speculation", action="store_true",
+                   help="plan a run with speculation, as policy.speculation in the config "
+                        "also asks: the HistoSpec replays of earlier epochs scale tau")
+    p.add_argument("--t-train", type=_nonnegative, default=None, dest="t_train",
+                   help="the duration of the last train job to end before the step is "
+                        "planned (default: none has, and the cost model's train time of "
+                        "the step's batch stands in)")
     p.add_argument("--out", default=None, help="JSON output (default: stdout)")
     p.set_defaults(func=cmd_plan_alloc)
 

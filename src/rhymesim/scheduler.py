@@ -11,17 +11,15 @@ budget, reshaping long-tailed group times toward a linear profile.
 
 The planner asks one question of its caller: `tau(group, workers)`, the
 estimated time of a group on that many workers, where group 0 is the
-shortest and group n-1 the longest. The simulator answers it from each
-group's own history; `AnalyticCostModel` and `ProfileCostModel` answer it
-per length, and the `plan-alloc` command binds them to its groups' lengths.
+shortest and group n-1 the longest. Its one caller, `sim.plan_step`, answers
+it from each group's own history; the `plan-alloc` command prints that plan
+for a step of a trace.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -100,89 +98,6 @@ def assignment_order(step_index: int, n_groups: int) -> list[int]:
         raise ValueError("step_index starts at 1")
     order = list(range(n_groups))
     return order if step_index % 2 == 1 else order[::-1]
-
-
-@dataclass
-class AnalyticCostModel:
-    """tau(l, dp) = l * (a + b * ceil(B / dp)) / (1 + accepted_per_pass) + c
-
-    `B` is the group's in-flight rollout count: more workers mean a smaller
-    per-worker batch and faster iterations. The speculation term divides the
-    per-token cost by the average tokens landed per engine pass.
-    """
-
-    per_iter_base: float = 0.02
-    per_iter_batch: float = 0.0003
-    fixed: float = 0.0
-    batch_size: int = 1
-    accepted_per_pass: float = 0.0
-
-    def tau(self, length: float, workers: int) -> float:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        per_iter = self.per_iter_base + self.per_iter_batch * math.ceil(self.batch_size / workers)
-        return length * per_iter / (1.0 + self.accepted_per_pass) + self.fixed
-
-
-@dataclass
-class ProfileCostModel:
-    """tau lookup over a pre-profiled (length, workers) grid.
-
-    The grid must be complete (every length x workers combination), every
-    length finite and every time finite and >= 0; queries interpolate
-    bilinearly and clamp outside the grid.
-    """
-
-    lengths: list[float]
-    workers: list[int]
-    seconds: list[list[float]]  # [len_idx][worker_idx]
-    accepted_per_pass: float = 0.0
-
-    @classmethod
-    def from_csv(cls, path) -> "ProfileCostModel":
-        cells: dict[tuple[float, int], float] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            required = {"len", "dp", "seconds"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(f"profile CSV needs columns {sorted(required)}")
-            for row in reader:
-                length, seconds = float(row["len"]), float(row["seconds"])
-                where = f"profile CSV line {reader.line_num}"
-                if not math.isfinite(length):
-                    raise ValueError(f"{where}: len must be finite, got {row['len']!r}")
-                if not (math.isfinite(seconds) and seconds >= 0):
-                    raise ValueError(f"{where}: seconds must be finite and >= 0, "
-                                     f"got {row['seconds']!r}")
-                cells[(length, int(row["dp"]))] = seconds
-        lengths = sorted({l for l, _ in cells})
-        workers = sorted({d for _, d in cells})
-        try:
-            seconds = [[cells[(l, d)] for d in workers] for l in lengths]
-        except KeyError as exc:
-            raise ValueError(f"profile grid is incomplete: missing {exc}") from exc
-        return cls(lengths=lengths, workers=workers, seconds=seconds)
-
-    def _axis_weights(self, values: Sequence[float], x: float) -> tuple[int, int, float]:
-        if x <= values[0]:
-            return 0, 0, 0.0
-        if x >= values[-1]:
-            return len(values) - 1, len(values) - 1, 0.0
-        hi = bisect_left(values, x)
-        lo = hi - 1
-        if values[hi] == x:
-            return hi, hi, 0.0
-        frac = (x - values[lo]) / (values[hi] - values[lo])
-        return lo, hi, frac
-
-    def tau(self, length: float, workers: int) -> float:
-        i0, i1, fl = self._axis_weights(self.lengths, float(length))
-        j0, j1, fw = self._axis_weights([float(w) for w in self.workers], float(workers))
-        v00, v01 = self.seconds[i0][j0], self.seconds[i0][j1]
-        v10, v11 = self.seconds[i1][j0], self.seconds[i1][j1]
-        low = v00 + (v01 - v00) * fw
-        high = v10 + (v11 - v10) * fw
-        return (low + (high - low) * fl) / (1.0 + self.accepted_per_pass)
 
 
 def cal_wks(

@@ -83,6 +83,7 @@ from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import history
 from .history import Response
@@ -139,19 +140,6 @@ class SimulationStalledError(RuntimeError):
     """The event queue drained before the run finished its work: a scheduled
     sample did not finish exactly once, a step never trained, or a worker
     still waits for weights."""
-
-
-def _share_makespan(lens: list[int], cost: CostConfig) -> float:
-    """One worker's time to decode `lens` as one batch: all iterate together
-    and the batch shrinks as the shorter ones finish."""
-    total = 0.0
-    batch = len(lens)
-    prev = 0
-    for length in sorted(lens):
-        total += (length - prev) * cost.t_iter(batch)
-        batch -= 1
-        prev = length
-    return total
 
 
 @dataclass
@@ -522,6 +510,117 @@ def _picklable(exc: BaseException) -> BaseException:
     return exc
 
 
+class HistoPipePlan(NamedTuple):
+    """What a HistoPipe step's plan decides before its responses are dealt."""
+
+    groups: list[RankingGroup]
+    group_batches: dict[int, int]        # group -> its responses in the step
+    worker_groups: dict[int, int]        # worker -> group
+    allocation: AllocationPlan | None    # the two-tier plan; None for an equal split
+
+
+def plan_step(trace: Trace, replayed: Mapping[tuple[int, str], list[Replayed]], step: int,
+              cluster: ClusterSpec, cost: CostConfig, t_train: float | None = None, *,
+              two_tier: bool = True) -> HistoPipePlan:
+    """The plan a HistoPipe run makes for `step`, from 2 to the trace's last
+    epoch, before it deals the step's responses. Raises InfeasiblePlanError
+    when no allocation fits the workers.
+
+    Ranking groups order the step's prompts by their epoch step-1 statistics,
+    and worker slots take the groups in `assignment_order`: an equal share
+    each, or with `two_tier` the `plan_allocation` of `tau(g, k)`. That deals
+    group g's previous-epoch member lengths over k workers as the step's
+    responses will be dealt, takes the slowest worker's decayed-batch
+    makespan (the simulator's analog of profiling the engine), and divides
+    it by 1 plus the tokens landed per engine pass beyond the first over
+    every response of the earlier epochs, replayed as in `replayed`
+    (`histospec`'s map; empty without speculation). `t_train` is the
+    duration of the last train job to end before the step is planned; while
+    none has, the cost model's train time of the step's batch stands in. The
+    t0 >= t_train floor keeps the shortest group from hogging workers.
+    """
+    last = len(trace.epochs)
+    if trace.epochs != list(range(1, last + 1)):
+        raise ValueError("trace epochs must be contiguous starting at 1")
+    if not 2 <= step <= last:
+        raise ValueError(f"step {step} has no plan: HistoPipe plans steps 2 to the "
+                         f"trace's last epoch ({last}), each from the epoch before it")
+    n_groups, wks = cluster.n_groups, cluster.rollout_workers
+    groups = build_groups(_planning_stats(trace, step), n_groups)
+    group_batches = {
+        g.index: sum(len(trace.group(step, pid)) for pid in g.prompt_ids) for g in groups
+    }
+    allocation = None
+    if two_tier:
+        prev_epoch = trace.epoch_responses(step - 1)
+        member_lens = [
+            [r.generated_len for pid in g.prompt_ids if pid in prev_epoch
+             for r in prev_epoch[pid]]
+            for g in groups
+        ]
+        earlier = SpecStats()
+        for epoch in range(1, step):
+            for pid, responses in trace.epoch_responses(epoch).items():
+                replays = replayed.get((epoch, pid))
+                for member, resp in enumerate(responses):
+                    earlier.count(resp.generated_len,
+                                  None if replays is None else replays[member])
+        passes = earlier.verify_passes + earlier.decode_passes
+        speedup = 1.0 + (max(0.0, earlier.tokens_total / passes - 1.0) if passes else 0.0)
+
+        # The search asks each cell at every gradient it tries, so it is cached.
+        @functools.cache
+        def tau(g: int, k: int) -> float:
+            lens = member_lens[g]
+            return max(_share_makespan(lens[i::k], cost) for i in range(k)) / speedup
+
+        if t_train is None:
+            t_train = cost.t_train(sum(group_batches.values()))
+        allocation = plan_allocation(n_groups, wks, t_train, tau, precision=PLAN_PRECISION)
+        if not allocation.feasible:
+            raise InfeasiblePlanError(
+                f"step {step}: no feasible allocation for {wks} workers over "
+                f"{n_groups} groups (t0={allocation.t0:.3f})"
+            )
+        counts = list(allocation.per_group_workers)
+        # Spend leftover budget on the longest groups.
+        spare = wks - sum(counts)
+        g = n_groups - 1
+        while spare > 0:
+            counts[g] += 1
+            spare -= 1
+            g = g - 1 if g > 0 else n_groups - 1
+    else:
+        counts = partition_sizes(wks, n_groups)
+    order = assignment_order(step, n_groups)
+    return HistoPipePlan(groups, group_batches,
+                         dict(enumerate(g for g in order for _ in range(counts[g]))),
+                         allocation)
+
+
+def _planning_stats(trace: Trace, step: int) -> dict[str, PromptStat]:
+    """Epoch `step`'s prompts with their epoch step-1 statistics. A prompt
+    absent from epoch step-1 gets a typical prompt's: the median of the
+    known medians and of the known maxima."""
+    known = prompt_stats(trace.epoch_responses(step - 1))
+    cold = PromptStat(float(statistics.median(s.median_len for s in known.values())),
+                      float(statistics.median(s.max_len for s in known.values())))
+    return {pid: known.get(pid, cold) for pid in trace.epoch_responses(step)}
+
+
+def _share_makespan(lens: list[int], cost: CostConfig) -> float:
+    """One worker's time to decode `lens` as one batch: all iterate together
+    and the batch shrinks as the shorter ones finish."""
+    total = 0.0
+    batch = len(lens)
+    prev = 0
+    for length in sorted(lens):
+        total += (length - prev) * cost.t_iter(batch)
+        batch -= 1
+        prev = length
+    return total
+
+
 class _Simulation:
     def __init__(self, trace: Trace, cluster: ClusterSpec, policy: Policy,
                  cost: CostConfig, spec_config: SpecConfig):
@@ -556,7 +655,7 @@ class _Simulation:
         self.train_free = 0.0
         self.train_started: set[int] = set()
         self.train_done_time: dict[int, float] = {}
-        self.last_train_duration = 0.0
+        self.last_train_duration: float | None = None  # of the last train job to end
         self.weight_avail: dict[int, float] = {}
         self.weight_waiters: dict[int, list[tuple[int, int]]] = {}  # version -> (wid, step)
         self.rewarded: dict[int, int] = {}
@@ -576,15 +675,6 @@ class _Simulation:
         self.events.append(SimEvent(self.now, self._seq, kind, payload))
 
     # -- planning -------------------------------------------------------------
-
-    def _planning_stats(self, step: int) -> dict[str, PromptStat]:
-        """Epoch `step`'s prompts with their epoch step-1 statistics. A prompt
-        absent from epoch step-1 gets a typical prompt's: the median of the
-        known medians and of the known maxima."""
-        known = prompt_stats(self.trace.epoch_responses(step - 1))
-        cold = PromptStat(float(statistics.median(s.median_len for s in known.values())),
-                          float(statistics.median(s.max_len for s in known.values())))
-        return {pid: known.get(pid, cold) for pid in self.trace.epoch_responses(step)}
 
     def _make_tasks(self, step: int, shares_raw: dict[int, list]) -> dict[int, list[_Task]]:
         """Wrap every assigned response as a schedulable task. A response
@@ -654,68 +744,17 @@ class _Simulation:
         )
 
     def _plan_histopipe(self, step: int) -> _StepPlan:
-        n_groups = self.cluster.n_groups
-        groups = build_groups(self._planning_stats(step), n_groups)
-        order = assignment_order(step, n_groups)
-        wks = self.cluster.rollout_workers
-
-        group_batches = {
-            g.index: sum(len(self.trace.group(step, pid)) for pid in g.prompt_ids)
-            for g in groups
-        }
-        allocation = None
-        if self.policy.name == "histopipe_two_tier":
-            # tau(g, k) deals group g's previous-epoch member lengths (members
-            # new in this epoch have none) over k workers the way this epoch's
-            # responses will be dealt: the slowest worker's decayed-batch
-            # makespan, the simulator's analog of profiling the engine. The
-            # search asks each cell at every gradient it tries, so it is cached.
-            prev_epoch = self.trace.epoch_responses(step - 1)
-            member_lens = [
-                [r.generated_len for pid in g.prompt_ids if pid in prev_epoch
-                 for r in prev_epoch[pid]]
-                for g in groups
-            ]
-            speedup = 1.0 + self._accepted_per_pass()
-
-            @functools.cache
-            def tau(g: int, k: int) -> float:
-                lens = member_lens[g]
-                return max(_share_makespan(lens[i::k], self.cost) for i in range(k)) / speedup
-
-            # Until a train stage has actually run, estimate its duration from
-            # the cost model; the t0 >= t_train floor is what keeps the
-            # shortest group from hogging near-max workers.
-            t_train = self.last_train_duration
-            if not self.train_done_time:
-                t_train = self.cost.t_train(sum(group_batches.values()))
-            allocation = plan_allocation(n_groups, wks, t_train, tau, precision=PLAN_PRECISION)
-            if not allocation.feasible:
-                raise InfeasiblePlanError(
-                    f"step {step}: no feasible allocation for {wks} workers over "
-                    f"{n_groups} groups (t0={allocation.t0:.3f})"
-                )
-            counts = list(allocation.per_group_workers)
-            # Spend leftover budget on the longest groups.
-            spare = wks - sum(counts)
-            g = n_groups - 1
-            while spare > 0:
-                counts[g] += 1
-                spare -= 1
-                g = g - 1 if g > 0 else n_groups - 1
-        else:
-            counts = partition_sizes(wks, n_groups)
-
-        # Worker slots take the groups in assignment order, counts[g] each.
+        layout = plan_step(self.trace, self.replayed, step, self.cluster, self.cost,
+                           self.last_train_duration,
+                           two_tier=self.policy.name == "histopipe_two_tier")
         plan = _StepPlan(
-            step=step, groups=groups,
-            worker_groups=dict(enumerate(g for g in order for _ in range(counts[g]))),
-            shares={}, group_total=dict(group_batches),
-            group_completed={g.index: 0 for g in groups},
-            policy_kind=self.policy.name, allocation=allocation,
+            step=step, groups=layout.groups, worker_groups=layout.worker_groups,
+            shares={}, group_total=dict(layout.group_batches),
+            group_completed={g.index: 0 for g in layout.groups},
+            policy_kind=self.policy.name, allocation=layout.allocation,
         )
         shares_raw: dict[int, list] = {w.wid: [] for w in self.workers}
-        for grp in groups:
+        for grp in layout.groups:
             wids = plan.group_workers[grp.index]
             i = 0
             for pid in grp.prompt_ids:
@@ -724,14 +763,6 @@ class _Simulation:
                     i += 1
         plan.shares = self._make_tasks(step, shares_raw)
         return plan
-
-    def _accepted_per_pass(self) -> float:
-        """Tokens landed per engine pass beyond the first, over every
-        response planned so far: 0.0 while none was replayed."""
-        passes = self.stats.verify_passes + self.stats.decode_passes
-        if passes == 0:
-            return 0.0
-        return max(0.0, self.stats.tokens_total / passes - 1.0)
 
     def _carry_targets(self, plan: _StepPlan, task: _Task) -> tuple[int | None, list[int]]:
         """The group a continuation of `task` joins in `plan`'s step and the

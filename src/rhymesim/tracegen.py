@@ -41,6 +41,14 @@ from .scheduler import (
 )
 
 
+# The longest response a spec may imply, in tokens. A spec is checked at
+# LENGTH_TAIL sigmas of its log-length spread (`len_sigma` across prompts plus
+# `length_jitter` within a group), about a one-in-a-billion draw, so no trace
+# of a spec that passes needs arrays of absurd size.
+MAX_RESPONSE_LEN = 2**20
+LENGTH_TAIL = 6.0
+
+
 @dataclass
 class TraceSpec:
     """All knobs needed to deterministically synthesize a trace."""
@@ -86,6 +94,28 @@ class TraceSpec:
             bad = [x for x in schedule if not 0.0 <= x <= 1.0]
             if bad:
                 raise ValueError(f"similarity_schedule entries must be in [0, 1], got {bad[0]}")
+        if sum(self._log_len_terms().values()) > math.log(MAX_RESPONSE_LEN):
+            raise self._too_long()
+
+    def _log_len_terms(self) -> dict[str, float]:
+        """The terms of the log of the longest length the spec implies, by
+        key: the epoch-1 median, its growth over the epochs, and LENGTH_TAIL
+        sigmas of the spread."""
+        return {
+            "len_mu": self.len_mu,
+            "growth_mean": max(0.0, (self.epochs - 1) * math.log(self.growth_mean)),
+            "len_sigma": LENGTH_TAIL * self.len_sigma,
+            "length_jitter": LENGTH_TAIL * self.length_jitter,
+        }
+
+    def _too_long(self) -> ValueError:
+        """The error for a spec implying responses over MAX_RESPONSE_LEN,
+        naming the key that adds the most to their log-length."""
+        terms = self._log_len_terms()
+        key = max(terms, key=terms.get)
+        return ValueError(f"{key}={getattr(self, key)} implies responses of up to "
+                          f"e^{sum(terms.values()):.1f} tokens, over the cap of "
+                          f"{MAX_RESPONSE_LEN} (e^{math.log(MAX_RESPONSE_LEN):.1f})")
 
     def similarity_for_epoch(self, epoch: int) -> float:
         if self.similarity_schedule is not None:
@@ -160,10 +190,10 @@ def generate(spec: TraceSpec) -> list[Response]:
         z = rng.standard_normal()
         # Epoch 1 responses share a canonical ancestor too, so within-group
         # similarity exists from the start.
-        parent = rng.integers(
-            0, spec.vocab_size, size=max(1, int(round(math.exp(spec.len_mu + spec.len_sigma * z)))),
-            dtype=np.int64,
-        )
+        root_len = max(1, int(round(math.exp(spec.len_mu + spec.len_sigma * z))))
+        if root_len > MAX_RESPONSE_LEN:
+            raise spec._too_long()
+        parent = rng.integers(0, spec.vocab_size, size=root_len, dtype=np.int64)
         for epoch in range(1, spec.epochs + 1):
             mu_e = spec.len_mu + (epoch - 1) * math.log(spec.growth_mean)
             median_len = math.exp(mu_e + spec.len_sigma * z)
@@ -172,6 +202,8 @@ def generate(spec: TraceSpec) -> list[Response]:
             for member in range(spec.group_size):
                 jitter = math.exp(spec.length_jitter * rng.standard_normal()) if spec.length_jitter > 0 else 1.0
                 target = max(1, int(round(median_len * jitter)))
+                if target > MAX_RESPONSE_LEN:
+                    raise spec._too_long()
                 tokens = _derive_tokens(rng, parent, s_e, target, spec.vocab_size, spec.burst_mean)
                 reward = 1.0 if rng.random() < spec.high_reward_frac else 0.0
                 # Straight from numpy's C ints, with no int object per token.

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 
 import pytest
 
 from rhymesim import io as rio
 from rhymesim.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, load_run_config, main
-from rhymesim.scheduler import AnalyticCostModel, plan_allocation
+from rhymesim.history import Response
 from rhymesim.sim import Policy, run
 from rhymesim.tracegen import Trace, TraceSpec, generate, token_similarity_replay
 
@@ -67,6 +68,10 @@ class TestGenTrace:
         ("high_reward_frac", 3.0), ("high_reward_frac", -0.1), ("len_mu", math.nan),
         ("len_mu", -math.inf), ("len_sigma", math.nan), ("growth_mean", math.nan),
         ("growth_mean", math.inf), ("burst_mean", math.nan), ("length_jitter", math.inf),
+        # Finite, but implying responses over tracegen.MAX_RESPONSE_LEN tokens:
+        # an overflow, a numpy "array is too big", a 86 TiB allocation, and
+        # medians that grow a millionfold each epoch.
+        ("len_mu", 800), ("len_sigma", 300), ("len_mu", 30), ("growth_mean", 1e6),
     ])
     def test_bad_value_exits_two_naming_the_key(self, workspace, key, value, capsys):
         tmp_path, spec_path, _ = workspace
@@ -161,113 +166,135 @@ class TestAnalyze:
         assert not out.exists()
 
 
+def step_boundary(events_path, step):
+    """The step_boundary event of `step` in a written events log."""
+    for line in events_path.read_text().splitlines():
+        event = json.loads(line)
+        if event["kind"] == "step_boundary" and event["step"] == step:
+            return event
+    raise AssertionError(f"{events_path} has no step_boundary of step {step}")
+
+
 class TestPlanAlloc:
-    def test_matches_library_plan(self, tmp_path, capsys):
+    """plan-alloc prints the plan a histopipe_two_tier run makes for a step."""
+
+    # The exact plan JSON of one step of a run without speculation and one of
+    # a run with it, each equal in allocation and workers to that step's
+    # step_boundary event. Without speculation before it, step 3 would plan
+    # d = 0.5746249999999999.
+    PINNED_STEP2 = ('{\n  "allocation": {\n    "d": 0.7582666666666668,\n    "feasible": true,\n'
+                    '    "per_group_workers": [\n      1,\n      1,\n      2,\n      4\n    ],\n'
+                    '    "t0": 0.7\n  },\n  "schema": 2,\n  "step": 2,\n  "workers": {\n'
+                    '    "0": 3,\n    "1": 3,\n    "2": 3,\n    "3": 3,\n    "4": 2,\n'
+                    '    "5": 2,\n    "6": 1,\n    "7": 0\n  }\n}\n')
+    PINNED_SPEC_STEP3 = ('{\n  "allocation": {\n    "d": 0.342458970923886,\n    "feasible": true,\n'
+                         '    "per_group_workers": [\n      1,\n      1,\n      2,\n      4\n    ],\n'
+                         '    "t0": 0.7\n  },\n  "schema": 2,\n  "step": 3,\n  "workers": {\n'
+                         '    "0": 0,\n    "1": 1,\n    "2": 2,\n    "3": 2,\n    "4": 3,\n'
+                         '    "5": 3,\n    "6": 3,\n    "7": 3\n  }\n}\n')
+
+    @staticmethod
+    def plain_config(cluster_path):
+        """The workspace config without its policy.speculation key."""
+        cfg = json.loads(cluster_path.read_text())
+        del cfg["policy.speculation"]
+        plain = cluster_path.with_name("plain.json")
+        plain.write_text(json.dumps(cfg))
+        return plain
+
+    @pytest.mark.parametrize("speculation,step", [(False, 2), (True, 3)])
+    def test_plan_pinned_and_equal_to_the_runs_step_boundary(self, workspace, speculation,
+                                                             step):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        plain = self.plain_config(cluster_path)
+        flags = ["--speculation"] if speculation else []
+        run_path = tmp_path / "run.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(plain),
+                     "--policy", "histopipe_two_tier", *flags,
+                     "--out", str(run_path)]) == EXIT_OK
         out = tmp_path / "plan.json"
-        code = main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "10",
-                     "--analytic", "0.01,0.002,0.0,16", "--max-wks", "6",
-                     "--precision", "0.01", "--out", str(out)])
-        assert code == EXIT_OK
-        payload = rio.read_json(out)
-        model = AnalyticCostModel(per_iter_base=0.01, per_iter_batch=0.002,
-                                  fixed=0.0, batch_size=16)
-        lens = [8, 16, 32, 64]
-        plan = plan_allocation(4, 10, 0.0, lambda g, k: model.tau(lens[g], k), 1, 6, 0.01)
-        assert payload["per_group_workers"] == plan.per_group_workers
-        assert payload["d"] == pytest.approx(plan.gradient_d)
-        assert payload["feasible"] is True
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(plain),
+                     "--step", str(step), *flags, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == (self.PINNED_SPEC_STEP3 if speculation else self.PINNED_STEP2)
+        plan = rio.read_json(out)
+        boundary = step_boundary(tmp_path / "run.events.jsonl", step)
+        assert (plan["allocation"], plan["workers"]) == (boundary["allocation"],
+                                                         boundary["workers"])
 
-    # The exact plan JSON of one analytic and one profiled instance, pinned so
-    # that a change moving the CLI and the library together still shows.
-    PINNED_ANALYTIC = ('{\n  "d": 0.6133333333333333,\n  "feasible": true,\n'
-                       '  "per_group_workers": [\n    6,\n    1,\n    1,\n    2\n  ],\n'
-                       '  "schema": 1,\n  "t0": 0.128\n}\n')
-    PINNED_PROFILE = ('{\n  "d": 2.2287326388888893,\n  "feasible": true,\n'
-                      '  "per_group_workers": [\n    2,\n    2,\n    3,\n    3\n  ],\n'
-                      '  "schema": 1,\n  "t0": 5.0\n}\n')
+    def test_config_key_asks_for_speculation_as_the_flag_does(self, workspace, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        capsys.readouterr()
+        argv = ["plan-alloc", "--trace", str(trace_path), "--step", "3"]
+        assert main([*argv, "--cluster", str(cluster_path)]) == EXIT_OK
+        by_key = capsys.readouterr().out
+        assert main([*argv, "--cluster", str(self.plain_config(cluster_path)),
+                     "--speculation"]) == EXIT_OK
+        assert capsys.readouterr().out == by_key == self.PINNED_SPEC_STEP3
 
-    def test_analytic_plan_json_pinned(self, tmp_path):
+    def test_t_train_floors_t0(self, workspace):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
         out = tmp_path / "plan.json"
-        assert main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "10",
-                     "--analytic", "0.01,0.002,0.0,16", "--max-wks", "6",
-                     "--precision", "0.01", "--out", str(out)]) == EXIT_OK
-        assert out.read_text() == self.PINNED_ANALYTIC
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--step", "2", "--t-train", "5", "--out", str(out)]) == EXIT_OK
+        assert rio.read_json(out)["allocation"]["t0"] == 5.0
 
-    def test_profile_plan_json_pinned(self, tmp_path):
-        profile = tmp_path / "profile.csv"
-        profile.write_text("len,dp,seconds\n100,1,10.0\n100,2,6.0\n100,4,4.0\n"
-                           "200,1,20.0\n200,2,12.0\n200,4,7.0\n"
-                           "400,1,40.0\n400,2,22.0\n400,4,13.0\n")
+    @pytest.mark.parametrize("step", ["1", "4", "0", "-1"])
+    def test_step_without_a_plan_exits_two(self, workspace, step, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
         out = tmp_path / "plan.json"
-        assert main(["plan-alloc", "--lens", "100,150,300,400", "--wks", "10",
-                     "--profile", str(profile), "--t-train", "5",
-                     "--accepted-per-pass", "0.5", "--precision", "0.01",
-                     "--out", str(out)]) == EXIT_OK
-        assert out.read_text() == self.PINNED_PROFILE
-
-    def test_infeasible_exit_code(self, tmp_path):
-        code = main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "3",
-                     "--analytic", "1.0,1.0,0.0,64", "--max-wks", "1",
-                     "--out", str(tmp_path / "p.json")])
-        assert code == EXIT_INFEASIBLE
-
-    @pytest.mark.parametrize("precision", ["0", "-1", "nan"])
-    def test_non_positive_precision_exits_two(self, tmp_path, precision, time_limit, capsys):
-        assert main(["plan-alloc", "--lens", "100,200,400,800", "--wks", "16",
-                     "--precision", precision, "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
-        assert "precision" in capsys.readouterr().err
-
-    def test_precision_below_float_resolution_ends(self, tmp_path, time_limit):
-        assert main(["plan-alloc", "--lens", "100,200,400,800", "--wks", "16",
-                     "--precision", "1e-300", "--out", str(tmp_path / "p.json")]) == EXIT_OK
-
-    @pytest.mark.parametrize("flags", [["--max-wks", "0"], ["--min-wks", "0"],
-                                       ["--min-wks", "3", "--max-wks", "2"]])
-    def test_bad_worker_bounds_exit_two(self, tmp_path, flags):
-        assert main(["plan-alloc", "--lens", "8,16,32,64", "--wks", "10", *flags,
-                     "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
-
-    # Numbers no plan can be made from exit 2 and name their flag; none of
-    # them may reach the planner (a ZeroDivisionError, an "infeasible" exit
-    # 3 with NaN in the plan, or a silently ignored NaN).
-    @pytest.mark.parametrize("flags", [
-        ["--accepted-per-pass", "-1"],
-        ["--accepted-per-pass", "nan"],
-        ["--lens", "10,nan"],
-        ["--lens", "nan,10"],
-        ["--lens", "10,inf"],
-        ["--lens", "-1,10"],
-        ["--lens", "10"],
-        ["--lens", "10,x"],
-        ["--lens", "20,10"],
-        ["--t-train", "nan"],
-        ["--t-train", "inf"],
-        ["--t-train", "-1"],
-        ["--analytic", "0.01,-0.002,0.0,16"],
-        ["--analytic", "0.01,0.002,nan,16"],
-        ["--analytic", "0.01,0.002,0.0"],
-        ["--wks", "0"],
-        ["--wks", "-3"],
-        ["--precision", "inf"],
-    ], ids="=".join)
-    def test_unplannable_number_exits_two(self, tmp_path, flags, capsys):
-        argv = ["plan-alloc", "--lens", "8,16,32,64", "--wks", "10", *flags]
-        out = tmp_path / "p.json"
-        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
-        assert f"argument {flags[0]}:" in capsys.readouterr().err
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--step", step, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"step {step} has no plan" in err and "Traceback" not in err
         assert not out.exists()
 
-    # A profile cell no plan can be made from exits 2 and names its line.
-    @pytest.mark.parametrize("cell", ["100,1,nan", "100,1,inf", "100,1,-12.0", "nan,1,10.0",
-                                      "inf,1,10.0"])
-    def test_bad_profile_cell_exits_two(self, tmp_path, cell, capsys):
-        profile = tmp_path / "profile.csv"
-        profile.write_text(f"len,dp,seconds\n100,2,6.0\n{cell}\n200,1,20.0\n200,2,12.0\n")
-        out = tmp_path / "p.json"
-        assert main(["plan-alloc", "--lens", "100,200", "--wks", "4", "--profile", str(profile),
-                     "--out", str(out)]) == EXIT_CONFIG
-        assert "profile CSV line 3:" in capsys.readouterr().err
+    @pytest.mark.parametrize("t_train", ["nan", "inf", "-1", "x"])
+    def test_unplannable_t_train_exits_two(self, workspace, t_train, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        out = tmp_path / "plan.json"
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--step", "2", "--t-train", t_train, "--out", str(out)]) == EXIT_CONFIG
+        assert "argument --t-train:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_trace_with_an_epoch_missing_exits_two(self, workspace, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        rio.write_trace(trace_path, [r for r in rio.read_trace(trace_path) if r.epoch != 2])
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--step", "3"]) == EXIT_CONFIG
+        assert "contiguous" in capsys.readouterr().err
+
+    def test_missing_trace_exits_four(self, workspace):
+        tmp_path, _, cluster_path = workspace
+        assert main(["plan-alloc", "--trace", str(tmp_path / "nope.jsonl"),
+                     "--cluster", str(cluster_path), "--step", "2"]) == EXIT_IO
+
+    def test_infeasible_exits_three_as_the_run_does(self, tmp_path, capsys):
+        # On one worker per group, the middle group's one long member cannot
+        # finish by the gradient the longest group sets.
+        lens = {"a": [10, 10, 10], "b": [20, 20, 2000], "c": [100, 100, 100]}
+        trace_path = tmp_path / "t.jsonl"
+        rio.write_trace(trace_path, [Response(pid, epoch, array("i", range(n)), 1.0)
+                                     for epoch in (1, 2) for pid, group in lens.items()
+                                     for n in group])
+        cluster_path = tmp_path / "cluster.json"
+        cluster_path.write_text(json.dumps({"cluster.rollout_workers": 3,
+                                            "cluster.reward_workers": 1,
+                                            "cluster.n_groups": 3}))
+        out = tmp_path / "plan.json"
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--step", "2", "--out", str(out)]) == EXIT_INFEASIBLE
+        assert "step 2: no feasible allocation" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "histopipe_two_tier",
+                     "--out", str(tmp_path / "run.json")]) == EXIT_INFEASIBLE
 
 
 class TestRunSim:
@@ -317,10 +344,11 @@ class TestRunSim:
 
         (runs / "a.events.jsonl").unlink()
         capsys.readouterr()
-        assert main(["report", "--runs", str(runs / "a.json"),
+        # Neither output is written: every timeline is derived first.
+        assert main(["report", "--runs", str(runs / "a.json"), "--csv", str(tmp_path / "c2.csv"),
                      "--timeline", str(tmp_path / "tl2.csv")]) == EXIT_IO
         assert "a.events.jsonl" in capsys.readouterr().err
-        assert not (tmp_path / "tl2.csv").exists()
+        assert not (tmp_path / "tl2.csv").exists() and not (tmp_path / "c2.csv").exists()
 
     @pytest.mark.parametrize("bad_line", [
         "{not json", '{"seq": 1}',
@@ -339,10 +367,10 @@ class TestRunSim:
         with open(events_path, "a", encoding="utf-8") as fh:
             fh.write(bad_line + "\n")
         capsys.readouterr()
-        assert main(["report", "--runs", str(run_path),
+        assert main(["report", "--runs", str(run_path), "--csv", str(tmp_path / "c.csv"),
                      "--timeline", str(tmp_path / "tl.csv")]) == EXIT_IO
         assert f"r.events.jsonl line {lines + 1} " in capsys.readouterr().err
-        assert not (tmp_path / "tl.csv").exists()
+        assert not (tmp_path / "tl.csv").exists() and not (tmp_path / "c.csv").exists()
 
     def test_report_timeline_log_cut_before_run_end_is_io_error(self, workspace, capsys):
         tmp_path, spec_path, cluster_path = workspace
@@ -355,10 +383,10 @@ class TestRunSim:
         assert '"run_end"' in lines[-1]
         events_path.write_text("".join(lines[:-1]))
         capsys.readouterr()
-        assert main(["report", "--runs", str(run_path),
+        assert main(["report", "--runs", str(run_path), "--csv", str(tmp_path / "c.csv"),
                      "--timeline", str(tmp_path / "tl.csv")]) == EXIT_IO
         assert "r.events.jsonl is not the events log of one run" in capsys.readouterr().err
-        assert not (tmp_path / "tl.csv").exists()
+        assert not (tmp_path / "tl.csv").exists() and not (tmp_path / "c.csv").exists()
 
     def test_identical_runs_identical_reports(self, workspace):
         tmp_path, spec_path, cluster_path = workspace

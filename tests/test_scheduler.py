@@ -8,8 +8,6 @@ import pytest
 import oracles
 from rhymesim.scheduler import (
     BETA_FLOOR,
-    AnalyticCostModel,
-    ProfileCostModel,
     PromptStat,
     RankingGroup,
     assignment_order,
@@ -261,38 +259,3 @@ class TestInStragglerTail:
             for completed in range(total):
                 d = migration_decision(group(3), 10_000, completed, total, 1.1, 4, {})
                 assert d.migrates == in_straggler_tail(completed, total)
-
-
-class TestProfileCostModel:
-    def test_csv_round_trip_and_interpolation(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        rows = ["len,dp,seconds"]
-        for l, d, s in [(100, 1, 10.0), (100, 2, 6.0), (200, 1, 20.0), (200, 2, 12.0)]:
-            rows.append(f"{l},{d},{s}")
-        path.write_text("\n".join(rows) + "\n")
-        model = ProfileCostModel.from_csv(path)
-        assert model.tau(100, 1) == 10.0
-        assert model.tau(200, 2) == 12.0
-        assert model.tau(150, 1) == pytest.approx(15.0)
-        assert model.tau(100, 2) < model.tau(100, 1)
-        # Clamping outside the grid.
-        assert model.tau(50, 1) == 10.0
-        assert model.tau(400, 8) == 12.0
-
-    def test_incomplete_grid_rejected(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("len,dp,seconds\n100,1,10\n200,2,12\n")
-        with pytest.raises(ValueError):
-            ProfileCostModel.from_csv(path)
-
-
-class TestAnalyticCostModel:
-    def test_monotone_in_workers_and_length(self):
-        model = AnalyticCostModel(batch_size=64)
-        assert model.tau(100, 2) <= model.tau(100, 1)
-        assert model.tau(200, 2) >= model.tau(100, 2)
-
-    def test_speculation_divides_per_token_cost(self):
-        slow = AnalyticCostModel(batch_size=16, accepted_per_pass=0.0, fixed=1.0)
-        fast = AnalyticCostModel(batch_size=16, accepted_per_pass=1.0, fixed=1.0)
-        assert fast.tau(100, 2) - 1.0 == pytest.approx((slow.tau(100, 2) - 1.0) / 2.0)

@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 import rhymesim.sim as sim_module
 from rhymesim.history import build_tree
 from rhymesim.scheduler import in_straggler_tail
-from rhymesim.sim import ClusterSpec, CostConfig, InfeasiblePlanError, Policy, histospec, run
+from rhymesim.sim import (
+    ClusterSpec,
+    CostConfig,
+    InfeasiblePlanError,
+    Policy,
+    histospec,
+    plan_step,
+    run,
+)
 from rhymesim.spec_engine import SpecConfig, replay_response
 from rhymesim.tracegen import Trace, TraceSpec, generate
 
@@ -240,6 +248,37 @@ def test_simulator_invariants(name, speculation, oversample_pct, drawn):
     check_worker_intervals(res)
     check_migrations(res, trace, policy)
     assert run(trace, cluster, policy, COST).events_jsonl() == res.events_jsonl()
+
+
+@pytest.mark.parametrize("speculation", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(drawn=small_runs())
+def test_step_boundaries_hold_the_plan_of_plan_step(speculation, drawn):
+    """Every two-tier step's allocation and worker map in the log are what
+    `plan_step` plans for the step from the trace, its HistoSpec replays and
+    the duration of the last train job to end before the step's boundary
+    (None before any has)."""
+    responses, cluster = drawn
+    trace = Trace(responses)
+    try:
+        res = run(trace, cluster, Policy("histopipe_two_tier", speculation=speculation), COST)
+    except InfeasiblePlanError:
+        event("InfeasiblePlanError")
+        return
+    replayed = histospec(trace, SpecConfig()) if speculation else {}
+    t_train = None
+    planned = []
+    for e in res.events:
+        if e.kind == "train_done":
+            t_train = e.payload["duration"]
+        elif e.kind == "step_boundary" and e.payload["step"] >= 2:
+            step = e.payload["step"]
+            event("t_train from a train job" if t_train is not None else "t_train from the cost")
+            plan = plan_step(trace, replayed, step, cluster, COST, t_train)
+            assert e.payload["allocation"] == plan.allocation.as_dict()
+            assert e.payload["workers"] == {str(w): g for w, g in plan.worker_groups.items()}
+            planned.append(step)
+    assert planned == trace.epochs[1:]
 
 
 @settings(max_examples=30, deadline=None)

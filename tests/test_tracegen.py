@@ -257,6 +257,12 @@ class TestGenerate:
             with pytest.raises(ValueError):
                 small_spec(vocab_size=vocab_size)
 
+    def test_draw_over_the_length_cap_raises_naming_the_key(self):
+        spec = small_spec()
+        spec.len_mu = 30.0  # set after the check at construction
+        with pytest.raises(ValueError, match=r"^len_mu=30\.0 implies responses of up to"):
+            generate(spec)
+
     def test_largest_vocabulary_generates(self):
         spec = small_spec(num_prompts=2, epochs=1, vocab_size=MAX_TOKEN + 1)
         assert max(max(r.tokens) for r in generate(spec)) > 2**30
