@@ -172,6 +172,41 @@ class TestPlanAllocation:
         with pytest.raises(ValueError):
             plan_allocation(1, wks=4, t_train=0.0, tau=divide([10.0]))
 
+    @pytest.mark.parametrize("min_wks,max_wks", [(1, 0), (0, None), (3, 2)])
+    def test_bad_worker_bounds_rejected(self, min_wks, max_wks):
+        with pytest.raises(ValueError, match="min_wks"):
+            plan_allocation(3, wks=10, t_train=0.0, tau=divide([10.0, 20.0, 40.0]),
+                            min_wks=min_wks, max_wks=max_wks)
+
+    def test_budget_under_the_minimum_is_infeasible(self):
+        plan = plan_allocation(3, wks=5, t_train=2.0, tau=divide([10.0, 20.0, 40.0]),
+                               min_wks=2, max_wks=4)
+        assert not plan.feasible
+        assert plan.per_group_workers == [] and plan.t0 == 2.0
+
+    def test_default_max_wks_leaves_one_worker_to_every_other_group(self):
+        # 10 workers over 3 groups: at most 8 for one group, and t0 is the
+        # shortest group's time on those 8.
+        plan = plan_allocation(3, wks=10, t_train=0.0, tau=divide([10.0, 20.0, 40.0]))
+        assert plan.feasible
+        assert plan.t0 == 10.0 / 8
+        assert max(plan.per_group_workers) <= 8
+
+    def test_every_group_within_its_worker_bounds(self):
+        rng = random.Random(17)
+        feasible = 0
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            wks = rng.randint(2 * n, 3 * n + 2)
+            lens = sorted(round(rng.uniform(1, 40), 1) for _ in range(n))
+            plan = plan_allocation(n, wks, 0.0, divide(lens), min_wks=2, max_wks=3,
+                                   precision=0.1)
+            if plan.feasible:
+                feasible += 1
+                assert all(2 <= k <= 3 for k in plan.per_group_workers)
+                assert sum(plan.per_group_workers) <= wks
+        assert feasible
+
     def test_budget_respected(self):
         rng = random.Random(5)
         for _ in range(30):

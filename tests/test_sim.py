@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import rhymesim.sim as sim_module
 from rhymesim.history import Response
-from rhymesim.scheduler import BETA_FLOOR, MigrationDecision, in_straggler_tail
+from rhymesim.scheduler import BETA_FLOOR, MigrationDecision, in_straggler_tail, partition_sizes
 from rhymesim.sim import (
     EVENT_FIELDS,
     ClusterSpec,
@@ -27,6 +27,7 @@ from rhymesim.sim import (
     derive,
     run,
 )
+from rhymesim.spec_engine import SpecConfig
 from rhymesim.tracegen import Trace, TraceSpec, generate
 
 ALL_POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
@@ -337,6 +338,78 @@ class TestPolicyBehavior:
     def test_bad_weight_propagation_delay_rejected(self, delay):
         with pytest.raises(ValueError, match="weight_propagation_delay"):
             ClusterSpec(**CLUSTER, weight_propagation_delay=delay)
+
+
+class TestPlanStep:
+    """`plan_step` on its own; its agreement with the runs' step_boundary
+    events is a property in test_sim_properties."""
+
+    @pytest.mark.parametrize("step", [-1, 0, 1, 4])
+    def test_step_without_a_plan_raises(self, step):
+        with pytest.raises(ValueError, match=rf"step {step} has no plan"):
+            sim_module.plan_step(longtail_trace(epochs=3), {}, step, ClusterSpec(**CLUSTER),
+                                 fast_cost())
+
+    def test_non_contiguous_epochs_rejected(self):
+        full = longtail_trace(epochs=3)
+        trace = Trace([r for epoch in (1, 3) for group in full.epoch_responses(epoch).values()
+                       for r in group])
+        with pytest.raises(ValueError, match="contiguous"):
+            sim_module.plan_step(trace, {}, 2, ClusterSpec(**CLUSTER), fast_cost())
+
+    def test_infeasible_raises_naming_the_step(self):
+        with pytest.raises(InfeasiblePlanError, match="^step 2: no feasible allocation"):
+            sim_module.plan_step(uniform_trace(epochs=3), {}, 2,
+                                 ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
+                                 fast_cost())
+
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_slots_take_the_groups_in_assignment_order(self, step):
+        cluster = ClusterSpec(**CLUSTER)
+        plan = sim_module.plan_step(longtail_trace(epochs=3), {}, step, cluster, fast_cost())
+        assert sorted(plan.worker_groups) == list(range(cluster.rollout_workers))
+        slots = [plan.worker_groups[w] for w in range(cluster.rollout_workers)]
+        assert slots == sorted(slots, reverse=step % 2 == 0)
+        assert Counter(slots) == dict(enumerate(plan.allocation.per_group_workers))
+
+    def test_equal_split_without_two_tier(self):
+        trace = longtail_trace(epochs=3)
+        cluster = ClusterSpec(rollout_workers=14, reward_workers=8, n_groups=4)
+        plan = sim_module.plan_step(trace, {}, 2, cluster, fast_cost(), two_tier=False)
+        assert plan.allocation is None
+        assert Counter(plan.worker_groups.values()) == dict(enumerate(partition_sizes(14, 4)))
+        assert sum(plan.group_batches.values()) == sum(
+            len(group) for group in trace.epoch_responses(2).values())
+
+    def test_t_train_floors_t0_and_spare_workers_go_to_the_longest_groups(self):
+        # A train job longer than any group's time on one worker: one
+        # worker each meets every target, and the 6 left over are dealt
+        # from the longest group down.
+        cluster = ClusterSpec(rollout_workers=10, reward_workers=8, n_groups=4)
+        plan = sim_module.plan_step(longtail_trace(epochs=3), {}, 2, cluster, fast_cost(),
+                                    t_train=1e6)
+        assert plan.allocation.t0 == 1e6
+        assert plan.allocation.per_group_workers == [1, 1, 1, 1]
+        assert Counter(plan.worker_groups.values()) == {0: 2, 1: 2, 2: 3, 3: 3}
+
+    def test_without_a_train_job_the_cost_models_train_time_stands_in(self):
+        trace, cluster, cost = longtail_trace(epochs=3), ClusterSpec(**CLUSTER), fast_cost()
+        plan = sim_module.plan_step(trace, {}, 3, cluster, cost)
+        batch = sum(plan.group_batches.values())
+        assert plan == sim_module.plan_step(trace, {}, 3, cluster, cost, cost.t_train(batch))
+
+    def test_speculation_shortens_group_times_from_step_three(self):
+        # Step 2 is planned from epoch 1, which has no earlier epoch to
+        # draft from; step 3 counts epoch 2's replays, which land tokens.
+        trace, cluster = longtail_trace(epochs=3), ClusterSpec(**CLUSTER)
+        replayed = sim_module.histospec(trace, SpecConfig())
+        for step in (2, 3):
+            plain = sim_module.plan_step(trace, {}, step, cluster, fast_cost(), 0.0)
+            spec = sim_module.plan_step(trace, replayed, step, cluster, fast_cost(), 0.0)
+            if step == 2:
+                assert spec == plain
+            else:
+                assert spec.allocation.t0 < plain.allocation.t0
 
 
 class TestEventLog:

@@ -21,6 +21,7 @@ import oracles
 from rhymesim import io
 from rhymesim.history import MAX_TOKEN, Response
 from rhymesim.tracegen import (
+    MAX_RESPONSE_LEN,
     RankMetrics,
     Trace,
     TraceSpec,
@@ -256,6 +257,25 @@ class TestGenerate:
         for vocab_size in (0, MAX_TOKEN + 2):
             with pytest.raises(ValueError):
                 small_spec(vocab_size=vocab_size)
+
+    # Finite specs whose longest implied response is over MAX_RESPONSE_LEN
+    # tokens, each named by the key adding the most to its log-length.
+    @pytest.mark.parametrize("overrides,key", [
+        ({"len_mu": 800}, "len_mu"),
+        ({"len_sigma": 300}, "len_sigma"),
+        ({"len_mu": 30}, "len_mu"),
+        ({"epochs": 40, "growth_mean": 1e6}, "growth_mean"),
+        ({"length_jitter": 5.0}, "length_jitter"),
+    ])
+    def test_spec_over_the_length_cap_rejected_naming_the_key(self, overrides, key):
+        with pytest.raises(ValueError, match=rf"^{key}=.* over the cap of {MAX_RESPONSE_LEN} "):
+            small_spec(**overrides)
+
+    def test_length_cap_is_inclusive(self):
+        at_cap = dict(len_sigma=0.0, length_jitter=0.0, growth_mean=1.0)
+        small_spec(len_mu=math.log(MAX_RESPONSE_LEN), **at_cap)
+        with pytest.raises(ValueError, match="^len_mu="):
+            small_spec(len_mu=math.nextafter(math.log(MAX_RESPONSE_LEN), math.inf), **at_cap)
 
     def test_draw_over_the_length_cap_raises_naming_the_key(self):
         spec = small_spec()
