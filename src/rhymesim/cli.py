@@ -1,10 +1,11 @@
 """Single entry point tying generation, analysis, planning, and simulation.
 
 Config files are flat JSON key-value maps with dotted keys (for example
-"cluster.rollout_workers" or "spec.window_init"); unknown keys and values of
-the wrong JSON type are rejected so typos fail loudly. Outputs are
-machine-readable by default and written atomically; `--pretty` switches the
-analysis commands to human tables.
+"cluster.rollout_workers" or "cost.train_base"); unknown keys and values of
+the wrong JSON type are rejected so typos fail loudly. A run config holds
+only the simulated deployment, `cluster.*` and `cost.*`: `run-sim`'s flags
+choose the policy. Outputs are machine-readable by default and written
+atomically; `--pretty` switches the analysis commands to human tables.
 
 Exit codes: 0 success, 2 bad usage, config or trace record, 3 infeasible
 allocation plan, 4 I/O failure.
@@ -38,7 +39,6 @@ from .sim import (
     plan_step,
     run,
 )
-from .spec_engine import SpecConfig
 from .tracegen import Trace, TraceSpec, generate, rank_metrics, token_similarity_replay
 
 SCHEMA_VERSIONS = {
@@ -79,11 +79,10 @@ def _pop_section(cfg: dict, prefix: str) -> dict:
 
 # The JSON values a config field of each annotated type takes. An int field
 # holds a count, a size or a seed: 8.5, 8.0 or true would pass its range
-# checks and fail deep inside a run. A bool field would take "false" as true.
+# checks and fail deep inside a run.
 _JSON_TYPES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
 }
 
 
@@ -102,17 +101,13 @@ def _build_dataclass(cls, values: dict, where: str):
         raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
-def load_run_config(path: str) -> tuple[ClusterSpec, CostConfig, SpecConfig, dict]:
+def load_run_config(path: str) -> tuple[ClusterSpec, CostConfig]:
     cfg = _load_flat_config(path)
     cluster = _build_dataclass(ClusterSpec, _pop_section(cfg, "cluster"), "cluster")
     cost = _build_dataclass(CostConfig, _pop_section(cfg, "cost"), "cost")
-    spec = _build_dataclass(SpecConfig, _pop_section(cfg, "spec"), "spec")
-    policy_defaults = _pop_section(cfg, "policy")
-    if "name" in policy_defaults:
-        raise ConfigError("policy.name is not a config key: --policy chooses the policy")
     if cfg:
         raise ConfigError(f"unknown config keys: {sorted(cfg)}")
-    return cluster, cost, spec, policy_defaults
+    return cluster, cost
 
 
 def load_trace_spec(path: str) -> TraceSpec:
@@ -220,11 +215,8 @@ def _nonnegative(text: str) -> float:
 
 def cmd_plan_alloc(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
-    cluster, cost, spec, policy_kwargs = load_run_config(args.cluster)
-    if args.speculation:
-        policy_kwargs["speculation"] = True
-    policy = _build_dataclass(Policy, {"name": "histopipe_two_tier", **policy_kwargs}, "policy")
-    replayed = histospec(trace, spec) if policy.speculation else {}
+    cluster, cost = load_run_config(args.cluster)
+    replayed = histospec(trace) if args.speculation else {}
     plan = plan_step(trace, replayed, args.step, cluster, cost, args.t_train)
     # The two fields as the step's step_boundary event holds them.
     payload = {
@@ -261,15 +253,10 @@ def _read_events(events_path: str) -> list[SimEvent]:
 
 def cmd_run_sim(args) -> int:
     trace = Trace(rio.read_trace(args.trace))
-    cluster, cost, spec, policy_kwargs = load_run_config(args.cluster)
-    if args.speculation is not None:
-        policy_kwargs["speculation"] = args.speculation
-    if args.no_migration:
-        policy_kwargs["migration"] = False
-    if args.oversample is not None:
-        policy_kwargs["oversample_pct"] = args.oversample
-    policy = _build_dataclass(Policy, {"name": args.policy, **policy_kwargs}, "policy")
-    result = run(trace, cluster, policy, cost, spec)
+    cluster, cost = load_run_config(args.cluster)
+    policy = Policy(args.policy, speculation=args.speculation, migration=not args.no_migration,
+                    oversample_pct=args.oversample)
+    result = run(trace, cluster, policy, cost)
     events_path = _events_path(args.out)
     rio.atomic_write_text(events_path, result.events_jsonl())
     payload = {
@@ -420,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "step_boundary event holds them (exit 3 when no allocation fits)")
     p.add_argument("--trace", required=True)
     p.add_argument("--cluster", required=True,
-                   help="run-sim's flat JSON config (cluster.* cost.* spec.* policy.*)")
+                   help="run-sim's flat JSON config (cluster.* cost.*)")
     p.add_argument("--step", type=int, required=True,
                    help="the step to plan, from 2 to the trace's last epoch")
     p.add_argument("--speculation", action="store_true",
-                   help="plan a run with speculation, as policy.speculation in the config "
-                        "also asks: the HistoSpec replays of earlier epochs scale tau")
+                   help="plan a run with speculation, as run-sim --speculation does: the "
+                        "HistoSpec replays of earlier epochs scale tau")
     p.add_argument("--t-train", type=_nonnegative, default=None, dest="t_train",
                    help="the duration of the last train job to end before the step is "
                         "planned (default: none has, and the cost model's train time of "
@@ -437,16 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate the pipeline over a trace (deterministic: the same "
                             "inputs give byte-identical outputs)")
     p.add_argument("--trace", required=True)
-    p.add_argument("--cluster", required=True, help="flat JSON config (cluster.* cost.* spec.* policy.*)")
+    p.add_argument("--cluster", required=True, help="flat JSON config (cluster.* cost.*)")
     p.add_argument("--policy", required=True, choices=POLICIES)
     p.add_argument("--out", required=True,
                    help="run JSON output path; the event log is written beside it, "
                         "its extension replaced by .events.jsonl")
     spec_group = p.add_mutually_exclusive_group()
-    spec_group.add_argument("--speculation", dest="speculation", action="store_true", default=None)
+    spec_group.add_argument("--speculation", dest="speculation", action="store_true",
+                            help="draft with HistoSpec (default: off)")
     spec_group.add_argument("--no-speculation", dest="speculation", action="store_false")
     p.add_argument("--no-migration", action="store_true")
-    p.add_argument("--oversample", type=float, default=None, help="oversample percent")
+    p.add_argument("--oversample", type=float, default=0.0,
+                   help="oversample percent, in [0, 100) (default: 0)")
     p.set_defaults(func=cmd_run_sim)
 
     p = sub.add_parser("report", help="compare runs and export CSV/timelines")

@@ -33,13 +33,12 @@ count toward the next step's batch.
 HistoSpec is one pass computed before the event loop (`histospec`): for every
 prompt of every step from 2 on, it builds the prompt's suffix index over its
 latest earlier epoch and replays the step's responses against it. It depends
-only on the trace and the `SpecConfig`, so it is split over the CPUs this
-process may use, one forked process per share beyond the one the simulating
-process computes itself. Each response's replay is one
-`spec_engine.Replayed`: its iteration count, its cumulative profile as C ints
-and its counters. A response without one (in step 1, in a run without
-speculation, or of a prompt new in its epoch) decodes one token per iteration
-without any call into the engine.
+only on the trace, so it is split over the CPUs this process may use, one
+forked process per share beyond the one the simulating process computes
+itself. Each response's replay is one `spec_engine.Replayed`: its iteration
+count, its cumulative profile as C ints and its counters. A response without
+one (in step 1, in a run without speculation, or of a prompt new in its
+epoch) decodes one token per iteration without any call into the engine.
 
 The event log is the run's one record: `derive` computes the timeline,
 metrics, accounting and per-step speculation rows from it alone, in memory or
@@ -101,7 +100,7 @@ from .scheduler import (
     plan_allocation,
     prompt_stats,
 )
-from .spec_engine import Replayed, SpecConfig, SpecStats, replay_response
+from .spec_engine import Replayed, SpecStats, replay_response
 from .tracegen import Trace
 
 POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
@@ -359,7 +358,7 @@ class _GroupLoads(Mapping):
 _Unit = tuple[int, str, int]
 
 
-def histospec(trace: Trace, config: SpecConfig) -> dict[tuple[int, str], list[Replayed]]:
+def histospec(trace: Trace) -> dict[tuple[int, str], list[Replayed]]:
     """Every response of every step from 2 on whose prompt appeared in an
     earlier epoch, replayed against the prompt's index over the latest such
     epoch: (step, prompt) -> one `Replayed` per group member, in order.
@@ -380,13 +379,13 @@ def histospec(trace: Trace, config: SpecConfig) -> dict[tuple[int, str], list[Re
     received: list[bytes] = []
     try:
         for share in shares[1:]:
-            child = _fork_share(trace, config, share)
+            child = _fork_share(trace, share)
             if child is None:
                 own += share
             else:
                 children.append(child[0])
                 pipes.append(child[1])
-        results = _replay_units(trace, config, own)
+        results = _replay_units(trace, own)
         for fd in pipes:
             with open(fd, "rb", closefd=False) as pipe:
                 received.append(pipe.read())
@@ -445,8 +444,7 @@ def _split(trace: Trace, units: list[_Unit], parts: int) -> list[list[_Unit]]:
     return shares
 
 
-def _replay_units(trace: Trace, config: SpecConfig,
-                  units: list[_Unit]) -> dict[tuple[int, str], list[Replayed]]:
+def _replay_units(trace: Trace, units: list[_Unit]) -> dict[tuple[int, str], list[Replayed]]:
     # Both calls go through their modules' globals, so a wrapper set on
     # `history.build_tree` or `sim.replay_response` (the traced benchmark
     # run) sees the calls made in this process. Each index is dropped before
@@ -454,13 +452,13 @@ def _replay_units(trace: Trace, config: SpecConfig,
     results = {}
     for step, pid, epoch in units:
         tree = history.build_tree(pid, epoch, trace.group(epoch, pid))
-        results[step, pid] = [replay_response(resp.tokens, tree, config)
+        results[step, pid] = [replay_response(resp.tokens, tree)
                               for resp in trace.group(step, pid)]
         del tree
     return results
 
 
-def _fork_share(trace: Trace, config: SpecConfig, units: list[_Unit]) -> tuple[int, int] | None:
+def _fork_share(trace: Trace, units: list[_Unit]) -> tuple[int, int] | None:
     """(pid, read end of its pipe) of a child computing `units`, or None when
     no process can be forked."""
     if not hasattr(os, "fork"):
@@ -488,7 +486,7 @@ def _fork_share(trace: Trace, config: SpecConfig, units: list[_Unit]) -> tuple[i
         try:
             os.close(read)
             try:
-                outcome = _replay_units(trace, config, units)
+                outcome = _replay_units(trace, units)
             except BaseException as exc:  # sent to the parent, which raises it
                 outcome = _picklable(exc)
             with open(write, "wb") as pipe:
@@ -623,12 +621,11 @@ def _share_makespan(lens: list[int], cost: CostConfig) -> float:
 
 class _Simulation:
     def __init__(self, trace: Trace, cluster: ClusterSpec, policy: Policy,
-                 cost: CostConfig, spec_config: SpecConfig):
+                 cost: CostConfig):
         self.trace = trace
         self.cluster = cluster
         self.policy = policy
         self.cost = cost
-        self.spec_config = spec_config
         self.steps = len(trace.epochs)
         if not self.steps:
             raise ValueError("trace has no responses")
@@ -646,6 +643,7 @@ class _Simulation:
         # (step, prompt) -> its responses' HistoSpec replays, filled by run()
         # before the event loop; empty without speculation.
         self.replayed: dict[tuple[int, str], list[Replayed]] = {}
+        # The replay counters of the step being planned.
         self.stats = SpecStats()
 
         self.plans: dict[int, _StepPlan] = {}
@@ -704,7 +702,9 @@ class _Simulation:
         if step > 1:
             self._ensure_plan(step - 1)
 
-        before = vars(self.stats).copy()
+        # The counters of this step's responses alone: every earlier step
+        # has been planned and has emitted its own.
+        self.stats = SpecStats()
         if self.policy.is_histopipe and step >= 2:
             plan = self._plan_histopipe(step)
         else:
@@ -724,7 +724,7 @@ class _Simulation:
             "policy": plan.policy_kind,
             "workers": {str(w): g for w, g in sorted(plan.worker_groups.items())},
             "allocation": plan.allocation.as_dict() if plan.allocation else None,
-            "replay": {k: v - before[k] for k, v in vars(self.stats).items()},
+            "replay": vars(self.stats),
         })
         return plan
 
@@ -1139,7 +1139,7 @@ class _Simulation:
 
     def run(self) -> SimResult:
         if self.policy.speculation:
-            self.replayed = histospec(self.trace, self.spec_config)
+            self.replayed = histospec(self.trace)
         for worker in self.workers:
             self._push(0.0, "start", (worker.wid, 1))
         while self._heap:
@@ -1294,10 +1294,9 @@ def _union_length(spans: list[tuple[float, float]]) -> float:
 
 
 def run(trace: Trace | list[Response], cluster: ClusterSpec, policy: Policy,
-        cost: CostConfig | None = None, spec_config: SpecConfig | None = None) -> SimResult:
+        cost: CostConfig | None = None) -> SimResult:
     """Simulate the full pipeline over the trace; deterministic per inputs."""
     if not isinstance(trace, Trace):
         trace = Trace(trace)
-    sim = _Simulation(trace, cluster, policy, cost or CostConfig(),
-                      spec_config or SpecConfig())
+    sim = _Simulation(trace, cluster, policy, cost or CostConfig())
     return sim.run()

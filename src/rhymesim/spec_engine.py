@@ -4,9 +4,12 @@ Speculation never changes what a response says, only how many engine
 iterations it takes to say it: drafts come from the prompt's history index,
 verification is an exact prefix comparison against the replayed ground-truth
 continuation, and every verify pass also yields the one token a normal decode
-step would have produced. The speculation window grows additively on full
-acceptance and collapses to its initial size on any rejection; the lookup
-prefix shrinks while matches fail and snaps back once one succeeds.
+step would have produced. The speculation window starts at `WINDOW_INIT`
+tokens, grows by `WINDOW_ADD` on full acceptance up to `WINDOW_MAX`, and
+collapses to `WINDOW_INIT` on any rejection; the lookup prefix starts at
+`PREFIX_INIT` tokens, shrinks by one while matches fail down to `PREFIX_MIN`,
+and snaps back to `PREFIX_INIT` once one succeeds. These five constants are
+the engine's only settings.
 
 :func:`replay_response` runs one response against its prompt's index as a
 single loop over plain integers (position, window size, prefix length) and
@@ -86,42 +89,15 @@ class SpecStats:
         return self.tokens_accepted / self.tokens_speculated if self.tokens_speculated else 0.0
 
 
-@dataclass
-class SpecConfig:
-    """Engine knobs; mirrored one-to-one by the `spec.*` config keys."""
-
-    window_init: int = WINDOW_INIT
-    window_add: int = WINDOW_ADD
-    window_max: int = WINDOW_MAX
-    prefix_init: int = PREFIX_INIT
-    prefix_min: int = PREFIX_MIN
-
-    def __post_init__(self):
-        if not (1 <= self.window_init <= self.window_max):
-            raise ValueError(f"window needs 1 <= window_init <= window_max: {self}")
-        if self.window_add < 0:
-            raise ValueError(f"window_add must be >= 0, got {self.window_add}")
-        if not (1 <= self.prefix_min <= self.prefix_init):
-            raise ValueError(f"prefix needs 1 <= prefix_min <= prefix_init: {self}")
-
-
-def next_window(config: SpecConfig, size: int, all_accepted: bool) -> int:
-    """AIMD window: grow by `window_add` on a fully accepted draft (capped at
-    `window_max`), else reset to `window_init`."""
+def next_window(size: int, all_accepted: bool) -> int:
+    """AIMD window: grow by `WINDOW_ADD` on a fully accepted draft (capped at
+    `WINDOW_MAX`), else reset to `WINDOW_INIT`."""
     if all_accepted:
-        return min(size + config.window_add, config.window_max)
-    return config.window_init
+        return min(size + WINDOW_ADD, WINDOW_MAX)
+    return WINDOW_INIT
 
 
-def next_prefix_len(config: SpecConfig, length: int, found: bool) -> int:
-    """Lookup prefix length: back to `prefix_init` on a hit, one shorter
-    (floored at `prefix_min`) on a miss."""
-    if found:
-        return config.prefix_init
-    return max(length - 1, config.prefix_min)
-
-
-def replay_response(truth: Sequence[int], tree: SuffixTree, config: SpecConfig) -> Replayed:
+def replay_response(truth: Sequence[int], tree: SuffixTree) -> Replayed:
     """Run a response to completion against `tree` and report its iteration
     profile and counters.
 
@@ -138,25 +114,22 @@ def replay_response(truth: Sequence[int], tree: SuffixTree, config: SpecConfig) 
     # least its length.
     matched = tree.match_lengths(truth)
     pos = 0
-    window = config.window_init
-    prefix_len = config.prefix_init
-    prefix_min = config.prefix_min
+    window = WINDOW_INIT
+    prefix_len = PREFIX_INIT
     while pos < n:
         if pos < prefix_len:
             pos += 1
             profile.append(pos)
             continue
         if matched[pos - 1] < prefix_len:
-            # A miss: decode, and shrink the prefix as next_prefix_len
-            # does, inlined since most iterations of a dissimilar
-            # response end here.
+            # A miss: a plain decode.
             pos += 1
             profile.append(pos)
-            if prefix_len > prefix_min:
+            if prefix_len > PREFIX_MIN:
                 prefix_len -= 1
             continue
         draft = tree.extract_draft(truth[pos - prefix_len : pos], window).tokens
-        prefix_len = next_prefix_len(config, prefix_len, True)
+        prefix_len = PREFIX_INIT
         if not draft:
             # Plain decode: the prefix occurs only at the ends of responses.
             pos += 1
@@ -170,7 +143,7 @@ def replay_response(truth: Sequence[int], tree: SuffixTree, config: SpecConfig) 
         drafted += len(draft)
         accepted += landed
         verify_passes += 1
-        window = next_window(config, window, landed == len(draft))
+        window = next_window(window, landed == len(draft))
     iterations = len(profile)
     return Replayed(iterations, array("i", profile) if iterations != n else None,
                     drafted, accepted, verify_passes)

@@ -143,18 +143,22 @@ def greedy_draft(
 
 # -- speculative replay oracle ---------------------------------------------------
 
+# The engine's settings, written out here rather than read from the code
+# under test.
+WINDOW_INIT, WINDOW_ADD, WINDOW_MAX = 2, 2, 32
+PREFIX_INIT, PREFIX_MIN = 7, 3
 
-def sliced_replay(truth: list[int], tree, config):
+
+def sliced_replay(truth: list[int], tree):
     """Replay `truth` by re-slicing its lookup prefix at every iteration.
 
     Past the warm-up, each iteration slices the last `prefix_len` tokens of
     the truth and asks `tree.extract_draft` for a draft of up to `window`
     tokens. A draft lands its longest prefix that agrees with the truth plus
-    one bonus token (none past the end). The window grows by
-    `config.window_add` (capped at `window_max`) on a fully accepted draft
-    and resets to `window_init` otherwise. The prefix resets to
-    `prefix_init` when it occurs and shrinks by one (floored at
-    `prefix_min`) when it does not.
+    one bonus token (none past the end). The window grows by `WINDOW_ADD`
+    (capped at `WINDOW_MAX`) on a fully accepted draft and resets to
+    `WINDOW_INIT` otherwise. The prefix resets to `PREFIX_INIT` when it
+    occurs and shrinks by one (floored at `PREFIX_MIN`) when it does not.
 
     Returns (tokens_per_iter, drafted, accepted, verify_passes, lookups),
     `lookups` holding one (prefix, window, draft) per `extract_draft` call.
@@ -165,8 +169,8 @@ def sliced_replay(truth: list[int], tree, config):
     lookups = []
     drafted = accepted = verify_passes = 0
     pos = 0
-    window = config.window_init
-    prefix_len = config.prefix_init
+    window = WINDOW_INIT
+    prefix_len = PREFIX_INIT
     while pos < n:
         if pos < prefix_len:
             pos += 1
@@ -176,8 +180,7 @@ def sliced_replay(truth: list[int], tree, config):
         result = tree.extract_draft(prefix, window)
         draft = list(result.tokens)
         lookups.append((prefix, window, draft))
-        prefix_len = config.prefix_init if result.found else max(prefix_len - 1,
-                                                                  config.prefix_min)
+        prefix_len = PREFIX_INIT if result.found else max(prefix_len - 1, PREFIX_MIN)
         if not draft:
             pos += 1
             per_iter.append(1)
@@ -192,23 +195,24 @@ def sliced_replay(truth: list[int], tree, config):
         accepted += landed
         verify_passes += 1
         if landed == len(draft):
-            window = min(window + config.window_add, config.window_max)
+            window = min(window + WINDOW_ADD, WINDOW_MAX)
         else:
-            window = config.window_init
+            window = WINDOW_INIT
     return per_iter, drafted, accepted, verify_passes, lookups
 
 
 # -- AIMD oracle -------------------------------------------------------------
 
 
-def window_after(history: list[bool], init: int = 2, step: int = 2, cap: int = 32) -> int:
-    """Closed form: min(init + step * trailing_full_accept_streak, cap)."""
+def window_after(history: list[bool]) -> int:
+    """Closed form: min(WINDOW_INIT + WINDOW_ADD * trailing_full_accept_streak,
+    WINDOW_MAX)."""
     streak = 0
     for accepted in reversed(history):
         if not accepted:
             break
         streak += 1
-    return min(init + step * streak, cap)
+    return min(WINDOW_INIT + WINDOW_ADD * streak, WINDOW_MAX)
 
 
 # -- allocation plan oracle ---------------------------------------------------

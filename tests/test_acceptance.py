@@ -17,7 +17,7 @@ import oracles
 from rhymesim.history import Response, build_tree
 from rhymesim.scheduler import cal_wks, plan_allocation
 from rhymesim.sim import ClusterSpec, CostConfig, Policy, run
-from rhymesim.spec_engine import SpecConfig, next_window
+from rhymesim.spec_engine import WINDOW_INIT, next_window
 from rhymesim.tracegen import Trace, TraceSpec, generate, rank_metrics, token_similarity_replay
 
 
@@ -99,14 +99,13 @@ def test_criterion_1_suffix_tree_oracle_equivalence():
 def test_criterion_2_aimd_exactness():
     # Every accept/reject sequence of length <= 12 must land exactly on
     # min(2 + 2*trailing_streak, 32), resetting to 2 on rejection.
-    config = SpecConfig()
     deviations = 0
     checked = 0
     for length in range(13):
         for history in itertools.product([False, True], repeat=length):
-            size = config.window_init
+            size = WINDOW_INIT
             for accepted in history:
-                size = next_window(config, size, accepted)
+                size = next_window(size, accepted)
             if size != oracles.window_after(list(history)):
                 deviations += 1
             checked += 1

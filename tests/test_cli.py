@@ -24,7 +24,6 @@ def workspace(tmp_path):
     cluster = {
         "cluster.rollout_workers": 8, "cluster.reward_workers": 4, "cluster.n_groups": 4,
         "cost.per_iter_base": 0.004, "cost.per_iter_batch": 0.0008,
-        "spec.window_init": 2, "policy.speculation": True,
     }
     cluster_path = tmp_path / "cluster.json"
     cluster_path.write_text(json.dumps(cluster))
@@ -193,28 +192,18 @@ class TestPlanAlloc:
                          '    "0": 0,\n    "1": 1,\n    "2": 2,\n    "3": 2,\n    "4": 3,\n'
                          '    "5": 3,\n    "6": 3,\n    "7": 3\n  }\n}\n')
 
-    @staticmethod
-    def plain_config(cluster_path):
-        """The workspace config without its policy.speculation key."""
-        cfg = json.loads(cluster_path.read_text())
-        del cfg["policy.speculation"]
-        plain = cluster_path.with_name("plain.json")
-        plain.write_text(json.dumps(cfg))
-        return plain
-
     @pytest.mark.parametrize("speculation,step", [(False, 2), (True, 3)])
     def test_plan_pinned_and_equal_to_the_runs_step_boundary(self, workspace, speculation,
                                                              step):
         tmp_path, spec_path, cluster_path = workspace
         trace_path = gen(tmp_path, spec_path)
-        plain = self.plain_config(cluster_path)
         flags = ["--speculation"] if speculation else []
         run_path = tmp_path / "run.json"
-        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(plain),
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
                      "--policy", "histopipe_two_tier", *flags,
                      "--out", str(run_path)]) == EXIT_OK
         out = tmp_path / "plan.json"
-        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(plain),
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
                      "--step", str(step), *flags, "--out", str(out)]) == EXIT_OK
         assert out.read_text() == (self.PINNED_SPEC_STEP3 if speculation else self.PINNED_STEP2)
         plan = rio.read_json(out)
@@ -222,23 +211,13 @@ class TestPlanAlloc:
         assert (plan["allocation"], plan["workers"]) == (boundary["allocation"],
                                                          boundary["workers"])
 
-    def test_config_key_asks_for_speculation_as_the_flag_does(self, workspace, capsys):
-        tmp_path, spec_path, cluster_path = workspace
-        trace_path = gen(tmp_path, spec_path)
-        capsys.readouterr()
-        argv = ["plan-alloc", "--trace", str(trace_path), "--step", "3"]
-        assert main([*argv, "--cluster", str(cluster_path)]) == EXIT_OK
-        by_key = capsys.readouterr().out
-        assert main([*argv, "--cluster", str(self.plain_config(cluster_path)),
-                     "--speculation"]) == EXIT_OK
-        assert capsys.readouterr().out == by_key == self.PINNED_SPEC_STEP3
-
     def test_t_train_floors_t0(self, workspace):
         tmp_path, spec_path, cluster_path = workspace
         trace_path = gen(tmp_path, spec_path)
         out = tmp_path / "plan.json"
         assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--step", "2", "--t-train", "5", "--out", str(out)]) == EXIT_OK
+                     "--step", "2", "--t-train", "5", "--speculation",
+                     "--out", str(out)]) == EXIT_OK
         assert rio.read_json(out)["allocation"]["t0"] == 5.0
 
     @pytest.mark.parametrize("step", ["1", "4", "0", "-1"])
@@ -247,7 +226,7 @@ class TestPlanAlloc:
         trace_path = gen(tmp_path, spec_path)
         out = tmp_path / "plan.json"
         assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--step", step, "--out", str(out)]) == EXIT_CONFIG
+                     "--step", step, "--speculation", "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"step {step} has no plan" in err and "Traceback" not in err
         assert not out.exists()
@@ -267,7 +246,7 @@ class TestPlanAlloc:
         trace_path = gen(tmp_path, spec_path)
         rio.write_trace(trace_path, [r for r in rio.read_trace(trace_path) if r.epoch != 2])
         assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--step", "3"]) == EXIT_CONFIG
+                     "--step", "3", "--speculation"]) == EXIT_CONFIG
         assert "contiguous" in capsys.readouterr().err
 
     def test_missing_trace_exits_four(self, workspace):
@@ -304,9 +283,10 @@ class TestRunSim:
         run_a = tmp_path / "a.json"
         run_b = tmp_path / "b.json"
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--policy", "colocated", "--out", str(run_a)]) == EXIT_OK
+                     "--policy", "colocated", "--speculation", "--out", str(run_a)]) == EXIT_OK
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--policy", "histopipe_two_tier", "--out", str(run_b)]) == EXIT_OK
+                     "--policy", "histopipe_two_tier", "--speculation",
+                     "--out", str(run_b)]) == EXIT_OK
         csv_out = tmp_path / "cmp.csv"
         assert main(["report", "--runs", str(run_a), str(run_b),
                      "--csv", str(csv_out)]) == EXIT_OK
@@ -327,10 +307,10 @@ class TestRunSim:
         runs.mkdir()
         monkeypatch.chdir(tmp_path)
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--policy", "colocated", "--out", "runs/a.json"]) == EXIT_OK
-        cluster, cost, spec, policy_kwargs = load_run_config(str(cluster_path))
+                     "--policy", "colocated", "--speculation", "--out", "runs/a.json"]) == EXIT_OK
+        cluster, cost = load_run_config(str(cluster_path))
         result = run(Trace(rio.read_trace(trace_path)), cluster,
-                     Policy("colocated", **policy_kwargs), cost, spec)
+                     Policy("colocated", speculation=True), cost)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
@@ -361,7 +341,7 @@ class TestRunSim:
         trace_path = gen(tmp_path, spec_path)
         run_path = tmp_path / "r.json"
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--policy", "streaming", "--out", str(run_path)]) == EXIT_OK
+                     "--policy", "streaming", "--speculation", "--out", str(run_path)]) == EXIT_OK
         events_path = tmp_path / "r.events.jsonl"
         lines = events_path.read_text().count("\n")
         with open(events_path, "a", encoding="utf-8") as fh:
@@ -377,7 +357,7 @@ class TestRunSim:
         trace_path = gen(tmp_path, spec_path)
         run_path = tmp_path / "r.json"
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--policy", "colocated", "--out", str(run_path)]) == EXIT_OK
+                     "--policy", "colocated", "--speculation", "--out", str(run_path)]) == EXIT_OK
         events_path = tmp_path / "r.events.jsonl"
         lines = events_path.read_text().splitlines(keepends=True)
         assert '"run_end"' in lines[-1]
@@ -395,7 +375,7 @@ class TestRunSim:
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
             assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                         "--policy", "streaming", "--out", str(out)]) == EXIT_OK
+                         "--policy", "streaming", "--speculation", "--out", str(out)]) == EXIT_OK
             outs.append(out)
         a = json.loads(outs[0].read_text())
         b = json.loads(outs[1].read_text())
@@ -468,34 +448,18 @@ class TestRunSim:
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
                      "--policy", "colocated", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key,value", [("spec.window_init", 64), ("spec.prefix_min", 9),
-                                           ("spec.enabled", False)])
-    def test_bad_spec_key_rejected(self, workspace, key, value):
-        tmp_path, spec_path, cluster_path = workspace
-        trace_path = gen(tmp_path, spec_path)
-        cfg = json.loads(cluster_path.read_text())
-        cfg[key] = value
-        bad = tmp_path / "badspec.json"
-        bad.write_text(json.dumps(cfg))
-        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
-                     "--policy", "streaming", "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
-
     @pytest.mark.parametrize("values", [
         {"cost.per_iter_base": 0, "cost.per_iter_batch": 0},
         {"cost.per_iter_batch": -0.0008},
         {"cost.reward_time": -0.01},
         {"cost.context_switch_frac": math.inf},
         {"cluster.weight_propagation_delay": -0.1},
-        {"spec.window_add": -5},
         # A value of the wrong JSON type fails with its key named, not deep
-        # inside the run or, for a bool, as a truthy value.
+        # inside the run.
         {"cluster.rollout_workers": 8.5}, {"cluster.reward_workers": 2.5},
         {"cluster.n_groups": 2.5}, {"cluster.rollout_workers": 8.0},
         {"cluster.n_groups": True}, {"cluster.reward_workers": "4"},
-        {"spec.window_init": 2.5}, {"spec.window_add": 1.5}, {"spec.window_max": 31.5},
-        {"spec.prefix_init": 7.5}, {"spec.prefix_min": 2.5},
         {"cost.per_iter_base": "0.02"}, {"cost.train_base": True},
-        {"policy.speculation": "false"}, {"policy.migration": 0},
     ])
     def test_bad_value_exits_two_naming_the_key(self, workspace, values, time_limit, capsys):
         # A zero iteration time would never let the run end: the time limit
@@ -554,6 +518,44 @@ class TestRunSim:
         assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(bad),
                      "--policy", "histopipe_two_tier", "--out", str(out)]) == EXIT_CONFIG
         assert key.split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.events.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["run-sim", "plan-alloc"])
+    @pytest.mark.parametrize("key,value", [
+        ("spec.window_init", 2), ("spec.window_add", 2), ("spec.window_max", 32),
+        ("spec.prefix_init", 7), ("spec.prefix_min", 3),
+        ("policy.speculation", True), ("policy.migration", True),
+        ("policy.oversample_pct", 0.0),
+    ])
+    def test_engine_and_policy_key_exits_two(self, workspace, command, key, value, capsys):
+        # The HistoSpec settings are constants and the policy comes from
+        # run-sim's flags: a run config holds cluster.* and cost.* only, and
+        # even a key's old default is unknown.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        cfg = {**json.loads(cluster_path.read_text()), key: value}
+        bad = tmp_path / "removed.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "x.json"
+        argv = (["--policy", "histopipe_two_tier"] if command == "run-sim"
+                else ["--step", "2"])
+        capsys.readouterr()
+        assert main([command, "--trace", str(trace_path), "--cluster", str(bad), *argv,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.events.jsonl").exists()
+
+    @pytest.mark.parametrize("percent", ["150", "100", "-1", "nan"])
+    def test_oversample_out_of_range_exits_two(self, workspace, percent, capsys):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        out = tmp_path / "x.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "streaming", "--oversample", percent,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "oversample_pct" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "x.events.jsonl").exists()
 

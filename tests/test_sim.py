@@ -27,7 +27,6 @@ from rhymesim.sim import (
     derive,
     run,
 )
-from rhymesim.spec_engine import SpecConfig
 from rhymesim.tracegen import Trace, TraceSpec, generate
 
 ALL_POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
@@ -402,7 +401,7 @@ class TestPlanStep:
         # Step 2 is planned from epoch 1, which has no earlier epoch to
         # draft from; step 3 counts epoch 2's replays, which land tokens.
         trace, cluster = longtail_trace(epochs=3), ClusterSpec(**CLUSTER)
-        replayed = sim_module.histospec(trace, SpecConfig())
+        replayed = sim_module.histospec(trace)
         for step in (2, 3):
             plain = sim_module.plan_step(trace, {}, step, cluster, fast_cost(), 0.0)
             spec = sim_module.plan_step(trace, replayed, step, cluster, fast_cost(), 0.0)
@@ -571,9 +570,9 @@ class TestHistoSpecPass:
         calls = []
         replay = sim_module.replay_response
 
-        def spy(truth, tree, config):
+        def spy(truth, tree):
             calls.append(truth)
-            return replay(truth, tree, config)
+            return replay(truth, tree)
 
         monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(sim_module, "replay_response", spy)
@@ -731,8 +730,7 @@ class TestWorkerClock:
         list its completions are scheduled into."""
         sim = sim_module._Simulation(uniform_trace(epochs=1),
                                      ClusterSpec(rollout_workers=1, reward_workers=1, n_groups=1),
-                                     Policy("streaming", migration=False), cls.COST,
-                                     sim_module.SpecConfig())
+                                     Policy("streaming", migration=False), cls.COST)
         sim.plans[1] = sim_module._StepPlan(step=1, groups=[None], worker_groups={0: 0},
                                             shares={}, group_total={0: 100},
                                             group_completed={0: 99}, policy_kind="clock")

@@ -30,7 +30,7 @@ from rhymesim.sim import (
     plan_step,
     run,
 )
-from rhymesim.spec_engine import SpecConfig, replay_response
+from rhymesim.spec_engine import replay_response
 from rhymesim.tracegen import Trace, TraceSpec, generate
 
 COST = CostConfig(per_iter_base=0.004, per_iter_batch=0.0008, reward_time=0.002,
@@ -265,7 +265,7 @@ def test_step_boundaries_hold_the_plan_of_plan_step(speculation, drawn):
     except InfeasiblePlanError:
         event("InfeasiblePlanError")
         return
-    replayed = histospec(trace, SpecConfig()) if speculation else {}
+    replayed = histospec(trace) if speculation else {}
     t_train = None
     planned = []
     for e in res.events:
@@ -282,16 +282,14 @@ def test_step_boundaries_hold_the_plan_of_plan_step(speculation, drawn):
 
 
 @settings(max_examples=30, deadline=None)
-@given(drawn=small_runs(), cpus=st.integers(1, 3),
-       config=st.builds(SpecConfig, window_init=st.integers(1, 4), prefix_init=st.integers(3, 7),
-                        prefix_min=st.just(2)))
-def test_histospec_replays_against_the_latest_earlier_index(drawn, cpus, config):
+@given(drawn=small_runs(), cpus=st.integers(1, 3))
+def test_histospec_replays_against_the_latest_earlier_index(drawn, cpus):
     """Each response of a step from 2 on whose prompt appeared before is
     replayed against the index over the prompt's latest earlier epoch,
     however the units are split; no other response has a replay."""
     trace = Trace(drawn[0])
     with mock.patch.object(sim_module, "_usable_cpus", lambda: cpus):
-        got = histospec(trace, config)
+        got = histospec(trace)
     want = {}
     for step in trace.epochs:
         for pid in trace.prompts(step):
@@ -299,6 +297,6 @@ def test_histospec_replays_against_the_latest_earlier_index(drawn, cpus, config)
             if not earlier:
                 continue
             tree = build_tree(pid, earlier[-1], trace.group(earlier[-1], pid))
-            want[step, pid] = [replay_response(resp.tokens, tree, config)
+            want[step, pid] = [replay_response(resp.tokens, tree)
                                for resp in trace.group(step, pid)]
     assert got == want
