@@ -115,11 +115,24 @@ def load_trace_spec(path: str) -> TraceSpec:
     return _build_dataclass(TraceSpec, cfg, "trace spec")
 
 
-def _parse_epoch_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected EPOCH,EPOCH but got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _epoch_pair(text: str) -> tuple[int, int]:
+    """`--epochs A,B`: two integers."""
+    try:
+        first, second = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected EPOCH,EPOCH, got {text!r}") from None
+    return first, second
+
+
+def _seed(text: str) -> int:
+    """`--seed`: an integer >= 0, as a spec's `seed` must be."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def cmd_gen_trace(args) -> int:
@@ -139,11 +152,10 @@ def _require_epochs(trace: Trace, *epochs: int) -> None:
                           f"(it has {', '.join(map(str, trace.epochs))})")
 
 
-def _epoch_pairs(trace: Trace, text: str | None) -> list[tuple[int, int]]:
+def _epoch_pairs(trace: Trace, pair: tuple[int, int] | None) -> list[tuple[int, int]]:
     """The pair named by --epochs, which must be in the trace, or every
     adjacent pair of the trace's epochs."""
-    if text:
-        pair = _parse_epoch_pair(text)
+    if pair:
         _require_epochs(trace, *pair)
         return [pair]
     epochs = trace.epochs
@@ -287,13 +299,43 @@ def cmd_run_sim(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    runs = []
-    for path in args.runs:
+# The numbers `report` reads from a run JSON's metrics, and the stage shares
+# it reads, each 0 when absent.
+_REPORT_METRICS = ("samples_per_second", "bubble_fraction", "migration_pct",
+                   "speculation_rate", "acceptance_rate")
+_REPORT_SHARES = ("rollout", "train", "idle")
+
+
+def _read_run(path: str) -> dict:
+    """The run JSON at `path`, with every field `report` reads. A file that
+    is not one is a config error naming the file and the first bad key."""
+    try:
         payload = rio.read_json(path)
-        if payload.get("schema") != RUN_SCHEMA_VERSION:
-            raise ConfigError(f"{path}: unsupported run schema {payload.get('schema')}")
-        runs.append((path, payload))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: a run JSON is an object, got {type(payload).__name__}")
+    if payload.get("schema") != RUN_SCHEMA_VERSION:
+        raise ConfigError(f"{path}: unsupported run schema {payload.get('schema')}")
+    if not isinstance(payload.get("policy"), str):
+        raise ConfigError(f"{path}: policy is missing or not a string")
+    metrics = payload.get("metrics")
+    if not isinstance(metrics, dict):
+        raise ConfigError(f"{path}: metrics is missing or not an object")
+    shares = metrics.get("stage_shares")
+    if not isinstance(shares, dict):
+        raise ConfigError(f"{path}: metrics.stage_shares is missing or not an object")
+    for key in _REPORT_METRICS:
+        if type(metrics.get(key)) not in (int, float):
+            raise ConfigError(f"{path}: metrics.{key} is missing or not a number")
+    for key in _REPORT_SHARES:
+        if type(shares.get(key, 0.0)) not in (int, float):
+            raise ConfigError(f"{path}: metrics.stage_shares.{key} is not a number")
+    return payload
+
+
+def cmd_report(args) -> int:
+    runs = [(path, _read_run(path)) for path in args.runs]
     base_sps = runs[0][1]["metrics"]["samples_per_second"]
     header = ["run", "policy", "samples_per_second", "normalized_throughput",
               "bubble_fraction", "rollout_share", "train_share", "idle_share",
@@ -303,9 +345,8 @@ def cmd_report(args) -> int:
         m = payload["metrics"]
         shares = m["stage_shares"]
         normalized = f"{m['samples_per_second'] / base_sps:.6f}" if base_sps else "0"
-        figures = (m["bubble_fraction"], shares.get("rollout", 0.0), shares.get("train", 0.0),
-                   shares.get("idle", 0.0), m["migration_pct"], m["speculation_rate"],
-                   m["acceptance_rate"])
+        figures = (m["bubble_fraction"], *(shares.get(k, 0.0) for k in _REPORT_SHARES),
+                   m["migration_pct"], m["speculation_rate"], m["acceptance_rate"])
         rows.append([os.path.basename(path), payload["policy"], f"{m['samples_per_second']:.6f}",
                      normalized, *(f"{x:.6f}" for x in figures)])
     # Every timeline is derived before any file is written, so a missing or
@@ -369,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-trace", help="synthesize a multi-epoch rollout trace")
     p.add_argument("--spec", required=True, help="trace spec JSON (TraceSpec fields)")
     p.add_argument("--out", required=True, help="output trace JSONL path")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the spec seed")
     p.set_defaults(func=cmd_gen_trace)
 
     analyze = sub.add_parser("analyze", help="compute metrics over a trace")
@@ -378,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("rank", help="rank-stability metrics per epoch pair")
     p.add_argument("--trace", required=True)
     p.add_argument("--groups", type=int, default=8)
-    p.add_argument("--epochs", default=None, help="epoch pair A,B (default: all adjacent)")
+    p.add_argument("--epochs", type=_epoch_pair, default=None,
+                   help="epoch pair A,B (default: all adjacent)")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_analyze_rank)
@@ -387,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "response walks its prompt's suffix index over the previous epoch")
     p.add_argument("--trace", required=True)
     p.add_argument("--prefix", type=int, default=3)
-    p.add_argument("--epochs", default=None, help="epoch pair A,B (default: all adjacent)")
+    p.add_argument("--epochs", type=_epoch_pair, default=None,
+                   help="epoch pair A,B (default: all adjacent)")
     p.add_argument("--out", default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_analyze_similarity)

@@ -15,15 +15,24 @@ time is read off the clock without writing anything, and it finishes when
 fall out of plain arithmetic, and two runs with the same inputs produce
 byte-identical event logs.
 
-Weight versions are named by the step they become current for. Pipelined
-policies overlap: the job that trains step k's samples runs while step k+1
-rolls out and publishes the version used by step k+2, which is the one-step
-off-policy contract (every response rolls out under version step-1). The
-colocated baseline instead serializes rollout, a context switch, and training
-on the same workers each step, publishing version k for step k+1. Training
-starts once a batch-size worth of the step's samples has been rewarded;
+Weight version v is the one step v+1 rolls out under: every response of
+step k rolls out under version k-1. Pipelined policies overlap: the job that
+trains step k's samples runs while step k+1 rolls out and publishes version
+k+1, which step k+2 rolls out under; that is the one-step off-policy
+contract, and steps 1 and 2 roll out the initial weights. The colocated
+baseline instead serializes rollout, a context switch, and training on the
+same workers each step, publishing version k for step k+1. Training starts
+once a batch-size worth of the step's samples has been rewarded;
 oversampling lowers that threshold and late samples count toward the next
 step's batch.
+
+Each step is one `_Step` record, made for every step before the loop
+starts: its `StepPlan` (ranking groups, worker map, allocation and migration
+beta; round robin is one group over every worker), the tasks dealt to each
+worker, each group's workers, total and completed rollouts, the inter-step
+migrants carried into it, the samples it expects and has had rewarded, and
+whether its train job has started and ended. A step is planned when a
+worker first reaches it, after every earlier step.
 
 Migrated rollouts keep their generated tokens and pay a prefill recompute
 charge when they join a worker: a timed phase at the end of which their
@@ -306,40 +315,39 @@ class _Worker:
 
 
 @dataclass
-class _StepPlan:
-    step: int
-    groups: list[RankingGroup] | None            # None for non-grouped steps
-    worker_groups: dict[int, int]                # worker -> group index
-    shares: dict[int, list[_Task]]               # worker -> tasks
-    group_total: dict[int, int]
-    group_completed: dict[int, int]
-    policy_kind: str
-    allocation: AllocationPlan | None = None
-    group_workers: dict[int, list[int]] = field(init=False)  # group -> workers
+class _Step:
+    """One step of the run, from its plan to its train job. Every step's
+    record exists from the start: an inter-step migrant or a late reward
+    can reach a step before it is planned."""
 
-    def __post_init__(self):
-        # Both ascending: the migration check scans groups in index order.
-        by_group = defaultdict(list)
-        for wid, g in sorted(self.worker_groups.items()):
-            by_group[g].append(wid)
-        self.group_workers = dict(sorted(by_group.items()))
+    number: int
+    plan: StepPlan | None = None                 # None until _ensure_plan
+    shares: dict[int, list[_Task]] = field(default_factory=dict)        # worker -> dealt
+    group_workers: dict[int, list[int]] = field(default_factory=dict)   # both ascending
+    group_total: dict[int, int] = field(default_factory=dict)
+    group_completed: dict[int, int] = field(default_factory=dict)
+    carry_in: list[_Task] = field(default_factory=list)  # inter-step migrants into it
+    expected: int = 0          # samples it will roll out, carry-ins included
+    rewarded: int = 0          # samples rewarded toward its batch
+    train_started: bool = False
+    trained: bool = False
 
 
 class _GroupLoads(Mapping):
     """Each group's mean in-flight batch over the workers still rolling out
-    `plan`'s step, taken when first read: `migration_decision` reads it only
-    for an intra-step candidate, and most checks make no such decision."""
+    `step`, taken when first read: `migration_decision` reads it only for an
+    intra-step candidate, and most checks make no such decision."""
 
-    def __init__(self, workers: list[_Worker], plan: _StepPlan):
-        self._workers, self._plan = workers, plan
+    def __init__(self, workers: list[_Worker], step: _Step):
+        self._workers, self._step = workers, step
 
     @functools.cached_property
     def _loads(self) -> dict[int, float]:
-        plan, workers = self._plan, self._workers
+        step, workers = self._step, self._workers
         loads = {}
-        for g, wids in plan.group_workers.items():
+        for g, wids in step.group_workers.items():
             batches = [len(workers[w].inflight) for w in wids
-                       if workers[w].step == plan.step and workers[w].inflight]
+                       if workers[w].step == step.number and workers[w].inflight]
             if batches:
                 loads[g] = sum(batches) / len(batches)
         return loads
@@ -508,18 +516,23 @@ def _picklable(exc: BaseException) -> BaseException:
     return exc
 
 
-class HistoPipePlan(NamedTuple):
-    """What a HistoPipe step's plan decides before its responses are dealt."""
+class StepPlan(NamedTuple):
+    """What a step's plan decides before its responses are dealt. Each group
+    is a lane: its prompts' responses are dealt over its workers in turn.
+    Round robin has no groups and one lane, over every worker, in sorted
+    prompt order."""
 
-    groups: list[RankingGroup]
+    groups: list[RankingGroup] | None    # None for round robin
     group_batches: dict[int, int]        # group -> its responses in the step
     worker_groups: dict[int, int]        # worker -> group
     allocation: AllocationPlan | None    # the two-tier plan; None for an equal split
+    policy: str                          # the step_boundary event's `policy`
+    beta: float                          # migration's length-growth threshold
 
 
 def plan_step(trace: Trace, replayed: Mapping[tuple[int, str], list[Replayed]], step: int,
               cluster: ClusterSpec, cost: CostConfig, t_train: float | None = None, *,
-              two_tier: bool = True) -> HistoPipePlan:
+              two_tier: bool = True) -> StepPlan:
     """The plan a HistoPipe run makes for `step`, from 2 to the trace's last
     epoch, before it deals the step's responses. Raises InfeasiblePlanError
     when no allocation fits the workers.
@@ -536,6 +549,9 @@ def plan_step(trace: Trace, replayed: Mapping[tuple[int, str], list[Replayed]], 
     duration of the last train job to end before the step is planned; while
     none has, the cost model's train time of the step's batch stands in. The
     t0 >= t_train floor keeps the shortest group from hogging workers.
+
+    `beta` is `beta_from_history` over the growth in median length from
+    epoch step-2 to step-1 of the prompts in both, or BETA_FLOOR at step 2.
     """
     last = len(trace.epochs)
     if trace.epochs != list(range(1, last + 1)):
@@ -591,9 +607,15 @@ def plan_step(trace: Trace, replayed: Mapping[tuple[int, str], list[Replayed]], 
     else:
         counts = partition_sizes(wks, n_groups)
     order = assignment_order(step, n_groups)
-    return HistoPipePlan(groups, group_batches,
-                         dict(enumerate(g for g in order for _ in range(counts[g]))),
-                         allocation)
+    beta = BETA_FLOOR
+    if step >= 3:
+        prev = prompt_stats(trace.epoch_responses(step - 2))
+        cur = prompt_stats(trace.epoch_responses(step - 1))
+        beta = beta_from_history([cur[p].median_len / prev[p].median_len
+                                  for p in sorted(cur) if p in prev and prev[p].median_len > 0])
+    return StepPlan(groups, group_batches,
+                    dict(enumerate(g for g in order for _ in range(counts[g]))), allocation,
+                    "histopipe_two_tier" if two_tier else "histopipe_naive", beta)
 
 
 def _planning_stats(trace: Trace, step: int) -> dict[str, PromptStat]:
@@ -643,24 +665,14 @@ class _Simulation:
         # (step, prompt) -> its responses' HistoSpec replays, filled by run()
         # before the event loop; empty without speculation.
         self.replayed: dict[tuple[int, str], list[Replayed]] = {}
-        # The replay counters of the step being planned.
-        self.stats = SpecStats()
 
-        self.plans: dict[int, _StepPlan] = {}
-        self.carry_in: dict[int, list[_Task]] = {}   # step -> inter-migrated tasks
+        self.step = {k: _Step(k) for k in trace.epochs}
         self.reward_free = [(0.0, i) for i in range(cluster.reward_workers)]
         heapq.heapify(self.reward_free)
         self.train_free = 0.0
-        self.train_started: set[int] = set()
-        self.train_done_time: dict[int, float] = {}
         self.last_train_duration: float | None = None  # of the last train job to end
         self.weight_avail: dict[int, float] = {}
         self.weight_waiters: dict[int, list[tuple[int, int]]] = {}  # version -> (wid, step)
-        self.rewarded: dict[int, int] = {}
-        self.expected: dict[int, int] = {}
-        self._beta_cache: dict[int, float] = {}
-
-        self.scheduled_ids: dict[str, int] = {}
 
     # -- event plumbing -----------------------------------------------------
 
@@ -674,118 +686,92 @@ class _Simulation:
 
     # -- planning -------------------------------------------------------------
 
-    def _make_tasks(self, step: int, shares_raw: dict[int, list]) -> dict[int, list[_Task]]:
-        """Wrap every assigned response as a schedulable task. A response
-        takes its HistoSpec replay if it has one; any other decodes one token
-        per iteration. The counters are added in plan order."""
-        shares: dict[int, list[_Task]] = {}
-        for wid in sorted(shares_raw):
-            share = []
-            for member, resp, group_idx in shares_raw[wid]:
-                sid = f"{resp.prompt_id}/e{resp.epoch}/{member}"
-                replays = self.replayed.get((step, resp.prompt_id))
-                replay = None if replays is None else replays[member]
-                self.stats.count(resp.generated_len, replay)
-                share.append(_Task(
-                    sid=sid, prompt=resp.prompt_id, epoch=resp.epoch, member=member,
-                    tokens_len=resp.generated_len,
-                    total_iters=resp.generated_len if replay is None else replay.iterations,
-                    profile=None if replay is None else replay.profile,
-                    group=group_idx, weight_version=step - 1, worker=wid,
-                ))
-            shares[wid] = share
-        return shares
-
-    def _ensure_plan(self, step: int) -> _StepPlan:
-        if step in self.plans:
-            return self.plans[step]
+    def _ensure_plan(self, step: int) -> _Step:
+        """`step`'s record, planned once every earlier step is: its plan, its
+        responses dealt as tasks, its carry-ins bound and its step_boundary
+        emitted. A response takes its HistoSpec replay if it has one; any
+        other decodes one token per iteration."""
+        rec = self.step[step]
+        if rec.plan is not None:
+            return rec
         if step > 1:
             self._ensure_plan(step - 1)
-
-        # The counters of this step's responses alone: every earlier step
-        # has been planned and has emitted its own.
-        self.stats = SpecStats()
+        n = len(self.workers)
         if self.policy.is_histopipe and step >= 2:
-            plan = self._plan_histopipe(step)
+            plan = plan_step(self.trace, self.replayed, step, self.cluster, self.cost,
+                             self.last_train_duration,
+                             two_tier=self.policy.name == "histopipe_two_tier")
         else:
-            plan = self._plan_round_robin(step)
-        self.plans[step] = plan
+            # Round robin never migrates, so its beta is never read.
+            plan = StepPlan(None, {}, dict.fromkeys(range(n), 0), None,
+                            "colocated" if self.policy.name == "colocated" else "streaming",
+                            BETA_FLOOR)
+        rec.plan = plan
+        by_group = defaultdict(list)
+        for wid, g in sorted(plan.worker_groups.items()):
+            by_group[g].append(wid)
+        rec.group_workers = dict(sorted(by_group.items()))
+        rec.group_total = dict(plan.group_batches)
 
-        tasks = [task for share in plan.shares.values() for task in share]
-        self.scheduled_ids.update((task.sid, step) for task in tasks)
-        self.expected[step] = self.expected.get(step, 0) + len(tasks)
-        self.rewarded.setdefault(step, 0)
-        for task in self.carry_in.get(step, []):
+        if plan.groups is None:
+            lanes = [(None, rec.group_workers[0], self.trace.prompts(step))]
+        else:
+            lanes = [(g.index, rec.group_workers[g.index], g.prompt_ids) for g in plan.groups]
+        stats = SpecStats()
+        rec.shares = {wid: [] for wid in range(n)}
+        for group, wids, prompt_ids in lanes:
+            i = 0
+            for pid in prompt_ids:
+                replays = self.replayed.get((step, pid))
+                for member, resp in enumerate(self.trace.group(step, pid)):
+                    replay = None if replays is None else replays[member]
+                    stats.count(resp.generated_len, replay)
+                    wid = wids[i % len(wids)]
+                    rec.shares[wid].append(_Task(
+                        sid=f"{pid}/e{step}/{member}", prompt=pid, epoch=step, member=member,
+                        tokens_len=resp.generated_len,
+                        total_iters=resp.generated_len if replay is None else replay.iterations,
+                        profile=None if replay is None else replay.profile,
+                        group=group, weight_version=step - 1, worker=wid,
+                    ))
+                    i += 1
+        rec.expected += sum(map(len, rec.shares.values()))
+        for task in rec.carry_in:
             if task.worker is None:
-                self._bind_carry(plan, task)
+                self._bind_carry(rec, task)
 
         self._emit("step_boundary", {
             "step": step,
-            "policy": plan.policy_kind,
+            "policy": plan.policy,
             "workers": {str(w): g for w, g in sorted(plan.worker_groups.items())},
             "allocation": plan.allocation.as_dict() if plan.allocation else None,
-            "replay": vars(self.stats),
+            "replay": vars(stats),
         })
-        return plan
+        return rec
 
-    def _plan_round_robin(self, step: int) -> _StepPlan:
-        epoch_responses = self.trace.epoch_responses(step)
-        shares_raw: dict[int, list] = {w.wid: [] for w in self.workers}
-        i = 0
-        for pid in sorted(epoch_responses):
-            for member, resp in enumerate(epoch_responses[pid]):
-                shares_raw[i % len(self.workers)].append((member, resp, None))
-                i += 1
-        shares = self._make_tasks(step, shares_raw)
-        return _StepPlan(
-            step=step, groups=None, worker_groups={w.wid: 0 for w in self.workers},
-            shares=shares, group_total={}, group_completed={},
-            policy_kind="colocated" if self.policy.name == "colocated" else "streaming",
-        )
-
-    def _plan_histopipe(self, step: int) -> _StepPlan:
-        layout = plan_step(self.trace, self.replayed, step, self.cluster, self.cost,
-                           self.last_train_duration,
-                           two_tier=self.policy.name == "histopipe_two_tier")
-        plan = _StepPlan(
-            step=step, groups=layout.groups, worker_groups=layout.worker_groups,
-            shares={}, group_total=dict(layout.group_batches),
-            group_completed={g.index: 0 for g in layout.groups},
-            policy_kind=self.policy.name, allocation=layout.allocation,
-        )
-        shares_raw: dict[int, list] = {w.wid: [] for w in self.workers}
-        for grp in layout.groups:
-            wids = plan.group_workers[grp.index]
-            i = 0
-            for pid in grp.prompt_ids:
-                for member, resp in enumerate(self.trace.group(step, pid)):
-                    shares_raw[wids[i % len(wids)]].append((member, resp, grp.index))
-                    i += 1
-        plan.shares = self._make_tasks(step, shares_raw)
-        return plan
-
-    def _carry_targets(self, plan: _StepPlan, task: _Task) -> tuple[int | None, list[int]]:
-        """The group a continuation of `task` joins in `plan`'s step and the
+    def _carry_targets(self, rec: _Step, task: _Task) -> tuple[int | None, list[int]]:
+        """The group a continuation of `task` joins in step `rec` and the
         workers that can still run it: those serving the prompt's group (any
         worker under round-robin plans) that have not moved past the step.
         With oversampling, training and so the next weights can come before
         a step's last sample, letting workers run ahead of a straggler."""
+        plan = rec.plan
         group = None
         if plan.groups is not None:
             group = next((g.index for g in plan.groups if task.prompt in g.prompt_ids), None)
         wids = [w for w, g in plan.worker_groups.items()
-                if (group is None or g == group) and self.workers[w].step <= plan.step]
+                if (group is None or g == group) and self.workers[w].step <= rec.number]
         return group, wids
 
-    def _bind_carry(self, plan: _StepPlan, task: _Task) -> None:
-        group, wids = self._carry_targets(plan, task)
-        target = min(wids, key=lambda w: (len(plan.shares.get(w, [])), w))
+    def _bind_carry(self, rec: _Step, task: _Task) -> None:
+        group, wids = self._carry_targets(rec, task)
+        target = min(wids, key=lambda w: (len(rec.shares[w]), w))
         task.worker = target
         task.group = group
         if group is not None:
-            plan.group_total[group] = plan.group_total.get(group, 0) + 1
+            rec.group_total[group] = rec.group_total.get(group, 0) + 1
         running = self.workers[target]
-        if running.step == plan.step:
+        if running.step == rec.number:
             self._advance_worker(running, self.now)
             self._join(running, task)
             self._open_share(running)
@@ -850,7 +836,7 @@ class _Simulation:
     def _try_start(self, worker: _Worker, step: int) -> None:
         if step > self.steps:
             return
-        plan = self._ensure_plan(step)
+        rec = self._ensure_plan(step)
         avail = self._weights_available_at(step)
         if math.isinf(avail):
             # Version not published yet; its train_done will wake us.
@@ -863,8 +849,8 @@ class _Simulation:
         worker.step = step
         worker.v = 0.0
         worker.last_advance = self.now
-        worker.inflight = {t.sid: t for t in plan.shares.get(worker.wid, [])}
-        for task in self.carry_in.get(step, []):
+        worker.inflight = {t.sid: t for t in rec.shares[worker.wid]}
+        for task in rec.carry_in:
             if task.worker == worker.wid:
                 self._join(worker, task)
         if worker.inflight:
@@ -898,14 +884,14 @@ class _Simulation:
         if sched_version != worker.sched_version:
             return
         self._advance_worker(worker, self.now)
-        plan = self.plans[worker.step]
+        rec = self.step[worker.step]
         v = worker.v
         finished = sorted(sid for sid, task in worker.inflight.items()
                           if task.v_start + task.total_iters - v <= _EPS)
         for sid in finished:
             task = worker.inflight.pop(sid)
             if task.group is not None:
-                plan.group_completed[task.group] = plan.group_completed.get(task.group, 0) + 1
+                rec.group_completed[task.group] = rec.group_completed.get(task.group, 0) + 1
             self._emit("rollout_finish", {
                 "sample": sid, "worker": wid, "step": worker.step,
                 "scheduled_step": task.epoch,
@@ -915,8 +901,8 @@ class _Simulation:
                 "migrated": task.migrated,
             })
             self._queue_reward(sid, worker.step)
-        if finished and plan.groups is not None and self.policy.migration:
-            self._check_migrations(plan)
+        if finished and rec.plan.groups is not None and self.policy.migration:
+            self._check_migrations(rec)
         if worker.inflight:
             self._reschedule(worker)
         elif worker.share_open:
@@ -931,19 +917,7 @@ class _Simulation:
         heapq.heappush(self.reward_free, (done, ridx))
         self._push(done, "reward_done", (sid, attr_step, start))
 
-    def _beta_for_step(self, step: int) -> float:
-        if step not in self._beta_cache:
-            if step < 3:
-                self._beta_cache[step] = BETA_FLOOR
-            else:
-                prev = prompt_stats(self.trace.epoch_responses(step - 2))
-                cur = prompt_stats(self.trace.epoch_responses(step - 1))
-                rates = [cur[p].median_len / prev[p].median_len
-                         for p in sorted(cur) if p in prev and prev[p].median_len > 0]
-                self._beta_cache[step] = beta_from_history(rates)
-        return self._beta_cache[step]
-
-    def _check_migrations(self, plan: _StepPlan) -> None:
+    def _check_migrations(self, rec: _Step) -> None:
         """Migrate the stragglers of every group still rolling out this step.
 
         Only a group down to its last ALPHA_PCT% (`in_straggler_tail`) can
@@ -960,17 +934,17 @@ class _Simulation:
         in a short group, comes before the long groups' inter-step
         migrations, and the loads read are those before any migration.
         """
-        beta = self._beta_for_step(plan.step)
-        completed, total = plan.group_completed, plan.group_total
+        beta, groups = rec.plan.beta, rec.plan.groups
+        completed, total = rec.group_completed, rec.group_total
         n_groups = self.cluster.n_groups
-        active_loads = _GroupLoads(self.workers, plan)
-        for g, wids in plan.group_workers.items():
+        active_loads = _GroupLoads(self.workers, rec)
+        for g, wids in rec.group_workers.items():
             if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
                 continue
-            group = plan.groups[g]
+            group = groups[g]
             for wid in wids:
                 worker = self.workers[wid]
-                if worker.step != plan.step or not worker.inflight:
+                if worker.step != rec.number or not worker.inflight:
                     continue
                 v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
                 for sid in sorted(worker.inflight):
@@ -988,9 +962,9 @@ class _Simulation:
                     if not decision.migrates:
                         continue
                     if decision.kind == "intra_step":
-                        self._migrate_intra(plan, worker, task, decision.target_group)
-                    elif plan.step < self.steps:
-                        self._migrate_inter(plan, worker, task)
+                        self._migrate_intra(rec, worker, task, decision.target_group)
+                    elif rec.number < self.steps:
+                        self._migrate_inter(rec, worker, task)
 
     def _detach(self, source: _Worker, task: _Task) -> None:
         """Take a decoding `task` off `source`, keeping its progress in `done`."""
@@ -998,11 +972,11 @@ class _Simulation:
         del source.inflight[task.sid]
         task.done = source.v - task.v_start
 
-    def _migrate_intra(self, plan: _StepPlan, source: _Worker, task: _Task,
+    def _migrate_intra(self, rec: _Step, source: _Worker, task: _Task,
                        target_group: int) -> None:
         candidates = [
-            self.workers[wid] for wid in plan.group_workers[target_group]
-            if self.workers[wid].step == plan.step and self.workers[wid].inflight
+            self.workers[wid] for wid in rec.group_workers[target_group]
+            if self.workers[wid].step == rec.number and self.workers[wid].inflight
         ]
         if not candidates:
             return
@@ -1015,8 +989,8 @@ class _Simulation:
         old_group = task.group
         task.group = target_group
         task.worker = target.wid
-        plan.group_total[old_group] -= 1
-        plan.group_total[target_group] += 1
+        rec.group_total[old_group] -= 1
+        rec.group_total[target_group] += 1
         self._emit("migration", {
             "sample": task.sid, "migration_kind": "intra_step",
             "from_group": old_group, "to_group": target_group,
@@ -1029,27 +1003,27 @@ class _Simulation:
         else:
             self._finish_step_share(source)
 
-    def _migrate_inter(self, plan: _StepPlan, source: _Worker, task: _Task) -> None:
-        next_step = plan.step + 1
-        if next_step in self.plans and not self._carry_targets(self.plans[next_step], task)[1]:
+    def _migrate_inter(self, rec: _Step, source: _Worker, task: _Task) -> None:
+        nxt = self.step[rec.number + 1]
+        if nxt.plan is not None and not self._carry_targets(nxt, task)[1]:
             return  # no worker could resume it next step: it finishes where it is
         self._detach(source, task)
         generated = task.generated_len(task.done)
         task.migrated = True
-        task.continuation_version = next_step - 1
-        plan.group_total[task.group] -= 1
+        task.continuation_version = rec.number
+        rec.group_total[task.group] -= 1
         task.worker = None
-        self.expected[plan.step] = self.expected.get(plan.step, 0) - 1
-        self.expected[next_step] = self.expected.get(next_step, 0) + 1
+        rec.expected -= 1
+        nxt.expected += 1
         self._emit("migration", {
             "sample": task.sid, "migration_kind": "inter_step",
-            "from_group": task.group, "to_step": next_step,
+            "from_group": task.group, "to_step": nxt.number,
             "from_worker": source.wid, "generated": generated,
         })
-        self.carry_in.setdefault(next_step, []).append(task)
-        if next_step in self.plans:
-            self._bind_carry(self.plans[next_step], task)
-        self._push(self.now, "train_check", (plan.step,))
+        nxt.carry_in.append(task)
+        if nxt.plan is not None:
+            self._bind_carry(nxt, task)
+        self._push(self.now, "train_check", (rec.number,))
         if source.inflight:
             self._reschedule(source)
         else:
@@ -1059,47 +1033,47 @@ class _Simulation:
         # A sample rewarded after its step's train started counts toward the
         # next step still accepting samples, if there is one.
         step = attr_step
-        while step in self.train_started and step < self.steps:
+        while self.step[step].train_started and step < self.steps:
             step += 1
-        counted = step not in self.train_started
+        rec = self.step[step]
+        counted = not rec.train_started
         self._emit("reward_done", {
             "sample": sid, "step": attr_step, "start": start,
             "buffered_for": step if counted and step != attr_step else None,
         })
         if counted:
-            self.rewarded[step] = self.rewarded.get(step, 0) + 1
+            rec.rewarded += 1
             self._push(self.now, "train_check", (step,))
 
-    def _train_threshold(self, step: int) -> int:
-        frac = 1.0 - self.policy.oversample_pct / 100.0
-        return max(1, math.ceil(self.expected.get(step, 0) * frac))
-
     def _on_train_check(self, step: int) -> None:
-        if step in self.train_started or step > self.steps or step not in self.plans:
+        if step > self.steps:
             return
-        if step > 1 and (step - 1) not in self.train_started:
+        rec = self.step[step]
+        if rec.train_started or rec.plan is None:
+            return
+        if step > 1 and not self.step[step - 1].train_started:
             return  # train jobs run in step order
-        if self.rewarded.get(step, 0) < self._train_threshold(step):
+        # Oversampling trains once that share of the step's samples is short.
+        threshold = max(1, math.ceil(rec.expected * (1.0 - self.policy.oversample_pct / 100.0)))
+        if rec.rewarded < threshold:
             return
         if self.policy.name == "colocated":
-            self._start_colocated_train(step)
+            self._start_colocated_train(rec)
         else:
             start = max(self.now, self.train_free)
-            duration = self.cost.t_train(self.rewarded.get(step, 0))
-            self.train_started.add(step)
+            duration = self.cost.t_train(rec.rewarded)
+            rec.train_started = True
             self.train_free = start + duration
             self._push(start + duration, "train_done", (step, start, None))
 
-    def _start_colocated_train(self, step: int) -> None:
+    def _start_colocated_train(self, rec: _Step) -> None:
         # Strict alternation: every worker must have drained this step first.
+        # Round-robin steps never migrate, so no carry-in can still be unbound.
         for worker in self.workers:
-            if worker.step < step or worker.inflight:
+            if worker.step < rec.number or worker.inflight:
                 return
-        if any(t.worker is None for t in self.carry_in.get(step, [])):
-            return
-        self.train_started.add(step)
-        batch = self.rewarded.get(step, 0)
-        duration = self.cost.t_train(batch)
+        rec.train_started = True
+        duration = self.cost.t_train(rec.rewarded)
         switch = self.cost.context_switch_frac * duration
         start = self.now
         # Every worker switches to training, trains, and switches back.
@@ -1107,22 +1081,24 @@ class _Simulation:
         for worker in self.workers:
             self._close_share(worker)
             worker.free_at = switch_span[1]
-        self._push(start + switch + duration, "train_done", (step, start + switch, switch_span))
+        self._push(start + switch + duration, "train_done",
+                   (rec.number, start + switch, switch_span))
 
     def _on_train_done(self, step: int, start: float, switch: list[float] | None) -> None:
         duration = self.now - start
         self.last_train_duration = duration
-        self.train_done_time[step] = self.now
+        rec = self.step[step]
+        rec.trained = True
         # Weights trained on step k are current for step k+1 under colocated
-        # alternation and for step k+2 in the overlapped pipeline; the version
-        # is named by the step it serves.
+        # alternation and for step k+2 in the overlapped pipeline; version v
+        # is the one step v+1 rolls out under.
         if self.policy.name == "colocated":
             version, avail = step, self.now
         else:
             version, avail = step + 1, self.now + self.cluster.weight_propagation_delay
         self.weight_avail[version] = avail
         self._emit("train_done", {
-            "step": step, "batch": self.rewarded.get(step, 0), "start": start,
+            "step": step, "batch": rec.rewarded, "start": start,
             "duration": duration, "publishes_version": version, "switch": switch,
         })
         self._emit("weight_update", {
@@ -1168,11 +1144,13 @@ class _Simulation:
         finishes = Counter(e.payload["sample"] for e in self.events
                            if e.kind == "rollout_finish")
         problems = []
-        unfinished = sorted(sid for sid in self.scheduled_ids if finishes[sid] != 1)
+        scheduled = {task.sid for rec in self.step.values()
+                     for share in rec.shares.values() for task in share}
+        unfinished = sorted(sid for sid in scheduled if finishes[sid] != 1)
         if unfinished:
             problems.append(f"{len(unfinished)} samples not finished exactly once "
                             f"(first: {', '.join(unfinished[:5])})")
-        untrained = [s for s in range(1, self.steps + 1) if s not in self.train_done_time]
+        untrained = [k for k, rec in self.step.items() if not rec.trained]
         if untrained:
             problems.append(f"steps never trained: {untrained}")
         waiting = {v: w for v, w in sorted(self.weight_waiters.items()) if w}

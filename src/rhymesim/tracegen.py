@@ -73,6 +73,8 @@ class TraceSpec:
             raise ValueError("num_prompts, epochs and group_size must be >= 1")
         if not (1 <= self.vocab_size <= MAX_TOKEN + 1):
             raise ValueError(f"vocab_size must be in [1, {MAX_TOKEN + 1}]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Every test is a chained comparison, which NaN fails.
         inf = math.inf
         for key, wanted, ok in (

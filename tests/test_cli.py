@@ -61,7 +61,7 @@ class TestGenTrace:
 
     @pytest.mark.parametrize("key,value", [
         ("num_prompts", 2.5), ("epochs", 3.0), ("group_size", 2.5), ("vocab_size", 100.5),
-        ("seed", 5.5), ("group_size", True), ("similarity", "0.9"),
+        ("seed", 5.5), ("seed", -1), ("group_size", True), ("similarity", "0.9"),
         ("similarity_schedule", [0.5, 2.0, -1.0]), ("similarity_schedule", [0.5, math.nan, 0.9]),
         ("similarity_schedule", [0.5, 0.9, math.inf]), ("length_jitter", -0.5),
         ("high_reward_frac", 3.0), ("high_reward_frac", -0.1), ("len_mu", math.nan),
@@ -79,6 +79,15 @@ class TestGenTrace:
         out = tmp_path / "x.jsonl"
         assert main(["gen-trace", "--spec", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-3", "-1"])
+    def test_negative_seed_flag_exits_two_naming_it(self, workspace, seed, capsys):
+        tmp_path, spec_path, _ = workspace
+        out = tmp_path / "x.jsonl"
+        assert main(["gen-trace", "--spec", str(spec_path), "--out", str(out),
+                     "--seed", seed]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -152,6 +161,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"trace has no epoch {argv[-1].split(',')[-1]}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["rank", "similarity"])
+    @pytest.mark.parametrize("epochs", ["a,b", "1", "1,2,3"])
+    def test_bad_epoch_pair_exits_two_naming_the_flag(self, workspace, command, epochs, capsys):
+        tmp_path, spec_path, _ = workspace
+        trace_path = gen(tmp_path, spec_path)
+        out = tmp_path / "x.csv"
+        assert main(["analyze", command, "--trace", str(trace_path), "--epochs", epochs,
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--epochs" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["", "\n \n"])
     def test_tree_stats_of_a_trace_without_records_exits_two(self, tmp_path, text, capsys):
@@ -367,6 +388,34 @@ class TestRunSim:
                      "--timeline", str(tmp_path / "tl.csv")]) == EXIT_IO
         assert "r.events.jsonl is not the events log of one run" in capsys.readouterr().err
         assert not (tmp_path / "tl.csv").exists() and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("edit,key", [
+        ("not json", None), ("a list", None), ("no metrics", "metrics"),
+        ("no bubble_fraction", "bubble_fraction"), ("a text share", "stage_shares.train"),
+    ])
+    def test_report_of_a_malformed_run_exits_two_naming_it(self, workspace, capsys, edit, key):
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        good = tmp_path / "good.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "streaming", "--out", str(good)]) == EXIT_OK
+        payload = rio.read_json(good)
+        if edit == "no metrics":
+            del payload["metrics"]
+        elif edit == "no bubble_fraction":
+            del payload["metrics"]["bubble_fraction"]
+        elif edit == "a text share":
+            payload["metrics"]["stage_shares"]["train"] = "0.5"
+        bad = tmp_path / "bad.json"
+        bad.write_text({"not json": "{not json", "a list": "[1, 2]"}.get(edit)
+                       or json.dumps(payload))
+        capsys.readouterr()
+        csv_out, timeline = tmp_path / "c.csv", tmp_path / "tl.csv"
+        assert main(["report", "--runs", str(good), str(bad), "--csv", str(csv_out),
+                     "--timeline", str(timeline)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(bad) in err and (key is None or key in err)
+        assert not csv_out.exists() and not timeline.exists()
 
     def test_identical_runs_identical_reports(self, workspace):
         tmp_path, spec_path, cluster_path = workspace

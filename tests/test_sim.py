@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import statistics
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 import oracles
 import rhymesim.sim as sim_module
 from rhymesim.history import Response
-from rhymesim.scheduler import BETA_FLOOR, MigrationDecision, in_straggler_tail, partition_sizes
+from rhymesim.scheduler import (
+    BETA_FLOOR,
+    MigrationDecision,
+    beta_from_history,
+    in_straggler_tail,
+    partition_sizes,
+)
 from rhymesim.sim import (
     EVENT_FIELDS,
     ClusterSpec,
@@ -397,6 +404,30 @@ class TestPlanStep:
         batch = sum(plan.group_batches.values())
         assert plan == sim_module.plan_step(trace, {}, 3, cluster, cost, cost.t_train(batch))
 
+    def test_step_two_migrates_with_the_beta_floor(self):
+        plan = sim_module.plan_step(longtail_trace(epochs=3), {}, 2, ClusterSpec(**CLUSTER),
+                                    fast_cost())
+        assert plan.beta == BETA_FLOOR
+
+    @pytest.mark.parametrize("case", ["longtail", "dropped"])
+    def test_step_three_beta_is_the_epoch_one_to_two_median_growth(self, case):
+        # "dropped" has no p0003 in epoch 2, so p0003 has no growth.
+        trace = (longtail_trace(epochs=3) if case == "longtail"
+                 else Trace(edited_prompt_set_traces()[case]))
+        first, second = trace.epoch_responses(1), trace.epoch_responses(2)
+
+        def median(group):
+            return statistics.median(r.generated_len for r in group)
+
+        growth = [median(second[p]) / median(first[p]) for p in sorted(second) if p in first]
+        assert len(growth) == len(first) - (case == "dropped")
+        cluster = ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4)
+        plan = sim_module.plan_step(trace, {}, 3, cluster, fast_cost(), two_tier=False)
+        assert plan.beta == beta_from_history(growth)
+        # The long-tail trace's growth clears the floor, so the floor alone
+        # would not pass; the edited trace's lengths do not grow.
+        assert (plan.beta > BETA_FLOOR) == (case == "longtail")
+
     def test_speculation_shortens_group_times_from_step_three(self):
         # Step 2 is planned from epoch 1, which has no earlier epoch to
         # draft from; step 3 counts epoch 2's replays, which land tokens.
@@ -731,9 +762,11 @@ class TestWorkerClock:
         sim = sim_module._Simulation(uniform_trace(epochs=1),
                                      ClusterSpec(rollout_workers=1, reward_workers=1, n_groups=1),
                                      Policy("streaming", migration=False), cls.COST)
-        sim.plans[1] = sim_module._StepPlan(step=1, groups=[None], worker_groups={0: 0},
-                                            shares={}, group_total={0: 100},
-                                            group_completed={0: 99}, policy_kind="clock")
+        step = sim.step[1]
+        step.plan = sim_module.StepPlan(groups=[None], group_batches={0: 100},
+                                        worker_groups={0: 0}, allocation=None,
+                                        policy="clock", beta=BETA_FLOOR)
+        step.group_workers, step.group_total, step.group_completed = {0: [0]}, {0: 100}, {0: 99}
         sim.workers[0].step = 1
         completions = []
         sim._push = lambda time, kind, data: kind == "completion" and completions.append(time)
@@ -759,7 +792,7 @@ class TestWorkerClock:
     @classmethod
     def run_clock(cls, tasks, ops):
         sim, completions = cls.one_worker()
-        plan, worker = sim.plans[1], sim.workers[0]
+        step, worker = sim.step[1], sim.workers[0]
         by_sid = {sid: cls.task(sid, total, profile) for sid, (total, profile) in tasks.items()}
         read = []
         observed = []
@@ -785,7 +818,7 @@ class TestWorkerClock:
                     sim._reschedule(worker)
                 elif kind == "check":
                     read.clear()
-                    sim._check_migrations(plan)
+                    sim._check_migrations(step)
                     readable = sorted(s for s, t in worker.inflight.items() if not t.migrated)
                     assert len(read) == len(readable)
                     observed += [(time, s, n) for s, n in zip(readable, read)]
