@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import fields
 
 from . import io as rio
@@ -124,15 +125,18 @@ def _epoch_pair(text: str) -> tuple[int, int]:
     return first, second
 
 
-def _seed(text: str) -> int:
-    """`--seed`: an integer >= 0, as a spec's `seed` must be."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers >= `low`: any other value is a usage
+    error that names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def cmd_gen_trace(args) -> int:
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-trace", help="synthesize a multi-epoch rollout trace")
     p.add_argument("--spec", required=True, help="trace spec JSON (TraceSpec fields)")
     p.add_argument("--out", required=True, help="output trace JSONL path")
-    p.add_argument("--seed", type=_seed, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the spec seed")
     p.set_defaults(func=cmd_gen_trace)
 
     analyze = sub.add_parser("analyze", help="compute metrics over a trace")
@@ -428,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("similarity", help="token-similarity replay per epoch pair: each "
                         "response walks its prompt's suffix index over the previous epoch")
     p.add_argument("--trace", required=True)
-    p.add_argument("--prefix", type=int, default=3)
+    p.add_argument("--prefix", type=_int_at_least(1), default=3,
+                   help="lookup prefix length in tokens, >= 1 (default: 3)")
     p.add_argument("--epochs", type=_epoch_pair, default=None,
                    help="epoch pair A,B (default: all adjacent)")
     p.add_argument("--out", default=None)

@@ -138,11 +138,12 @@ class AllocationPlan:
     feasible: bool
 
     def as_dict(self) -> dict:
+        # Keys in sorted order: the simulator's event records are written as built.
         return {
-            "t0": self.t0,
             "d": self.gradient_d,
-            "per_group_workers": list(self.per_group_workers),
             "feasible": self.feasible,
+            "per_group_workers": list(self.per_group_workers),
+            "t0": self.t0,
         }
 
 

@@ -29,10 +29,11 @@ step's batch.
 Each step is one `_Step` record, made for every step before the loop
 starts: its `StepPlan` (ranking groups, worker map, allocation and migration
 beta; round robin is one group over every worker), the tasks dealt to each
-worker, each group's workers, total and completed rollouts, the inter-step
-migrants carried into it, the samples it expects and has had rewarded, and
-whether its train job has started and ended. A step is planned when a
-worker first reaches it, after every earlier step.
+worker, each group's workers, total and completed rollouts, the groups none
+of whose rollouts is long enough to migrate, the inter-step migrants carried
+into it, the samples it expects and has had rewarded, and whether its train
+job has started and ended. A step is planned when a worker first reaches it,
+after every earlier step.
 
 Migrated rollouts keep their generated tokens and pay a prefill recompute
 charge when they join a worker: a timed phase at the end of which their
@@ -51,8 +52,11 @@ epoch) decodes one token per iteration without any call into the engine.
 
 The event log is the run's one record: `derive` computes the timeline,
 metrics, accounting and per-step speculation rows from it alone, in memory or
-from the `.events.jsonl` beside a run JSON. Each event has `time`, `seq` (its
-place in the log) and `kind`, and each kind carries:
+from the `.events.jsonl` beside a run JSON. Each event is one dict,
+`SimEvent.payload`, built with its keys in sorted order at every level, so
+`events_jsonl` writes every record as it stands with one encoder made once,
+and each line is what `json.dumps(record, sort_keys=True)` gives. Each event
+has `time`, `seq` (its place in the log) and `kind`, and each kind carries:
 
 - `step_boundary`: `step`, the planning `policy`, `workers` (worker id ->
   group), the two-tier `allocation` or null, and `replay`, the `SpecStats`
@@ -89,7 +93,7 @@ import statistics
 import warnings
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -123,9 +127,9 @@ SPEC_STATS_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_pass
 
 _EPS = 1e-9
 
-# The payload fields of each event kind, as the module docstring lists them.
-# A migration also carries `to_group` and `to_worker` (intra-step) or
-# `to_step` (inter-step).
+# The fields each event kind carries besides `time`, `seq` and `kind`, as the
+# module docstring lists them. A migration also carries `to_group` and
+# `to_worker` (intra-step) or `to_step` (inter-step).
 EVENT_FIELDS = {
     "step_boundary": ("step", "policy", "workers", "allocation", "replay"),
     "share_start": ("worker", "step"),
@@ -214,15 +218,15 @@ class ClusterSpec:
                              f"got {self.weight_propagation_delay}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     time: float
     seq: int
     kind: str
-    payload: dict
+    payload: dict  # the whole record: `time`, `seq`, `kind` and the kind's fields
 
     def as_dict(self) -> dict:
-        return {"time": self.time, "seq": self.seq, "kind": self.kind, **self.payload}
+        return self.payload
 
     @classmethod
     def from_dict(cls, record: dict) -> SimEvent:
@@ -272,13 +276,28 @@ class SimResult(RunSummary):
     events: list[SimEvent] = field(default_factory=list)
 
     def events_jsonl(self) -> str:
-        # One encoder for every event: json.dumps with an option builds a new
-        # one per call, which was a third of the time spent here.
-        encode = json.JSONEncoder(sort_keys=True).encode
-        return "".join(encode(e.as_dict()) + "\n" for e in self.events)
+        encode = _record_encoder()
+        return "".join(encode(e.payload) + "\n" for e in self.events)
 
 
-@dataclass
+def _record_encoder() -> Callable[[dict], str]:
+    """`json.dumps` of a record whose keys are already sorted at every
+    level, through one C encoder made here: `json.dumps` and
+    `JSONEncoder.encode` make a new one per call. It takes `JSONEncoder`'s
+    default settings, so it writes what `json.dumps` does; records are never
+    circular, so it keeps no marker dict. Without the C encoder this is
+    `JSONEncoder().encode`."""
+    default = json.JSONEncoder()
+    make = json.encoder.c_make_encoder
+    if make is None:  # no C accelerator in this Python
+        return default.encode
+    encode = make(None, default.default, json.encoder.encode_basestring_ascii, None,
+                  default.key_separator, default.item_separator, False, default.skipkeys,
+                  default.allow_nan)
+    return lambda record: "".join(encode(record, 0))
+
+
+@dataclass(slots=True)
 class _Task:
     sid: str
     prompt: str
@@ -301,7 +320,7 @@ class _Task:
         return self.profile[idx - 1] if idx and self.profile is not None else idx
 
 
-@dataclass
+@dataclass(slots=True)
 class _Worker:
     wid: int
     free_at: float = 0.0
@@ -327,6 +346,7 @@ class _Step:
     group_total: dict[int, int] = field(default_factory=dict)
     group_completed: dict[int, int] = field(default_factory=dict)
     carry_in: list[_Task] = field(default_factory=list)  # inter-step migrants into it
+    quiet_groups: set[int] = field(default_factory=set)  # groups none of whose rollouts can migrate
     expected: int = 0          # samples it will roll out, carry-ins included
     rewarded: int = 0          # samples rewarded toward its batch
     train_started: bool = False
@@ -680,9 +700,15 @@ class _Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, data))
 
-    def _emit(self, kind: str, payload: dict) -> None:
+    def _next_seq(self) -> int:
         self._seq += 1
-        self.events.append(SimEvent(self.now, self._seq, kind, payload))
+        return self._seq
+
+    def _emit(self, record: dict) -> None:
+        """Log `record`, which holds `kind`, `seq` (from `_next_seq`), `time`
+        (now) and the kind's fields, its keys written in sorted order at
+        every level so that it is encoded as it stands."""
+        self.events.append(SimEvent(self.now, record["seq"], record["kind"], record))
 
     # -- planning -------------------------------------------------------------
 
@@ -736,16 +762,21 @@ class _Simulation:
                     ))
                     i += 1
         rec.expected += sum(map(len, rec.shares.values()))
+        if plan.groups is not None:
+            rec.quiet_groups = {g.index for g in plan.groups
+                                if all(task.tokens_len <= plan.beta * g.max_hist_len
+                                       for wid in rec.group_workers[g.index]
+                                       for task in rec.shares[wid])}
         for task in rec.carry_in:
             if task.worker is None:
                 self._bind_carry(rec, task)
 
-        self._emit("step_boundary", {
-            "step": step,
-            "policy": plan.policy,
-            "workers": {str(w): g for w, g in sorted(plan.worker_groups.items())},
+        self._emit({
             "allocation": plan.allocation.as_dict() if plan.allocation else None,
-            "replay": vars(stats),
+            "kind": "step_boundary", "policy": plan.policy,
+            "replay": dict(sorted(vars(stats).items())),
+            "seq": self._next_seq(), "step": step, "time": self.now,
+            "workers": dict(sorted((str(w), g) for w, g in plan.worker_groups.items())),
         })
         return rec
 
@@ -862,12 +893,14 @@ class _Simulation:
     def _open_share(self, worker: _Worker) -> None:
         if not worker.share_open:
             worker.share_open = True
-            self._emit("share_start", {"worker": worker.wid, "step": worker.step})
+            self._emit({"kind": "share_start", "seq": self._next_seq(), "step": worker.step,
+                        "time": self.now, "worker": worker.wid})
 
     def _close_share(self, worker: _Worker) -> None:
         if worker.share_open:
             worker.share_open = False
-            self._emit("share_end", {"worker": worker.wid, "step": worker.step})
+            self._emit({"kind": "share_end", "seq": self._next_seq(), "step": worker.step,
+                        "time": self.now, "worker": worker.wid})
 
     def _finish_step_share(self, worker: _Worker) -> None:
         self._close_share(worker)
@@ -892,13 +925,13 @@ class _Simulation:
             task = worker.inflight.pop(sid)
             if task.group is not None:
                 rec.group_completed[task.group] = rec.group_completed.get(task.group, 0) + 1
-            self._emit("rollout_finish", {
-                "sample": sid, "worker": wid, "step": worker.step,
-                "scheduled_step": task.epoch,
-                "weight_version": task.weight_version,
+            self._emit({
                 "continuation_version": task.continuation_version,
-                "tokens": task.tokens_len, "iterations": task.total_iters,
-                "migrated": task.migrated,
+                "iterations": task.total_iters, "kind": "rollout_finish",
+                "migrated": task.migrated, "sample": sid, "scheduled_step": task.epoch,
+                "seq": self._next_seq(), "step": worker.step, "time": self.now,
+                "tokens": task.tokens_len, "weight_version": task.weight_version,
+                "worker": wid,
             })
             self._queue_reward(sid, worker.step)
         if finished and rec.plan.groups is not None and self.policy.migration:
@@ -929,6 +962,15 @@ class _Simulation:
         Progress is read off each worker's clock and nothing is committed
         here; a migration commits the two workers whose batches it changes.
 
+        Only rollouts whose length `tokens_len` exceeds beta times the
+        group's longest history length are visited, in sid order on each
+        worker. That is exact: a rollout never generates more than its
+        length, so no other one can pass `migration_decision`'s length test.
+        A few dozen of a step's rollouts pass this filter. A group none of
+        whose dealt rollouts passes it (`quiet_groups`) is skipped before
+        its tail test: every other rollout it runs is a migrant, and a
+        migrant never moves again.
+
         The groups' loads are read by the first intra-step candidate, if
         any. The groups are scanned in index order, so every such candidate,
         in a short group, comes before the long groups' inter-step
@@ -939,21 +981,29 @@ class _Simulation:
         n_groups = self.cluster.n_groups
         active_loads = _GroupLoads(self.workers, rec)
         for g, wids in rec.group_workers.items():
-            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
+            if g in rec.quiet_groups or not in_straggler_tail(completed.get(g, 0),
+                                                                total.get(g, 0)):
                 continue
             group = groups[g]
+            longest = beta * group.max_hist_len
             for wid in wids:
                 worker = self.workers[wid]
                 if worker.step != rec.number or not worker.inflight:
                     continue
+                # A migration from this worker moves only the rollout it
+                # decides on, so the candidates stay in flight until reached.
+                candidates = [sid for sid, task in worker.inflight.items()
+                              if task.tokens_len > longest and not task.migrated]
+                if not candidates:
+                    continue
+                candidates.sort()
                 v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
-                for sid in sorted(worker.inflight):
-                    task = worker.inflight.get(sid)
+                for sid in candidates:
+                    task = worker.inflight[sid]
                     # A rollout that has run all its iterations is finished,
                     # though its completion may not be handled yet (a tie
                     # with this worker's): it never migrates.
-                    if (task is None or task.migrated
-                            or task.v_start + task.total_iters - v <= _EPS):
+                    if task.v_start + task.total_iters - v <= _EPS:
                         continue
                     decision = migration_decision(
                         group, task.generated_len(v - task.v_start), completed.get(g, 0),
@@ -991,11 +1041,11 @@ class _Simulation:
         task.worker = target.wid
         rec.group_total[old_group] -= 1
         rec.group_total[target_group] += 1
-        self._emit("migration", {
-            "sample": task.sid, "migration_kind": "intra_step",
-            "from_group": old_group, "to_group": target_group,
-            "from_worker": source.wid, "to_worker": target.wid,
-            "generated": generated,
+        self._emit({
+            "from_group": old_group, "from_worker": source.wid, "generated": generated,
+            "kind": "migration", "migration_kind": "intra_step", "sample": task.sid,
+            "seq": self._next_seq(), "time": self.now,
+            "to_group": target_group, "to_worker": target.wid,
         })
         self._reschedule(target)
         if source.inflight:
@@ -1015,10 +1065,10 @@ class _Simulation:
         task.worker = None
         rec.expected -= 1
         nxt.expected += 1
-        self._emit("migration", {
-            "sample": task.sid, "migration_kind": "inter_step",
-            "from_group": task.group, "to_step": nxt.number,
-            "from_worker": source.wid, "generated": generated,
+        self._emit({
+            "from_group": task.group, "from_worker": source.wid, "generated": generated,
+            "kind": "migration", "migration_kind": "inter_step", "sample": task.sid,
+            "seq": self._next_seq(), "time": self.now, "to_step": nxt.number,
         })
         nxt.carry_in.append(task)
         if nxt.plan is not None:
@@ -1037,9 +1087,10 @@ class _Simulation:
             step += 1
         rec = self.step[step]
         counted = not rec.train_started
-        self._emit("reward_done", {
-            "sample": sid, "step": attr_step, "start": start,
+        self._emit({
             "buffered_for": step if counted and step != attr_step else None,
+            "kind": "reward_done", "sample": sid, "seq": self._next_seq(), "start": start,
+            "step": attr_step, "time": self.now,
         })
         if counted:
             rec.rewarded += 1
@@ -1097,12 +1148,14 @@ class _Simulation:
         else:
             version, avail = step + 1, self.now + self.cluster.weight_propagation_delay
         self.weight_avail[version] = avail
-        self._emit("train_done", {
-            "step": step, "batch": rec.rewarded, "start": start,
-            "duration": duration, "publishes_version": version, "switch": switch,
+        self._emit({
+            "batch": rec.rewarded, "duration": duration, "kind": "train_done",
+            "publishes_version": version, "seq": self._next_seq(), "start": start,
+            "step": step, "switch": switch, "time": self.now,
         })
-        self._emit("weight_update", {
-            "version": version, "trained_on_step": step, "available_at": avail,
+        self._emit({
+            "available_at": avail, "kind": "weight_update", "seq": self._next_seq(),
+            "time": self.now, "trained_on_step": step, "version": version,
         })
         for wid, wait_step in self.weight_waiters.pop(version, []):
             self._push(avail, "start", (wid, wait_step))
@@ -1162,7 +1215,8 @@ class _Simulation:
 
     def _finalize(self) -> SimResult:
         self._check_drained()
-        self._emit("run_end", {"rollout_workers": len(self.workers)})
+        self._emit({"kind": "run_end", "rollout_workers": len(self.workers),
+                    "seq": self._next_seq(), "time": self.now})
         return SimResult(events=self.events, **vars(derive(self.events)))
 
 

@@ -13,6 +13,7 @@ two would find nothing and every check over what it found would pass.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 
@@ -398,3 +399,30 @@ def sliced_worker(tasks: dict, ops: list, t_iter, prefill_per_token: float):
                     progress = tasks[s][0] - remaining[s]
                     observed.append((time, s, progress, _tokens_done(*tasks[s], progress)))
     return finishes, observed
+
+
+# -- event log oracle ----------------------------------------------------------
+
+
+def keys_sorted(value) -> bool:
+    """True when every dict within `value`, at any depth, iterates its keys
+    in sorted order."""
+    if isinstance(value, dict):
+        return list(value) == sorted(value) and all(map(keys_sorted, value.values()))
+    if isinstance(value, list):
+        return all(map(keys_sorted, value))
+    return True
+
+
+def check_event_records(result) -> None:
+    """Every record of a run's log is canonical as built: its keys are in
+    sorted order at every level, its `events_jsonl` line is what
+    `json.dumps(record, sort_keys=True)` writes, and that line reads back,
+    through the event type's `from_dict`, as the same record."""
+    lines = result.events_jsonl().splitlines()
+    assert len(lines) == len(result.events)
+    for event, line in zip(result.events, lines):
+        record = event.as_dict()
+        assert keys_sorted(record), record
+        assert line == json.dumps(record, sort_keys=True)
+        assert type(event).from_dict(json.loads(line)).payload == record

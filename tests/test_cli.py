@@ -120,6 +120,16 @@ class TestAnalyze:
                      "--groups", groups]) == EXIT_CONFIG
         assert "groups" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["0", "-1"])
+    def test_similarity_bad_prefix_exits_two_naming_it(self, workspace, prefix, capsys):
+        tmp_path, spec_path, _ = workspace
+        trace_path = gen(tmp_path, spec_path)
+        out = tmp_path / "similarity.csv"
+        assert main(["analyze", "similarity", "--trace", str(trace_path),
+                     "--prefix", prefix, "--out", str(out)]) == EXIT_CONFIG
+        assert "--prefix" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [{"tokens": []}, {"reward": math.nan}])
     def test_similarity_rejects_bad_previous_response(self, workspace, edit, capsys):
         tmp_path, spec_path, _ = workspace

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from rhymesim.history import Response
 from rhymesim.scheduler import (
     BETA_FLOOR,
     MigrationDecision,
+    RankingGroup,
     beta_from_history,
     in_straggler_tail,
     partition_sizes,
@@ -470,6 +472,13 @@ class TestEventLog:
         assert summary.accounting == res.accounting
         assert summary.spec_stats == res.spec_stats
 
+    def test_log_is_the_same_without_the_c_encoder(self, monkeypatch):
+        res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy("histopipe_two_tier"),
+                  fast_cost())
+        written = res.events_jsonl()
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert res.events_jsonl() == written
+
     def test_colocated_makespan_is_run_end(self):
         # The trailing context switch ends after the last train_done.
         res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy("colocated"),
@@ -655,8 +664,7 @@ class TestPinnedEventLogs:
 
     @pytest.mark.parametrize("name,speculation", sorted(PINNED))
     def test_events_sha256_pinned(self, name, speculation):
-        res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
-                  Policy(name, speculation=speculation), fast_cost())
+        res = self.pinned_run("PINNED", (name, speculation))
         digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
         assert digest == self.PINNED[(name, speculation)]
 
@@ -680,9 +688,7 @@ class TestPinnedEventLogs:
 
     @pytest.mark.parametrize("edit,name", sorted(PINNED_EDITED))
     def test_edited_prompt_set_events_sha256_pinned(self, edit, name):
-        res = run(edited_prompt_set_traces()[edit],
-                  ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
-                  Policy(name, speculation=True), fast_cost())
+        res = self.pinned_run("PINNED_EDITED", (edit, name))
         digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
         assert digest == self.PINNED_EDITED[(edit, name)]
 
@@ -706,10 +712,34 @@ class TestPinnedEventLogs:
 
     @pytest.mark.parametrize("name", sorted(PINNED_MIGRATING))
     def test_migrating_events_sha256_pinned(self, name):
-        res = self.run_migrating(name)
+        res = self.pinned_run("PINNED_MIGRATING", name)
         digest = hashlib.sha256(res.events_jsonl().encode()).hexdigest()
         assert (digest, res.accounting["migrations"], res.accounting["inter_migrations"]) \
             == self.PINNED_MIGRATING[name]
+
+    @staticmethod
+    @functools.cache
+    def pinned_run(table: str, key):
+        """The run that entry `key` of the hash table named `table` pins,
+        made once for the hash test and the record test."""
+        if table == "PINNED":
+            name, speculation = key
+            return run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
+                       Policy(name, speculation=speculation), fast_cost())
+        if table == "PINNED_EDITED":
+            edit, name = key
+            return run(edited_prompt_set_traces()[edit],
+                       ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
+                       Policy(name, speculation=True), fast_cost())
+        return TestPinnedEventLogs.run_migrating(key)
+
+    @pytest.mark.parametrize("table,key", [("PINNED", k) for k in sorted(PINNED)]
+                             + [("PINNED_EDITED", k) for k in sorted(PINNED_EDITED)]
+                             + [("PINNED_MIGRATING", k) for k in sorted(PINNED_MIGRATING)])
+    def test_records_are_written_as_built(self, table, key):
+        # Each record is built with its keys in sorted order, so the log
+        # writes it without sorting and reads it back unchanged.
+        oracles.check_event_records(self.pinned_run(table, key))
 
     def test_migration_decisions_only_in_straggler_tail(self, monkeypatch):
         calls = []
@@ -757,13 +787,16 @@ class TestWorkerClock:
     @classmethod
     def one_worker(cls):
         """A simulation whose event loop the test drives: worker 0 runs step
-        1, in one group that is in its straggler tail. Returns it and the
-        list its completions are scheduled into."""
+        1, in one group that is in its straggler tail and has no history
+        length, so that every rollout is long enough to be a migration
+        candidate. Returns it and the list its completions are scheduled
+        into."""
         sim = sim_module._Simulation(uniform_trace(epochs=1),
                                      ClusterSpec(rollout_workers=1, reward_workers=1, n_groups=1),
                                      Policy("streaming", migration=False), cls.COST)
         step = sim.step[1]
-        step.plan = sim_module.StepPlan(groups=[None], group_batches={0: 100},
+        step.plan = sim_module.StepPlan(groups=[RankingGroup(0, ["p"], max_hist_len=0.0)],
+                                        group_batches={0: 100},
                                         worker_groups={0: 0}, allocation=None,
                                         policy="clock", beta=BETA_FLOOR)
         step.group_workers, step.group_total, step.group_completed = {0: [0]}, {0: 100}, {0: 99}

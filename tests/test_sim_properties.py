@@ -18,9 +18,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import rhymesim.sim as sim_module
 from rhymesim.history import build_tree
-from rhymesim.scheduler import in_straggler_tail
+from rhymesim.scheduler import in_straggler_tail, migration_decision
 from rhymesim.sim import (
     ClusterSpec,
     CostConfig,
@@ -247,7 +248,71 @@ def test_simulator_invariants(name, speculation, oversample_pct, drawn):
     check_causal_order(res, trace, policy)
     check_worker_intervals(res)
     check_migrations(res, trace, policy)
+    oracles.check_event_records(res)
     assert run(trace, cluster, policy, COST).events_jsonl() == res.events_jsonl()
+
+
+class FullScan(sim_module._Simulation):
+    """The simulator with the migration check that reads every in-flight
+    rollout of every worker of every group in its straggler tail, whatever
+    its length: the reference the length-filtered check must agree with."""
+
+    def _check_migrations(self, rec):
+        completed, total = rec.group_completed, rec.group_total
+        loads = sim_module._GroupLoads(self.workers, rec)
+        for g, wids in rec.group_workers.items():
+            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
+                continue
+            for wid in wids:
+                worker = self.workers[wid]
+                if worker.step != rec.number or not worker.inflight:
+                    continue
+                v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
+                for sid in sorted(worker.inflight):
+                    task = worker.inflight[sid]
+                    if task.migrated or task.v_start + task.total_iters - v <= sim_module._EPS:
+                        continue
+                    decision = migration_decision(
+                        rec.plan.groups[g], task.generated_len(v - task.v_start),
+                        completed.get(g, 0), total.get(g, 0), rec.plan.beta,
+                        self.cluster.n_groups, loads)
+                    if decision.kind == "intra_step":
+                        self._migrate_intra(rec, worker, task, decision.target_group)
+                    elif decision.kind == "inter_step" and rec.number < self.steps:
+                        self._migrate_inter(rec, worker, task)
+
+
+@pytest.mark.parametrize("name", ["histopipe_naive", "histopipe_two_tier"])
+@settings(max_examples=15, deadline=None)
+@given(drawn=small_runs())
+def test_only_rollouts_longer_than_beta_history_migrate(name, drawn):
+    """The migration check visits only the rollouts whose length exceeds
+    beta times their group's longest history length. That is exact because
+    no rollout, replayed or not, has generated more than its length at any
+    progress, even past its last iteration; so every migrated rollout is
+    one of those, in the group and step it was dealt to, and the run's log
+    is the one a check reading every rollout writes."""
+    responses, cluster = drawn
+    policy = Policy(name, speculation=True)
+    sim = sim_module._Simulation(Trace(responses), cluster, policy, COST)
+    try:
+        res = sim.run()
+    except InfeasiblePlanError:
+        event("InfeasiblePlanError")
+        return
+    assert FullScan(Trace(responses), cluster, policy, COST).run().events_jsonl() \
+        == res.events_jsonl()
+    dealt = {task.sid: (rec, task) for rec in sim.step.values()
+             for share in rec.shares.values() for task in share}
+    for _, task in dealt.values():
+        assert all(task.generated_len(half / 2) <= task.tokens_len
+                   for half in range(2 * task.total_iters + 4))
+    migrations = [e.payload for e in res.events if e.kind == "migration"]
+    event("migrated" if migrations else "no migration")
+    for m in migrations:
+        rec, task = dealt[m["sample"]]
+        group = rec.plan.groups[m["from_group"]]
+        assert task.tokens_len > rec.plan.beta * group.max_hist_len
 
 
 @pytest.mark.parametrize("speculation", [False, True])
