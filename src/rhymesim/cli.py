@@ -34,7 +34,7 @@ from .sim import (
     CostConfig,
     InfeasiblePlanError,
     Policy,
-    SimEvent,
+    check_record,
     derive,
     histospec,
     plan_step,
@@ -253,15 +253,16 @@ def _events_path(run_path: str) -> str:
     return os.path.splitext(run_path)[0] + ".events.jsonl"
 
 
-def _read_events(events_path: str) -> list[SimEvent]:
-    """A run's events log, one `SimEvent` per line. A line that is not JSON
-    or not an event record is an I/O error naming the log and the line."""
+def _read_events(events_path: str) -> list[dict]:
+    """A run's events log, one event record per line. A line that is not
+    JSON or not an event record is an I/O error naming the log and the
+    line."""
     events = []
     with open(events_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
-                events.append(SimEvent.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+                events.append(check_record(json.loads(line)))
+            except (ValueError, TypeError) as exc:
                 raise OSError(f"{events_path} line {lineno} is not an event record: "
                               f"{type(exc).__name__}: {exc}") from exc
     return events

@@ -29,11 +29,11 @@ step's batch.
 Each step is one `_Step` record, made for every step before the loop
 starts: its `StepPlan` (ranking groups, worker map, allocation and migration
 beta; round robin is one group over every worker), the tasks dealt to each
-worker, each group's workers, total and completed rollouts, the groups none
-of whose rollouts is long enough to migrate, the inter-step migrants carried
-into it, the samples it expects and has had rewarded, and whether its train
-job has started and ended. A step is planned when a worker first reaches it,
-after every earlier step.
+worker, each group's workers, total and completed rollouts, its
+`stragglers` (each group's dealt rollouts long enough to migrate), the
+inter-step migrants carried into it, the samples it expects and has had
+rewarded, and whether its train job has started and ended. A step is planned
+when a worker first reaches it, after every earlier step.
 
 Migrated rollouts keep their generated tokens and pay a prefill recompute
 charge when they join a worker: a timed phase at the end of which their
@@ -52,11 +52,12 @@ epoch) decodes one token per iteration without any call into the engine.
 
 The event log is the run's one record: `derive` computes the timeline,
 metrics, accounting and per-step speculation rows from it alone, in memory or
-from the `.events.jsonl` beside a run JSON. Each event is one dict,
-`SimEvent.payload`, built with its keys in sorted order at every level, so
+from the `.events.jsonl` beside a run JSON. An event is its record, one
+plain dict built with its keys in sorted order at every level, so
 `events_jsonl` writes every record as it stands with one encoder made once,
-and each line is what `json.dumps(record, sort_keys=True)` gives. Each event
-has `time`, `seq` (its place in the log) and `kind`, and each kind carries:
+and each line is what `json.dumps(record, sort_keys=True)` gives;
+`check_record` checks a line read back. Each record has `time`, `seq` (its
+place in the log) and `kind`, and each kind carries:
 
 - `step_boundary`: `step`, the planning `policy`, `workers` (worker id ->
   group), the two-tier `allocation` or null, and `replay`, the `SpecStats`
@@ -83,6 +84,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import heapq
 import json
 import math
@@ -127,9 +129,10 @@ SPEC_STATS_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_pass
 
 _EPS = 1e-9
 
-# The fields each event kind carries besides `time`, `seq` and `kind`, as the
-# module docstring lists them. A migration also carries `to_group` and
-# `to_worker` (intra-step) or `to_step` (inter-step).
+# The fields each event record carries besides `time`, `seq` and `kind`, by
+# kind, as the module docstring lists them; `check_record` requires them of a
+# line read back. A migration also carries `to_group` and `to_worker`
+# (intra-step) or `to_step` (inter-step).
 EVENT_FIELDS = {
     "step_boundary": ("step", "policy", "workers", "allocation", "replay"),
     "share_start": ("worker", "step"),
@@ -218,28 +221,19 @@ class ClusterSpec:
                              f"got {self.weight_propagation_delay}")
 
 
-@dataclass(slots=True)
-class SimEvent:
-    time: float
-    seq: int
-    kind: str
-    payload: dict  # the whole record: `time`, `seq`, `kind` and the kind's fields
-
-    def as_dict(self) -> dict:
-        return self.payload
-
-    @classmethod
-    def from_dict(cls, record: dict) -> SimEvent:
-        """An event read back from its `as_dict` form (one `.events.jsonl`
-        line). A record of an unknown kind, or one that lacks a field of its
-        kind (`EVENT_FIELDS`), raises ValueError."""
-        event = cls(record["time"], record["seq"], record["kind"], record)
-        if event.kind not in EVENT_FIELDS:
-            raise ValueError(f"unknown event kind {event.kind!r}")
-        missing = [f for f in EVENT_FIELDS[event.kind] if f not in record]
-        if missing:
-            raise ValueError(f"a {event.kind} event needs {', '.join(missing)}")
-        return event
+def check_record(record: object) -> dict:
+    """`record`, one `.events.jsonl` line read back, if it is an event
+    record: a JSON object with `time`, `seq`, a known `kind` and every field
+    of that kind (`EVENT_FIELDS`). Anything else raises ValueError."""
+    if not isinstance(record, dict):
+        raise ValueError(f"an event record is a JSON object, not {type(record).__name__}")
+    kind = record.get("kind")
+    if kind not in EVENT_FIELDS:
+        raise ValueError(f"an event record needs a known kind, not {kind!r}")
+    missing = [f for f in ("time", "seq", *EVENT_FIELDS[kind]) if f not in record]
+    if missing:
+        raise ValueError(f"a {kind} event needs {', '.join(missing)}")
+    return record
 
 
 @dataclass
@@ -273,11 +267,11 @@ class RunSummary:
 
 @dataclass
 class SimResult(RunSummary):
-    events: list[SimEvent] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
 
     def events_jsonl(self) -> str:
         encode = _record_encoder()
-        return "".join(encode(e.payload) + "\n" for e in self.events)
+        return "".join(encode(record) + "\n" for record in self.events)
 
 
 def _record_encoder() -> Callable[[dict], str]:
@@ -302,7 +296,6 @@ class _Task:
     sid: str
     prompt: str
     epoch: int
-    member: int
     tokens_len: int
     total_iters: int
     profile: array | None  # cumulative tokens after each iteration; None = 1/iter
@@ -346,46 +339,39 @@ class _Step:
     group_total: dict[int, int] = field(default_factory=dict)
     group_completed: dict[int, int] = field(default_factory=dict)
     carry_in: list[_Task] = field(default_factory=list)  # inter-step migrants into it
-    quiet_groups: set[int] = field(default_factory=set)  # groups none of whose rollouts can migrate
+    # group -> its dealt rollouts long enough to migrate, by (worker, sid)
+    stragglers: dict[int, list[_Task]] = field(default_factory=dict)
     expected: int = 0          # samples it will roll out, carry-ins included
     rewarded: int = 0          # samples rewarded toward its batch
     train_started: bool = False
     trained: bool = False
 
 
-class _GroupLoads(Mapping):
-    """Each group's mean in-flight batch over the workers still rolling out
-    `step`, taken when first read: `migration_decision` reads it only for an
-    intra-step candidate, and most checks make no such decision."""
-
-    def __init__(self, workers: list[_Worker], step: _Step):
-        self._workers, self._step = workers, step
-
-    @functools.cached_property
-    def _loads(self) -> dict[int, float]:
-        step, workers = self._step, self._workers
-        loads = {}
-        for g, wids in step.group_workers.items():
-            batches = [len(workers[w].inflight) for w in wids
-                       if workers[w].step == step.number and workers[w].inflight]
-            if batches:
-                loads[g] = sum(batches) / len(batches)
-        return loads
-
-    def __getitem__(self, group: int) -> float:
-        return self._loads[group]
-
-    def __iter__(self):
-        return iter(self._loads)
-
-    def __len__(self) -> int:
-        return len(self._loads)
-
-
 # A HistoSpec unit: (step, prompt, the prompt's latest epoch before the step).
 _Unit = tuple[int, str, int]
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause automatic cyclic garbage collection, restoring its state after.
+
+    HistoSpec's indexes and replays hold no reference cycles, so reference
+    counting frees them and pausing the collector frees nothing later. It
+    would otherwise run full collections whose cost grows with everything
+    the process holds and whose timing depends on allocations made before
+    the call; in a forked child, which inherits the pause, a full collection
+    would also copy every inherited page it touches.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def histospec(trace: Trace) -> dict[tuple[int, str], list[Replayed]]:
     """Every response of every step from 2 on whose prompt appeared in an
     earlier epoch, replayed against the prompt's index over the latest such
@@ -397,6 +383,7 @@ def histospec(trace: Trace) -> dict[tuple[int, str], list[Replayed]]:
     ends with `os._exit`. Every child is reaped before this returns or
     raises, and a child's exception is raised here. Everything runs here
     when there is one CPU or one unit, or when no process can be forked.
+    Automatic garbage collection is paused throughout, in the children too.
     """
     shares = _split(trace, _units(trace), _usable_cpus())
     if not shares:
@@ -677,7 +664,7 @@ class _Simulation:
             raise ValueError("histopipe policies need a trace with at least 2 epochs")
 
         self.workers = [_Worker(w) for w in range(cluster.rollout_workers)]
-        self.events: list[SimEvent] = []
+        self.events: list[dict] = []
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._seq = 0
         self.now = 0.0
@@ -708,7 +695,7 @@ class _Simulation:
         """Log `record`, which holds `kind`, `seq` (from `_next_seq`), `time`
         (now) and the kind's fields, its keys written in sorted order at
         every level so that it is encoded as it stands."""
-        self.events.append(SimEvent(self.now, record["seq"], record["kind"], record))
+        self.events.append(record)
 
     # -- planning -------------------------------------------------------------
 
@@ -754,7 +741,7 @@ class _Simulation:
                     stats.count(resp.generated_len, replay)
                     wid = wids[i % len(wids)]
                     rec.shares[wid].append(_Task(
-                        sid=f"{pid}/e{step}/{member}", prompt=pid, epoch=step, member=member,
+                        sid=f"{pid}/e{step}/{member}", prompt=pid, epoch=step,
                         tokens_len=resp.generated_len,
                         total_iters=resp.generated_len if replay is None else replay.iterations,
                         profile=None if replay is None else replay.profile,
@@ -762,11 +749,13 @@ class _Simulation:
                     ))
                     i += 1
         rec.expected += sum(map(len, rec.shares.values()))
-        if plan.groups is not None:
-            rec.quiet_groups = {g.index for g in plan.groups
-                                if all(task.tokens_len <= plan.beta * g.max_hist_len
-                                       for wid in rec.group_workers[g.index]
-                                       for task in rec.shares[wid])}
+        for g in plan.groups or ():
+            longest = plan.beta * g.max_hist_len
+            stragglers = sorted((task for wid in rec.group_workers[g.index]
+                                 for task in rec.shares[wid] if task.tokens_len > longest),
+                                key=lambda t: (t.worker, t.sid))
+            if stragglers:
+                rec.stragglers[g.index] = stragglers
         for task in rec.carry_in:
             if task.worker is None:
                 self._bind_carry(rec, task)
@@ -953,68 +942,65 @@ class _Simulation:
     def _check_migrations(self, rec: _Step) -> None:
         """Migrate the stragglers of every group still rolling out this step.
 
-        Only a group down to its last ALPHA_PCT% (`in_straggler_tail`) can
-        migrate anything, so the per-rollout test runs over those groups'
-        live workers alone. Each group is tested once, when its scan begins:
-        a group can leave its tail during a check, by receiving a migrant
-        before its own scan. Only a worker's own scan can drain it, so the
-        workers live at its scan are those live when the check began.
-        Progress is read off each worker's clock and nothing is committed
-        here; a migration commits the two workers whose batches it changes.
+        Only a rollout in its group's `stragglers`, longer than beta times
+        the group's longest history length, can pass `migration_decision`'s
+        length test: a rollout never generates more than its length, and
+        every other one a group runs is a migrant, which never moves again.
+        The lists are walked in group order, each by (worker, sid). A group
+        is tested for its last ALPHA_PCT% (`in_straggler_tail`) once, when
+        its scan begins: it can leave its tail during a check, by receiving a
+        migrant before its own scan. A rollout that has migrated, or is not
+        in its worker's `inflight`, is skipped but stays listed: one whose
+        worker has not started the step yet has still to run, and one that
+        finished never returns. Progress is read off each worker's clock and
+        nothing is committed here; a migration commits the two workers whose
+        batches it changes.
 
-        Only rollouts whose length `tokens_len` exceeds beta times the
-        group's longest history length are visited, in sid order on each
-        worker. That is exact: a rollout never generates more than its
-        length, so no other one can pass `migration_decision`'s length test.
-        A few dozen of a step's rollouts pass this filter. A group none of
-        whose dealt rollouts passes it (`quiet_groups`) is skipped before
-        its tail test: every other rollout it runs is a migrant, and a
-        migrant never moves again.
-
-        The groups' loads are read by the first intra-step candidate, if
-        any. The groups are scanned in index order, so every such candidate,
-        in a short group, comes before the long groups' inter-step
-        migrations, and the loads read are those before any migration.
+        The groups' loads, each group's mean in-flight batch over its workers
+        still rolling out the step, are taken at the first live candidate,
+        before any migration in the check: `migration_decision` reads them
+        only for an intra-step candidate, and most checks have none.
         """
         beta, groups = rec.plan.beta, rec.plan.groups
         completed, total = rec.group_completed, rec.group_total
         n_groups = self.cluster.n_groups
-        active_loads = _GroupLoads(self.workers, rec)
-        for g, wids in rec.group_workers.items():
-            if g in rec.quiet_groups or not in_straggler_tail(completed.get(g, 0),
-                                                                total.get(g, 0)):
+        loads = None
+        for g, stragglers in rec.stragglers.items():
+            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
                 continue
-            group = groups[g]
-            longest = beta * group.max_hist_len
-            for wid in wids:
-                worker = self.workers[wid]
-                if worker.step != rec.number or not worker.inflight:
+            for task in stragglers:
+                if task.migrated:
                     continue
-                # A migration from this worker moves only the rollout it
-                # decides on, so the candidates stay in flight until reached.
-                candidates = [sid for sid, task in worker.inflight.items()
-                              if task.tokens_len > longest and not task.migrated]
-                if not candidates:
+                worker = self.workers[task.worker]
+                if task.sid not in worker.inflight:
                     continue
-                candidates.sort()
                 v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
-                for sid in candidates:
-                    task = worker.inflight[sid]
-                    # A rollout that has run all its iterations is finished,
-                    # though its completion may not be handled yet (a tie
-                    # with this worker's): it never migrates.
-                    if task.v_start + task.total_iters - v <= _EPS:
-                        continue
-                    decision = migration_decision(
-                        group, task.generated_len(v - task.v_start), completed.get(g, 0),
-                        total.get(g, 0), beta, n_groups, active_loads,
-                    )
-                    if not decision.migrates:
-                        continue
-                    if decision.kind == "intra_step":
-                        self._migrate_intra(rec, worker, task, decision.target_group)
-                    elif rec.number < self.steps:
-                        self._migrate_inter(rec, worker, task)
+                # A rollout that has run all its iterations is finished,
+                # though its completion may not be handled yet (a tie with
+                # this worker's): it never migrates.
+                if task.v_start + task.total_iters - v <= _EPS:
+                    continue
+                if loads is None:
+                    loads = self._group_loads(rec)
+                decision = migration_decision(
+                    groups[g], task.generated_len(v - task.v_start), completed.get(g, 0),
+                    total.get(g, 0), beta, n_groups, loads,
+                )
+                if not decision.migrates:
+                    continue
+                if decision.kind == "intra_step":
+                    self._migrate_intra(rec, worker, task, decision.target_group)
+                elif rec.number < self.steps:
+                    self._migrate_inter(rec, worker, task)
+
+    def _group_loads(self, rec: _Step) -> dict[int, float]:
+        loads = {}
+        for g, wids in rec.group_workers.items():
+            batches = [len(self.workers[w].inflight) for w in wids
+                       if self.workers[w].step == rec.number and self.workers[w].inflight]
+            if batches:
+                loads[g] = sum(batches) / len(batches)
+        return loads
 
     def _detach(self, source: _Worker, task: _Task) -> None:
         """Take a decoding `task` off `source`, keeping its progress in `done`."""
@@ -1194,8 +1180,7 @@ class _Simulation:
     # -- metrics --------------------------------------------------------------
 
     def _check_drained(self) -> None:
-        finishes = Counter(e.payload["sample"] for e in self.events
-                           if e.kind == "rollout_finish")
+        finishes = Counter(e["sample"] for e in self.events if e["kind"] == "rollout_finish")
         problems = []
         scheduled = {task.sid for rec in self.step.values()
                      for share in rec.shares.values() for task in share}
@@ -1220,11 +1205,12 @@ class _Simulation:
         return SimResult(events=self.events, **vars(derive(self.events)))
 
 
-def derive(events: Iterable[SimEvent]) -> RunSummary:
+def derive(events: Iterable[dict]) -> RunSummary:
     """The timeline, metrics, accounting and per-step speculation rows of a
-    run, from its event log alone: in memory, or read back from a written
-    `.events.jsonl` with `SimEvent.from_dict`. A log that is not one run's,
-    such as one cut before its `run_end`, raises KeyError or ValueError."""
+    run, from its event records alone: in memory, or read back from a
+    written `.events.jsonl`, each line checked by `check_record`. A log that
+    is not one run's, such as one cut before its `run_end`, raises KeyError
+    or ValueError."""
     activity = defaultdict(list)  # worker -> [(start, end, activity)]
     share_opened: dict[int, float] = {}
     colocated, rewards, trains, spec_stats = [], [], [], []
@@ -1232,8 +1218,8 @@ def derive(events: Iterable[SimEvent]) -> RunSummary:
     migrations = inter_step = trained = 0
     totals = Counter()
     n = None
-    for event in events:
-        kind, time, e = event.kind, event.time, event.payload
+    for e in events:
+        kind, time = e["kind"], e["time"]
         if kind == "rollout_finish":
             scheduled[e["sample"]] = e["scheduled_step"]
             completed[e["sample"]] = e["step"]

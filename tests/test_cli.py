@@ -366,6 +366,8 @@ class TestRunSim:
         # The envelope of an event, without the fields its kind carries.
         '{"time": 99.0, "seq": 999999, "kind": "rollout_finish"}',
         '{"time": 99.0, "seq": 999999, "kind": "no_such_kind"}',
+        # JSON, but not an object.
+        "[1]", "3", "null", '"x"',
     ])
     def test_report_timeline_bad_events_line_is_io_error(self, workspace, capsys, bad_line):
         tmp_path, spec_path, cluster_path = workspace

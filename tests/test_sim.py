@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -31,8 +32,8 @@ from rhymesim.sim import (
     CostConfig,
     InfeasiblePlanError,
     Policy,
-    SimEvent,
     SimulationStalledError,
+    check_record,
     derive,
     run,
 )
@@ -112,7 +113,7 @@ class TestDeterminismAndConservation:
     def test_every_sample_rewarded_exactly_once(self):
         trace = longtail_trace(epochs=6)
         res = run(trace, ClusterSpec(**CLUSTER), Policy("histopipe_naive"), fast_cost())
-        rewarded = [e.payload["sample"] for e in res.events if e.kind == "reward_done"]
+        rewarded = [e["sample"] for e in res.events if e["kind"] == "reward_done"]
         assert len(rewarded) == len(set(rewarded)) == res.metrics.samples
 
     @pytest.mark.parametrize("name,seed", [("histopipe_naive", 1), ("histopipe_two_tier", 5)])
@@ -133,7 +134,7 @@ class TestDeterminismAndConservation:
         # train job started complete but are trained on by no step.
         res = run(longtail_trace(epochs=6), ClusterSpec(**CLUSTER),
                   Policy(name, oversample_pct=oversample_pct), fast_cost())
-        batches = sum(e.payload["batch"] for e in res.events if e.kind == "train_done")
+        batches = sum(e["batch"] for e in res.events if e["kind"] == "train_done")
         assert res.metrics.samples == 1152
         assert res.metrics.trained_samples == batches == trained
         assert res.metrics.samples_per_second == trained / res.metrics.makespan
@@ -161,54 +162,54 @@ class TestCausalityAndOffPolicy:
     def test_weight_version_is_one_step_behind(self, policy):
         res = self.collect(policy)
         for ev in res.events:
-            if ev.kind == "rollout_finish":
-                scheduled = ev.payload["scheduled_step"]
-                assert ev.payload["weight_version"] == scheduled - 1
-                cont = ev.payload["continuation_version"]
+            if ev["kind"] == "rollout_finish":
+                scheduled = ev["scheduled_step"]
+                assert ev["weight_version"] == scheduled - 1
+                cont = ev["continuation_version"]
                 if cont is not None:
                     # Inter-step continuations finish under the next version.
                     assert cont == scheduled
-                    assert ev.payload["step"] == scheduled + 1
+                    assert ev["step"] == scheduled + 1
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_rollout_waits_for_published_weights(self, policy):
         res = self.collect(policy)
         version_avail = {}
         for ev in res.events:
-            if ev.kind == "weight_update":
-                version_avail[ev.payload["version"]] = ev.payload["available_at"]
+            if ev["kind"] == "weight_update":
+                version_avail[ev["version"]] = ev["available_at"]
         # Find each worker's first rollout activity per step via the timeline
         # and check it does not precede its weight version's availability.
         step_first_finish = defaultdict(lambda: math.inf)
         for ev in res.events:
-            if ev.kind == "rollout_finish":
-                version = ev.payload["weight_version"]
+            if ev["kind"] == "rollout_finish":
+                version = ev["weight_version"]
                 if version in version_avail:
                     # The finish can only come after the version was available
                     # plus some rollout time; availability is the lower bound.
-                    assert ev.time >= version_avail[version] - 1e-9
+                    assert ev["time"] >= version_avail[version] - 1e-9
 
     def test_reward_follows_rollout_and_train_follows_batch(self):
         res = self.collect("streaming")
         finish_time = {}
         for ev in res.events:
-            if ev.kind == "rollout_finish":
-                finish_time[ev.payload["sample"]] = ev.time
-            elif ev.kind == "reward_done":
-                assert ev.time >= finish_time[ev.payload["sample"]] - 1e-9
+            if ev["kind"] == "rollout_finish":
+                finish_time[ev["sample"]] = ev["time"]
+            elif ev["kind"] == "reward_done":
+                assert ev["time"] >= finish_time[ev["sample"]] - 1e-9
         reward_counts = defaultdict(int)
         reward_clock = defaultdict(float)
         for ev in res.events:
-            if ev.kind == "reward_done":
-                step = ev.payload["buffered_for"] or ev.payload["step"]
+            if ev["kind"] == "reward_done":
+                step = ev["buffered_for"] or ev["step"]
                 reward_counts[step] += 1
-                reward_clock[step] = ev.time
+                reward_clock[step] = ev["time"]
         for ev in res.events:
-            if ev.kind == "train_done":
-                step = ev.payload["step"]
-                batch = ev.payload["batch"]
+            if ev["kind"] == "train_done":
+                step = ev["step"]
+                batch = ev["batch"]
                 assert batch > 0
-                assert ev.time >= ev.payload["duration"]
+                assert ev["time"] >= ev["duration"]
 
     def test_bubble_accounting_exact(self):
         res = self.collect("histopipe_two_tier")
@@ -238,16 +239,16 @@ class TestPolicyBehavior:
     def test_histopipe_first_step_falls_back_to_streaming(self):
         trace = longtail_trace(epochs=4)
         res = run(trace, ClusterSpec(**CLUSTER), Policy("histopipe_naive"), fast_cost())
-        boundaries = {e.payload["step"]: e.payload["policy"] for e in res.events
-                      if e.kind == "step_boundary"}
+        boundaries = {e["step"]: e["policy"] for e in res.events
+                      if e["kind"] == "step_boundary"}
         assert boundaries[1] == "streaming"
         assert boundaries[2] == "histopipe_naive"
 
     def test_alternating_group_assignment(self):
         trace = longtail_trace(epochs=4)
         res = run(trace, ClusterSpec(**CLUSTER), Policy("histopipe_naive"), fast_cost())
-        boundaries = {e.payload["step"]: e.payload["workers"] for e in res.events
-                      if e.kind == "step_boundary"}
+        boundaries = {e["step"]: e["workers"] for e in res.events
+                      if e["kind"] == "step_boundary"}
         first_worker_groups = [boundaries[s]["0"] for s in (2, 3, 4)]
         # Even steps assign the longest group to the first workers, odd the
         # shortest; consecutive grouped steps alternate.
@@ -263,11 +264,11 @@ class TestPolicyBehavior:
     def test_migration_events_well_formed(self):
         trace = longtail_trace(epochs=8, sigma=1.2)
         res = run(trace, ClusterSpec(**CLUSTER), Policy("histopipe_two_tier"), fast_cost())
-        migs = [e for e in res.events if e.kind == "migration"]
+        migs = [e for e in res.events if e["kind"] == "migration"]
         assert res.accounting["migrations"] == len(migs)
         for ev in migs:
-            assert ev.payload["migration_kind"] in ("intra_step", "inter_step")
-            assert ev.payload["generated"] >= 0
+            assert ev["migration_kind"] in ("intra_step", "inter_step")
+            assert ev["generated"] >= 0
         assert res.metrics.migration_pct <= 6.0
 
     @pytest.mark.parametrize("seed,name", [(507, "histopipe_two_tier"), (509, "histopipe_naive")])
@@ -278,9 +279,9 @@ class TestPolicyBehavior:
                          len_sigma=0.8, similarity=0.9, rank_noise=0.9, length_jitter=0.06,
                          growth_mean=1.005, seed=seed)
         res = run(Trace(generate(spec)), ClusterSpec(64, 8, 8), Policy(name), fast_cost())
-        tokens = {e.payload["sample"]: e.payload["tokens"] for e in res.events
-                  if e.kind == "rollout_finish"}
-        migrations = [e.payload for e in res.events if e.kind == "migration"]
+        tokens = {e["sample"]: e["tokens"] for e in res.events
+                  if e["kind"] == "rollout_finish"}
+        migrations = [e for e in res.events if e["kind"] == "migration"]
         assert migrations
         assert all(m["generated"] < tokens[m["sample"]] for m in migrations)
 
@@ -304,8 +305,8 @@ class TestPolicyBehavior:
         cluster = ClusterSpec(**CLUSTER)
         normal = run(trace, cluster, Policy("streaming"), fast_cost())
         over = run(trace, cluster, Policy("streaming", oversample_pct=20.0), fast_cost())
-        t_norm = {e.payload["step"]: e.time for e in normal.events if e.kind == "train_done"}
-        t_over = {e.payload["step"]: e.time for e in over.events if e.kind == "train_done"}
+        t_norm = {e["step"]: e["time"] for e in normal.events if e["kind"] == "train_done"}
+        t_over = {e["step"]: e["time"] for e in over.events if e["kind"] == "train_done"}
         assert t_over[1] <= t_norm[1]
 
     def test_rejects_unknown_policy(self):
@@ -448,7 +449,7 @@ class TestEventLog:
     def test_events_are_time_ordered_and_json_round_trip(self):
         trace = longtail_trace(epochs=4)
         res = run(trace, ClusterSpec(**CLUSTER), Policy("histopipe_two_tier"), fast_cost())
-        times = [e.time for e in res.events]
+        times = [e["time"] for e in res.events]
         assert times == sorted(times)
         for line in res.events_jsonl().splitlines():
             obj = json.loads(line)
@@ -465,7 +466,7 @@ class TestEventLog:
                   fast_cost())
         path = tmp_path / "run.events.jsonl"
         path.write_text(res.events_jsonl())
-        summary = derive(SimEvent.from_dict(json.loads(line))
+        summary = derive(check_record(json.loads(line))
                          for line in path.read_text().splitlines())
         assert summary.metrics == res.metrics
         assert summary.timeline == res.timeline
@@ -484,9 +485,9 @@ class TestEventLog:
         res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy("colocated"),
                   fast_cost())
         last = res.events[-1]
-        last_train = max(e.time for e in res.events if e.kind == "train_done")
-        assert last.kind == "run_end"
-        assert res.metrics.makespan == last.time > last_train
+        last_train = max(e["time"] for e in res.events if e["kind"] == "train_done")
+        assert last["kind"] == "run_end"
+        assert res.metrics.makespan == last["time"] > last_train
 
 
 def edited_prompt_set_traces():
@@ -583,12 +584,46 @@ class TestHistoSpecPass:
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_failed_build_raises_and_leaves_no_child(self, monkeypatch, time_limit, where):
         # A build failing in a child reaches the caller with its type and
-        # message; one failing in this process stops the children.
+        # message; one failing in this process stops the children. Either
+        # way the garbage collector runs again afterwards.
         monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 3)
         self.fail_builds(monkeypatch, where, LookupError(f"index build failed in the {where}"))
         with pytest.raises(LookupError, match=f"^index build failed in the {where}$"):
             run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
                 Policy("histopipe_two_tier", speculation=True), fast_cost())
+        self.assert_no_child_left()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_in_every_process_and_restored(self, monkeypatch, time_limit,
+                                                            enabled):
+        # Every build, in this process and in the forked one, runs with
+        # automatic collection off; the caller's setting comes back after.
+        build = sim_module.history.build_tree
+        fork_share = sim_module._fork_share
+        forked = []
+
+        def checked(*args):
+            if gc.isenabled():
+                raise AssertionError(f"an index was built with the collector on in {os.getpid()}")
+            return build(*args)
+
+        def counted(*args):
+            child = fork_share(*args)
+            forked.append(child is not None)
+            return child
+
+        monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sim_module.history, "build_tree", checked)
+        monkeypatch.setattr(sim_module, "_fork_share", counted)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert sim_module.histospec(longtail_trace(epochs=3))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert forked == [True]
         self.assert_no_child_left()
 
     def test_unpicklable_child_error_keeps_its_type_name_and_message(self, monkeypatch,
@@ -818,7 +853,7 @@ class TestWorkerClock:
 
     @staticmethod
     def task(sid, total, profile=None):
-        return sim_module._Task(sid=sid, prompt="p", epoch=1, member=0,
+        return sim_module._Task(sid=sid, prompt="p", epoch=1,
                                 tokens_len=profile[-1] if profile else total, total_iters=total,
                                 profile=profile, group=None, weight_version=0, worker=0)
 
@@ -827,6 +862,7 @@ class TestWorkerClock:
         sim, completions = cls.one_worker()
         step, worker = sim.step[1], sim.workers[0]
         by_sid = {sid: cls.task(sid, total, profile) for sid, (total, profile) in tasks.items()}
+        joined = {}  # sid -> task, every task ever joined: the check's candidates
         read = []
         observed = []
 
@@ -839,11 +875,13 @@ class TestWorkerClock:
                 cls.settle(sim, completions, time)
                 sim.now = time
                 task = by_sid.get(sid)
-                finished = {e.payload["sample"] for e in sim.events if e.kind == "rollout_finish"}
+                finished = {e["sample"] for e in sim.events if e["kind"] == "rollout_finish"}
                 if kind == "join" and sid not in worker.inflight and sid not in finished:
                     sim._advance_worker(worker, time)
                     sim._join(worker, task)
                     sim._reschedule(worker)
+                    joined[sid] = task
+                    step.stragglers[0] = [joined[s] for s in sorted(joined)]
                 elif kind == "detach" and sid in worker.inflight and not task.migrated:
                     sim._detach(worker, task)
                     task.migrated = True
@@ -856,7 +894,7 @@ class TestWorkerClock:
                     assert len(read) == len(readable)
                     observed += [(time, s, n) for s, n in zip(readable, read)]
             cls.settle(sim, completions, math.inf)
-        finishes = {e.payload["sample"]: e.time for e in sim.events if e.kind == "rollout_finish"}
+        finishes = {e["sample"]: e["time"] for e in sim.events if e["kind"] == "rollout_finish"}
         return finishes, observed
 
     @settings(max_examples=200, deadline=None)
@@ -876,6 +914,17 @@ class TestWorkerClock:
             assert finishes[sid] == pytest.approx(t, rel=1e-9, abs=1e-12)
         assert observed == [(t, sid, tokens) for t, sid, _, tokens in want_observed]
 
+    def test_check_passes_over_a_migrant_not_bound_yet(self):
+        # An inter-step migrant stays in its group's straggler list, with no
+        # worker until the next step is planned; a later check of its step
+        # must pass over it.
+        sim, _ = self.one_worker()
+        task = self.task("s0", 10)
+        task.migrated, task.worker = True, None
+        sim.step[1].stragglers[0] = [task]
+        with mock.patch.object(sim_module, "migration_decision", side_effect=AssertionError):
+            sim._check_migrations(sim.step[1])
+
     def test_rollout_moved_as_it_finishes_ends_after_its_prefill(self, time_limit):
         # A rollout can be migrated at the instant it completes, when another
         # worker's check comes first at a tied time; it joins with `done` a
@@ -888,5 +937,5 @@ class TestWorkerClock:
         sim._join(worker, task)
         sim._reschedule(worker)
         self.settle(sim, completions, math.inf)
-        [finish] = [e.time for e in sim.events if e.kind == "rollout_finish"]
+        [finish] = [e["time"] for e in sim.events if e["kind"] == "rollout_finish"]
         assert finish == pytest.approx(100.0 + 10 * self.COST.prefill_per_token, abs=1e-12)

@@ -74,7 +74,7 @@ def sample_ids_of(trace: Trace, epoch: int) -> set[str]:
 
 
 def check_finishes(res, trace):
-    finishes = Counter(e.payload["sample"] for e in res.events if e.kind == "rollout_finish")
+    finishes = Counter(e["sample"] for e in res.events if e["kind"] == "rollout_finish")
     assert set(finishes) == set().union(*(sample_ids_of(trace, e) for e in trace.epochs))
     assert set(finishes.values()) == {1}
 
@@ -86,26 +86,25 @@ def check_weight_versions(res, policy):
     lag = 0 if policy.name == "colocated" else 1
     available = {}
     for e in res.events:
-        if e.kind == "weight_update":
-            assert e.payload["trained_on_step"] == e.payload["version"] - lag
-            available[e.payload["version"]] = e.payload["available_at"]
+        if e["kind"] == "weight_update":
+            assert e["trained_on_step"] == e["version"] - lag
+            available[e["version"]] = e["available_at"]
     for e in res.events:
-        if e.kind != "rollout_finish":
+        if e["kind"] != "rollout_finish":
             continue
-        p = e.payload
-        scheduled = p["scheduled_step"]
-        assert p["weight_version"] == scheduled - 1
+        scheduled = e["scheduled_step"]
+        assert e["weight_version"] == scheduled - 1
         version = scheduled - 1
-        if p["continuation_version"] is not None:
+        if e["continuation_version"] is not None:
             # An inter-step continuation finishes in the next step, under
             # that step's weights.
-            assert p["continuation_version"] == scheduled
-            assert p["step"] == scheduled + 1
+            assert e["continuation_version"] == scheduled
+            assert e["step"] == scheduled + 1
             version = scheduled
         else:
-            assert p["step"] == scheduled
+            assert e["step"] == scheduled
         if version >= 1 + lag:
-            assert e.time >= available[version] - EPS
+            assert e["time"] >= available[version] - EPS
         else:
             assert version not in available
 
@@ -115,41 +114,40 @@ def check_causal_order(res, trace, policy):
     rewards_for = defaultdict(list)  # step counted for -> [(seq, time)]
     rewarded = Counter()
     for e in res.events:
-        p = e.payload
-        if e.kind == "rollout_finish":
-            finished[p["sample"]] = e.time
-        elif e.kind == "reward_done":
+        if e["kind"] == "rollout_finish":
+            finished[e["sample"]] = e["time"]
+        elif e["kind"] == "reward_done":
             # A sample is rewarded once, after it finishes.
-            assert e.time >= finished[p["sample"]] - EPS
-            rewarded[p["sample"]] += 1
-            target = p["buffered_for"] if p["buffered_for"] is not None else p["step"]
-            rewards_for[target].append((e.seq, e.time))
+            assert e["time"] >= finished[e["sample"]] - EPS
+            rewarded[e["sample"]] += 1
+            target = e["buffered_for"] if e["buffered_for"] is not None else e["step"]
+            rewards_for[target].append((e["seq"], e["time"]))
     assert set(rewarded) == set(finished) and set(rewarded.values()) == {1}
-    trains = {e.payload["step"]: e for e in res.events if e.kind == "train_done"}
+    trains = {e["step"]: e for e in res.events if e["kind"] == "train_done"}
     last = len(trace.epochs)
     assert sorted(trains) == list(range(1, last + 1))
     for step, e in trains.items():
-        batch = e.payload["batch"]
+        batch = e["batch"]
         # The first `batch` rewards for a step are the ones its train job
         # counts: all came in before the job started.
         assert 1 <= batch <= len(rewards_for[step])
-        assert rewards_for[step][batch - 1][1] <= e.time - e.payload["duration"] + EPS
+        assert rewards_for[step][batch - 1][1] <= e["time"] - e["duration"] + EPS
     # A reward that comes after its step's train job started counts for the
     # next step still open; it counts for none only once the last step's job
     # has its batch.
-    last_counted = rewards_for[last][trains[last].payload["batch"] - 1][0]
+    last_counted = rewards_for[last][trains[last]["batch"] - 1][0]
     for step, e in trains.items():
-        for seq, _ in rewards_for[step][e.payload["batch"]:]:
+        for seq, _ in rewards_for[step][e["batch"]:]:
             assert seq > last_counted
     if policy.oversample_pct == 0.0:
         # Without oversampling a step trains on every sample it expects: its
         # own, less those migrated into the next step, plus those migrated in.
         expected = Counter({e: len(sample_ids_of(trace, e)) for e in trace.epochs})
         for e in res.events:
-            if e.kind == "migration" and e.payload["migration_kind"] == "inter_step":
-                expected[e.payload["to_step"] - 1] -= 1
-                expected[e.payload["to_step"]] += 1
-        assert {s: e.payload["batch"] for s, e in trains.items()} == dict(expected)
+            if e["kind"] == "migration" and e["migration_kind"] == "inter_step":
+                expected[e["to_step"] - 1] -= 1
+                expected[e["to_step"]] += 1
+        assert {s: e["batch"] for s, e in trains.items()} == dict(expected)
 
 
 def check_worker_intervals(res):
@@ -171,15 +169,15 @@ def check_migrations(res, trace, policy):
     on, moves with an intra-step migration, and an inter-step one leaves its
     step for the group its prompt has in the next step (none when the prompt
     is not in it), joining it once that step is planned."""
-    migrations = {e.payload["sample"]: e.payload for e in res.events if e.kind == "migration"}
+    migrations = {e["sample"]: e for e in res.events if e["kind"] == "migration"}
     if not policy.is_histopipe:
         assert not migrations
         return
     event("migrated" if migrations else "no migration")
-    worker_groups = {e.payload["step"]: {int(w): g for w, g in e.payload["workers"].items()}
+    worker_groups = {e["step"]: {int(w): g for w, g in e["workers"].items()}
                      for e in res.events
-                     if e.kind == "step_boundary" and e.payload["policy"] == policy.name}
-    finishes = {e.payload["sample"]: e.payload for e in res.events if e.kind == "rollout_finish"}
+                     if e["kind"] == "step_boundary" and e["policy"] == policy.name}
+    finishes = {e["sample"]: e for e in res.events if e["kind"] == "rollout_finish"}
     # A rollout that has generated all its tokens is finished: it never moves.
     assert all(m["generated"] < finishes[sid]["tokens"] for sid, m in migrations.items())
     total = defaultdict(Counter)
@@ -195,27 +193,26 @@ def check_migrations(res, trace, policy):
     planned = set()
     unbound = defaultdict(list)
     for e in res.events:
-        p = e.payload
-        if e.kind == "step_boundary":
-            planned.add(p["step"])
-            for group in unbound.pop(p["step"], []):
-                total[p["step"]][group] += 1
-        elif e.kind == "rollout_finish" and p["sample"] in counted_in:
-            step, group = counted_in[p["sample"]]
-            assert p["step"] == step
+        if e["kind"] == "step_boundary":
+            planned.add(e["step"])
+            for group in unbound.pop(e["step"], []):
+                total[e["step"]][group] += 1
+        elif e["kind"] == "rollout_finish" and e["sample"] in counted_in:
+            step, group = counted_in[e["sample"]]
+            assert e["step"] == step
             if group is not None:
                 completed[step][group] += 1
-        elif e.kind == "migration":
-            sid = p["sample"]
+        elif e["kind"] == "migration":
+            sid = e["sample"]
             step, group = counted_in[sid]
-            assert step in worker_groups and group == p["from_group"]
+            assert step in worker_groups and group == e["from_group"]
             assert in_straggler_tail(completed[step][group], total[step][group])
             total[step][group] -= 1
-            if p["migration_kind"] == "intra_step":
-                total[step][p["to_group"]] += 1
-                counted_in[sid] = (step, p["to_group"])
+            if e["migration_kind"] == "intra_step":
+                total[step][e["to_group"]] += 1
+                counted_in[sid] = (step, e["to_group"])
                 continue
-            nxt = p["to_step"]
+            nxt = e["to_step"]
             assert nxt == step + 1
             prompt = sid.split("/", 1)[0]
             group = (worker_groups[nxt][finishes[sid]["worker"]]
@@ -259,7 +256,12 @@ class FullScan(sim_module._Simulation):
 
     def _check_migrations(self, rec):
         completed, total = rec.group_completed, rec.group_total
-        loads = sim_module._GroupLoads(self.workers, rec)
+        loads = {}
+        for g, wids in rec.group_workers.items():
+            batches = [len(self.workers[w].inflight) for w in wids
+                       if self.workers[w].step == rec.number and self.workers[w].inflight]
+            if batches:
+                loads[g] = sum(batches) / len(batches)
         for g, wids in rec.group_workers.items():
             if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
                 continue
@@ -307,7 +309,7 @@ def test_only_rollouts_longer_than_beta_history_migrate(name, drawn):
     for _, task in dealt.values():
         assert all(task.generated_len(half / 2) <= task.tokens_len
                    for half in range(2 * task.total_iters + 4))
-    migrations = [e.payload for e in res.events if e.kind == "migration"]
+    migrations = [e for e in res.events if e["kind"] == "migration"]
     event("migrated" if migrations else "no migration")
     for m in migrations:
         rec, task = dealt[m["sample"]]
@@ -334,14 +336,14 @@ def test_step_boundaries_hold_the_plan_of_plan_step(speculation, drawn):
     t_train = None
     planned = []
     for e in res.events:
-        if e.kind == "train_done":
-            t_train = e.payload["duration"]
-        elif e.kind == "step_boundary" and e.payload["step"] >= 2:
-            step = e.payload["step"]
+        if e["kind"] == "train_done":
+            t_train = e["duration"]
+        elif e["kind"] == "step_boundary" and e["step"] >= 2:
+            step = e["step"]
             event("t_train from a train job" if t_train is not None else "t_train from the cost")
             plan = plan_step(trace, replayed, step, cluster, COST, t_train)
-            assert e.payload["allocation"] == plan.allocation.as_dict()
-            assert e.payload["workers"] == {str(w): g for w, g in plan.worker_groups.items()}
+            assert e["allocation"] == plan.allocation.as_dict()
+            assert e["workers"] == {str(w): g for w, g in plan.worker_groups.items()}
             planned.append(step)
     assert planned == trace.epochs[1:]
 
