@@ -21,21 +21,18 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import io as rio
+from .events import EVENTS_SCHEMA_VERSION, SPEC_STATS_HEADER, check_record, derive
 from .history import build_tree
 from .sim import (
-    EVENTS_SCHEMA_VERSION,
     POLICIES,
     RUN_SCHEMA_VERSION,
-    SPEC_STATS_HEADER,
     ClusterSpec,
     CostConfig,
     InfeasiblePlanError,
     Policy,
-    check_record,
-    derive,
     histospec,
     plan_step,
     run,
@@ -262,7 +259,7 @@ def _read_events(events_path: str) -> list[dict]:
         for lineno, line in enumerate(fh, 1):
             try:
                 events.append(check_record(json.loads(line)))
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise OSError(f"{events_path} line {lineno} is not an event record: "
                               f"{type(exc).__name__}: {exc}") from exc
     return events
@@ -286,7 +283,7 @@ def cmd_run_sim(args) -> int:
         },
         "trace": args.trace,
         "cluster_config": args.cluster,
-        "metrics": result.metrics.as_dict(),
+        "metrics": asdict(result.metrics),
         "events_path": events_path,
         "spec_stats": {
             "header": SPEC_STATS_HEADER,

@@ -50,34 +50,8 @@ count, its cumulative profile as C ints and its counters. A response without
 one (in step 1, in a run without speculation, or of a prompt new in its
 epoch) decodes one token per iteration without any call into the engine.
 
-The event log is the run's one record: `derive` computes the timeline,
-metrics, accounting and per-step speculation rows from it alone, in memory or
-from the `.events.jsonl` beside a run JSON. An event is its record, one
-plain dict built with its keys in sorted order at every level, so
-`events_jsonl` writes every record as it stands with one encoder made once,
-and each line is what `json.dumps(record, sort_keys=True)` gives;
-`check_record` checks a line read back. Each record has `time`, `seq` (its
-place in the log) and `kind`, and each kind carries:
-
-- `step_boundary`: `step`, the planning `policy`, `workers` (worker id ->
-  group), the two-tier `allocation` or null, and `replay`, the `SpecStats`
-  counters of the step's responses, replayed or not.
-- `share_start`, `share_end`: `worker`, `step`. A share runs from a worker's
-  first rollout of a step to its last; a continuation handed to a drained
-  worker opens another.
-- `rollout_finish`: `sample`, `worker`, `step` (finished in),
-  `scheduled_step`, `weight_version`, `continuation_version`, `tokens`,
-  `iterations`, `migrated`.
-- `migration`: `sample`, `migration_kind`, `from_group`, `from_worker`,
-  `generated`, and `to_group`, `to_worker` (intra-step) or `to_step`.
-- `reward_done`: `sample`, `step`, `buffered_for` (a later step it counts
-  toward, or null), `start` (when a reward worker took it).
-- `train_done`: `step`, `batch`, `start`, `duration`, `publishes_version`,
-  `switch`: colocated's [start of the switch to training, end of the switch
-  back], else null.
-- `weight_update`: `version`, `trained_on_step`, `available_at`.
-- `run_end`: `rollout_workers`. Its time is the makespan, which can follow
-  the last other event (colocated's trailing switch).
+The event log is the run's one record: `events.EVENTS` is its schema, and
+`events.derive` computes every reported figure from it.
 """
 
 from __future__ import annotations
@@ -86,7 +60,6 @@ import contextlib
 import functools
 import gc
 import heapq
-import json
 import math
 import os
 import pickle
@@ -95,11 +68,12 @@ import statistics
 import warnings
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import history
+from .events import SimResult, derive
 from .history import Response
 from .scheduler import (
     BETA_FLOOR,
@@ -119,32 +93,11 @@ from .spec_engine import Replayed, SpecStats, replay_response
 from .tracegen import Trace
 
 POLICIES = ("colocated", "streaming", "histopipe_naive", "histopipe_two_tier")
-EVENTS_SCHEMA_VERSION = 2
 RUN_SCHEMA_VERSION = 4
 # Two-tier planning stops its gradient search once the gradient is known to
 # within this many simulated seconds.
 PLAN_PRECISION = 0.05
-SPEC_STATS_HEADER = ["step", "speculation_rate", "acceptance_rate", "verify_passes",
-                     "decode_passes"]
-
 _EPS = 1e-9
-
-# The fields each event record carries besides `time`, `seq` and `kind`, by
-# kind, as the module docstring lists them; `check_record` requires them of a
-# line read back. A migration also carries `to_group` and `to_worker`
-# (intra-step) or `to_step` (inter-step).
-EVENT_FIELDS = {
-    "step_boundary": ("step", "policy", "workers", "allocation", "replay"),
-    "share_start": ("worker", "step"),
-    "share_end": ("worker", "step"),
-    "rollout_finish": ("sample", "worker", "step", "scheduled_step", "weight_version",
-                       "continuation_version", "tokens", "iterations", "migrated"),
-    "migration": ("sample", "migration_kind", "from_group", "from_worker", "generated"),
-    "reward_done": ("sample", "step", "buffered_for", "start"),
-    "train_done": ("step", "batch", "start", "duration", "publishes_version", "switch"),
-    "weight_update": ("version", "trained_on_step", "available_at"),
-    "run_end": ("rollout_workers",),
-}
 
 
 class InfeasiblePlanError(RuntimeError):
@@ -219,76 +172,6 @@ class ClusterSpec:
                 and self.weight_propagation_delay >= 0):
             raise ValueError("weight_propagation_delay must be finite and >= 0, "
                              f"got {self.weight_propagation_delay}")
-
-
-def check_record(record: object) -> dict:
-    """`record`, one `.events.jsonl` line read back, if it is an event
-    record: a JSON object with `time`, `seq`, a known `kind` and every field
-    of that kind (`EVENT_FIELDS`). Anything else raises ValueError."""
-    if not isinstance(record, dict):
-        raise ValueError(f"an event record is a JSON object, not {type(record).__name__}")
-    kind = record.get("kind")
-    if kind not in EVENT_FIELDS:
-        raise ValueError(f"an event record needs a known kind, not {kind!r}")
-    missing = [f for f in ("time", "seq", *EVENT_FIELDS[kind]) if f not in record]
-    if missing:
-        raise ValueError(f"a {kind} event needs {', '.join(missing)}")
-    return record
-
-
-@dataclass
-class MetricsReport:
-    samples_per_second: float
-    makespan: float
-    samples: int            # rollouts completed
-    trained_samples: int    # of those, the ones a train job used
-    steps: int
-    bubble_fraction: float
-    bubble_per_worker: list[float]
-    stage_shares: dict[str, float]      # of rollout-worker time; sums to 1
-    stage_durations: dict[str, float]   # wall time with >=1 task of the stage live
-    migration_pct: float
-    speculation_rate: float
-    acceptance_rate: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class RunSummary:
-    """What a run reports, all of it computed from the event log by `derive`."""
-
-    metrics: MetricsReport
-    timeline: list[tuple[int, float, float, str]]  # worker, start, end, activity
-    accounting: dict
-    spec_stats: list[list]  # SPEC_STATS_HEADER columns, the rates as floats
-
-
-@dataclass
-class SimResult(RunSummary):
-    events: list[dict] = field(default_factory=list)
-
-    def events_jsonl(self) -> str:
-        encode = _record_encoder()
-        return "".join(encode(record) + "\n" for record in self.events)
-
-
-def _record_encoder() -> Callable[[dict], str]:
-    """`json.dumps` of a record whose keys are already sorted at every
-    level, through one C encoder made here: `json.dumps` and
-    `JSONEncoder.encode` make a new one per call. It takes `JSONEncoder`'s
-    default settings, so it writes what `json.dumps` does; records are never
-    circular, so it keeps no marker dict. Without the C encoder this is
-    `JSONEncoder().encode`."""
-    default = json.JSONEncoder()
-    make = json.encoder.c_make_encoder
-    if make is None:  # no C accelerator in this Python
-        return default.encode
-    encode = make(None, default.default, json.encoder.encode_basestring_ascii, None,
-                  default.key_separator, default.item_separator, False, default.skipkeys,
-                  default.allow_nan)
-    return lambda record: "".join(encode(record, 0))
 
 
 @dataclass(slots=True)
@@ -664,7 +547,7 @@ class _Simulation:
             raise ValueError("histopipe policies need a trace with at least 2 epochs")
 
         self.workers = [_Worker(w) for w in range(cluster.rollout_workers)]
-        self.events: list[dict] = []
+        self.events: list[dict] = []  # `events.EVENTS` records, keys sorted at every level
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._seq = 0
         self.now = 0.0
@@ -690,12 +573,6 @@ class _Simulation:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def _emit(self, record: dict) -> None:
-        """Log `record`, which holds `kind`, `seq` (from `_next_seq`), `time`
-        (now) and the kind's fields, its keys written in sorted order at
-        every level so that it is encoded as it stands."""
-        self.events.append(record)
 
     # -- planning -------------------------------------------------------------
 
@@ -760,7 +637,7 @@ class _Simulation:
             if task.worker is None:
                 self._bind_carry(rec, task)
 
-        self._emit({
+        self.events.append({
             "allocation": plan.allocation.as_dict() if plan.allocation else None,
             "kind": "step_boundary", "policy": plan.policy,
             "replay": dict(sorted(vars(stats).items())),
@@ -882,14 +759,14 @@ class _Simulation:
     def _open_share(self, worker: _Worker) -> None:
         if not worker.share_open:
             worker.share_open = True
-            self._emit({"kind": "share_start", "seq": self._next_seq(), "step": worker.step,
-                        "time": self.now, "worker": worker.wid})
+            self.events.append({"kind": "share_start", "seq": self._next_seq(),
+                                "step": worker.step, "time": self.now, "worker": worker.wid})
 
     def _close_share(self, worker: _Worker) -> None:
         if worker.share_open:
             worker.share_open = False
-            self._emit({"kind": "share_end", "seq": self._next_seq(), "step": worker.step,
-                        "time": self.now, "worker": worker.wid})
+            self.events.append({"kind": "share_end", "seq": self._next_seq(),
+                                "step": worker.step, "time": self.now, "worker": worker.wid})
 
     def _finish_step_share(self, worker: _Worker) -> None:
         self._close_share(worker)
@@ -914,7 +791,7 @@ class _Simulation:
             task = worker.inflight.pop(sid)
             if task.group is not None:
                 rec.group_completed[task.group] = rec.group_completed.get(task.group, 0) + 1
-            self._emit({
+            self.events.append({
                 "continuation_version": task.continuation_version,
                 "iterations": task.total_iters, "kind": "rollout_finish",
                 "migrated": task.migrated, "sample": sid, "scheduled_step": task.epoch,
@@ -1027,7 +904,7 @@ class _Simulation:
         task.worker = target.wid
         rec.group_total[old_group] -= 1
         rec.group_total[target_group] += 1
-        self._emit({
+        self.events.append({
             "from_group": old_group, "from_worker": source.wid, "generated": generated,
             "kind": "migration", "migration_kind": "intra_step", "sample": task.sid,
             "seq": self._next_seq(), "time": self.now,
@@ -1051,7 +928,7 @@ class _Simulation:
         task.worker = None
         rec.expected -= 1
         nxt.expected += 1
-        self._emit({
+        self.events.append({
             "from_group": task.group, "from_worker": source.wid, "generated": generated,
             "kind": "migration", "migration_kind": "inter_step", "sample": task.sid,
             "seq": self._next_seq(), "time": self.now, "to_step": nxt.number,
@@ -1073,7 +950,7 @@ class _Simulation:
             step += 1
         rec = self.step[step]
         counted = not rec.train_started
-        self._emit({
+        self.events.append({
             "buffered_for": step if counted and step != attr_step else None,
             "kind": "reward_done", "sample": sid, "seq": self._next_seq(), "start": start,
             "step": attr_step, "time": self.now,
@@ -1134,12 +1011,12 @@ class _Simulation:
         else:
             version, avail = step + 1, self.now + self.cluster.weight_propagation_delay
         self.weight_avail[version] = avail
-        self._emit({
+        self.events.append({
             "batch": rec.rewarded, "duration": duration, "kind": "train_done",
             "publishes_version": version, "seq": self._next_seq(), "start": start,
             "step": step, "switch": switch, "time": self.now,
         })
-        self._emit({
+        self.events.append({
             "available_at": avail, "kind": "weight_update", "seq": self._next_seq(),
             "time": self.now, "trained_on_step": step, "version": version,
         })
@@ -1177,8 +1054,6 @@ class _Simulation:
                 self._on_train_done(*data)
         return self._finalize()
 
-    # -- metrics --------------------------------------------------------------
-
     def _check_drained(self) -> None:
         finishes = Counter(e["sample"] for e in self.events if e["kind"] == "rollout_finish")
         problems = []
@@ -1200,115 +1075,9 @@ class _Simulation:
 
     def _finalize(self) -> SimResult:
         self._check_drained()
-        self._emit({"kind": "run_end", "rollout_workers": len(self.workers),
-                    "seq": self._next_seq(), "time": self.now})
-        return SimResult(events=self.events, **vars(derive(self.events)))
-
-
-def derive(events: Iterable[dict]) -> RunSummary:
-    """The timeline, metrics, accounting and per-step speculation rows of a
-    run, from its event records alone: in memory, or read back from a
-    written `.events.jsonl`, each line checked by `check_record`. A log that
-    is not one run's, such as one cut before its `run_end`, raises KeyError
-    or ValueError."""
-    activity = defaultdict(list)  # worker -> [(start, end, activity)]
-    share_opened: dict[int, float] = {}
-    colocated, rewards, trains, spec_stats = [], [], [], []
-    scheduled, completed = {}, {}
-    migrations = inter_step = trained = 0
-    totals = Counter()
-    n = None
-    for e in events:
-        kind, time = e["kind"], e["time"]
-        if kind == "rollout_finish":
-            scheduled[e["sample"]] = e["scheduled_step"]
-            completed[e["sample"]] = e["step"]
-        elif kind == "reward_done":
-            rewards.append((e["start"], time))
-        elif kind == "share_start":
-            share_opened[e["worker"]] = time
-        elif kind == "share_end":
-            start = share_opened.pop(e["worker"])
-            if time > start:
-                activity[e["worker"]].append((start, time, "rollout"))
-        elif kind == "migration":
-            migrations += 1
-            inter_step += e["migration_kind"] == "inter_step"
-        elif kind == "train_done":
-            trained += e["batch"]
-            trains.append((e["start"], time))
-            if e["switch"] is not None:
-                # Colocated training holds every rollout worker: a context
-                # switch, the train job, and a switch back.
-                before, after = e["switch"]
-                colocated += [(before, e["start"], "switch"), (e["start"], time, "train"),
-                              (time, after, "switch")]
-        elif kind == "step_boundary":
-            totals.update(e["replay"])
-            r = SpecStats(**e["replay"])
-            spec_stats.append([e["step"], r.speculation_rate, r.acceptance_rate,
-                               r.verify_passes, r.decode_passes])
-        elif kind == "run_end":
-            makespan, n = time, e["rollout_workers"]
-
-    if n is None:
-        raise ValueError("the log has no run_end event")
-    timeline, busy = [], []
-    kinds = {"rollout": 0.0, "train": 0.0, "switch": 0.0}
-    for wid in range(n):
-        total = prev_end = 0.0
-        for start, end, kind in sorted(activity[wid] + colocated):
-            if start < prev_end - 1e-6:
-                raise AssertionError(f"overlapping activities on worker {wid}")
-            prev_end = end
-            total += end - start
-            kinds[kind] += end - start
-            timeline.append((wid, start, end, kind))
-        busy.append(total)
-    wall = makespan * n if makespan > 0 else 1.0
-    idle_total = sum(makespan - b for b in busy)
-    replay = SpecStats(**totals)
-    # Throughput counts the samples some step trained on: with
-    # oversampling, those rewarded after the last train job started are
-    # completed but never used.
-    metrics = MetricsReport(
-        samples_per_second=trained / makespan if makespan > 0 else 0.0,
-        makespan=makespan,
-        samples=len(completed),
-        trained_samples=trained,
-        steps=len(spec_stats),
-        bubble_fraction=idle_total / wall,
-        bubble_per_worker=[(makespan - b) / makespan if makespan > 0 else 0.0 for b in busy],
-        stage_shares={**{k: v / wall for k, v in kinds.items()}, "idle": idle_total / wall},
-        stage_durations={
-            "rollout": _union_length([(s, e) for _, s, e, k in timeline if k == "rollout"]),
-            "reward": _union_length(rewards),
-            "train": _union_length(trains),
-        },
-        migration_pct=100.0 * migrations / len(scheduled) if scheduled else 0.0,
-        speculation_rate=replay.speculation_rate,
-        acceptance_rate=replay.acceptance_rate,
-    )
-    accounting = {"scheduled": dict(sorted(scheduled.items())),
-                  "completed": dict(sorted(completed.items())),
-                  "migrations": migrations, "inter_migrations": inter_step}
-    return RunSummary(metrics, sorted(timeline), accounting, spec_stats)
-
-
-def _union_length(spans: list[tuple[float, float]]) -> float:
-    if not spans:
-        return 0.0
-    total = 0.0
-    spans = sorted(spans)
-    cur_s, cur_e = spans[0]
-    for s, e in spans[1:]:
-        if s > cur_e:
-            total += cur_e - cur_s
-            cur_s, cur_e = s, e
-        else:
-            cur_e = max(cur_e, e)
-    total += cur_e - cur_s
-    return total
+        self.events.append({"kind": "run_end", "rollout_workers": len(self.workers),
+                            "seq": self._next_seq(), "time": self.now})
+        return derive(self.events)
 
 
 def run(trace: Trace | list[Response], cluster: ClusterSpec, policy: Policy,

@@ -13,9 +13,9 @@ class TimeLimitExceeded(Exception):
     pass
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def time_limit():
-    """Fail the test, instead of hanging the run, if it takes over 20 s."""
+    """Fail any test, instead of hanging the run, if it takes over 20 s."""
 
     def expire(signum, frame):
         raise TimeLimitExceeded("test ran past its 20 s limit")

@@ -16,6 +16,8 @@ import itertools
 import json
 import math
 
+from rhymesim.events import check_record
+
 
 # -- suffix index oracles ----------------------------------------------------
 
@@ -415,13 +417,15 @@ def keys_sorted(value) -> bool:
 
 
 def check_event_records(result) -> None:
-    """Every record of a run's log is canonical as built: its keys are in
-    sorted order at every level, its `events_jsonl` line is what
-    `json.dumps(record, sort_keys=True)` writes, and that line reads back
-    as the same record."""
+    """Every record of a run's log is canonical as built: it has exactly the
+    fields `events.EVENTS` gives its kind, each of a type the table accepts
+    (`check_record`), its keys are in sorted order at every level, its
+    `events_jsonl` line is what `json.dumps(record, sort_keys=True)` writes,
+    and that line reads back as the same record."""
     lines = result.events_jsonl().splitlines()
     assert len(lines) == len(result.events)
     for record, line in zip(result.events, lines):
+        check_record(record)
         assert keys_sorted(record), record
         assert line == json.dumps(record, sort_keys=True)
         assert json.loads(line) == record

@@ -368,6 +368,19 @@ class TestRunSim:
         '{"time": 99.0, "seq": 999999, "kind": "no_such_kind"}',
         # JSON, but not an object.
         "[1]", "3", "null", '"x"',
+        # Every field of its kind, one of them of a JSON type the kind's
+        # field does not take.
+        '{"kind": "run_end", "rollout_workers": 8, "seq": 999999, "time": "x"}',
+        '{"allocation": null, "kind": "step_boundary", "policy": "streaming", '
+        '"replay": {"bogus": 1}, "seq": 999999, "step": 4, "time": 99.0, "workers": {}}',
+        '{"batch": 1, "duration": 1.0, "kind": "train_done", "publishes_version": 5, '
+        '"seq": 999999, "start": 98.0, "step": 4, "switch": ["a", "b"], "time": 99.0}',
+        '{"kind": "run_end", "rollout_workers": 8.5, "seq": 999999, "time": 99.0}',
+        '{"kind": "share_end", "seq": 999999, "step": 1, "time": 99.0, "worker": true}',
+        # An int no float holds.
+        '{"kind": "run_end", "rollout_workers": 8, "seq": 999999, "time": 1' + "0" * 400 + "}",
+        # A field its kind does not have.
+        '{"bogus": 1, "kind": "run_end", "rollout_workers": 8, "seq": 999999, "time": 99.0}',
     ])
     def test_report_timeline_bad_events_line_is_io_error(self, workspace, capsys, bad_line):
         tmp_path, spec_path, cluster_path = workspace
@@ -385,7 +398,34 @@ class TestRunSim:
         assert f"r.events.jsonl line {lines + 1} " in capsys.readouterr().err
         assert not (tmp_path / "tl.csv").exists() and not (tmp_path / "c.csv").exists()
 
-    def test_report_timeline_log_cut_before_run_end_is_io_error(self, workspace, capsys):
+    def test_report_timeline_overlapping_shares_is_io_error(self, workspace, capsys):
+        # Every line is an event record, but worker 0's first share now ends
+        # when its second does, so the two overlap.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        run_path = tmp_path / "r.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "streaming", "--out", str(run_path)]) == EXIT_OK
+        events_path = tmp_path / "r.events.jsonl"
+        records = [json.loads(line) for line in events_path.read_text().splitlines()]
+        first, second = [e for e in records if e["kind"] == "share_end" and e["worker"] == 0][:2]
+        first["time"] = second["time"]
+        events_path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in records))
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run_path), "--csv", str(tmp_path / "c.csv"),
+                     "--timeline", str(tmp_path / "tl.csv")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "r.events.jsonl is not the events log of one run" in err
+        assert "overlapping activities on worker 0" in err
+        assert not (tmp_path / "tl.csv").exists() and not (tmp_path / "c.csv").exists()
+
+    # The log cut before its run_end, then left so or given one whose run
+    # had no rollout workers.
+    @pytest.mark.parametrize("run_end", [
+        "", '{"kind": "run_end", "rollout_workers": 0, "seq": 999999, "time": 99.0}\n',
+    ], ids=["cut", "zero_workers"])
+    def test_report_timeline_log_cut_before_run_end_is_io_error(self, workspace, capsys,
+                                                                run_end):
         tmp_path, spec_path, cluster_path = workspace
         trace_path = gen(tmp_path, spec_path)
         run_path = tmp_path / "r.json"
@@ -394,7 +434,7 @@ class TestRunSim:
         events_path = tmp_path / "r.events.jsonl"
         lines = events_path.read_text().splitlines(keepends=True)
         assert '"run_end"' in lines[-1]
-        events_path.write_text("".join(lines[:-1]))
+        events_path.write_text("".join(lines[:-1]) + run_end)
         capsys.readouterr()
         assert main(["report", "--runs", str(run_path), "--csv", str(tmp_path / "c.csv"),
                      "--timeline", str(tmp_path / "tl.csv")]) == EXIT_IO
@@ -522,7 +562,7 @@ class TestRunSim:
         {"cluster.n_groups": True}, {"cluster.reward_workers": "4"},
         {"cost.per_iter_base": "0.02"}, {"cost.train_base": True},
     ])
-    def test_bad_value_exits_two_naming_the_key(self, workspace, values, time_limit, capsys):
+    def test_bad_value_exits_two_naming_the_key(self, workspace, values, capsys):
         # A zero iteration time would never let the run end: the time limit
         # turns that into a failure.
         tmp_path, spec_path, cluster_path = workspace

@@ -152,12 +152,12 @@ class TestPlanAllocation:
         assert not plan2.feasible
 
     @pytest.mark.parametrize("precision", [0.0, -1.0, math.nan])
-    def test_non_positive_precision_rejected(self, precision, time_limit):
+    def test_non_positive_precision_rejected(self, precision):
         with pytest.raises(ValueError, match="precision"):
             plan_allocation(3, wks=8, t_train=0.0, tau=divide([10.0, 20.0, 40.0]),
                             precision=precision)
 
-    def test_precision_below_float_resolution_ends(self, time_limit):
+    def test_precision_below_float_resolution_ends(self):
         # No two floats in (0, d_max] are 1e-300 apart, so the search ends
         # when the midpoint rounds to an endpoint: at the smallest gradient a
         # float can name, the one the exhaustive search finds.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rhymesim.sim as sim_module
+from rhymesim.events import EVENTS, MIGRATION_TARGETS, check_record, derive
 from rhymesim.history import Response
 from rhymesim.scheduler import (
     BETA_FLOOR,
@@ -27,14 +28,11 @@ from rhymesim.scheduler import (
     partition_sizes,
 )
 from rhymesim.sim import (
-    EVENT_FIELDS,
     ClusterSpec,
     CostConfig,
     InfeasiblePlanError,
     Policy,
     SimulationStalledError,
-    check_record,
-    derive,
     run,
 )
 from rhymesim.tracegen import Trace, TraceSpec, generate
@@ -451,9 +449,7 @@ class TestEventLog:
         res = run(trace, ClusterSpec(**CLUSTER), Policy("histopipe_two_tier"), fast_cost())
         times = [e["time"] for e in res.events]
         assert times == sorted(times)
-        for line in res.events_jsonl().splitlines():
-            obj = json.loads(line)
-            assert set(EVENT_FIELDS[obj["kind"]]) <= set(obj)
+        oracles.check_event_records(res)
 
     @pytest.mark.parametrize("oversample_pct", [0.0, 20.0])
     @pytest.mark.parametrize("speculation", [False, True])
@@ -466,8 +462,8 @@ class TestEventLog:
                   fast_cost())
         path = tmp_path / "run.events.jsonl"
         path.write_text(res.events_jsonl())
-        summary = derive(check_record(json.loads(line))
-                         for line in path.read_text().splitlines())
+        summary = derive([check_record(json.loads(line))
+                          for line in path.read_text().splitlines()])
         assert summary.metrics == res.metrics
         assert summary.timeline == res.timeline
         assert summary.accounting == res.accounting
@@ -519,8 +515,8 @@ class TestPromptSetChanges:
 class TestHistoSpecPass:
     """The HistoSpec pass split over forked processes gives the same run as
     the pass computed in this process alone, and leaves no process behind.
-    A hung child fails the test through `time_limit`, whose alarm interrupts
-    the wait for it."""
+    A hung child fails the test through conftest's per-test `time_limit`,
+    whose alarm interrupts the wait for it."""
 
     @staticmethod
     def events(monkeypatch, cpus, responses, cluster, policy):
@@ -548,7 +544,7 @@ class TestHistoSpecPass:
 
     @pytest.mark.parametrize("policy", ["streaming", "histopipe_two_tier"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_one_cpu_gives_the_forked_events(self, monkeypatch, time_limit, case, policy):
+    def test_one_cpu_gives_the_forked_events(self, monkeypatch, case, policy):
         make, cluster = self.CASES[case]
         responses = make()
         logs = [self.events(monkeypatch, cpus, responses, cluster,
@@ -560,7 +556,7 @@ class TestHistoSpecPass:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_no_child_outlives_a_run(self, monkeypatch, time_limit):
+    def test_no_child_outlives_a_run(self, monkeypatch):
         monkeypatch.setattr(sim_module, "_usable_cpus", lambda: 3)
         run(edited_prompt_set_traces()["added"],
             ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
@@ -582,7 +578,7 @@ class TestHistoSpecPass:
         monkeypatch.setattr(sim_module.history, "build_tree", failing)
 
     @pytest.mark.parametrize("where", ["child", "parent"])
-    def test_failed_build_raises_and_leaves_no_child(self, monkeypatch, time_limit, where):
+    def test_failed_build_raises_and_leaves_no_child(self, monkeypatch, where):
         # A build failing in a child reaches the caller with its type and
         # message; one failing in this process stops the children. Either
         # way the garbage collector runs again afterwards.
@@ -595,8 +591,7 @@ class TestHistoSpecPass:
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_paused_in_every_process_and_restored(self, monkeypatch, time_limit,
-                                                            enabled):
+    def test_collector_paused_in_every_process_and_restored(self, monkeypatch, enabled):
         # Every build, in this process and in the forked one, runs with
         # automatic collection off; the caller's setting comes back after.
         build = sim_module.history.build_tree
@@ -626,8 +621,7 @@ class TestHistoSpecPass:
         assert forked == [True]
         self.assert_no_child_left()
 
-    def test_unpicklable_child_error_keeps_its_type_name_and_message(self, monkeypatch,
-                                                                     time_limit):
+    def test_unpicklable_child_error_keeps_its_type_name_and_message(self, monkeypatch):
         class Unpicklable(Exception):  # local classes cannot be pickled
             pass
 
@@ -775,6 +769,34 @@ class TestPinnedEventLogs:
         # Each record is built with its keys in sorted order, so the log
         # writes it without sorting and reads it back unchanged.
         oracles.check_event_records(self.pinned_run(table, key))
+
+    # Any JSON value: what a field of a line read back can hold.
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_field_of_a_type_the_table_rejects_is_a_value_error(self, data):
+        # Each kind is drawn as often as any other. Colocated's run holds
+        # every kind but migration, with a non-null switch; the migrating
+        # run holds both kinds of migration.
+        by_kind = defaultdict(list)
+        for pinned in (self.pinned_run("PINNED", ("colocated", False)),
+                       self.pinned_run("PINNED_MIGRATING", "histopipe_two_tier")):
+            for record in pinned.events:
+                by_kind[record["kind"], record.get("migration_kind")].append(record)
+        record = data.draw(st.sampled_from(by_kind[data.draw(st.sampled_from(sorted(by_kind)))]))
+        kind = record["kind"]
+        schema = {**EVENTS[kind],
+                  **(MIGRATION_TARGETS[record["migration_kind"]] if kind == "migration" else {})}
+        name = data.draw(st.sampled_from(sorted(schema)))
+        value = data.draw(self.JSON_VALUES)
+        assume(not schema[name](value))
+        with pytest.raises(ValueError, match=f"a {kind} event's {name} cannot be"):
+            check_record({**record, name: value})
 
     def test_migration_decisions_only_in_straggler_tail(self, monkeypatch):
         calls = []
@@ -925,7 +947,7 @@ class TestWorkerClock:
         with mock.patch.object(sim_module, "migration_decision", side_effect=AssertionError):
             sim._check_migrations(sim.step[1])
 
-    def test_rollout_moved_as_it_finishes_ends_after_its_prefill(self, time_limit):
+    def test_rollout_moved_as_it_finishes_ends_after_its_prefill(self):
         # A rollout can be migrated at the instant it completes, when another
         # worker's check comes first at a tied time; it joins with `done` a
         # hair past its iterations and must still finish, once its prefill ends.

@@ -256,7 +256,7 @@ class TestReplayEquivalence:
         replay = replay_response(list(range(12)), tree)
         assert list(replay.profile) == [1, 2, 3, 4, 5, 6, 7, 10, 12]
 
-    def test_repetitive_histories_replay_in_linear_time(self, time_limit):
+    def test_repetitive_histories_replay_in_linear_time(self):
         # Real RL responses repeat themselves; an index whose lookups grow
         # with the number of occurrences would make these quadratic.
         rng = random.Random(43)
