@@ -4,7 +4,10 @@ computes everything a run reports from the log alone.
 An event is its record, one plain dict with its keys in sorted order at every
 level, written as it stands: each line is `json.dumps(record, sort_keys=True)`.
 `EVENTS` gives each kind's fields besides `kind` and the JSON values each
-accepts; every kind has `seq`, the record's place in the log, and `time`.
+accepts; every kind has `seq` and `time`. A record's `seq` is drawn from the
+simulator's one scheduling counter, which also orders its event queue's
+entries: it rises strictly down the log but skips values, so it orders the
+records and does not count them.
 """
 
 from __future__ import annotations
@@ -153,7 +156,8 @@ def derive(events: list[dict]) -> SimResult:
     accounting and per-step speculation rows computed from the records
     alone: in memory, or read back from a written `.events.jsonl`, each line
     checked by `check_record`. A log that is not one run's, such as one cut
-    before its `run_end`, raises KeyError or ValueError, and nothing else."""
+    before its `run_end` or one whose `run_end` counts other workers than
+    its steps' plans map, raises KeyError or ValueError, and nothing else."""
     activity = defaultdict(list)  # worker -> [(start, end, activity)]
     share_opened: dict[int, float] = {}
     colocated, rewards, trains, spec_stats = [], [], [], []
@@ -161,6 +165,7 @@ def derive(events: list[dict]) -> SimResult:
     migrations = inter_step = trained = 0
     totals = Counter()
     n = None
+    plan_widths = set()  # how many workers each step's plan maps
     for e in events:
         kind, time = e["kind"], e["time"]
         if kind == "rollout_finish":
@@ -187,6 +192,7 @@ def derive(events: list[dict]) -> SimResult:
                 colocated += [(before, e["start"], "switch"), (e["start"], time, "train"),
                               (time, after, "switch")]
         elif kind == "step_boundary":
+            plan_widths.add(len(e["workers"]))
             totals.update(e["replay"])
             r = SpecStats(**e["replay"])
             spec_stats.append([e["step"], r.speculation_rate, r.acceptance_rate,
@@ -196,6 +202,10 @@ def derive(events: list[dict]) -> SimResult:
 
     if n is None or n < 1:
         raise ValueError("the log has no run_end event with a rollout worker")
+    # Every step's plan maps every worker, which bounds the loop below.
+    if plan_widths != {n}:
+        raise ValueError(f"run_end has {n} rollout workers, but the steps' plans map "
+                         f"{', '.join(map(str, sorted(plan_widths))) or 'none'}")
     timeline, busy = [], []
     kinds = {"rollout": 0.0, "train": 0.0, "switch": 0.0}
     for wid in range(n):

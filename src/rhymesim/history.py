@@ -29,7 +29,6 @@ to every build.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from array import array
 from collections.abc import Sequence
@@ -47,10 +46,10 @@ class Response:
 
     `tokens` is one `array('i')`, 4 bytes per token, from the moment a
     response is read or generated: a list would hold a 28-byte int object
-    per token id above 256 besides its 8-byte pointer. Any other sequence of
-    ints is converted; an `array('i')` is kept as it is, uncopied. A token
-    that is not an int raises TypeError, and a token id outside
-    [0, MAX_TOKEN] ValueError.
+    per token id above 256 besides its 8-byte pointer. It may be empty. Any
+    other sequence is converted by :func:`_token_column`, which raises
+    ValueError for an item that is not an int in [0, MAX_TOKEN]; an
+    `array('i')` is kept as it is, uncopied.
     """
 
     prompt_id: str
@@ -177,9 +176,10 @@ class SuffixTree:
 def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixTree:
     """Build the suffix index for one prompt's epoch of responses.
 
-    An empty response list yields the index of the empty string alone. NaN
-    rewards, empty token lists, token ids outside [0, MAX_TOKEN] and
-    mismatched prompt ids are rejected.
+    An empty response list, or one of empty responses, yields the index of
+    the empty string alone: an empty response adds no substring. NaN
+    rewards, token ids outside [0, MAX_TOKEN] and mismatched prompt ids are
+    rejected.
     """
     nxt: list[dict[int, int]] = [{}]
     link = [-1]
@@ -204,11 +204,9 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
     for resp in responses:
         if resp.prompt_id != prompt_id:
             raise ValueError(f"response prompt {resp.prompt_id!r} != tree prompt {prompt_id!r}")
-        if not resp.tokens:
-            raise ValueError("cannot index an empty response")
         if not math.isfinite(resp.reward):
             raise ValueError(f"reward must be finite, got {resp.reward!r}")
-        if min(resp.tokens) < 0:
+        if resp.tokens and min(resp.tokens) < 0:
             raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]")
         total_tokens += len(resp.tokens)
         reward = resp.reward
@@ -243,22 +241,12 @@ def build_tree(prompt_id: str, epoch: int, responses: list[Response]) -> SuffixT
 
 
 def _token_column(values) -> array:
-    # The sign check compares the caller's own int objects; scanning the
-    # array instead would make an int object per token.
-    if len(values) and min(values) < 0:
-        raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]")
-    # array("i", values) parses each item with a format string; packing the
-    # same C ints with struct first takes about half the time (a Struct of
-    # its own, as struct.pack would cache every length's format). An array
-    # made from bytes over-allocates by about 6%; its slice copy holds
-    # exactly 4 bytes per token.
-    try:
-        return array("i", struct.Struct(f"{len(values)}i").pack(*values))[:]
-    except struct.error:
-        pass
-    # struct raises the same error for a token that is not an int and for
-    # one above MAX_TOKEN; array() tells them apart.
-    try:
-        return array("i", values)
-    except OverflowError:
-        raise ValueError(f"token ids must be in [0, {MAX_TOKEN}]") from None
+    """`values` as an `array('i')`: every item must be an int (a bool is not
+    one) in [0, MAX_TOKEN], or ValueError names the first that is not."""
+    if set(map(type, values)) <= {int} and (not values or min(values) >= 0):
+        try:
+            return array("i", values)
+        except OverflowError:  # a token id above MAX_TOKEN
+            pass
+    bad = next(t for t in values if type(t) is not int or not 0 <= t <= MAX_TOKEN)
+    raise ValueError(f"token ids must be integers in [0, {MAX_TOKEN}], got {bad!r}")

@@ -3,17 +3,16 @@
 All writers go through :func:`atomic_write_text` so that consumers never
 observe a half-written artifact (temp file + rename on the same filesystem).
 
-A trace line is one JSON record: `prompt_id`, `epoch`, `tokens` (a JSON
-array of token ids) and `reward`. `Response` holds the tokens as one
-`array('i')`, 4 bytes per token. The reader rejects, before any run starts,
-every record the suffix index could not hold: a `tokens` value that is not
-an array, an empty token list, a token id outside [0, MAX_TOKEN] and a reward
-that is not finite. A token or epoch that is not a JSON integer is converted
-with `int()` when it is a string of an integer, an integral number or a
-boolean ("2", 3.0 and true are read as 2, 3 and 1), and rejected otherwise:
-3.5 is not truncated. A byte that is not UTF-8 is rejected too. Every
-rejection is a :class:`TraceFormatError` naming the file and the line, or
-only the file when it holds no record at all.
+A trace line is one JSON object, a record of one response: a string
+`prompt_id`, an integer `epoch`, a finite number `reward`, and `tokens`, an
+array of integer token ids in [0, MAX_TOKEN] that may be empty. Other keys
+are ignored, and no value is converted: a token or epoch spelled "2", 3.0 or
+true is rejected, as are a string reward and a numeric prompt id.
+`_record_fields` checks the three scalars and `Response`
+(`history._token_column`) the tokens, which it holds as one `array('i')`, 4
+bytes per token. A byte that is not UTF-8 is rejected too. Every rejection
+is a :class:`TraceFormatError` naming the file and the line, or only the
+file when it holds no record at all.
 
 :func:`read_trace` reads READ_CHUNK_LINES lines at a time. When every record
 of a chunk is plain, as `gen-trace` writes them (see
@@ -85,19 +84,16 @@ def response_to_json(resp: Response) -> str:
     )
 
 
-def _integral(value, what: str) -> int:
-    # "2", 3.0 and true convert to 2, 3 and 1; 3.5 is not truncated.
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _record_fields(obj) -> tuple[str, int, float]:
     """`prompt_id`, `epoch` and `reward` of a parsed record, checked."""
-    reward = float(obj["reward"])
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward!r}")
-    return str(obj["prompt_id"]), _integral(obj["epoch"], "epoch"), reward
+    prompt_id, epoch, reward = obj["prompt_id"], obj["epoch"], obj["reward"]
+    if type(prompt_id) is not str:
+        raise ValueError(f"prompt_id must be a string, got {prompt_id!r}")
+    if type(epoch) is not int:
+        raise ValueError(f"epoch must be an integer, got {epoch!r}")
+    if type(reward) not in (int, float) or not math.isfinite(reward):
+        raise ValueError(f"reward must be a finite number, got {reward!r}")
+    return prompt_id, epoch, float(reward)
 
 
 def parse_response_line(line: str) -> Response:
@@ -109,14 +105,8 @@ def parse_response_line(line: str) -> Response:
         tokens = obj["tokens"]
         if type(tokens) is not list:
             raise ValueError(f"tokens must be a JSON array, got {type(tokens).__name__}")
-        if not tokens:
-            raise ValueError("empty token list")
         prompt_id, epoch, reward = _record_fields(obj)
-        try:
-            return Response(prompt_id, epoch, tokens, reward)
-        except TypeError:
-            # Some token is not a JSON integer.
-            return Response(prompt_id, epoch, [_integral(t, "token") for t in tokens], reward)
+        return Response(prompt_id, epoch, tokens, reward)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"bad trace record: {exc}") from exc
 

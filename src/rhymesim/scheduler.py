@@ -62,21 +62,15 @@ class RankingGroup:
     max_hist_len: float
 
 
-def build_groups(
-    histories: Mapping[str, PromptStat | float], n_groups: int
-) -> list[RankingGroup]:
+def build_groups(stats: Mapping[str, PromptStat], n_groups: int) -> list[RankingGroup]:
     """Sort prompts by historical median length and split them equally.
 
     Ties order by prompt id; a remainder goes to the longest groups.
     """
     if n_groups < 2:
         raise ValueError("need at least 2 ranking groups")
-    if len(histories) < n_groups:
-        raise ValueError(f"fewer prompts ({len(histories)}) than groups ({n_groups})")
-    stats = {
-        pid: s if isinstance(s, PromptStat) else PromptStat(float(s), float(s))
-        for pid, s in histories.items()
-    }
+    if len(stats) < n_groups:
+        raise ValueError(f"fewer prompts ({len(stats)}) than groups ({n_groups})")
     ranked = sorted(stats, key=lambda pid: (stats[pid].median_len, pid))
     sizes = partition_sizes(len(ranked), n_groups)
     groups: list[RankingGroup] = []
@@ -105,11 +99,10 @@ def cal_wks(
     n_groups: int,
     t0: float,
     tau: Callable[[int, int], float],
-    min_wks: int,
     max_wks: int,
 ) -> tuple[float, list[int]]:
-    """Minimum workers per group so group i finishes by t0 + i*d, where
-    `tau(i, k)` is group i's time on k workers.
+    """Fewest workers per group, from 1 to `max_wks`, so group i finishes by
+    t0 + i*d, where `tau(i, k)` is group i's time on k workers.
 
     Returns (inf, []) when some group cannot meet its target even at
     max_wks; the planner compares the returned total against its budget.
@@ -119,7 +112,7 @@ def cal_wks(
     for i in range(n_groups):
         target = t0 + i * d
         group_wks = -1
-        for k in range(min_wks, max_wks + 1):
+        for k in range(1, max_wks + 1):
             if tau(i, k) <= target:
                 group_wks = k
                 break
@@ -152,7 +145,6 @@ def plan_allocation(
     wks: int,
     t_train: float,
     tau: Callable[[int, int], float],
-    min_wks: int = 1,
     max_wks: int | None = None,
     precision: float = 1.0,
 ) -> AllocationPlan:
@@ -165,27 +157,27 @@ def plan_allocation(
     search keeps the last feasible plan; infeasibility even at the widest
     gradient is reported rather than raised.
 
-    Each group gets `min_wks` to `max_wks` workers. `max_wks=None` is the
-    default: what the budget leaves when every other group has one worker,
-    and never less than `min_wks`. The search stops once the gradient is
-    known to within `precision` (which must be > 0) or to within one float.
+    Each group gets 1 to `max_wks` workers. `max_wks=None` is the default:
+    what the budget leaves when every other group has one worker, and at
+    least 1. The search stops once the gradient is known to within
+    `precision` (which must be > 0) or to within one float.
     """
     if n_groups < 2:
         raise ValueError("plan_allocation needs at least 2 groups")
     if not precision > 0:
         raise ValueError(f"precision must be > 0, got {precision}")
     if max_wks is None:
-        max_wks = max(min_wks, wks - (n_groups - 1))
-    if min_wks < 1 or max_wks < min_wks:
-        raise ValueError(f"need 1 <= min_wks <= max_wks, got min_wks={min_wks}, max_wks={max_wks}")
-    if wks < n_groups * min_wks:
+        max_wks = max(1, wks - (n_groups - 1))
+    if max_wks < 1:
+        raise ValueError(f"max_wks must be >= 1, got {max_wks}")
+    if wks < n_groups:
         return AllocationPlan([], 0.0, t_train, feasible=False)
 
     t0 = max(tau(0, max_wks), t_train)
-    d_max = max(0.0, (tau(n_groups - 1, min_wks) - t0) / (n_groups - 1))
+    d_max = max(0.0, (tau(n_groups - 1, 1) - t0) / (n_groups - 1))
     d_min = 0.0
 
-    needed, plan = cal_wks(d_max, n_groups, t0, tau, min_wks, max_wks)
+    needed, plan = cal_wks(d_max, n_groups, t0, tau, max_wks)
     if needed > wks:
         return AllocationPlan([], d_max, t0, feasible=False)
     best_plan, best_d = plan, d_max
@@ -193,7 +185,7 @@ def plan_allocation(
         mid = (d_max + d_min) / 2.0
         if mid == d_min or mid == d_max:
             break  # no float lies between the endpoints
-        needed, plan = cal_wks(mid, n_groups, t0, tau, min_wks, max_wks)
+        needed, plan = cal_wks(mid, n_groups, t0, tau, max_wks)
         if needed > wks:
             d_min = mid
         else:

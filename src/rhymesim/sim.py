@@ -48,7 +48,9 @@ forked process per share beyond the one the simulating process computes
 itself. Each response's replay is one `spec_engine.Replayed`: its iteration
 count, its cumulative profile as C ints and its counters. A response without
 one (in step 1, in a run without speculation, or of a prompt new in its
-epoch) decodes one token per iteration without any call into the engine.
+epoch) decodes one token per iteration without any call into the engine. An
+empty response takes zero iterations either way: it finishes at the time its
+worker starts it.
 
 The event log is the run's one record: `events.EVENTS` is its schema, and
 `events.derive` computes every reported figure from it.
@@ -549,6 +551,7 @@ class _Simulation:
         self.workers = [_Worker(w) for w in range(cluster.rollout_workers)]
         self.events: list[dict] = []  # `events.EVENTS` records, keys sorted at every level
         self._heap: list[tuple[float, int, str, tuple]] = []
+        # One counter breaks the heap's time ties and gives each record its `seq`.
         self._seq = 0
         self.now = 0.0
 

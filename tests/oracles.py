@@ -226,11 +226,11 @@ def exhaustive_best_gradient(
     wks: int,
     t0: float,
     tau,
-    min_wks: int,
     max_wks: int,
     d_cap: float | None = None,
 ) -> float | None:
-    """Smallest feasible finish-time gradient over all worker assignments.
+    """Smallest feasible finish-time gradient over all assignments of 1 to
+    `max_wks` workers to each group.
 
     A plan (k_0..k_{N-1}) with sum <= wks achieves gradient d iff
     tau(i, k_i) <= t0 + i*d for all i. The planner under test only
@@ -240,7 +240,7 @@ def exhaustive_best_gradient(
     """
     n = n_groups
     best: float | None = None
-    for plan in itertools.product(range(min_wks, max_wks + 1), repeat=n):
+    for plan in itertools.product(range(1, max_wks + 1), repeat=n):
         if sum(plan) > wks:
             continue
         if tau(0, plan[0]) > t0 + 1e-12:

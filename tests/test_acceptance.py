@@ -133,17 +133,17 @@ def test_criterion_3_allocation_optimality():
             return table[(lens[i], k)]
 
         precision = 0.05
-        plan = plan_allocation(n, wks, 0.0, tau, 1, max_wks, precision)
+        plan = plan_allocation(n, wks, 0.0, tau, max_wks, precision)
         t0 = max(tau(0, max_wks), 0.0)
         d_cap = max(0.0, (tau(n - 1, 1) - t0) / (n - 1))
-        best = oracles.exhaustive_best_gradient(n, wks, t0, tau, 1, max_wks, d_cap=d_cap)
+        best = oracles.exhaustive_best_gradient(n, wks, t0, tau, max_wks, d_cap=d_cap)
         if best is None:
             assert not plan.feasible, trial
             infeasible += 1
         else:
             assert plan.feasible, trial
             assert plan.gradient_d <= best + precision, (trial, plan.gradient_d, best)
-            needed, check = cal_wks(plan.gradient_d, n, plan.t0, tau, 1, max_wks)
+            needed, check = cal_wks(plan.gradient_d, n, plan.t0, tau, max_wks)
             assert needed <= wks and check == plan.per_group_workers, trial
             feasible += 1
     elapsed = time.monotonic() - start

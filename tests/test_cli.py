@@ -130,8 +130,10 @@ class TestAnalyze:
         assert "--prefix" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit", [{"tokens": []}, {"reward": math.nan}])
-    def test_similarity_rejects_bad_previous_response(self, workspace, edit, capsys):
+    @pytest.mark.parametrize("edit,code", [({"tokens": array("i")}, EXIT_OK),
+                                           ({"reward": math.nan}, EXIT_CONFIG)])
+    def test_similarity_reads_an_empty_previous_response_and_rejects_nan(
+            self, workspace, edit, code, capsys):
         tmp_path, spec_path, _ = workspace
         responses = rio.read_trace(gen(tmp_path, spec_path))
         first = responses[0]
@@ -140,9 +142,9 @@ class TestAnalyze:
             setattr(first, key, value)
         bad = tmp_path / "bad.jsonl"
         rio.write_trace(bad, responses)
-        assert main(["analyze", "similarity", "--trace", str(bad),
-                     "--epochs", "1,2"]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        assert main(["analyze", "similarity", "--trace", str(bad), "--epochs", "1,2",
+                     "--out", str(tmp_path / "s.csv")]) == code
+        assert ("error:" in capsys.readouterr().err) == (code != EXIT_OK)
 
     def test_tree_stats_json(self, workspace):
         tmp_path, spec_path, _ = workspace
@@ -420,10 +422,11 @@ class TestRunSim:
         assert not (tmp_path / "tl.csv").exists() and not (tmp_path / "c.csv").exists()
 
     # The log cut before its run_end, then left so or given one whose run
-    # had no rollout workers.
+    # had no rollout workers, or more than the steps' plans map.
     @pytest.mark.parametrize("run_end", [
         "", '{"kind": "run_end", "rollout_workers": 0, "seq": 999999, "time": 99.0}\n',
-    ], ids=["cut", "zero_workers"])
+        '{"kind": "run_end", "rollout_workers": 1000000, "seq": 999999, "time": 99.0}\n',
+    ], ids=["cut", "zero_workers", "forged_workers"])
     def test_report_timeline_log_cut_before_run_end_is_io_error(self, workspace, capsys,
                                                                 run_end):
         tmp_path, spec_path, cluster_path = workspace
@@ -484,7 +487,7 @@ class TestRunSim:
         assert (tmp_path / "r1.events.jsonl").read_bytes() == (tmp_path / "r2.events.jsonl").read_bytes()
 
     @pytest.mark.parametrize("speculation", ["--speculation", "--no-speculation"])
-    @pytest.mark.parametrize("edit", ["empty tokens", "nan reward", "token 2**31",
+    @pytest.mark.parametrize("edit", ["string token", "nan reward", "token 2**31",
                                       "negative token"])
     def test_unindexable_record_rejected_before_the_run(self, workspace, capsys, edit,
                                                         speculation):
@@ -495,8 +498,8 @@ class TestRunSim:
         trace_path = gen(tmp_path, spec_path)
         records = [json.loads(line) for line in trace_path.read_text().splitlines()]
         bad = records[len(records) // 2]
-        if edit == "empty tokens":
-            bad["tokens"] = []
+        if edit == "string token":
+            bad["tokens"][0] = "2"
         elif edit == "nan reward":
             bad["reward"] = math.nan
         elif edit == "token 2**31":
@@ -510,6 +513,26 @@ class TestRunSim:
                      "--policy", "streaming", speculation, "--out", str(out)]) == EXIT_CONFIG
         assert f"t.jsonl line {len(records) // 2 + 1}: bad trace record" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["streaming", "histopipe_two_tier"])
+    def test_empty_response_runs_with_speculation(self, workspace, policy):
+        # An empty response is a record like any other: it is indexed for the
+        # next epoch and finishes once, in zero iterations.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        empty = next(r for r in records if r["epoch"] == 2)
+        empty["tokens"] = []
+        trace_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "x.json"
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", policy, "--speculation", "--out", str(out)]) == EXIT_OK
+        finishes = [json.loads(line) for line in (tmp_path / "x.events.jsonl").open()
+                    if '"rollout_finish"' in line]
+        assert len(finishes) == len(records)
+        sample = f"{empty['prompt_id']}/e2/0"
+        assert [(e["iterations"], e["tokens"]) for e in finishes
+                if e["sample"] == sample] == [(0, 0)]
 
     def test_non_utf8_trace_exits_two_naming_the_line(self, workspace, capsys):
         tmp_path, spec_path, cluster_path = workspace

@@ -92,9 +92,23 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree("p", 1, [Response("p", 1, [1], float("nan"))])
 
-    def test_empty_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            build_tree("p", 1, [Response("p", 1, [], 0.5)])
+    def test_empty_response_leaves_the_index_as_without_it(self):
+        # An empty response adds no substring, whatever its reward and
+        # wherever it stands; a history of empty responses alone is indexed
+        # as the empty string.
+        rng = random.Random(13)
+        for _ in range(20):
+            corpus = random_corpus(rng)
+            with_empty = list(corpus)
+            for _ in range(rng.randint(1, 3)):
+                reward = rng.choice([0.0, 1.0, -0.5])
+                with_empty.insert(rng.randint(0, len(with_empty)), ([], reward))
+            want, got = corpus_tree(corpus), corpus_tree(with_empty)
+            for field in ("nxt", "link", "length", "mass", "total_tokens"):
+                assert getattr(got, field) == getattr(want, field), field
+        alone = corpus_tree([([], 1.0), ([], 0.0)])
+        assert (alone.nxt, alone.link, alone.length, alone.mass, alone.total_tokens) == (
+            [{}], [-1], [0], [0.0], 0)
 
     def test_wrong_prompt_rejected(self):
         with pytest.raises(ValueError):

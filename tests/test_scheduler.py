@@ -25,9 +25,14 @@ def divide(lens):
     return lambda i, k: lens[i] / k
 
 
+def medians(lens):
+    """Each prompt's stats with its median and max length both `lens[pid]`."""
+    return {pid: PromptStat(float(n), float(n)) for pid, n in lens.items()}
+
+
 class TestBuildGroups:
     def test_even_split(self):
-        stats = {f"p{i}": float(i + 1) for i in range(8)}
+        stats = medians({f"p{i}": i + 1 for i in range(8)})
         groups = build_groups(stats, 4)
         assert [g.prompt_ids for g in groups] == [
             ["p0", "p1"], ["p2", "p3"], ["p4", "p5"], ["p6", "p7"],
@@ -35,12 +40,12 @@ class TestBuildGroups:
         assert [g.index for g in groups] == [0, 1, 2, 3]
 
     def test_remainder_goes_to_longest_groups(self):
-        stats = {f"p{i}": float(i) for i in range(10)}
+        stats = medians({f"p{i}": i for i in range(10)})
         groups = build_groups(stats, 4)
         assert [len(g.prompt_ids) for g in groups] == [2, 2, 3, 3]
 
     def test_ties_stable_by_prompt_id(self):
-        stats = {"b": 5.0, "a": 5.0, "d": 5.0, "c": 5.0}
+        stats = medians({"b": 5, "a": 5, "d": 5, "c": 5})
         groups = build_groups(stats, 2)
         assert groups[0].prompt_ids == ["a", "b"]
         assert groups[1].prompt_ids == ["c", "d"]
@@ -54,7 +59,7 @@ class TestBuildGroups:
 
     def test_too_few_prompts(self):
         with pytest.raises(ValueError):
-            build_groups({"a": 1.0}, 2)
+            build_groups(medians({"a": 1}), 2)
 
 
 class TestAssignmentOrder:
@@ -75,29 +80,28 @@ class TestAssignmentOrder:
 class TestCalWks:
     def test_hand_example(self):
         needed, plan = cal_wks(10.0, 2, t0=10.0,
-                               tau=divide([10.0, 20.0]), min_wks=1, max_wks=4)
+                               tau=divide([10.0, 20.0]), max_wks=4)
         assert (needed, plan) == (2, [1, 1])
 
     def test_infeasible_target(self):
         # Group 1 needs tau <= 0.5 but even 4 workers give 20/4 = 5.
         needed, plan = cal_wks(0.0, 2, t0=0.5,
-                               tau=divide([1.0, 20.0]), min_wks=1, max_wks=4)
+                               tau=divide([1.0, 20.0]), max_wks=4)
         assert needed == math.inf
         assert plan == []
 
     def test_large_gradient_gives_min_workers(self):
         needed, plan = cal_wks(1000.0, 3, t0=10.0,
-                               tau=divide([10.0, 20.0, 30.0]), min_wks=1, max_wks=4)
+                               tau=divide([10.0, 20.0, 30.0]), max_wks=4)
         assert plan == [1, 1, 1]
 
 
 class TestPlanAllocation:
     def test_reference_instance_matches_exhaustive_search(self):
         tau = divide([8.0, 16.0, 32.0, 64.0])
-        plan = plan_allocation(4, wks=10, t_train=0.0, tau=tau,
-                               min_wks=1, max_wks=6, precision=0.01)
+        plan = plan_allocation(4, wks=10, t_train=0.0, tau=tau, max_wks=6, precision=0.01)
         assert plan.feasible
-        best = oracles.exhaustive_best_gradient(4, 10, plan.t0, tau, 1, 6)
+        best = oracles.exhaustive_best_gradient(4, 10, plan.t0, tau, 6)
         assert plan.gradient_d == pytest.approx(best, abs=0.01)
 
     def test_random_instances_match_exhaustive_search(self):
@@ -113,42 +117,39 @@ class TestPlanAllocation:
                 return table[(lens[i], k)]
 
             p = 0.05
-            plan = plan_allocation(n, wks, 0.0, tau, 1, max_wks, p)
+            plan = plan_allocation(n, wks, 0.0, tau, max_wks, p)
             t0 = max(tau(0, max_wks), 0.0)
             d_cap = max(0.0, (tau(n - 1, 1) - t0) / (n - 1))
-            best = oracles.exhaustive_best_gradient(n, wks, t0, tau, 1, max_wks, d_cap=d_cap)
+            best = oracles.exhaustive_best_gradient(n, wks, t0, tau, max_wks, d_cap=d_cap)
             if best is None:
                 assert not plan.feasible, trial
             else:
                 assert plan.feasible, trial
                 assert plan.gradient_d <= best + p, trial
                 # The returned plan must really meet its own gradient.
-                needed, check = cal_wks(plan.gradient_d, n, plan.t0, tau, 1, max_wks)
+                needed, check = cal_wks(plan.gradient_d, n, plan.t0, tau, max_wks)
                 assert needed <= wks and check == plan.per_group_workers
 
     def test_ample_workers_drive_gradient_to_zero(self):
         # Resource-rich limit: with t_train flooring t0, enough workers let
         # every group finish within t0 + epsilon.
         tau = divide([10.0, 20.0, 40.0])
-        plan = plan_allocation(3, wks=1000, t_train=5.0, tau=tau,
-                               min_wks=1, max_wks=500, precision=0.01)
+        plan = plan_allocation(3, wks=1000, t_train=5.0, tau=tau, max_wks=500, precision=0.01)
         assert plan.feasible
         assert plan.gradient_d <= 0.01
         for i, k in enumerate(plan.per_group_workers):
             assert tau(i, k) <= plan.t0 + plan.gradient_d * i + 1e-9
 
     def test_train_time_dominates_t0(self):
-        plan = plan_allocation(2, wks=8, t_train=50.0,
-                               tau=divide([10.0, 20.0]), min_wks=1, max_wks=4)
+        plan = plan_allocation(2, wks=8, t_train=50.0, tau=divide([10.0, 20.0]), max_wks=4)
         assert plan.t0 == 50.0
 
     def test_infeasible_reported_not_raised(self):
         plan = plan_allocation(2, wks=2, t_train=0.0, tau=lambda i, k: 1000.0,
-                               min_wks=1, max_wks=1, precision=0.5)
+                               max_wks=1, precision=0.5)
         # t0 = 1000 and every group takes 1000: targets are satisfiable.
         assert plan.feasible
-        plan2 = plan_allocation(2, wks=1, t_train=0.0, tau=divide([10.0, 20.0]),
-                                min_wks=1, max_wks=1)
+        plan2 = plan_allocation(2, wks=1, t_train=0.0, tau=divide([10.0, 20.0]), max_wks=1)
         assert not plan2.feasible
 
     @pytest.mark.parametrize("precision", [0.0, -1.0, math.nan])
@@ -162,25 +163,25 @@ class TestPlanAllocation:
         # when the midpoint rounds to an endpoint: at the smallest gradient a
         # float can name, the one the exhaustive search finds.
         tau = divide([8.0, 16.0, 32.0, 64.0])
-        plan = plan_allocation(4, wks=10, t_train=0.0, tau=tau,
-                               min_wks=1, max_wks=6, precision=1e-300)
+        plan = plan_allocation(4, wks=10, t_train=0.0, tau=tau, max_wks=6, precision=1e-300)
         assert plan.feasible
-        best = oracles.exhaustive_best_gradient(4, 10, plan.t0, tau, 1, 6)
+        best = oracles.exhaustive_best_gradient(4, 10, plan.t0, tau, 6)
         assert plan.gradient_d == pytest.approx(best, rel=1e-12)
 
     def test_degenerate_group_count_rejected(self):
         with pytest.raises(ValueError):
             plan_allocation(1, wks=4, t_train=0.0, tau=divide([10.0]))
 
-    @pytest.mark.parametrize("min_wks,max_wks", [(1, 0), (0, None), (3, 2)])
-    def test_bad_worker_bounds_rejected(self, min_wks, max_wks):
-        with pytest.raises(ValueError, match="min_wks"):
+    @pytest.mark.parametrize("max_wks", [0, -1])
+    def test_bad_worker_bounds_rejected(self, max_wks):
+        with pytest.raises(ValueError, match="max_wks"):
             plan_allocation(3, wks=10, t_train=0.0, tau=divide([10.0, 20.0, 40.0]),
-                            min_wks=min_wks, max_wks=max_wks)
+                            max_wks=max_wks)
 
     def test_budget_under_the_minimum_is_infeasible(self):
-        plan = plan_allocation(3, wks=5, t_train=2.0, tau=divide([10.0, 20.0, 40.0]),
-                               min_wks=2, max_wks=4)
+        # Every group needs at least one worker.
+        plan = plan_allocation(3, wks=2, t_train=2.0, tau=divide([10.0, 20.0, 40.0]),
+                               max_wks=4)
         assert not plan.feasible
         assert plan.per_group_workers == [] and plan.t0 == 2.0
 
@@ -197,13 +198,12 @@ class TestPlanAllocation:
         feasible = 0
         for _ in range(30):
             n = rng.randint(2, 5)
-            wks = rng.randint(2 * n, 3 * n + 2)
+            wks = rng.randint(n, 3 * n + 2)
             lens = sorted(round(rng.uniform(1, 40), 1) for _ in range(n))
-            plan = plan_allocation(n, wks, 0.0, divide(lens), min_wks=2, max_wks=3,
-                                   precision=0.1)
+            plan = plan_allocation(n, wks, 0.0, divide(lens), max_wks=3, precision=0.1)
             if plan.feasible:
                 feasible += 1
-                assert all(2 <= k <= 3 for k in plan.per_group_workers)
+                assert all(1 <= k <= 3 for k in plan.per_group_workers)
                 assert sum(plan.per_group_workers) <= wks
         assert feasible
 
@@ -213,7 +213,7 @@ class TestPlanAllocation:
             n = rng.randint(2, 5)
             wks = rng.randint(n, 12)
             lens = sorted(round(rng.uniform(1, 40), 1) for _ in range(n))
-            plan = plan_allocation(n, wks, 0.0, divide(lens), 1, wks, 0.1)
+            plan = plan_allocation(n, wks, 0.0, divide(lens), wks, 0.1)
             if plan.feasible:
                 assert sum(plan.per_group_workers) <= wks
 

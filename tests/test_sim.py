@@ -8,6 +8,8 @@ import json
 import math
 import os
 import statistics
+import time
+import tracemalloc
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -283,6 +285,30 @@ class TestPolicyBehavior:
         assert migrations
         assert all(m["generated"] < tokens[m["sample"]] for m in migrations)
 
+    @pytest.mark.parametrize("name", ["histopipe_naive", "histopipe_two_tier"])
+    def test_continuation_taken_while_waiting_for_weights_runs_first(self, name):
+        # Worker 3 drains its step-3 share, waits for step 4's weights and,
+        # before they come, takes an inter-step continuation from step 2.
+        # The weights' start event then finds the continuation in flight:
+        # step 4 starts once it finishes, and drops nothing (a dropped sample
+        # stalls the run).
+        spec = TraceSpec(num_prompts=5, epochs=4, group_size=4, len_mu=math.log(80),
+                         len_sigma=1.1, similarity=0.9, rank_noise=0.95, length_jitter=0.3,
+                         seed=39950)
+        res = run(Trace(generate(spec)), ClusterSpec(6, 2, 2), Policy(name), fast_cost())
+        ev = res.events
+        finish = next(e for e in ev if e["kind"] == "rollout_finish"
+                      and e["continuation_version"] is not None)
+        moved = next(e for e in ev if e["kind"] == "migration" and e["sample"] == finish["sample"])
+        drained = next(e["time"] for e in ev if e["kind"] == "share_end"
+                       and e["worker"] == finish["worker"] == 3 and e["step"] == 3)
+        weights = next(e["available_at"] for e in ev
+                       if e["kind"] == "weight_update" and e["version"] == 3)
+        assert drained < moved["time"] < weights < finish["time"]
+        assert finish["step"] == moved["to_step"] == 3
+        assert next(e["time"] for e in ev if e["kind"] == "share_start"
+                    and e["worker"] == 3 and e["step"] == 4) == finish["time"]
+
     def test_speculation_shrinks_rollout_time(self):
         trace = longtail_trace(epochs=5)
         cluster = ClusterSpec(**CLUSTER)
@@ -468,6 +494,26 @@ class TestEventLog:
         assert summary.timeline == res.timeline
         assert summary.accounting == res.accounting
         assert summary.spec_stats == res.spec_stats
+
+    def test_run_end_worker_count_is_bounded_by_the_plans(self):
+        # A forged run_end naming a million workers in an 8-worker log: the
+        # plans map 8, so derive fails before making a row per worker.
+        res = run(longtail_trace(epochs=3),
+                  ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
+                  Policy("streaming"), fast_cost())
+        res.events[-1]["rollout_workers"] = 10**6
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="run_end has 1000000 rollout workers, but "
+                                                 "the steps' plans map 8$"):
+                derive(res.events)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Unbounded, it took about 1 s and 193 MB.
+        assert elapsed < 0.2 and peak < 2**20
 
     def test_log_is_the_same_without_the_c_encoder(self, monkeypatch):
         res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy("histopipe_two_tier"),

@@ -1,7 +1,8 @@
 """Property tests over the whole simulator.
 
-Small random traces, with prompts dropped or added between epochs, run under
-every policy with speculation on and off and with and without oversampling.
+Small random traces, with prompts dropped or added between epochs and some
+responses empty, run under every policy with speculation on and off and with
+and without oversampling.
 Each run must either raise InfeasiblePlanError (two-tier planning found no
 allocation for the worker budget) or satisfy every invariant below, which
 are checked from the event log and the timeline alone. How often a drawn run
@@ -11,6 +12,7 @@ is infeasible or migrates shows with `--hypothesis-show-statistics`.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rhymesim.sim as sim_module
-from rhymesim.history import build_tree
+from rhymesim.history import Response, build_tree
 from rhymesim.scheduler import in_straggler_tail, migration_decision
 from rhymesim.sim import (
     ClusterSpec,
@@ -44,7 +46,9 @@ def small_runs(draw):
     """(responses, cluster): 2-4 epochs, 4-12 prompts, 1-4 samples each, on
     2-3 groups of 2-8 workers. Some (prompt, epoch) cells are left out: a
     prompt missing from an epoch before one it has is added, one missing
-    after is dropped. Every epoch keeps at least one prompt per group."""
+    after is dropped. Every epoch keeps at least one prompt per group. Some
+    responses are emptied: a group's member 0, a whole group, or a member of
+    the last epoch."""
     epochs = draw(st.integers(2, 4))
     num_prompts = draw(st.integers(4, 12))
     n_groups = draw(st.integers(2, 3))
@@ -62,6 +66,19 @@ def small_runs(draw):
             absent.add((spec.prompt_id(p), e))
             left[e] -= 1
     responses = [r for r in generate(spec) if (r.prompt_id, r.epoch) not in absent]
+    cells = sorted({(r.prompt_id, r.epoch) for r in responses})
+    emptied = set()  # (prompt, epoch, member)
+    for kind in draw(st.lists(st.sampled_from(["member 0", "group", "last epoch"]), unique=True)):
+        pid, epoch = draw(st.sampled_from([c for c in cells
+                                           if kind != "last epoch" or c[1] == epochs]))
+        members = {"member 0": [0], "group": range(spec.group_size),
+                   "last epoch": [draw(st.integers(0, spec.group_size - 1))]}[kind]
+        emptied.update((pid, epoch, m) for m in members)
+    member = Counter()
+    for i, r in enumerate(responses):
+        if (r.prompt_id, r.epoch, member[r.prompt_id, r.epoch]) in emptied:
+            responses[i] = Response(r.prompt_id, r.epoch, array("i"), r.reward)
+        member[r.prompt_id, r.epoch] += 1
     cluster = ClusterSpec(rollout_workers=draw(st.integers(n_groups, 8)),
                           reward_workers=draw(st.integers(1, 3)), n_groups=n_groups)
     return responses, cluster
@@ -77,6 +94,21 @@ def check_finishes(res, trace):
     finishes = Counter(e["sample"] for e in res.events if e["kind"] == "rollout_finish")
     assert set(finishes) == set().union(*(sample_ids_of(trace, e) for e in trace.epochs))
     assert set(finishes.values()) == {1}
+
+
+def check_empty_responses(res, trace):
+    """Each rollout finishes with its response's tokens, in zero iterations
+    exactly when it has none."""
+    lengths = {f"{pid}/e{epoch}/{member}": len(r.tokens)
+               for epoch in trace.epochs for pid, group in trace.epoch_responses(epoch).items()
+               for member, r in enumerate(group)}
+    empty = 0
+    for e in res.events:
+        if e["kind"] == "rollout_finish":
+            assert e["tokens"] == lengths[e["sample"]]
+            assert (e["iterations"] == 0) == (e["tokens"] == 0)
+            empty += e["tokens"] == 0
+    event("empty responses" if empty else "no empty response")
 
 
 def check_weight_versions(res, policy):
@@ -225,6 +257,20 @@ def check_migrations(res, trace, policy):
                     unbound[nxt].append(group)
 
 
+def check_group_totals(sim):
+    """Each grouped step's `group_total` counts the rollouts in each of its
+    groups at the end of the run: those dealt to the group, less the ones that
+    migrated out of it, plus the migrants that joined it, from a group of the
+    step or as continuations from the step before."""
+    for rec in sim.step.values():
+        if rec.plan.groups is None:
+            continue
+        now_in = Counter(task.group for share in rec.shares.values() for task in share
+                         if task.continuation_version is None)
+        now_in.update(task.group for task in rec.carry_in if task.group is not None)
+        assert rec.group_total == {g.index: now_in[g.index] for g in rec.plan.groups}
+
+
 @pytest.mark.parametrize("oversample_pct", [0.0, 20.0])
 @pytest.mark.parametrize("speculation", [False, True])
 @pytest.mark.parametrize("name", ["colocated", "streaming", "histopipe_naive",
@@ -241,6 +287,7 @@ def test_simulator_invariants(name, speculation, oversample_pct, drawn):
         event("InfeasiblePlanError")
         return
     check_finishes(res, trace)
+    check_empty_responses(res, trace)
     check_weight_versions(res, policy)
     check_causal_order(res, trace, policy)
     check_worker_intervals(res)
@@ -304,6 +351,7 @@ def test_only_rollouts_longer_than_beta_history_migrate(name, drawn):
         return
     assert FullScan(Trace(responses), cluster, policy, COST).run().events_jsonl() \
         == res.events_jsonl()
+    check_group_totals(sim)
     dealt = {task.sid: (rec, task) for rec in sim.step.values()
              for share in rec.shares.values() for task in share}
     for _, task in dealt.values():

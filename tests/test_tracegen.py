@@ -137,14 +137,13 @@ class TestGenerate:
         assert peak <= 1.5 * held
 
     @pytest.mark.parametrize("record,reason", [
-        ('"tokens":[],"reward":1', "empty token list"),
-        ('"tokens":[1,2],"reward":NaN', "reward must be finite"),
-        ('"tokens":[1,2],"reward":-Infinity', "reward must be finite"),
-        ('"tokens":[1,2147483648],"reward":1', "token ids must be in [0, 2147483647]"),
-        ('"tokens":[1,-1],"reward":1', "token ids must be in [0, 2147483647]"),
-        ('"tokens":[1,"-2"],"reward":1', "token ids must be in [0, 2147483647]"),
-        ('"tokens":[1,1e300],"reward":1', "token ids must be in [0, 2147483647]"),
-        ('"tokens":[1,3.5],"reward":1', "token must be an integer, got 3.5"),
+        ('"tokens":[1,2],"reward":NaN', "reward must be a finite number, got nan"),
+        ('"tokens":[1,2],"reward":-Infinity', "reward must be a finite number, got -inf"),
+        ('"tokens":[1,2147483648],"reward":1', "token ids must be integers in "
+                                               "[0, 2147483647], got 2147483648"),
+        ('"tokens":[1,-1],"reward":1', "token ids must be integers in [0, 2147483647], got -1"),
+        ('"tokens":[1,1e300],"reward":1', "got 1e+300"),
+        ('"tokens":[1,3.5],"reward":1', "got 3.5"),
         ('"tokens":"12","reward":1', "tokens must be a JSON array, got str"),
         ('"tokens":{"1":2},"reward":1', "tokens must be a JSON array, got dict"),
         ('"tokens":[1,2],"reward":1,"epoch":1.7', "epoch must be an integer, got 1.7"),
@@ -153,12 +152,37 @@ class TestGenerate:
         with pytest.raises(io.TraceFormatError, match=re.escape(reason)):
             io.parse_response_line('{"prompt_id":"p","epoch":1,' + record + "}")
 
-    def test_non_integer_tokens_converted_or_rejected(self):
-        line = '{"prompt_id":"p","epoch":1,"tokens":[1,"2",3.0,true],"reward":1}'
-        assert list(io.parse_response_line(line).tokens) == [1, 2, 3, 1]
-        for tokens in ('["x"]', "[null]", "7"):
-            with pytest.raises(io.TraceFormatError):
-                io.parse_response_line(f'{{"prompt_id":"p","epoch":1,"tokens":{tokens},"reward":1}}')
+    # A value of the right kind spelled as another: no writer emits these.
+    @pytest.mark.parametrize("change,reason", [
+        (("tokens", '[1,"2"]'), "token ids must be integers in [0, 2147483647], got '2'"),
+        (("tokens", '[1,"-2"]'), "token ids must be integers in [0, 2147483647], got '-2'"),
+        (("tokens", "[1,3.0]"), "token ids must be integers in [0, 2147483647], got 3.0"),
+        (("tokens", "[true,1]"), "token ids must be integers in [0, 2147483647], got True"),
+        (("tokens", '["x"]'), "token ids must be integers in [0, 2147483647], got 'x'"),
+        (("tokens", "[null]"), "token ids must be integers in [0, 2147483647], got None"),
+        (("epoch", "2.0"), "epoch must be an integer, got 2.0"),
+        (("epoch", "true"), "epoch must be an integer, got True"),
+        (("reward", '"1"'), "reward must be a finite number, got '1'"),
+        (("reward", "false"), "reward must be a finite number, got False"),
+        (("prompt_id", "7"), "prompt_id must be a string, got 7"),
+    ])
+    def test_other_spellings_rejected_by_both_readers(self, tmp_path, change, reason):
+        # Both ways of reading a trace, the plain chunk and the line parser,
+        # reject the record with the same message, naming its line.
+        fields = {"prompt_id": '"p"', "epoch": "1", "tokens": "[1,2]", "reward": "1"}
+        fields[change[0]] = change[1]
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"prompt_id":"p","epoch":1,"tokens":[1,2],"reward":1}\n'
+                        + "{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}\n")
+        want = f"{path} line 2: bad trace record: {reason}"
+        assert read_outcome(io.read_trace, path) == read_outcome(read_line_by_line, path) == want
+
+    def test_empty_token_list_read_by_both_readers(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"prompt_id":"p","epoch":1,"tokens":[],"reward":1}\n'
+                        '{"prompt_id":"p","epoch":1,"tokens":[1,2],"reward":0}\n')
+        want = [("p", 1, [], 1.0), ("p", 1, [1, 2], 0.0)]
+        assert read_outcome(io.read_trace, path) == read_outcome(read_line_by_line, path) == want
 
     def test_written_traces_read_without_the_line_parser(self, tmp_path):
         # What gen-trace writes, also with json's default ", " and ": "
@@ -185,7 +209,7 @@ class TestGenerate:
         path = tmp_path / "t.jsonl"
         path.write_text("".join(lines))
         with pytest.raises(io.TraceFormatError,
-                           match=re.escape(f"{path} line {bad}: bad trace record: token must")):
+                           match=re.escape(f"{path} line {bad}: bad trace record: token ids must")):
             io.read_trace(path)
 
     @pytest.mark.parametrize("field", ["prompt_id", "tokens"])
@@ -469,15 +493,17 @@ def read_outcome(reader, path):
 
 
 # Each is one change to a plain record. Some of them both readers accept
-# (3.0, "2", an escaped prompt id, a nested "tokens" beside the real one),
-# the rest both reject.
+# (an empty token list, an escaped prompt id, a nested "tokens" beside the
+# real one), the rest both reject: among them a token, epoch, reward or
+# prompt id spelled as another JSON type ("2", 3.0, true, "epoch": 2.0).
 RECORD_CHANGES = [("token", t) for t in [
     "007", "+1", "-1", "-0", "1e3", "3.0", "3.5", '"2"', "true", "null", "[1]",
     str(2**31), str(2**32 + 10**9), str(10**20), "1 2", "",
 ]] + [
     ("tokens", "[]"), ("tokens", "[1,]"), ("tokens", '"12"'), ("tokens", '{"1":2}'),
     ("tokens", 'null,"meta":[3]'), ("epoch", "1.7"), ("epoch", "2.0"), ("epoch", '"3"'),
-    ("reward", "NaN"), ("prompt_id", json.dumps('q"tokens":[1')),
+    ("reward", "NaN"), ("reward", '"1"'), ("reward", "true"), ("prompt_id", "7"),
+    ("prompt_id", json.dumps('q"tokens":[1')),
     ("prompt_id", json.dumps("caf\u00e9")), ("prompt_id", '"tokens"'),
     ("extra", ("tokens", "[5]")), ("extra", ("tokens", "null")),
     ("extra", ("meta", '{"tokens":[9]}')), ("extra", ("meta", "[1,2]")),
