@@ -20,11 +20,21 @@ of a chunk is plain, as `gen-trace` writes them (see
 lists straight into C ints. Any chunk it cannot prove plain goes line by line
 through :func:`parse_response_line`, which decides every other spelling, so
 both ways read a trace alike and fail with the same message and line.
+
+:func:`write_trace` writes each line as the bytes of
+``json.dumps(record, separators=(",", ":"))``, keys in the order above,
+without making a Python int per token. A response whose token ids are all
+below 2**16 has its ids looked up in one table of ``b"%d,"`` per id (see
+:func:`_digit_table`), whose NUL padding is then dropped; `prompt_id` is
+escaped by json's own string encoder and `reward` written as json writes
+an int or a finite float. A response holding a larger id is written by
+json itself. A record the reader would reject is not written at all.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -33,6 +43,7 @@ import tempfile
 import warnings
 from array import array
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -57,14 +68,15 @@ class TraceFormatError(ValueError):
     """A trace line does not match the expected JSONL schema."""
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write `text` to `path` via a temp file and rename."""
+def atomic_write_text(path: str | os.PathLike, text: str | bytes) -> None:
+    """Write `text`, a str in UTF-8 or bytes as they are, to `path` via a
+    temp file and rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8") if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,16 +84,37 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """``b"%d,"`` for every token id below 2**16, NUL-padded to 6 bytes
+    (0.4 MB), built on first use."""
+    return np.array([b"%d," % i for i in range(2**16)], dtype="S6")
+
+
 def response_to_json(resp: Response) -> str:
-    return json.dumps(
-        {
-            "prompt_id": resp.prompt_id,
-            "epoch": resp.epoch,
-            "tokens": list(resp.tokens),
-            "reward": resp.reward,
-        },
-        separators=(",", ":"),
-    )
+    """`resp` as one trace line, without its line break: the text of
+    ``json.dumps(record, separators=(",", ":"))``. ValueError names what the
+    reader would reject in it."""
+    return _record_line(resp).decode("ascii")
+
+
+def _record_line(resp: Response) -> bytes:
+    prompt_id, epoch, _ = _record_fields(vars(resp))
+    # Read as unsigned, a negative id is past the table too.
+    try:
+        digits = _digit_table().take(np.frombuffer(resp.tokens, np.uint32))
+    except IndexError:  # an id of 2**16 or more, or a negative one
+        tokens = resp.tokens.tolist()
+        bad = [t for t in tokens if t < 0]
+        if bad:
+            raise ValueError(f"token ids must be integers in [0, {MAX_TOKEN}], "
+                             f"got {bad[0]}") from None
+        return json.dumps({"prompt_id": prompt_id, "epoch": epoch, "tokens": tokens,
+                           "reward": resp.reward}, separators=(",", ":")).encode("ascii")
+    # Every id's digits and comma, the last comma dropped.
+    return b'{"prompt_id":%b,"epoch":%d,"tokens":[%b],"reward":%b}' % (
+        encode_basestring_ascii(prompt_id).encode("ascii"), epoch,
+        digits.tobytes().replace(b"\0", b"")[:-1], repr(resp.reward).encode("ascii"))
 
 
 def _record_fields(obj) -> tuple[str, int, float]:
@@ -112,12 +145,17 @@ def parse_response_line(line: str) -> Response:
 
 
 def write_trace(path: str | os.PathLike, responses: Iterable[Response]) -> None:
-    """Write responses as JSONL, one record per line, atomically."""
-    buf = io.StringIO()
-    for resp in responses:
-        buf.write(response_to_json(resp))
-        buf.write("\n")
-    atomic_write_text(path, buf.getvalue())
+    """Write responses as JSONL, one record per line, atomically. A record
+    the reader would reject raises ValueError naming the response's index,
+    and nothing is written."""
+    lines = []
+    for i, resp in enumerate(responses):
+        try:
+            lines.append(_record_line(resp))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"response {i}: {exc}") from None
+    lines.append(b"")
+    atomic_write_text(path, b"\n".join(lines))
 
 
 def read_trace(path: str | os.PathLike) -> list[Response]:
@@ -197,10 +235,13 @@ def _parse_plain_chunk(lines: list[str]) -> list[Response] | None:
             joined.encode("utf-8")  # fails on a byte that was not UTF-8
         except UnicodeEncodeError:
             return None
-    # numpy takes the line break between two lists as whitespace; no line
-    # holds one, so it marks where each line's tokens end.
+    # An empty list (or one of only blanks) holds no value and is left out,
+    # as numpy would read an empty field. numpy takes the line break
+    # between two lists as whitespace; no line holds one, so it marks where
+    # each line's tokens end.
+    filled = [i for i, t in enumerate(texts) if t.strip(" \t")]
     try:
-        text = ",\n".join(texts).encode("ascii")
+        text = ",\n".join([texts[i] for i in filled]).encode("ascii")
     except UnicodeEncodeError:
         return None
     del texts
@@ -209,8 +250,11 @@ def _parse_plain_chunk(lines: list[str]) -> list[Response] | None:
     # the "[" closes the list.
     if separators.translate(None, b", \t\n"):
         return None
-    counts = [part.count(b",") for part in separators.split(b"\n")]
-    counts[-1] += 1
+    counts = [0] * len(metas)
+    for i, part in zip(filled, separators.split(b"\n")):
+        counts[i] = part.count(b",")
+    if filled:
+        counts[filled[-1]] += 1
     try:
         with warnings.catch_warnings():
             # numpy before 2.0 returns the values before the text it could
@@ -222,10 +266,12 @@ def _parse_plain_chunk(lines: list[str]) -> list[Response] | None:
     # numpy also takes an empty last field, a leading zero and a value past
     # 2**63 - 1, which it saturates. So every comma must separate two
     # values, every value fit, and every digit be one its value needs.
-    if len(values) != sum(counts) or values.max() > MAX_TOKEN:
+    top = int(values.max()) if len(values) else 0
+    if len(values) != sum(counts) or top > MAX_TOKEN:
         return None
     values = values.astype(np.int32)
-    needed = len(values) + sum(int(np.count_nonzero(values >= p)) for p in _POWERS_OF_TEN)
+    needed = len(values) + sum(int(np.count_nonzero(values >= p))
+                               for p in _POWERS_OF_TEN if p <= top)
     if needed != len(text) - len(separators):
         return None
     column = memoryview(values).cast("B")

@@ -141,7 +141,11 @@ class TestAnalyze:
         for key, value in edit.items():
             setattr(first, key, value)
         bad = tmp_path / "bad.jsonl"
-        rio.write_trace(bad, responses)
+        # write_trace refuses a NaN reward, so json writes the first record.
+        rio.write_trace(bad, responses[1:])
+        record = {"prompt_id": first.prompt_id, "epoch": first.epoch,
+                  "tokens": list(first.tokens), "reward": first.reward}
+        bad.write_text(json.dumps(record) + "\n" + bad.read_text())
         assert main(["analyze", "similarity", "--trace", str(bad), "--epochs", "1,2",
                      "--out", str(tmp_path / "s.csv")]) == code
         assert ("error:" in capsys.readouterr().err) == (code != EXIT_OK)

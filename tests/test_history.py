@@ -3,8 +3,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import tracemalloc
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,6 +309,26 @@ class TestAutomaton:
     def test_token_ids_out_of_range_rejected(self, tok):
         with pytest.raises(ValueError):
             build_tree("p", 1, [Response("p", 1, [1, tok], 0.5)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 3), st.integers(-3, 2**33), st.booleans(), st.none(),
+        st.floats(0, 5), st.text(max_size=1),
+        st.integers(0, 2**32 - 1).map(np.int64)), max_size=8))
+    def test_token_column_takes_exactly_integer_ids(self, values):
+        # The one-pass conversion accepts a list exactly when every item is
+        # an integer in [0, MAX_TOKEN] that is not a bool, and otherwise
+        # names the first item that is not.
+        def is_id(t):
+            return isinstance(t, (int, np.integer)) and type(t) is not bool \
+                and 0 <= t <= MAX_TOKEN
+        bad = [t for t in values if not is_id(t)]
+        if bad:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"token ids must be integers in [0, {MAX_TOKEN}], got {bad[0]!r}")):
+                Response("p", 1, values, 1.0)
+        else:
+            assert Response("p", 1, values, 1.0).tokens == array("i", map(int, values))
 
     def test_index_bytes_per_token_bound(self):
         trees = [build_tree(pid, 2, group) for pid, group in similarity_09_groups(48).items()]

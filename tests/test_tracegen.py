@@ -200,6 +200,49 @@ class TestGenerate:
             assert [(r.prompt_id, r.epoch, r.tokens, r.reward) for r in loaded] == [
                 (r.prompt_id, r.epoch, r.tokens, r.reward) for r in responses]
 
+    def test_empty_responses_read_without_the_line_parser(self, tmp_path):
+        # An empty token list, or one of blanks, holds no value: its chunk,
+        # also one of only such lists, is still read in one numpy call.
+        responses = generate(small_spec(num_prompts=40))
+        for r in responses[:2] + responses[2::7]:
+            r.tokens = array("i")
+        path = tmp_path / "t.jsonl"
+        io.write_trace(path, responses)
+        text = path.read_text()
+        assert text.count('"tokens":[]') == len(responses[:2] + responses[2::7])
+        path.write_text(text.replace('"tokens":[]', '"tokens":[ \t]', 5))
+        want = [(r.prompt_id, r.epoch, list(r.tokens), r.reward) for r in responses]
+        for chunk in (2, io.READ_CHUNK_LINES):
+            with mock.patch.object(io, "READ_CHUNK_LINES", chunk), \
+                    mock.patch.object(io, "parse_response_line", side_effect=AssertionError):
+                assert read_outcome(io.read_trace, path) == want
+        assert read_outcome(read_line_by_line, path) == want
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("reward", math.nan, "reward must be a finite number, got nan"),
+        ("reward", -math.inf, "reward must be a finite number, got -inf"),
+        ("reward", "1", "reward must be a finite number, got '1'"),
+        ("reward", True, "reward must be a finite number, got True"),
+        ("reward", 10**400, "int too large to convert to float"),
+        ("epoch", 2.0, "epoch must be an integer, got 2.0"),
+        ("epoch", True, "epoch must be an integer, got True"),
+        ("prompt_id", 7, "prompt_id must be a string, got 7"),
+        ("tokens", array("i", [3, -2]), "token ids must be integers in [0, 2147483647], got -2"),
+        ("tokens", array("i", [70000, -1]),
+         "token ids must be integers in [0, 2147483647], got -1"),
+    ])
+    def test_writer_rejects_what_the_reader_rejects(self, tmp_path, field, value, reason):
+        # The reader refuses "reward":NaN, so the writer does not write it,
+        # nor anything else of the trace.
+        responses = generate(small_spec())
+        setattr(responses[5], field, value)
+        path = tmp_path / "t.jsonl"
+        path.write_text("before\n")
+        with pytest.raises(ValueError, match=re.escape(f"response 5: {reason}")):
+            io.write_trace(path, responses)
+        assert path.read_text() == "before\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_error_names_its_line_in_a_later_chunk(self, tmp_path):
         lines = [io.response_to_json(r) + "\n" for r in generate(small_spec(num_prompts=30))]
         assert len(lines) > 2 * io.READ_CHUNK_LINES + 5
@@ -493,14 +536,15 @@ def read_outcome(reader, path):
 
 
 # Each is one change to a plain record. Some of them both readers accept
-# (an empty token list, an escaped prompt id, a nested "tokens" beside the
+# (an empty token list or one of blanks, an escaped prompt id, a nested "tokens" beside the
 # real one), the rest both reject: among them a token, epoch, reward or
 # prompt id spelled as another JSON type ("2", 3.0, true, "epoch": 2.0).
 RECORD_CHANGES = [("token", t) for t in [
     "007", "+1", "-1", "-0", "1e3", "3.0", "3.5", '"2"', "true", "null", "[1]",
     str(2**31), str(2**32 + 10**9), str(10**20), "1 2", "",
 ]] + [
-    ("tokens", "[]"), ("tokens", "[1,]"), ("tokens", '"12"'), ("tokens", '{"1":2}'),
+    ("tokens", "[]"), ("tokens", "[ ]"), ("tokens", "[\t \t]"), ("tokens", "[,]"),
+    ("tokens", "[\u00a0]"), ("tokens", "[1,]"), ("tokens", '"12"'), ("tokens", '{"1":2}'),
     ("tokens", 'null,"meta":[3]'), ("epoch", "1.7"), ("epoch", "2.0"), ("epoch", '"3"'),
     ("reward", "NaN"), ("reward", '"1"'), ("reward", "true"), ("prompt_id", "7"),
     ("prompt_id", json.dumps('q"tokens":[1')),
@@ -600,3 +644,41 @@ def test_read_trace_matches_the_line_parser(text, chunk):
         with mock.patch.object(io, "READ_CHUNK_LINES", chunk):
             got = read_outcome(io.read_trace, path)
         assert got == read_outcome(read_line_by_line, path)
+
+
+# Token ids around the digit table's end, 2**16, and empty lists weigh more
+# than they would drawn evenly from [0, MAX_TOKEN].
+written_tokens = st.one_of(
+    st.just([]),
+    st.lists(st.one_of(st.integers(0, MAX_TOKEN), st.integers(0, 2**16 + 10),
+                       st.sampled_from([0, 9, 10, 65535, 65536, MAX_TOKEN])), max_size=12),
+)
+written_prompt_ids = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.sampled_from(['"', "\\", "/", "p", "\u00e9", "\u2028", "\U0001f600", "\x00",
+                              "\x7f"]), max_size=6).map("".join),
+)
+written_rewards = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1.5]),
+    st.integers(-2**70, 2**70),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(responses=st.lists(st.builds(Response, written_prompt_ids, st.integers(-2**40, 2**40),
+                                    written_tokens, written_rewards),
+                          min_size=1, max_size=6))
+def test_written_lines_are_json_compact_and_read_back(responses):
+    """Every line is json's compact encoding of its record, and reading the
+    written trace gives the responses back."""
+    for r in responses:
+        record = {"prompt_id": r.prompt_id, "epoch": r.epoch, "tokens": list(r.tokens),
+                  "reward": r.reward}
+        assert io.response_to_json(r) == json.dumps(record, separators=(",", ":"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        io.write_trace(path, responses)
+        loaded = io.read_trace(path)
+    assert [(r.prompt_id, r.epoch, r.tokens, float(r.reward).hex()) for r in loaded] == [
+        (r.prompt_id, r.epoch, r.tokens, float(r.reward).hex()) for r in responses]
