@@ -211,7 +211,7 @@ def derive(events: list[dict]) -> SimResult:
     for wid in range(n):
         total = prev_end = 0.0
         for start, end, kind in sorted(activity[wid] + colocated):
-            if start < prev_end - 1e-6:
+            if start < prev_end:
                 raise ValueError(f"overlapping activities on worker {wid}")
             prev_end = end
             total += end - start

@@ -3,17 +3,36 @@
 One simulated step replays one trace epoch: every response's content comes
 from the trace, its iteration profile from its HistoSpec replay or, when it
 is not speculated, one token per iteration, and the event loop only decides
-*when* things happen. A rollout worker is a processor-sharing
-server: all of its in-flight responses advance one iteration per
-`t_iter(batch)`. Each worker therefore keeps one iteration clock `v`, the
-iterations a decoding response has completed since the worker's step began,
-and commits it only when its batch changes (a join, a finish or a
-migration); between commits `v` is linear in time. A response stores the
-clock value `v_start` at which its progress was 0, so its progress at any
-time is read off the clock without writing anything, and it finishes when
-`v` reaches `v_start + total_iters`. Completions, migrations and weight waits
-fall out of plain arithmetic, and two runs with the same inputs produce
-byte-identical event logs.
+*when* things happen. Time is an int count of ticks (1 ns): every duration
+of `CostConfig` and `ClusterSpec` is rounded to ticks once (`_Ticks`), and
+the log writes each time as ticks / 1e9 seconds, in the simulator's order.
+
+A rollout worker batches at iteration boundaries, as Orca and vLLM schedule:
+its batch advances one iteration per `t_iter(batch)` ticks and changes only
+between iterations. A worker keeps the tick of its last batch change,
+`boundary`, and its iterations `v` since its step began; its next boundaries
+fall at `boundary + k * t_iter`. A response in the batch stores the counts
+`v_start`, at its progress 0, and `v_end`, when it leaves the batch: at
+`v_start + total_iters` it finishes.
+- A dealt response joins the batch when its worker starts the step.
+- A migrating rollout leaves at its worker's first boundary at or after the
+  check that moves it, with the whole iterations done by then. A check reads
+  each rollout as it would leave; one that has run all its iterations by
+  then is finished and never moves.
+- A migrant pays the prefill recompute of its generated tokens from the later
+  of the tick it left and the tick a worker takes it, and joins the batch at
+  the worker's first boundary at or after its prefill ends (at once into an
+  empty batch).
+
+Events of one tick run in the order they were queued, by the `seq` counter
+that also numbers the log's records. So, at one tick: an event queued for the
+current tick runs after every one already queued for it; two workers'
+boundaries run in the order the workers last rescheduled, and the first
+one's check reads the other's rollouts that end there as finished; within a
+boundary, the rollouts that end leave first (the finished ones logged by
+sample id), then the ready joins enter, then the migration check runs, and a
+rollout it moves off this worker leaves in a boundary queued for that tick.
+Two runs with the same inputs produce byte-identical event logs.
 
 Weight version v is the one step v+1 rolls out under: every response of
 step k rolls out under version k-1. Pipelined policies overlap: the job that
@@ -24,21 +43,8 @@ baseline instead serializes rollout, a context switch, and training on the
 same workers each step, publishing version k for step k+1. Training starts
 once a batch-size worth of the step's samples has been rewarded;
 oversampling lowers that threshold and late samples count toward the next
-step's batch.
-
-Each step is one `_Step` record, made for every step before the loop
-starts: its `StepPlan` (ranking groups, worker map, allocation and migration
-beta; round robin is one group over every worker), the tasks dealt to each
-worker, each group's workers, total and completed rollouts, its
-`stragglers` (each group's dealt rollouts long enough to migrate), the
-inter-step migrants carried into it, the samples it expects and has had
-rewarded, and whether its train job has started and ended. A step is planned
-when a worker first reaches it, after every earlier step.
-
-Migrated rollouts keep their generated tokens and pay a prefill recompute
-charge when they join a worker: a timed phase at the end of which their
-`v_start` is fixed. Inter-step ones finish under the next step's version and
-count toward the next step's batch.
+step's batch, as does an inter-step migrant, under the next step's version.
+Each step is one `_Step` record, planned when a worker first reaches it.
 
 HistoSpec is one pass computed before the event loop (`histospec`): for every
 prompt of every step from 2 on, it builds the prompt's suffix index over its
@@ -99,7 +105,11 @@ RUN_SCHEMA_VERSION = 4
 # Two-tier planning stops its gradient search once the gradient is known to
 # within this many simulated seconds.
 PLAN_PRECISION = 0.05
-_EPS = 1e-9
+_TICKS_PER_S = 10**9
+
+
+def _ticks(seconds: float) -> int:
+    return round(seconds * _TICKS_PER_S)
 
 
 class InfeasiblePlanError(RuntimeError):
@@ -132,7 +142,8 @@ class Policy:
 
 @dataclass
 class CostConfig:
-    """All durations in abstract seconds; the one source of time truth."""
+    """All durations in abstract seconds; the one source of time truth. The
+    simulator rounds each to whole ticks (`_Ticks`)."""
 
     per_iter_base: float = 0.02      # engine iteration floor
     per_iter_batch: float = 0.0003   # added per in-flight response on the worker
@@ -144,12 +155,12 @@ class CostConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        # A zero iteration time would finish every rollout at the instant it
-        # starts, and the event loop would never advance.
-        if not self.per_iter_base + self.per_iter_batch > 0:
-            raise ValueError("per_iter_base + per_iter_batch must be > 0")
+            if not (value >= 0 and math.isfinite(value * _TICKS_PER_S)):
+                raise ValueError(f"{name} must be >= 0 and finite in ticks (1 ns), got {value}")
+        # An iteration of zero ticks would finish every rollout at the
+        # instant it starts, and the event loop would never advance.
+        if not _ticks(self.per_iter_base) + _ticks(self.per_iter_batch) > 0:
+            raise ValueError("per_iter_base + per_iter_batch must be at least one tick (1 ns)")
 
     def t_iter(self, batch: int) -> float:
         return self.per_iter_base + self.per_iter_batch * batch
@@ -170,10 +181,38 @@ class ClusterSpec:
             raise ValueError("need at least one rollout and one reward worker")
         if self.rollout_workers < self.n_groups:
             raise ValueError("rollout_workers must be >= n_groups")
-        if not (math.isfinite(self.weight_propagation_delay)
-                and self.weight_propagation_delay >= 0):
-            raise ValueError("weight_propagation_delay must be finite and >= 0, "
-                             f"got {self.weight_propagation_delay}")
+        if not (self.weight_propagation_delay >= 0
+                and math.isfinite(self.weight_propagation_delay * _TICKS_PER_S)):
+            raise ValueError("weight_propagation_delay must be >= 0 and finite in ticks (1 ns)")
+
+
+class _Ticks(NamedTuple):
+    """The cost model and the weight delay in whole ticks, each rounded once;
+    colocated's context switch, a fraction of the train job, term by term."""
+
+    iter_base: int
+    iter_batch: int
+    prefill_per_token: int
+    reward: int
+    train_base: int
+    train_per_sample: int
+    switch_base: int
+    switch_per_sample: int
+    weight_delay: int
+
+    @classmethod
+    def of(cls, cost: CostConfig, cluster: ClusterSpec) -> _Ticks:
+        frac = cost.context_switch_frac
+        return cls(*map(_ticks, (
+            cost.per_iter_base, cost.per_iter_batch, cost.prefill_per_token, cost.reward_time,
+            cost.train_base, cost.train_per_sample, frac * cost.train_base,
+            frac * cost.train_per_sample, cluster.weight_propagation_delay)))
+
+    def t_iter(self, batch: int) -> int:
+        return self.iter_base + self.iter_batch * batch
+
+    def t_train(self, samples: int) -> int:
+        return self.train_base + self.train_per_sample * samples
 
 
 @dataclass(slots=True)
@@ -186,27 +225,28 @@ class _Task:
     profile: array | None  # cumulative tokens after each iteration; None = 1/iter
     group: int | None
     weight_version: int
-    v_start: float = 0.0      # worker clock at progress 0; inf while prefilling
-    done: float = 0.0         # iterations completed before joining its worker
-    ready_at: float = 0.0     # time its prefill ends, while prefilling
+    v_start: int = 0          # its worker's `v` at its progress 0
+    v_end: int = 0            # its worker's `v` when it leaves the batch
+    done: int = 0             # iterations done before it joins its worker
+    left_at: int = 0          # the tick it left its last worker
     worker: int | None = None
     migrated: bool = False
     continuation_version: int | None = None
 
-    def generated_len(self, progress: float) -> int:
-        idx = min(self.total_iters, max(0, math.floor(progress + _EPS)))
-        return self.profile[idx - 1] if idx and self.profile is not None else idx
+    def generated_len(self, progress: int) -> int:
+        """Its tokens after `progress` whole iterations."""
+        return self.profile[progress - 1] if progress and self.profile is not None else progress
 
 
 @dataclass(slots=True)
 class _Worker:
     wid: int
-    free_at: float = 0.0
+    free_at: int = 0
     step: int = 0
-    inflight: dict = field(default_factory=dict)
-    prefilling: list = field(default_factory=list)  # in-flight tasks not decoding yet
-    v: float = 0.0             # iteration clock, committed at last_advance
-    last_advance: float = 0.0
+    inflight: dict = field(default_factory=dict)  # sid -> task, the batch
+    joining: list = field(default_factory=list)   # (tick its prefill ends, task)
+    v: int = 0                 # iterations done since its step began, at `boundary`
+    boundary: int = 0          # the tick of its last batch change
     sched_version: int = 0
     share_open: bool = False   # between its share_start and share_end events
 
@@ -540,6 +580,7 @@ class _Simulation:
         self.cluster = cluster
         self.policy = policy
         self.cost = cost
+        self.ticks = _Ticks.of(cost, cluster)
         self.steps = len(trace.epochs)
         if not self.steps:
             raise ValueError("trace has no responses")
@@ -550,26 +591,25 @@ class _Simulation:
 
         self.workers = [_Worker(w) for w in range(cluster.rollout_workers)]
         self.events: list[dict] = []  # `events.EVENTS` records, keys sorted at every level
-        self._heap: list[tuple[float, int, str, tuple]] = []
-        # One counter breaks the heap's time ties and gives each record its `seq`.
+        self._heap: list[tuple[int, int, str, tuple]] = []
+        # One counter breaks the heap's tick ties and gives each record its `seq`.
         self._seq = 0
-        self.now = 0.0
+        self.now = 0  # in ticks
 
         # (step, prompt) -> its responses' HistoSpec replays, filled by run()
         # before the event loop; empty without speculation.
         self.replayed: dict[tuple[int, str], list[Replayed]] = {}
 
         self.step = {k: _Step(k) for k in trace.epochs}
-        self.reward_free = [(0.0, i) for i in range(cluster.reward_workers)]
-        heapq.heapify(self.reward_free)
-        self.train_free = 0.0
-        self.last_train_duration: float | None = None  # of the last train job to end
-        self.weight_avail: dict[int, float] = {}
+        self.reward_free = [(0, i) for i in range(cluster.reward_workers)]
+        self.train_free = 0
+        self.last_train_duration: float | None = None  # seconds, of the last train job to end
+        self.weight_avail: dict[int, int] = {}
         self.weight_waiters: dict[int, list[tuple[int, int]]] = {}  # version -> (wid, step)
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, time: float, kind: str, data: tuple) -> None:
+    def _push(self, time: int, kind: str, data: tuple) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, data))
 
@@ -605,6 +645,7 @@ class _Simulation:
             by_group[g].append(wid)
         rec.group_workers = dict(sorted(by_group.items()))
         rec.group_total = dict(plan.group_batches)
+        rec.group_completed = dict.fromkeys(plan.group_batches, 0)
 
         if plan.groups is None:
             lanes = [(None, rec.group_workers[0], self.trace.prompts(step))]
@@ -620,12 +661,12 @@ class _Simulation:
                     replay = None if replays is None else replays[member]
                     stats.count(resp.generated_len, replay)
                     wid = wids[i % len(wids)]
+                    iters = resp.generated_len if replay is None else replay.iterations
                     rec.shares[wid].append(_Task(
                         sid=f"{pid}/e{step}/{member}", prompt=pid, epoch=step,
                         tokens_len=resp.generated_len,
-                        total_iters=resp.generated_len if replay is None else replay.iterations,
-                        profile=None if replay is None else replay.profile,
-                        group=group, weight_version=step - 1, worker=wid,
+                        total_iters=iters, profile=None if replay is None else replay.profile,
+                        group=group, weight_version=step - 1, v_end=iters, worker=wid,
                     ))
                     i += 1
         rec.expected += sum(map(len, rec.shares.values()))
@@ -644,7 +685,7 @@ class _Simulation:
             "allocation": plan.allocation.as_dict() if plan.allocation else None,
             "kind": "step_boundary", "policy": plan.policy,
             "replay": dict(sorted(vars(stats).items())),
-            "seq": self._next_seq(), "step": step, "time": self.now,
+            "seq": self._next_seq(), "step": step, "time": self.now / _TICKS_PER_S,
             "workers": dict(sorted((str(w), g) for w, g in plan.worker_groups.items())),
         })
         return rec
@@ -669,110 +710,81 @@ class _Simulation:
         task.worker = target
         task.group = group
         if group is not None:
-            rec.group_total[group] = rec.group_total.get(group, 0) + 1
+            rec.group_total[group] += 1
         running = self.workers[target]
         if running.step == rec.number:
-            self._advance_worker(running, self.now)
             self._join(running, task)
-            self._open_share(running)
+            self._share(running, True)
             self._reschedule(running)
 
     # -- the worker clock ------------------------------------------------------
 
-    def _t_iter(self, worker: _Worker) -> float:
-        return self.cost.t_iter(len(worker.inflight))
-
-    def _advance_worker(self, worker: _Worker, to_time: float) -> None:
-        """Commit the worker's clock to `to_time`. Called only when its batch
-        is about to change, since the rate `t_iter(batch)` changes with it.
-        A prefill ending inside the interval fixes that task's `v_start`
-        exactly, because the clock is linear between commits."""
-        elapsed = to_time - worker.last_advance
-        if elapsed > 0 and worker.inflight:
-            rate = self._t_iter(worker)
-            if worker.prefilling:
-                for task in worker.prefilling:
-                    if task.ready_at <= to_time:
-                        task.v_start = (worker.v + (task.ready_at - worker.last_advance) / rate
-                                        - task.done)
-                worker.prefilling = [t for t in worker.prefilling if t.ready_at > to_time]
-            worker.v += elapsed / rate
-        worker.last_advance = max(worker.last_advance, to_time)
+    def _next_boundary(self, worker: _Worker) -> tuple[int, int]:
+        """The first boundary of `worker`'s batch at or after now, and its `v` there."""
+        t = self.ticks.t_iter(len(worker.inflight))
+        n = -((worker.boundary - self.now) // t)
+        return worker.boundary + n * t, worker.v + n
 
     def _join(self, worker: _Worker, task: _Task) -> None:
-        """Put `task` in flight on `worker`, whose clock is committed to now.
-        A task with generated tokens first pays their prefill recompute."""
-        worker.inflight[task.sid] = task
-        prefill = task.generated_len(task.done) * self.cost.prefill_per_token
-        if prefill > 0:
-            task.v_start = math.inf
-            task.ready_at = self.now + prefill
-            worker.prefilling.append(task)
-        else:
-            task.v_start = worker.v - task.done
+        """Queue `task` to join `worker`'s batch once its prefill ends."""
+        prefill = self.ticks.prefill_per_token * task.generated_len(task.done)
+        worker.joining.append((max(task.left_at, self.now) + prefill, task))
 
     def _reschedule(self, worker: _Worker) -> None:
+        """Queue `worker`'s next batch change: the first boundary at which a
+        rollout ends or a joining one is ready, or, with an empty batch, the
+        tick the first joining one is ready."""
         worker.sched_version += 1
-        if not worker.inflight:
-            return
-        rate = self._t_iter(worker)
-        v_end = min(task.v_start + task.total_iters for task in worker.inflight.values())
-        when = worker.last_advance + max(0.0, v_end - worker.v) * rate
-        # Timed from `ready_at` and never before it, so that the commit at
-        # `when` sees the prefill end even when no iterations are left.
-        for task in worker.prefilling:
-            when = min(when, task.ready_at + max(0.0, task.total_iters - task.done) * rate)
-        self._push(when, "completion", (worker.wid, worker.sched_version))
+        when = min((ready for ready, _ in worker.joining), default=None)
+        if worker.inflight:
+            t = self.ticks.t_iter(len(worker.inflight))
+            n = min(task.v_end for task in worker.inflight.values()) - worker.v
+            if when is not None:
+                n = min(n, -((worker.boundary - when) // t))
+            when = worker.boundary + n * t
+        if when is not None:
+            self._push(when, "boundary", (worker.wid, worker.sched_version))
 
     # -- worker lifecycle -------------------------------------------------------
-
-    def _weights_available_at(self, step: int) -> float:
-        # Colocated step 1 and pipelined steps 1-2 roll out the initial weights.
-        first_trained = 2 if self.policy.name == "colocated" else 3
-        if step < first_trained:
-            return 0.0
-        return self.weight_avail.get(step - 1, math.inf)
 
     def _try_start(self, worker: _Worker, step: int) -> None:
         if step > self.steps:
             return
         rec = self._ensure_plan(step)
-        avail = self._weights_available_at(step)
-        if math.isinf(avail):
+        # Colocated step 1 and pipelined steps 1-2 roll out the initial weights.
+        first_trained = 2 if self.policy.name == "colocated" else 3
+        avail = 0 if step < first_trained else self.weight_avail.get(step - 1)
+        if avail is None:
             # Version not published yet; its train_done will wake us.
             self.weight_waiters.setdefault(step - 1, []).append((worker.wid, step))
             return
         start = max(worker.free_at, avail, self.now)
-        if start > self.now + _EPS:
+        if start > self.now:
             self._push(start, "start", (worker.wid, step))
             return
         worker.step = step
-        worker.v = 0.0
-        worker.last_advance = self.now
+        worker.v = 0
+        worker.boundary = self.now
         worker.inflight = {t.sid: t for t in rec.shares[worker.wid]}
         for task in rec.carry_in:
             if task.worker == worker.wid:
                 self._join(worker, task)
-        if worker.inflight:
-            self._open_share(worker)
+        if worker.inflight or worker.joining:
+            self._share(worker, True)
             self._reschedule(worker)
         else:
             self._finish_step_share(worker)
 
-    def _open_share(self, worker: _Worker) -> None:
-        if not worker.share_open:
-            worker.share_open = True
-            self.events.append({"kind": "share_start", "seq": self._next_seq(),
-                                "step": worker.step, "time": self.now, "worker": worker.wid})
-
-    def _close_share(self, worker: _Worker) -> None:
-        if worker.share_open:
-            worker.share_open = False
-            self.events.append({"kind": "share_end", "seq": self._next_seq(),
-                                "step": worker.step, "time": self.now, "worker": worker.wid})
+    def _share(self, worker: _Worker, is_open: bool) -> None:
+        """Open or close `worker`'s share, logging the change."""
+        if worker.share_open != is_open:
+            worker.share_open = is_open
+            self.events.append({"kind": "share_start" if is_open else "share_end",
+                                "seq": self._next_seq(), "step": worker.step,
+                                "time": self.now / _TICKS_PER_S, "worker": worker.wid})
 
     def _finish_step_share(self, worker: _Worker) -> None:
-        self._close_share(worker)
+        self._share(worker, False)
         worker.free_at = max(worker.free_at, self.now)
         if worker.step + 1 <= self.steps:
             self._push(self.now, "start", (worker.wid, worker.step + 1))
@@ -781,41 +793,48 @@ class _Simulation:
 
     # -- event handlers ----------------------------------------------------------
 
-    def _on_completion(self, wid: int, sched_version: int) -> None:
+    def _on_boundary(self, wid: int, sched_version: int) -> None:
         worker = self.workers[wid]
         if sched_version != worker.sched_version:
             return
-        self._advance_worker(worker, self.now)
-        rec = self.step[worker.step]
-        v = worker.v
-        finished = sorted(sid for sid, task in worker.inflight.items()
-                          if task.v_start + task.total_iters - v <= _EPS)
-        for sid in finished:
+        if worker.inflight:
+            worker.v += (self.now - worker.boundary) // self.ticks.t_iter(len(worker.inflight))
+        worker.boundary = self.now
+        rec, v, finished = self.step[worker.step], worker.v, False
+        for sid in sorted(sid for sid, task in worker.inflight.items() if task.v_end == v):
             task = worker.inflight.pop(sid)
+            if task.v_end - task.v_start < task.total_iters:
+                continue  # it left, migrating
+            finished = True
             if task.group is not None:
-                rec.group_completed[task.group] = rec.group_completed.get(task.group, 0) + 1
+                rec.group_completed[task.group] += 1
             self.events.append({
                 "continuation_version": task.continuation_version,
                 "iterations": task.total_iters, "kind": "rollout_finish",
                 "migrated": task.migrated, "sample": sid, "scheduled_step": task.epoch,
-                "seq": self._next_seq(), "step": worker.step, "time": self.now,
+                "seq": self._next_seq(), "step": worker.step, "time": self.now / _TICKS_PER_S,
                 "tokens": task.tokens_len, "weight_version": task.weight_version,
                 "worker": wid,
             })
             self._queue_reward(sid, worker.step)
+        if worker.joining:
+            for ready, task in worker.joining:
+                if ready <= self.now:
+                    task.v_start = v - task.done
+                    task.v_end = task.v_start + task.total_iters
+                    worker.inflight[task.sid] = task
+            worker.joining = [j for j in worker.joining if j[0] > self.now]
         if finished and rec.plan.groups is not None and self.policy.migration:
             self._check_migrations(rec)
-        if worker.inflight:
+        if worker.inflight or worker.joining:
             self._reschedule(worker)
-        elif worker.share_open:
-            # Skipped when a migration made by this check already drained the
-            # worker and closed its share, which also pushed its next start.
+        else:
             self._finish_step_share(worker)
 
     def _queue_reward(self, sid: str, attr_step: int) -> None:
         free_t, ridx = heapq.heappop(self.reward_free)
         start = max(self.now, free_t)
-        done = start + self.cost.reward_time
+        done = start + self.ticks.reward
         heapq.heappush(self.reward_free, (done, ridx))
         self._push(done, "reward_done", (sid, attr_step, start))
 
@@ -824,29 +843,22 @@ class _Simulation:
 
         Only a rollout in its group's `stragglers`, longer than beta times
         the group's longest history length, can pass `migration_decision`'s
-        length test: a rollout never generates more than its length, and
-        every other one a group runs is a migrant, which never moves again.
-        The lists are walked in group order, each by (worker, sid). A group
-        is tested for its last ALPHA_PCT% (`in_straggler_tail`) once, when
-        its scan begins: it can leave its tail during a check, by receiving a
-        migrant before its own scan. A rollout that has migrated, or is not
-        in its worker's `inflight`, is skipped but stays listed: one whose
-        worker has not started the step yet has still to run, and one that
-        finished never returns. Progress is read off each worker's clock and
-        nothing is committed here; a migration commits the two workers whose
-        batches it changes.
-
-        The groups' loads, each group's mean in-flight batch over its workers
-        still rolling out the step, are taken at the first live candidate,
-        before any migration in the check: `migration_decision` reads them
-        only for an intra-step candidate, and most checks have none.
+        length test: no rollout generates more than its length, and a
+        migrant never moves again. The lists are walked in group order, each
+        by (worker, sid); a group is tested for its last ALPHA_PCT%
+        (`in_straggler_tail`) when its scan begins, since a migrant received
+        earlier in the check can take it out. A rollout that has migrated or
+        is not in its worker's batch is skipped but stays listed: its worker
+        may not have started the step yet. The groups' loads (mean batch over
+        each group's workers still in the step) are taken at the first live
+        candidate, before any migration in the check.
         """
         beta, groups = rec.plan.beta, rec.plan.groups
         completed, total = rec.group_completed, rec.group_total
         n_groups = self.cluster.n_groups
         loads = None
         for g, stragglers in rec.stragglers.items():
-            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
+            if not in_straggler_tail(completed[g], total[g]):
                 continue
             for task in stragglers:
                 if task.migrated:
@@ -854,17 +866,17 @@ class _Simulation:
                 worker = self.workers[task.worker]
                 if task.sid not in worker.inflight:
                     continue
-                v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
-                # A rollout that has run all its iterations is finished,
-                # though its completion may not be handled yet (a tie with
-                # this worker's): it never migrates.
-                if task.v_start + task.total_iters - v <= _EPS:
+                v_leave = self._next_boundary(worker)[1]
+                # One that has run all its iterations by then is finished,
+                # though its worker's boundary may not be handled yet (a tie
+                # with this one's): it never migrates.
+                if v_leave == task.v_end:
                     continue
                 if loads is None:
                     loads = self._group_loads(rec)
                 decision = migration_decision(
-                    groups[g], task.generated_len(v - task.v_start), completed.get(g, 0),
-                    total.get(g, 0), beta, n_groups, loads,
+                    groups[g], task.generated_len(v_leave - task.v_start), completed[g],
+                    total[g], beta, n_groups, loads,
                 )
                 if not decision.migrates:
                     continue
@@ -874,19 +886,17 @@ class _Simulation:
                     self._migrate_inter(rec, worker, task)
 
     def _group_loads(self, rec: _Step) -> dict[int, float]:
-        loads = {}
-        for g, wids in rec.group_workers.items():
-            batches = [len(self.workers[w].inflight) for w in wids
-                       if self.workers[w].step == rec.number and self.workers[w].inflight]
-            if batches:
-                loads[g] = sum(batches) / len(batches)
-        return loads
+        loads = {g: [len(self.workers[w].inflight) for w in wids
+                     if self.workers[w].step == rec.number and self.workers[w].inflight]
+                 for g, wids in rec.group_workers.items()}
+        return {g: sum(batches) / len(batches) for g, batches in loads.items() if batches}
 
-    def _detach(self, source: _Worker, task: _Task) -> None:
-        """Take a decoding `task` off `source`, keeping its progress in `done`."""
-        self._advance_worker(source, self.now)
-        del source.inflight[task.sid]
-        task.done = source.v - task.v_start
+    def _detach(self, source: _Worker, task: _Task) -> int:
+        """Make `task` leave `source`'s batch at its next boundary, keeping
+        the whole iterations done by then in `done`; returns its tokens then."""
+        task.left_at, task.v_end = self._next_boundary(source)
+        task.done = task.v_end - task.v_start
+        return task.generated_len(task.done)
 
     def _migrate_intra(self, rec: _Step, source: _Worker, task: _Task,
                        target_group: int) -> None:
@@ -896,10 +906,8 @@ class _Simulation:
         ]
         if not candidates:
             return
-        target = min(candidates, key=lambda w: (len(w.inflight), w.wid))
-        self._detach(source, task)
-        generated = task.generated_len(task.done)
-        self._advance_worker(target, self.now)
+        target = min(candidates, key=lambda w: (len(w.inflight) + len(w.joining), w.wid))
+        generated = self._detach(source, task)
         self._join(target, task)
         task.migrated = True
         old_group = task.group
@@ -910,21 +918,17 @@ class _Simulation:
         self.events.append({
             "from_group": old_group, "from_worker": source.wid, "generated": generated,
             "kind": "migration", "migration_kind": "intra_step", "sample": task.sid,
-            "seq": self._next_seq(), "time": self.now,
+            "seq": self._next_seq(), "time": self.now / _TICKS_PER_S,
             "to_group": target_group, "to_worker": target.wid,
         })
         self._reschedule(target)
-        if source.inflight:
-            self._reschedule(source)
-        else:
-            self._finish_step_share(source)
+        self._reschedule(source)
 
     def _migrate_inter(self, rec: _Step, source: _Worker, task: _Task) -> None:
         nxt = self.step[rec.number + 1]
         if nxt.plan is not None and not self._carry_targets(nxt, task)[1]:
             return  # no worker could resume it next step: it finishes where it is
-        self._detach(source, task)
-        generated = task.generated_len(task.done)
+        generated = self._detach(source, task)
         task.migrated = True
         task.continuation_version = rec.number
         rec.group_total[task.group] -= 1
@@ -934,18 +938,15 @@ class _Simulation:
         self.events.append({
             "from_group": task.group, "from_worker": source.wid, "generated": generated,
             "kind": "migration", "migration_kind": "inter_step", "sample": task.sid,
-            "seq": self._next_seq(), "time": self.now, "to_step": nxt.number,
+            "seq": self._next_seq(), "time": self.now / _TICKS_PER_S, "to_step": nxt.number,
         })
         nxt.carry_in.append(task)
         if nxt.plan is not None:
             self._bind_carry(nxt, task)
         self._push(self.now, "train_check", (rec.number,))
-        if source.inflight:
-            self._reschedule(source)
-        else:
-            self._finish_step_share(source)
+        self._reschedule(source)
 
-    def _on_reward_done(self, sid: str, attr_step: int, start: float) -> None:
+    def _on_reward_done(self, sid: str, attr_step: int, start: int) -> None:
         # A sample rewarded after its step's train started counts toward the
         # next step still accepting samples, if there is one.
         step = attr_step
@@ -955,8 +956,8 @@ class _Simulation:
         counted = not rec.train_started
         self.events.append({
             "buffered_for": step if counted and step != attr_step else None,
-            "kind": "reward_done", "sample": sid, "seq": self._next_seq(), "start": start,
-            "step": attr_step, "time": self.now,
+            "kind": "reward_done", "sample": sid, "seq": self._next_seq(),
+            "start": start / _TICKS_PER_S, "step": attr_step, "time": self.now / _TICKS_PER_S,
         })
         if counted:
             rec.rewarded += 1
@@ -978,7 +979,7 @@ class _Simulation:
             self._start_colocated_train(rec)
         else:
             start = max(self.now, self.train_free)
-            duration = self.cost.t_train(rec.rewarded)
+            duration = self.ticks.t_train(rec.rewarded)
             rec.train_started = True
             self.train_free = start + duration
             self._push(start + duration, "train_done", (step, start, None))
@@ -990,19 +991,19 @@ class _Simulation:
             if worker.step < rec.number or worker.inflight:
                 return
         rec.train_started = True
-        duration = self.cost.t_train(rec.rewarded)
-        switch = self.cost.context_switch_frac * duration
+        duration = self.ticks.t_train(rec.rewarded)
+        switch = self.ticks.switch_base + self.ticks.switch_per_sample * rec.rewarded
         start = self.now
         # Every worker switches to training, trains, and switches back.
         switch_span = [start, start + 2 * switch + duration]
         for worker in self.workers:
-            self._close_share(worker)
+            self._share(worker, False)
             worker.free_at = switch_span[1]
         self._push(start + switch + duration, "train_done",
                    (rec.number, start + switch, switch_span))
 
-    def _on_train_done(self, step: int, start: float, switch: list[float] | None) -> None:
-        duration = self.now - start
+    def _on_train_done(self, step: int, start: int, switch: list[int] | None) -> None:
+        duration = (self.now - start) / _TICKS_PER_S
         self.last_train_duration = duration
         rec = self.step[step]
         rec.trained = True
@@ -1012,16 +1013,19 @@ class _Simulation:
         if self.policy.name == "colocated":
             version, avail = step, self.now
         else:
-            version, avail = step + 1, self.now + self.cluster.weight_propagation_delay
+            version, avail = step + 1, self.now + self.ticks.weight_delay
         self.weight_avail[version] = avail
         self.events.append({
             "batch": rec.rewarded, "duration": duration, "kind": "train_done",
-            "publishes_version": version, "seq": self._next_seq(), "start": start,
-            "step": step, "switch": switch, "time": self.now,
+            "publishes_version": version, "seq": self._next_seq(),
+            "start": start / _TICKS_PER_S, "step": step,
+            "switch": None if switch is None else [tick / _TICKS_PER_S for tick in switch],
+            "time": self.now / _TICKS_PER_S,
         })
         self.events.append({
-            "available_at": avail, "kind": "weight_update", "seq": self._next_seq(),
-            "time": self.now, "trained_on_step": step, "version": version,
+            "available_at": avail / _TICKS_PER_S, "kind": "weight_update",
+            "seq": self._next_seq(), "time": self.now / _TICKS_PER_S, "trained_on_step": step,
+            "version": version,
         })
         for wid, wait_step in self.weight_waiters.pop(version, []):
             self._push(avail, "start", (wid, wait_step))
@@ -1036,19 +1040,15 @@ class _Simulation:
         if self.policy.speculation:
             self.replayed = histospec(self.trace)
         for worker in self.workers:
-            self._push(0.0, "start", (worker.wid, 1))
+            self._push(0, "start", (worker.wid, 1))
         while self._heap:
-            time, _seq, kind, data = heapq.heappop(self._heap)
-            self.now = max(self.now, time)
+            self.now, _seq, kind, data = heapq.heappop(self._heap)
             if kind == "start":
-                wid, step = data
-                worker = self.workers[wid]
-                if worker.step >= step or worker.inflight:
-                    continue
-                if worker.step == step - 1:
+                worker, step = self.workers[data[0]], data[1]
+                if worker.step == step - 1 and not (worker.inflight or worker.joining):
                     self._try_start(worker, step)
-            elif kind == "completion":
-                self._on_completion(*data)
+            elif kind == "boundary":
+                self._on_boundary(*data)
             elif kind == "reward_done":
                 self._on_reward_done(*data)
             elif kind == "train_check":
@@ -1073,13 +1073,13 @@ class _Simulation:
         if waiting:
             problems.append(f"workers still waiting for weights: {waiting}")
         if problems:
-            raise SimulationStalledError(
-                f"{self.policy.name} run stalled at t={self.now:.6f}: " + "; ".join(problems))
+            raise SimulationStalledError(f"{self.policy.name} run stalled at "
+                                         f"t={self.now / _TICKS_PER_S:.6f}: " + "; ".join(problems))
 
     def _finalize(self) -> SimResult:
         self._check_drained()
         self.events.append({"kind": "run_end", "rollout_workers": len(self.workers),
-                            "seq": self._next_seq(), "time": self.now})
+                            "seq": self._next_seq(), "time": self.now / _TICKS_PER_S})
         return derive(self.events)
 
 

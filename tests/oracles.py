@@ -326,80 +326,82 @@ def longest_continuation_replay(
 # -- rollout worker oracle --------------------------------------------------------
 
 
-def _tokens_done(total_iters: int, profile: list[int] | None, progress: float) -> int:
-    idx = min(total_iters, max(0, math.floor(progress + 1e-9)))
-    if idx == 0:
-        return 0
-    return idx if profile is None else profile[idx - 1]
+def _tokens_done(profile: list[int] | None, iterations: int) -> int:
+    return iterations if not iterations or profile is None else profile[iterations - 1]
 
 
-def sliced_worker(tasks: dict, ops: list, t_iter, prefill_per_token: float):
-    """Finish times and observed progress of one rollout worker, advanced
-    slice by slice: every in-flight task's iterations left and prefill
-    seconds left are decremented over each interval between events.
+def iteration_worker(tasks: dict, ops: list, t_iter, prefill_per_token: int):
+    """Finish ticks and observed progress of one rollout worker, advanced one
+    whole iteration at a time, in integer ticks.
 
     `tasks` maps a sid to (total_iters, profile), `profile` being cumulative
     tokens per iteration or None for one token per iteration. `ops` is a
-    time-ordered list of (time, kind, sid):
-      - "join" puts a task in flight. A task detached earlier keeps its
-        progress and first spends prefill_per_token seconds per generated
-        token on prefill.
-      - "detach" takes a task that was never detached off the worker.
-      - "check" (sid None) reads every in-flight task never detached.
-    Ops a task cannot take (it is finished, in flight, or detached before)
-    are skipped. Every in-flight task counts in the batch; one past its
-    prefill advances 1 / t_iter(batch) iterations per second.
+    tick-ordered list of (tick, kind, sid):
+      - "join" queues a task that is not on the worker and not finished. A
+        task that left earlier keeps its progress and first spends
+        prefill_per_token ticks per generated token on prefill.
+      - "detach" makes a task of the batch that never left leave it, at the
+        next boundary, unless it finishes there.
+      - "check" (sid None) reads every task of the batch that never left and
+        does not finish at the next boundary, as it would be there.
+    Other ops are skipped. The batch changes only at boundaries, each
+    iteration taking t_iter(batch) ticks; a queued task enters at the first
+    boundary at or after its prefill ends, or then if the batch is empty.
 
-    Returns (finishes, observed): sid -> finish time, and one
-    (time, sid, progress, tokens) per detach and per task a check reads, in
-    op order and by sid within a check.
+    Returns (finishes, observed): sid -> finish tick, and one (tick, kind,
+    sid, tokens) per detach and per task a check reads, in op order and by
+    sid within a check.
     """
-    remaining: dict[str, float] = {}     # in flight: iterations left
-    prefill_left: dict[str, float] = {}  # in flight: prefill seconds left
-    kept: dict[str, float] = {}          # detached: iterations done
-    finishes: dict[str, float] = {}
+    batch: dict[str, int] = {}    # sid -> iterations done
+    queued: dict[str, int] = {}   # sid -> tick its prefill ends
+    leaving: set[str] = set()
+    kept: dict[str, int] = {}     # sid -> iterations done when it left
+    finishes: dict[str, int] = {}
     observed = []
+    now = 0  # the last boundary
 
-    def advance(elapsed: float) -> None:
-        if elapsed > 0 and remaining:
-            rate = t_iter(len(remaining))
-            for s in remaining:
-                used = min(prefill_left[s], elapsed)
-                prefill_left[s] -= used
-                remaining[s] -= (elapsed - used) / rate
+    def boundary() -> None:
+        for s in leaving:
+            kept[s] = batch.pop(s)
+        leaving.clear()
+        for s in sorted(queued):
+            if queued[s] <= now:
+                batch[s] = kept.get(s, 0)
+                del queued[s]
+        for s in sorted(batch):
+            if batch[s] == tasks[s][0]:
+                finishes[s] = now
+                del batch[s]
 
-    now = 0.0
-    for time, kind, sid in list(ops) + [(math.inf, "end", None)]:
-        while remaining:
-            rate = t_iter(len(remaining))
-            to = now + min(prefill_left[s] + max(0.0, remaining[s]) * rate for s in remaining)
-            if to > time:
+    for tick, kind, sid in list(ops) + [(math.inf, "end", None)]:
+        while batch or queued:
+            nxt = now + t_iter(len(batch)) if batch else min(queued.values())
+            if nxt > tick:
                 break
-            advance(to - now)
-            now = to
-            for s in sorted(remaining):
-                if remaining[s] <= 1e-9 and prefill_left[s] <= 1e-9:
-                    del remaining[s], prefill_left[s]
-                    finishes[s] = now
-        if math.isinf(time):
+            for s in batch:
+                batch[s] += 1
+            now = nxt
+            boundary()
+        if kind == "end":
             break
-        advance(time - now)
-        now = time
-        total, profile = tasks.get(sid, (0, None))
-        if kind == "join" and sid not in remaining and sid not in finishes:
-            progress = kept.get(sid, 0.0)
-            remaining[sid] = total - progress
-            prefill_left[sid] = _tokens_done(total, profile, progress) * prefill_per_token
-        elif kind == "detach" and sid in remaining and sid not in kept:
-            progress = total - remaining.pop(sid)
-            del prefill_left[sid]
-            kept[sid] = progress
-            observed.append((time, sid, progress, _tokens_done(total, profile, progress)))
+        # The iterations each task of the batch has done at the next boundary.
+        ahead = 0 if tick == now else 1
+        if kind == "join" and sid not in batch and sid not in queued and sid not in finishes:
+            queued[sid] = tick + _tokens_done(tasks[sid][1], kept.get(sid, 0)) * prefill_per_token
+            if batch and queued[sid] == now:  # ready at a boundary: it enters there
+                boundary()
+        elif kind == "detach" and sid in batch and sid not in leaving and sid not in kept:
+            total, profile = tasks[sid]
+            if batch[sid] + ahead < total:
+                observed.append((tick, kind, sid, _tokens_done(profile, batch[sid] + ahead)))
+                leaving.add(sid)
+                if not ahead:
+                    boundary()
         elif kind == "check":
-            for s in sorted(remaining):
-                if s not in kept:
-                    progress = tasks[s][0] - remaining[s]
-                    observed.append((time, s, progress, _tokens_done(*tasks[s], progress)))
+            for s in sorted(batch):
+                total, profile = tasks[s]
+                if s not in leaving and s not in kept and batch[s] + ahead < total:
+                    observed.append((tick, kind, s, _tokens_done(profile, batch[s] + ahead)))
     return finishes, observed
 
 

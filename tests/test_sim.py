@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import heapq
 import itertools
 import json
 import math
@@ -361,9 +362,11 @@ class TestPolicyBehavior:
 
     def test_zero_iteration_time_rejected(self):
         # The event loop would push every completion at the time it starts
-        # and never advance.
-        with pytest.raises(ValueError, match="per_iter_base"):
-            fast_cost(per_iter_base=0.0, per_iter_batch=0.0)
+        # and never advance; an iteration under half a tick rounds to 0.
+        for base, batch in [(0.0, 0.0), (4e-10, 0.0), (0.0, 4.9e-10), (4e-10, 4e-10)]:
+            with pytest.raises(ValueError, match="per_iter_base"):
+                fast_cost(per_iter_base=base, per_iter_batch=batch)
+        assert fast_cost(per_iter_base=0.0, per_iter_batch=6e-10).t_iter(1) > 0
         assert fast_cost(per_iter_base=0.0).t_iter(1) > 0
         assert fast_cost(per_iter_batch=0.0).t_iter(1) > 0
 
@@ -371,6 +374,36 @@ class TestPolicyBehavior:
     def test_bad_weight_propagation_delay_rejected(self, delay):
         with pytest.raises(ValueError, match="weight_propagation_delay"):
             ClusterSpec(**CLUSTER, weight_propagation_delay=delay)
+
+
+class TestExactTime:
+    @pytest.mark.parametrize("name", ALL_POLICIES)
+    def test_train_duration_is_the_cost_models_to_the_tick(self, name):
+        # The duration is the cost model's train time of the batch, not a
+        # difference of clock readings; colocated's switch spans one context
+        # switch before the job and one after it.
+        cost = fast_cost(context_switch_frac=0.07)
+        ticks = sim_module._Ticks.of(cost, ClusterSpec(**CLUSTER))
+        res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER), Policy(name), cost)
+        trains = [e for e in res.events if e["kind"] == "train_done"]
+        assert len(trains) == 3
+        for e in trains:
+            assert e["duration"] == ticks.t_train(e["batch"]) / 1e9
+            start, time = round(e["start"] * 1e9), round(e["time"] * 1e9)
+            assert time - start == ticks.t_train(e["batch"])
+            if name == "colocated":
+                s = ticks.switch_base + ticks.switch_per_sample * e["batch"]
+                assert e["switch"] == [(start - s) / 1e9, (time + s) / 1e9]
+            else:
+                assert e["switch"] is None
+
+    def test_times_are_whole_ticks(self):
+        res = run(longtail_trace(epochs=3), ClusterSpec(**CLUSTER),
+                  Policy("histopipe_two_tier", speculation=True), fast_cost())
+        for e in res.events:
+            for t in [e[k] for k in ("time", "start", "available_at", "duration") if k in e] \
+                    + (e.get("switch") or []):
+                assert round(t * 1e9) / 1e9 == t
 
 
 class TestPlanStep:
@@ -726,15 +759,15 @@ class TestPinnedEventLogs:
 
     PINNED = {
         ("histopipe_two_tier", True):
-            "7cd54f0166c87c3fe1a0765a61bbd9e3d5b753878dbc476eba3a188eb3dcc0e6",
+            "31ed5c333acbfd14c71eb26003b49c530af478df23159cd435bb57435de7c69a",
         ("streaming", True):
-            "77775f67f8c40a3c434476efeb67ac1a8bb6522a3f849b36c2a921ce3dae8e4a",
+            "1137bec7603e44e9fb76f59e46896a19553231c818f2dcc3a431d76b57fb8135",
         ("histopipe_two_tier", False):
-            "1a0a27d3bca7e9180d768b18db83719f64dd34adc1cf01464e8eb1db18bda55a",
+            "9707b701f08ccf07af983b5740632c1d2b243ed38f29be053b581ccc264d0cc8",
         ("colocated", False):
-            "d384cadc0143c8c6f60ea362a19bc5301c11872525c2447006730ea61c16ae41",
+            "ddf7e405115252c58cc03d90e0d172a137f94bd925126e841864fd2214c4b918",
         ("histopipe_naive", True):
-            "9e2effed2a265513791664ea2ff0eddb95690130bb1dd91620e05bae1c8ff0d2",
+            "b5a8feffcce770c487c941c6d8b418520de27df869a27e72faf124954cca9502",
     }
 
     @pytest.mark.parametrize("name,speculation", sorted(PINNED))
@@ -748,17 +781,17 @@ class TestPinnedEventLogs:
     # epoch-1 index: each prompt drafts from its latest earlier epoch.
     PINNED_EDITED = {
         ("dropped", "streaming"):
-            "15cd8d2f66a154ab9ed8d6accabfb54911580f94d641fc4eb460ed6660e43ca3",
+            "1e7c56e6ac478acce4a210ca77dc7f156f5112f669e11941437dba70e2e549da",
         ("dropped", "histopipe_naive"):
-            "16395d5565debab0bcbb3be0e3631ff0d55ac8a8c87f58ac4c72e4b0672c214c",
+            "b8a821887f88ece096463f1d9fe3360907b578ddfeb7e0eab3fed2a7309ae3e9",
         ("dropped", "histopipe_two_tier"):
-            "950cb09048e47312dd1fb17f9f8ab63e2a3461b6f878b595f9a08c544b011df4",
+            "f229ae20a9311df961857754afece135fd0ea8ba2aab037d0be6776da7429b7f",
         ("added", "streaming"):
-            "3e410af2523aa99c214772ec4b0c9edf40aea51555d4faca33cf847792d54edb",
+            "6c099dfec73a6578a60e2599d209a08b6d65bdf7e3d9ace817b140880a31eed2",
         ("added", "histopipe_naive"):
-            "cca5413bad0c1df83f184e47c998957575712f2a3f6c4119e1905fbeadbb9a71",
+            "d5ac1043d3f7c83b049a9d4477b8ff33386e9409f41cde204a45f7a082a4154a",
         ("added", "histopipe_two_tier"):
-            "5ad96524a184c4f35543dbd1e1432c7d3c717dd8cb028ea74341730ea1c677cc",
+            "0cff99cec8aca728c1da0be89225e5f20fe67fc3aafe947e326ed643a91a0b43",
     }
 
     @pytest.mark.parametrize("edit,name", sorted(PINNED_EDITED))
@@ -771,9 +804,9 @@ class TestPinnedEventLogs:
     # migration path is pinned too: (sha256, migrations, inter-step ones).
     PINNED_MIGRATING = {
         "histopipe_two_tier":
-            ("5855d3a451608550eeb733559dfaa3bd67c755fa7104cd1e427f0e9c4ef1f463", 15, 6),
+            ("901198027c39c929f5dbcdb0e768869b34f49d38990f83b2be46fbe0593010b2", 15, 6),
         "histopipe_naive":
-            ("ffe3aa198a549ae86d94daa27b16030d8691a44cb867ba672c02f531c88040d5", 11, 3),
+            ("2d30c3102baae235e87cb8fb9ceae9ddc5ce127d006a6496b00b723f8b1f2c96", 10, 3),
     }
 
     @staticmethod
@@ -862,38 +895,39 @@ class TestPinnedEventLogs:
 
 @st.composite
 def worker_scripts(draw):
-    """(tasks, ops) for `oracles.sliced_worker`: up to 6 tasks of 1-40
+    """(tasks, ops) for `oracles.iteration_worker`: up to 6 tasks of 1-40
     iterations, some speculative (1-4 tokens per iteration), and up to 25
-    joins, detaches and checks 0-50 ms apart."""
+    joins, detaches and checks 0-50 ms apart, often on a whole millisecond,
+    where iteration boundaries fall."""
     tasks = {}
     for i in range(draw(st.integers(1, 6))):
         total = draw(st.integers(1, 40))
         steps = draw(st.none() | st.lists(st.integers(1, 4), min_size=total, max_size=total))
         tasks[f"s{i}"] = (total, None if steps is None else list(itertools.accumulate(steps)))
     ops = []
-    time = 0.0
+    tick = 0
     for _ in range(draw(st.integers(1, 25))):
-        time += draw(st.floats(0.0, 0.05))
+        tick += draw(st.integers(0, 50).map(lambda ms: ms * 10**6) | st.integers(0, 5 * 10**7))
         kind = draw(st.sampled_from(["join", "join", "detach", "check"]))
-        ops.append((time, kind, None if kind == "check" else draw(st.sampled_from(sorted(tasks)))))
+        ops.append((tick, kind, None if kind == "check" else draw(st.sampled_from(sorted(tasks)))))
     return tasks, ops
 
 
 class TestWorkerClock:
-    """One worker's iteration clock against `oracles.sliced_worker`, the
-    slice-by-slice model it replaced. Joins and detaches go through the
+    """One worker's iteration clock against `oracles.iteration_worker`, which
+    steps one iteration at a time. Joins and detaches go through the
     simulator's own migration helpers, checks through `_check_migrations`
-    and finishes through `_on_completion`; only the event loop is scripted."""
+    and batch changes through `_on_boundary`; only the event loop is scripted."""
 
-    COST = fast_cost(prefill_per_token=0.002)
+    # Iterations of whole milliseconds: 5 ms at a batch of 1, 1 ms more per rollout.
+    COST = fast_cost(per_iter_batch=0.001, prefill_per_token=0.002)
 
     @classmethod
     def one_worker(cls):
         """A simulation whose event loop the test drives: worker 0 runs step
         1, in one group that is in its straggler tail and has no history
         length, so that every rollout is long enough to be a migration
-        candidate. Returns it and the list its completions are scheduled
-        into."""
+        candidate. Returns it and the list its boundaries are scheduled into."""
         sim = sim_module._Simulation(uniform_trace(epochs=1),
                                      ClusterSpec(rollout_workers=1, reward_workers=1, n_groups=1),
                                      Policy("streaming", migration=False), cls.COST)
@@ -904,20 +938,18 @@ class TestWorkerClock:
                                         policy="clock", beta=BETA_FLOOR)
         step.group_workers, step.group_total, step.group_completed = {0: [0]}, {0: 100}, {0: 99}
         sim.workers[0].step = 1
-        completions = []
-        sim._push = lambda time, kind, data: kind == "completion" and completions.append(time)
-        return sim, completions
+        boundaries = []
+        sim._push = lambda time, kind, data: kind == "boundary" and boundaries.append(time)
+        return sim, boundaries
 
     @staticmethod
-    def settle(sim, completions, until):
-        """Run worker 0's completions due by `until`. The latest one pushed
+    def settle(sim, boundaries, until):
+        """Run worker 0's batch changes due by `until`. The latest one pushed
         is the live one: every reschedule pushes one."""
         worker = sim.workers[0]
-        while worker.inflight and completions[-1] <= until:
-            sim.now = completions[-1]
-            before = len(sim.events)
-            sim._on_completion(0, worker.sched_version)
-            assert len(sim.events) > before, "a completion fired with nothing finished"
+        while (worker.inflight or worker.joining) and boundaries[-1] <= until:
+            sim.now = boundaries[-1]
+            sim._on_boundary(0, worker.sched_version)
 
     @staticmethod
     def task(sid, total, profile=None):
@@ -927,7 +959,7 @@ class TestWorkerClock:
 
     @classmethod
     def run_clock(cls, tasks, ops):
-        sim, completions = cls.one_worker()
+        sim, boundaries = cls.one_worker()
         step, worker = sim.step[1], sim.workers[0]
         by_sid = {sid: cls.task(sid, total, profile) for sid, (total, profile) in tasks.items()}
         joined = {}  # sid -> task, every task ever joined: the check's candidates
@@ -940,47 +972,42 @@ class TestWorkerClock:
 
         with mock.patch.object(sim_module, "migration_decision", decide):
             for time, kind, sid in ops:
-                cls.settle(sim, completions, time)
+                cls.settle(sim, boundaries, time)
                 sim.now = time
                 task = by_sid.get(sid)
                 finished = {e["sample"] for e in sim.events if e["kind"] == "rollout_finish"}
-                if kind == "join" and sid not in worker.inflight and sid not in finished:
-                    sim._advance_worker(worker, time)
+                on_worker = set(worker.inflight) | {t.sid for _, t in worker.joining}
+                if kind == "join" and sid not in on_worker and sid not in finished:
                     sim._join(worker, task)
                     sim._reschedule(worker)
                     joined[sid] = task
                     step.stragglers[0] = [joined[s] for s in sorted(joined)]
                 elif kind == "detach" and sid in worker.inflight and not task.migrated:
-                    sim._detach(worker, task)
-                    task.migrated = True
-                    observed.append((time, sid, task.generated_len(task.done)))
-                    sim._reschedule(worker)
+                    if sim._next_boundary(worker)[1] < task.v_end:
+                        observed.append((time, sid, sim._detach(worker, task)))
+                        task.migrated = True
+                        sim._reschedule(worker)
                 elif kind == "check":
                     read.clear()
                     sim._check_migrations(step)
-                    readable = sorted(s for s, t in worker.inflight.items() if not t.migrated)
-                    assert len(read) == len(readable)
-                    observed += [(time, s, n) for s, n in zip(readable, read)]
-            cls.settle(sim, completions, math.inf)
-        finishes = {e["sample"]: e["time"] for e in sim.events if e["kind"] == "rollout_finish"}
+                    observed += [(time, None, n) for n in read]
+            cls.settle(sim, boundaries, math.inf)
+        finishes = {e["sample"]: round(e["time"] * 1e9) for e in sim.events
+                    if e["kind"] == "rollout_finish"}
         return finishes, observed
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(drawn=worker_scripts())
-    def test_matches_sliced_model(self, drawn):
+    def test_matches_iteration_model(self, drawn):
         tasks, ops = drawn
-        want, want_observed = oracles.sliced_worker(tasks, ops, self.COST.t_iter,
-                                                    self.COST.prefill_per_token)
-        # Away from ties: no op at a finish time, and no progress read within
-        # 1e-6 of a nonzero integer, where a last-bit difference may change
-        # the token count.
-        assume(all(abs(t - f) > 1e-9 * max(1.0, f) for f in want.values() for t, _, _ in ops))
-        assume(all(p == 0 or abs(p - round(p)) > 1e-6 for _, _, p, _ in want_observed))
+        ticks = sim_module._Ticks.of(self.COST, ClusterSpec(rollout_workers=1, n_groups=1))
+        want, want_observed = oracles.iteration_worker(tasks, ops, ticks.t_iter,
+                                                       ticks.prefill_per_token)
         finishes, observed = self.run_clock(tasks, ops)
-        assert finishes.keys() == want.keys()
-        for sid, t in want.items():
-            assert finishes[sid] == pytest.approx(t, rel=1e-9, abs=1e-12)
-        assert observed == [(t, sid, tokens) for t, sid, _, tokens in want_observed]
+        assert finishes == want
+        # A check reads its rollouts in sid order without naming them.
+        assert observed == [(t, sid if kind == "detach" else None, tokens)
+                            for t, kind, sid, tokens in want_observed]
 
     def test_check_passes_over_a_migrant_not_bound_yet(self):
         # An inter-step migrant stays in its group's straggler list, with no
@@ -993,17 +1020,35 @@ class TestWorkerClock:
         with mock.patch.object(sim_module, "migration_decision", side_effect=AssertionError):
             sim._check_migrations(sim.step[1])
 
-    def test_rollout_moved_as_it_finishes_ends_after_its_prefill(self):
-        # A rollout can be migrated at the instant it completes, when another
-        # worker's check comes first at a tied time; it joins with `done` a
-        # hair past its iterations and must still finish, once its prefill ends.
-        sim, completions = self.one_worker()
-        worker, task = sim.workers[0], self.task("s0", 10)
-        task.done = 10 + 1e-10
-        sim.now = 100.0
-        sim._advance_worker(worker, sim.now)
-        sim._join(worker, task)
-        sim._reschedule(worker)
-        self.settle(sim, completions, math.inf)
-        [finish] = [e["time"] for e in sim.events if e["kind"] == "rollout_finish"]
-        assert finish == pytest.approx(100.0 + 10 * self.COST.prefill_per_token, abs=1e-12)
+    def test_tied_last_rollouts_finish_in_reschedule_order_and_never_migrate(self):
+        # Two workers, each the only one of its group, whose last rollouts
+        # end at one tick. Their boundaries run in the order the workers last
+        # rescheduled: worker 1 started first, so its finish is logged first.
+        # Worker 1's check then reads worker 0's rollout, in its group's
+        # straggler tail, as finished at that tick, so it never asks whether
+        # to migrate it.
+        sim = sim_module._Simulation(uniform_trace(epochs=1),
+                                     ClusterSpec(rollout_workers=2, reward_workers=1, n_groups=2),
+                                     Policy("streaming"), self.COST)
+        rec = sim.step[1]
+        rec.plan = sim_module.StepPlan(
+            groups=[RankingGroup(0, ["p"], max_hist_len=0.0), RankingGroup(1, ["p"], 0.0)],
+            group_batches={0: 1, 1: 1}, worker_groups={0: 0, 1: 1}, allocation=None,
+            policy="tie", beta=BETA_FLOOR)
+        rec.group_workers, rec.group_total, rec.group_completed = \
+            {0: [0], 1: [1]}, {0: 1, 1: 1}, {0: 0, 1: 0}
+        tasks = [self.task(f"s{w}", 10) for w in (0, 1)]
+        for w, task in enumerate(tasks):
+            task.worker, task.group, task.v_end = w, w, task.total_iters
+            rec.shares[w], rec.stragglers[w] = [task], [task]
+        for w in (1, 0):
+            sim._try_start(sim.workers[w], 1)
+        with mock.patch.object(sim_module, "migration_decision", side_effect=AssertionError):
+            while sim._heap:
+                sim.now, _seq, kind, data = heapq.heappop(sim._heap)
+                if kind == "boundary":
+                    sim._on_boundary(*data)
+        finishes = [e for e in sim.events if e["kind"] == "rollout_finish"]
+        assert [(e["worker"], e["sample"]) for e in finishes] == [(1, "s1"), (0, "s0")]
+        assert {e["time"] for e in finishes} == {10 * (0.004 + 0.001)}
+        assert not any(e["kind"] == "migration" for e in sim.events)

@@ -11,6 +11,7 @@ is infeasible or migrates shows with `--hypothesis-show-statistics`.
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from collections import Counter, defaultdict
@@ -310,21 +311,20 @@ class FullScan(sim_module._Simulation):
             if batches:
                 loads[g] = sum(batches) / len(batches)
         for g, wids in rec.group_workers.items():
-            if not in_straggler_tail(completed.get(g, 0), total.get(g, 0)):
+            if not in_straggler_tail(completed[g], total[g]):
                 continue
             for wid in wids:
                 worker = self.workers[wid]
                 if worker.step != rec.number or not worker.inflight:
                     continue
-                v = worker.v + (self.now - worker.last_advance) / self._t_iter(worker)
+                v_leave = self._next_boundary(worker)[1]
                 for sid in sorted(worker.inflight):
                     task = worker.inflight[sid]
-                    if task.migrated or task.v_start + task.total_iters - v <= sim_module._EPS:
+                    if task.migrated or v_leave == task.v_end:
                         continue
                     decision = migration_decision(
-                        rec.plan.groups[g], task.generated_len(v - task.v_start),
-                        completed.get(g, 0), total.get(g, 0), rec.plan.beta,
-                        self.cluster.n_groups, loads)
+                        rec.plan.groups[g], task.generated_len(v_leave - task.v_start),
+                        completed[g], total[g], rec.plan.beta, self.cluster.n_groups, loads)
                     if decision.kind == "intra_step":
                         self._migrate_intra(rec, worker, task, decision.target_group)
                     elif decision.kind == "inter_step" and rec.number < self.steps:
@@ -337,8 +337,8 @@ class FullScan(sim_module._Simulation):
 def test_only_rollouts_longer_than_beta_history_migrate(name, drawn):
     """The migration check visits only the rollouts whose length exceeds
     beta times their group's longest history length. That is exact because
-    no rollout, replayed or not, has generated more than its length at any
-    progress, even past its last iteration; so every migrated rollout is
+    no rollout, replayed or not, has generated more than its length after
+    any number of its iterations; so every migrated rollout is
     one of those, in the group and step it was dealt to, and the run's log
     is the one a check reading every rollout writes."""
     responses, cluster = drawn
@@ -355,8 +355,8 @@ def test_only_rollouts_longer_than_beta_history_migrate(name, drawn):
     dealt = {task.sid: (rec, task) for rec in sim.step.values()
              for share in rec.shares.values() for task in share}
     for _, task in dealt.values():
-        assert all(task.generated_len(half / 2) <= task.tokens_len
-                   for half in range(2 * task.total_iters + 4))
+        assert all(task.generated_len(progress) <= task.tokens_len
+                   for progress in range(task.total_iters + 1))
     migrations = [e for e in res.events if e["kind"] == "migration"]
     event("migrated" if migrations else "no migration")
     for m in migrations:
@@ -415,3 +415,36 @@ def test_histospec_replays_against_the_latest_earlier_index(drawn, cpus):
             want[step, pid] = [replay_response(resp.tokens, tree)
                                for resp in trace.group(step, pid)]
     assert got == want
+
+
+TIME_FIELDS = ("time", "start", "available_at", "duration", "switch")
+
+
+def in_ticks(value):
+    return None if value is None else round(value * 1e9)
+
+
+@pytest.mark.parametrize("name", ["colocated", "streaming", "histopipe_naive"])
+@settings(max_examples=15, deadline=None)
+@given(drawn=small_runs(), speculation=st.booleans(), k=st.integers(2, 7))
+def test_scaling_every_tick_cost_scales_every_time(name, speculation, k, drawn):
+    """Multiplying every tick cost by k multiplies every time in the log, in
+    ticks, by k and leaves the rest of the log byte-identical: the clock adds
+    and multiplies whole ticks, and nothing else reads a duration. Two-tier
+    is left out: its planner compares durations in seconds with a fixed
+    search precision, so its plan is not free of scale."""
+    responses, cluster = drawn
+    policy = Policy(name, speculation=speculation)
+    logs = []
+    for scale in (1, k):
+        sim = sim_module._Simulation(Trace(responses), cluster, policy, COST)
+        sim.ticks = sim_module._Ticks(*(scale * t for t in sim.ticks))
+        logs.append(sim.run().events)
+    for base, scaled in zip(*logs, strict=True):
+        for key in TIME_FIELDS:
+            if key == "switch" and base.get(key) is not None:
+                assert list(map(in_ticks, scaled[key])) == [k * in_ticks(t) for t in base[key]]
+            elif key in base and base[key] is not None:
+                assert in_ticks(scaled[key]) == k * in_ticks(base[key])
+        rest = [{f: v for f, v in e.items() if f not in TIME_FIELDS} for e in (base, scaled)]
+        assert json.dumps(rest[0]) == json.dumps(rest[1])
