@@ -24,8 +24,10 @@ fall at `boundary + k * t_iter`. A response in the batch stores the counts
   the worker's first boundary at or after its prefill ends (at once into an
   empty batch).
 
-Events of one tick run in the order they were queued, by the `seq` counter
-that also numbers the log's records. So, at one tick: an event queued for the
+The queue is a heap of `(tick, seq, handler, args)` entries, and the loop
+pops the earliest and calls `handler(*args)`. Each push draws one `seq` from
+the counter that also numbers the log's records, so events of one tick run
+in the order they were queued. So, at one tick: an event queued for the
 current tick runs after every one already queued for it; two workers'
 boundaries run in the order the workers last rescheduled, and the first
 one's check reads the other's rollouts that end there as finished; within a
@@ -45,6 +47,8 @@ once a batch-size worth of the step's samples has been rewarded;
 oversampling lowers that threshold and late samples count toward the next
 step's batch, as does an inter-step migrant, under the next step's version.
 Each step is one `_Step` record, planned when a worker first reaches it.
+HistoPipe plans each step from 2 on (`plan_step`) but one with fewer prompts
+than `n_groups`: that rolls out round robin, as step 1 does ("streaming").
 
 HistoSpec is one pass computed before the event loop (`histospec`): for every
 prompt of every step from 2 on, it builds the prompt's suffix index over its
@@ -76,7 +80,7 @@ import statistics
 import warnings
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -224,7 +228,6 @@ class _Task:
     total_iters: int
     profile: array | None  # cumulative tokens after each iteration; None = 1/iter
     group: int | None
-    weight_version: int
     v_start: int = 0          # its worker's `v` at its progress 0
     v_end: int = 0            # its worker's `v` when it leaves the batch
     done: int = 0             # iterations done before it joins its worker
@@ -484,6 +487,9 @@ def plan_step(trace: Trace, replayed: Mapping[tuple[int, str], list[Replayed]], 
 
     `beta` is `beta_from_history` over the growth in median length from
     epoch step-2 to step-1 of the prompts in both, or BETA_FLOOR at step 2.
+
+    A step with fewer prompts than `n_groups` has no plan: `build_groups`
+    raises ValueError, and a HistoPipe run rolls the step out round robin.
     """
     last = len(trace.epochs)
     if trace.epochs != list(range(1, last + 1)):
@@ -591,7 +597,7 @@ class _Simulation:
 
         self.workers = [_Worker(w) for w in range(cluster.rollout_workers)]
         self.events: list[dict] = []  # `events.EVENTS` records, keys sorted at every level
-        self._heap: list[tuple[int, int, str, tuple]] = []
+        self._heap: list[tuple[int, int, Callable, tuple]] = []  # (tick, seq, handler, args)
         # One counter breaks the heap's tick ties and gives each record its `seq`.
         self._seq = 0
         self.now = 0  # in ticks
@@ -609,9 +615,9 @@ class _Simulation:
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, time: int, kind: str, data: tuple) -> None:
+    def _push(self, time: int, handler: Callable, *args) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, data))
+        heapq.heappush(self._heap, (time, self._seq, handler, args))
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -630,7 +636,8 @@ class _Simulation:
         if step > 1:
             self._ensure_plan(step - 1)
         n = len(self.workers)
-        if self.policy.is_histopipe and step >= 2:
+        if (self.policy.is_histopipe and step >= 2
+                and len(self.trace.epoch_responses(step)) >= self.cluster.n_groups):
             plan = plan_step(self.trace, self.replayed, step, self.cluster, self.cost,
                              self.last_train_duration,
                              two_tier=self.policy.name == "histopipe_two_tier")
@@ -666,7 +673,7 @@ class _Simulation:
                         sid=f"{pid}/e{step}/{member}", prompt=pid, epoch=step,
                         tokens_len=resp.generated_len,
                         total_iters=iters, profile=None if replay is None else replay.profile,
-                        group=group, weight_version=step - 1, v_end=iters, worker=wid,
+                        group=group, v_end=iters, worker=wid,
                     ))
                     i += 1
         rec.expected += sum(map(len, rec.shares.values()))
@@ -678,8 +685,7 @@ class _Simulation:
             if stragglers:
                 rec.stragglers[g.index] = stragglers
         for task in rec.carry_in:
-            if task.worker is None:
-                self._bind_carry(rec, task)
+            self._bind_carry(rec, task)
 
         self.events.append({
             "allocation": plan.allocation.as_dict() if plan.allocation else None,
@@ -743,12 +749,15 @@ class _Simulation:
                 n = min(n, -((worker.boundary - when) // t))
             when = worker.boundary + n * t
         if when is not None:
-            self._push(when, "boundary", (worker.wid, worker.sched_version))
+            self._push(when, self._on_boundary, worker.wid, worker.sched_version)
 
     # -- worker lifecycle -------------------------------------------------------
 
-    def _try_start(self, worker: _Worker, step: int) -> None:
-        if step > self.steps:
+    def _on_start(self, wid: int, step: int) -> None:
+        """Start worker `wid` on `step` once it is done with the step before
+        and the step's weights are out: now, or by a start queued for then."""
+        worker = self.workers[wid]
+        if step > self.steps or worker.step != step - 1 or worker.inflight or worker.joining:
             return
         rec = self._ensure_plan(step)
         # Colocated step 1 and pipelined steps 1-2 roll out the initial weights.
@@ -756,18 +765,16 @@ class _Simulation:
         avail = 0 if step < first_trained else self.weight_avail.get(step - 1)
         if avail is None:
             # Version not published yet; its train_done will wake us.
-            self.weight_waiters.setdefault(step - 1, []).append((worker.wid, step))
+            self.weight_waiters.setdefault(step - 1, []).append((wid, step))
             return
         start = max(worker.free_at, avail, self.now)
         if start > self.now:
-            self._push(start, "start", (worker.wid, step))
+            self._push(start, self._on_start, wid, step)
             return
-        worker.step = step
-        worker.v = 0
-        worker.boundary = self.now
-        worker.inflight = {t.sid: t for t in rec.shares[worker.wid]}
+        worker.step, worker.v, worker.boundary = step, 0, self.now
+        worker.inflight = {t.sid: t for t in rec.shares[wid]}
         for task in rec.carry_in:
-            if task.worker == worker.wid:
+            if task.worker == wid:
                 self._join(worker, task)
         if worker.inflight or worker.joining:
             self._share(worker, True)
@@ -787,9 +794,9 @@ class _Simulation:
         self._share(worker, False)
         worker.free_at = max(worker.free_at, self.now)
         if worker.step + 1 <= self.steps:
-            self._push(self.now, "start", (worker.wid, worker.step + 1))
+            self._push(self.now, self._on_start, worker.wid, worker.step + 1)
         if self.policy.name == "colocated":
-            self._push(self.now, "train_check", (worker.step,))
+            self._push(self.now, self._on_train_check, worker.step)
 
     # -- event handlers ----------------------------------------------------------
 
@@ -813,7 +820,7 @@ class _Simulation:
                 "iterations": task.total_iters, "kind": "rollout_finish",
                 "migrated": task.migrated, "sample": sid, "scheduled_step": task.epoch,
                 "seq": self._next_seq(), "step": worker.step, "time": self.now / _TICKS_PER_S,
-                "tokens": task.tokens_len, "weight_version": task.weight_version,
+                "tokens": task.tokens_len, "weight_version": task.epoch - 1,
                 "worker": wid,
             })
             self._queue_reward(sid, worker.step)
@@ -836,7 +843,7 @@ class _Simulation:
         start = max(self.now, free_t)
         done = start + self.ticks.reward
         heapq.heappush(self.reward_free, (done, ridx))
-        self._push(done, "reward_done", (sid, attr_step, start))
+        self._push(done, self._on_reward_done, sid, attr_step, start)
 
     def _check_migrations(self, rec: _Step) -> None:
         """Migrate the stragglers of every group still rolling out this step.
@@ -878,12 +885,8 @@ class _Simulation:
                     groups[g], task.generated_len(v_leave - task.v_start), completed[g],
                     total[g], beta, n_groups, loads,
                 )
-                if not decision.migrates:
-                    continue
-                if decision.kind == "intra_step":
-                    self._migrate_intra(rec, worker, task, decision.target_group)
-                elif rec.number < self.steps:
-                    self._migrate_inter(rec, worker, task)
+                if decision.migrates:
+                    self._migrate(rec, worker, task, decision.target_group)
 
     def _group_loads(self, rec: _Step) -> dict[int, float]:
         loads = {g: [len(self.workers[w].inflight) for w in wids
@@ -898,52 +901,47 @@ class _Simulation:
         task.done = task.v_end - task.v_start
         return task.generated_len(task.done)
 
-    def _migrate_intra(self, rec: _Step, source: _Worker, task: _Task,
-                       target_group: int) -> None:
-        candidates = [
-            self.workers[wid] for wid in rec.group_workers[target_group]
-            if self.workers[wid].step == rec.number and self.workers[wid].inflight
-        ]
-        if not candidates:
-            return
-        target = min(candidates, key=lambda w: (len(w.inflight) + len(w.joining), w.wid))
-        generated = self._detach(source, task)
-        self._join(target, task)
-        task.migrated = True
-        old_group = task.group
-        task.group = target_group
-        task.worker = target.wid
-        rec.group_total[old_group] -= 1
-        rec.group_total[target_group] += 1
-        self.events.append({
-            "from_group": old_group, "from_worker": source.wid, "generated": generated,
-            "kind": "migration", "migration_kind": "intra_step", "sample": task.sid,
-            "seq": self._next_seq(), "time": self.now / _TICKS_PER_S,
-            "to_group": target_group, "to_worker": target.wid,
-        })
-        self._reschedule(target)
-        self._reschedule(source)
-
-    def _migrate_inter(self, rec: _Step, source: _Worker, task: _Task) -> None:
-        nxt = self.step[rec.number + 1]
-        if nxt.plan is not None and not self._carry_targets(nxt, task)[1]:
-            return  # no worker could resume it next step: it finishes where it is
+    def _migrate(self, rec: _Step, source: _Worker, task: _Task,
+                 target_group: int | None) -> None:
+        """Move `task` off `source` at its next boundary: to the least busy
+        worker of `target_group` still rolling out the step, or with no
+        target group to the next step, as a carry-in. An inter-step migrant
+        stays where it is when there is no next step, or when the next step
+        is planned and none of its workers could resume it."""
+        if target_group is None:
+            nxt = self.step.get(rec.number + 1)
+            if nxt is None or nxt.plan is not None and not self._carry_targets(nxt, task)[1]:
+                return
+        else:
+            # `_group_loads` offered the group, so one of its workers is live.
+            workers = [self.workers[wid] for wid in rec.group_workers[target_group]]
+            target = min((w for w in workers if w.step == rec.number and w.inflight),
+                         key=lambda w: (len(w.inflight) + len(w.joining), w.wid))
         generated = self._detach(source, task)
         task.migrated = True
-        task.continuation_version = rec.number
         rec.group_total[task.group] -= 1
-        task.worker = None
-        rec.expected -= 1
-        nxt.expected += 1
-        self.events.append({
-            "from_group": task.group, "from_worker": source.wid, "generated": generated,
-            "kind": "migration", "migration_kind": "inter_step", "sample": task.sid,
-            "seq": self._next_seq(), "time": self.now / _TICKS_PER_S, "to_step": nxt.number,
-        })
-        nxt.carry_in.append(task)
-        if nxt.plan is not None:
-            self._bind_carry(nxt, task)
-        self._push(self.now, "train_check", (rec.number,))
+        kind = "inter_step" if target_group is None else "intra_step"
+        record = {"from_group": task.group, "from_worker": source.wid, "generated": generated,
+                  "kind": "migration", "migration_kind": kind, "sample": task.sid,
+                  "seq": self._next_seq(), "time": self.now / _TICKS_PER_S}
+        if target_group is None:
+            task.continuation_version = rec.number
+            task.worker = None
+            rec.expected -= 1
+            nxt.expected += 1
+            record["to_step"] = nxt.number
+            self.events.append(record)
+            nxt.carry_in.append(task)
+            if nxt.plan is not None:
+                self._bind_carry(nxt, task)
+            self._push(self.now, self._on_train_check, rec.number)
+        else:
+            self._join(target, task)
+            task.group, task.worker = target_group, target.wid
+            rec.group_total[target_group] += 1
+            record["to_group"], record["to_worker"] = target_group, target.wid
+            self.events.append(record)
+            self._reschedule(target)
         self._reschedule(source)
 
     def _on_reward_done(self, sid: str, attr_step: int, start: int) -> None:
@@ -961,7 +959,7 @@ class _Simulation:
         })
         if counted:
             rec.rewarded += 1
-            self._push(self.now, "train_check", (step,))
+            self._push(self.now, self._on_train_check, step)
 
     def _on_train_check(self, step: int) -> None:
         if step > self.steps:
@@ -975,32 +973,25 @@ class _Simulation:
         threshold = max(1, math.ceil(rec.expected * (1.0 - self.policy.oversample_pct / 100.0)))
         if rec.rewarded < threshold:
             return
-        if self.policy.name == "colocated":
-            self._start_colocated_train(rec)
-        else:
-            start = max(self.now, self.train_free)
-            duration = self.ticks.t_train(rec.rewarded)
-            rec.train_started = True
-            self.train_free = start + duration
-            self._push(start + duration, "train_done", (step, start, None))
-
-    def _start_colocated_train(self, rec: _Step) -> None:
-        # Strict alternation: every worker must have drained this step first.
-        # Round-robin steps never migrate, so no carry-in can still be unbound.
-        for worker in self.workers:
-            if worker.step < rec.number or worker.inflight:
-                return
+        colocated = self.policy.name == "colocated"
+        # Colocated alternates strictly: every worker must have drained this
+        # step, and so closed its share, first. Its round-robin steps never
+        # migrate, so no carry-in can still be unbound.
+        if colocated and any(w.step < step or w.inflight for w in self.workers):
+            return
         rec.train_started = True
         duration = self.ticks.t_train(rec.rewarded)
-        switch = self.ticks.switch_base + self.ticks.switch_per_sample * rec.rewarded
-        start = self.now
-        # Every worker switches to training, trains, and switches back.
-        switch_span = [start, start + 2 * switch + duration]
-        for worker in self.workers:
-            self._share(worker, False)
-            worker.free_at = switch_span[1]
-        self._push(start + switch + duration, "train_done",
-                   (rec.number, start + switch, switch_span))
+        if colocated:
+            # Every worker switches to training, trains, and switches back.
+            switch = self.ticks.switch_base + self.ticks.switch_per_sample * rec.rewarded
+            span = [self.now, self.now + 2 * switch + duration]
+            for worker in self.workers:
+                worker.free_at = span[1]
+            start = self.now + switch
+        else:
+            start, span = max(self.now, self.train_free), None
+        self.train_free = start + duration
+        self._push(self.train_free, self._on_train_done, step, start, span)
 
     def _on_train_done(self, step: int, start: int, switch: list[int] | None) -> None:
         duration = (self.now - start) / _TICKS_PER_S
@@ -1028,11 +1019,11 @@ class _Simulation:
             "version": version,
         })
         for wid, wait_step in self.weight_waiters.pop(version, []):
-            self._push(avail, "start", (wid, wait_step))
-        self._push(self.now, "train_check", (step + 1,))
+            self._push(avail, self._on_start, wid, wait_step)
+        self._push(self.now, self._on_train_check, step + 1)
         if self.policy.name == "colocated":
             for worker in self.workers:
-                self._push(worker.free_at, "start", (worker.wid, step + 1))
+                self._push(worker.free_at, self._on_start, worker.wid, step + 1)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -1040,21 +1031,10 @@ class _Simulation:
         if self.policy.speculation:
             self.replayed = histospec(self.trace)
         for worker in self.workers:
-            self._push(0, "start", (worker.wid, 1))
+            self._push(0, self._on_start, worker.wid, 1)
         while self._heap:
-            self.now, _seq, kind, data = heapq.heappop(self._heap)
-            if kind == "start":
-                worker, step = self.workers[data[0]], data[1]
-                if worker.step == step - 1 and not (worker.inflight or worker.joining):
-                    self._try_start(worker, step)
-            elif kind == "boundary":
-                self._on_boundary(*data)
-            elif kind == "reward_done":
-                self._on_reward_done(*data)
-            elif kind == "train_check":
-                self._on_train_check(*data)
-            elif kind == "train_done":
-                self._on_train_done(*data)
+            self.now, _seq, handler, args = heapq.heappop(self._heap)
+            handler(*args)
         return self._finalize()
 
     def _check_drained(self) -> None:

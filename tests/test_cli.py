@@ -268,6 +268,22 @@ class TestPlanAlloc:
         assert f"step {step} has no plan" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_step_with_fewer_prompts_than_groups_exits_two(self, workspace, capsys):
+        # A run rolls such a step out round robin; it has no plan to print.
+        tmp_path, spec_path, cluster_path = workspace
+        trace_path = gen(tmp_path, spec_path)
+        rio.write_trace(trace_path, [r for r in rio.read_trace(trace_path)
+                                     if r.epoch != 2 or r.prompt_id == "p0000"])
+        out = tmp_path / "plan.json"
+        assert main(["plan-alloc", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--step", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert "fewer prompts (1) than groups (4)" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
+                     "--policy", "histopipe_two_tier", "--out", str(tmp_path / "run.json")]) \
+            == EXIT_OK
+        assert step_boundary(tmp_path / "run.events.jsonl", 2)["policy"] == "streaming"
+
     @pytest.mark.parametrize("t_train", ["nan", "inf", "-1", "x"])
     def test_unplannable_t_train_exits_two(self, workspace, t_train, capsys):
         tmp_path, spec_path, cluster_path = workspace

@@ -310,6 +310,36 @@ class TestPolicyBehavior:
         assert next(e["time"] for e in ev if e["kind"] == "share_start"
                     and e["worker"] == 3 and e["step"] == 4) == finish["time"]
 
+    def test_inter_step_migrant_stays_when_no_worker_could_resume_it(self):
+        # With 60% oversampling step 2 trains long before its straggler
+        # p0002/e2/1 finishes, and worker 2, the one worker of p0002's group
+        # in step 3, moves on to step 4. A step-2 check that would defer the
+        # straggler to step 3 is then refused: it finishes on its own worker
+        # in step 2, and no sample is lost.
+        class Refusals(sim_module._Simulation):
+            def _migrate(self, rec, source, task, target_group):
+                super()._migrate(rec, source, task, target_group)
+                if target_group is None and not task.migrated:
+                    refused.append((rec.number, task.sid, source.wid))
+
+        refused = []
+        spec = TraceSpec(num_prompts=8, epochs=4, group_size=3, len_mu=math.log(80),
+                         len_sigma=1.1, similarity=0.9, rank_noise=0.5, length_jitter=0.3,
+                         seed=5585)
+        responses = generate(spec)
+        res = Refusals(Trace(responses), ClusterSpec(3, 2, 3),
+                       Policy("histopipe_naive", oversample_pct=60.0), fast_cost()).run()
+        assert {sid for _, sid, _ in refused} == {"p0002/e2/1"}
+        finish = next(e for e in res.events
+                      if e["kind"] == "rollout_finish" and e["sample"] == "p0002/e2/1")
+        assert all(finish["worker"] == wid and step == finish["step"] == finish["scheduled_step"]
+                   for step, _, wid in refused)
+        assert not finish["migrated"] and finish["continuation_version"] is None
+        assert not any(e["kind"] == "migration" and e["sample"] == "p0002/e2/1"
+                       for e in res.events)
+        finishes = Counter(e["sample"] for e in res.events if e["kind"] == "rollout_finish")
+        assert len(finishes) == len(responses) == 96 and set(finishes.values()) == {1}
+
     def test_speculation_shrinks_rollout_time(self):
         trace = longtail_trace(epochs=5)
         cluster = ClusterSpec(**CLUSTER)
@@ -589,6 +619,22 @@ class TestPromptSetChanges:
         assert res.metrics.samples == len(responses)
         assert len(res.accounting["completed"]) == len(responses)
         assert {sid.rsplit("/", 1)[0] for sid in res.accounting["completed"]} == expected
+
+    @pytest.mark.parametrize("speculation", [False, True])
+    @pytest.mark.parametrize("policy", ["histopipe_naive", "histopipe_two_tier"])
+    def test_step_with_fewer_prompts_than_groups_rolls_out_round_robin(self, policy,
+                                                                      speculation):
+        # Epoch 2 keeps one of six prompts, too few to rank into four groups:
+        # HistoPipe rolls step 2 out round robin and plans step 3 from it.
+        spec = TraceSpec(num_prompts=6, epochs=3, group_size=4, seed=5)
+        responses = [r for r in generate(spec) if r.epoch != 2 or r.prompt_id == "p0000"]
+        res = run(responses, ClusterSpec(rollout_workers=8, reward_workers=4, n_groups=4),
+                  Policy(policy, speculation=speculation), fast_cost())
+        assert res.metrics.samples == len(res.accounting["completed"]) == len(responses) == 52
+        boundaries = [e for e in res.events if e["kind"] == "step_boundary"]
+        assert [(e["policy"], e["allocation"] is None) for e in boundaries] == [
+            ("streaming", True), ("streaming", True), (policy, policy == "histopipe_naive")]
+        assert set(boundaries[1]["workers"].values()) == {0}
 
 
 class TestHistoSpecPass:
@@ -939,7 +985,8 @@ class TestWorkerClock:
         step.group_workers, step.group_total, step.group_completed = {0: [0]}, {0: 100}, {0: 99}
         sim.workers[0].step = 1
         boundaries = []
-        sim._push = lambda time, kind, data: kind == "boundary" and boundaries.append(time)
+        sim._push = lambda time, handler, *args: \
+            handler == sim._on_boundary and boundaries.append(time)
         return sim, boundaries
 
     @staticmethod
@@ -955,7 +1002,7 @@ class TestWorkerClock:
     def task(sid, total, profile=None):
         return sim_module._Task(sid=sid, prompt="p", epoch=1,
                                 tokens_len=profile[-1] if profile else total, total_iters=total,
-                                profile=profile, group=None, weight_version=0, worker=0)
+                                profile=profile, group=None, worker=0)
 
     @classmethod
     def run_clock(cls, tasks, ops):
@@ -1042,12 +1089,12 @@ class TestWorkerClock:
             task.worker, task.group, task.v_end = w, w, task.total_iters
             rec.shares[w], rec.stragglers[w] = [task], [task]
         for w in (1, 0):
-            sim._try_start(sim.workers[w], 1)
+            sim._on_start(w, 1)
         with mock.patch.object(sim_module, "migration_decision", side_effect=AssertionError):
             while sim._heap:
-                sim.now, _seq, kind, data = heapq.heappop(sim._heap)
-                if kind == "boundary":
-                    sim._on_boundary(*data)
+                sim.now, _seq, handler, args = heapq.heappop(sim._heap)
+                if handler == sim._on_boundary:
+                    handler(*args)
         finishes = [e for e in sim.events if e["kind"] == "rollout_finish"]
         assert [(e["worker"], e["sample"]) for e in finishes] == [(1, "s1"), (0, "s0")]
         assert {e["time"] for e in finishes} == {10 * (0.004 + 0.001)}

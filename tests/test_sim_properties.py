@@ -47,9 +47,10 @@ def small_runs(draw):
     """(responses, cluster): 2-4 epochs, 4-12 prompts, 1-4 samples each, on
     2-3 groups of 2-8 workers. Some (prompt, epoch) cells are left out: a
     prompt missing from an epoch before one it has is added, one missing
-    after is dropped. Every epoch keeps at least one prompt per group. Some
-    responses are emptied: a group's member 0, a whole group, or a member of
-    the last epoch."""
+    after is dropped. Every epoch keeps at least one prompt per group, but
+    one epoch from 2 on may keep fewer: a small step, which HistoPipe rolls
+    out round robin. Some responses are emptied: a group's member 0, a whole
+    group, or a member of the last epoch."""
     epochs = draw(st.integers(2, 4))
     num_prompts = draw(st.integers(4, 12))
     n_groups = draw(st.integers(2, 3))
@@ -62,6 +63,12 @@ def small_runs(draw):
                           max_size=num_prompts, unique=True))
     left = Counter({e: num_prompts for e in range(1, epochs + 1)})
     absent = set()
+    small = draw(st.none() | st.integers(2, epochs))
+    if small is not None:
+        kept = draw(st.lists(st.integers(0, num_prompts - 1), min_size=1,
+                             max_size=n_groups - 1, unique=True))
+        absent.update((spec.prompt_id(p), small) for p in range(num_prompts) if p not in kept)
+        left[small] = len(kept)
     for p, e in cells:
         if left[e] > n_groups:
             absent.add((spec.prompt_id(p), e))
@@ -201,7 +208,8 @@ def check_migrations(res, trace, policy):
     the event log: a rollout counts for the group of the worker it started
     on, moves with an intra-step migration, and an inter-step one leaves its
     step for the group its prompt has in the next step (none when the prompt
-    is not in it), joining it once that step is planned."""
+    is not in it or the step is round robin), joining it once that step is
+    planned."""
     migrations = {e["sample"]: e for e in res.events if e["kind"] == "migration"}
     if not policy.is_histopipe:
         assert not migrations
@@ -249,7 +257,7 @@ def check_migrations(res, trace, policy):
             assert nxt == step + 1
             prompt = sid.split("/", 1)[0]
             group = (worker_groups[nxt][finishes[sid]["worker"]]
-                     if prompt in trace.prompts(nxt) else None)
+                     if nxt in worker_groups and prompt in trace.prompts(nxt) else None)
             counted_in[sid] = (nxt, group)
             if group is not None:
                 if nxt in planned:
@@ -325,10 +333,8 @@ class FullScan(sim_module._Simulation):
                     decision = migration_decision(
                         rec.plan.groups[g], task.generated_len(v_leave - task.v_start),
                         completed[g], total[g], rec.plan.beta, self.cluster.n_groups, loads)
-                    if decision.kind == "intra_step":
-                        self._migrate_intra(rec, worker, task, decision.target_group)
-                    elif decision.kind == "inter_step" and rec.number < self.steps:
-                        self._migrate_inter(rec, worker, task)
+                    if decision.migrates:
+                        self._migrate(rec, worker, task, decision.target_group)
 
 
 @pytest.mark.parametrize("name", ["histopipe_naive", "histopipe_two_tier"])
@@ -372,7 +378,8 @@ def test_step_boundaries_hold_the_plan_of_plan_step(speculation, drawn):
     """Every two-tier step's allocation and worker map in the log are what
     `plan_step` plans for the step from the trace, its HistoSpec replays and
     the duration of the last train job to end before the step's boundary
-    (None before any has)."""
+    (None before any has). A step from 2 on with fewer prompts than groups
+    has no plan and is rolled out round robin."""
     responses, cluster = drawn
     trace = Trace(responses)
     try:
@@ -388,12 +395,19 @@ def test_step_boundaries_hold_the_plan_of_plan_step(speculation, drawn):
             t_train = e["duration"]
         elif e["kind"] == "step_boundary" and e["step"] >= 2:
             step = e["step"]
+            if len(trace.prompts(step)) < cluster.n_groups:
+                event("a small step")
+                assert e["policy"] == "streaming" and e["allocation"] is None
+                assert set(e["workers"].values()) == {0}
+                with pytest.raises(ValueError, match="fewer prompts"):
+                    plan_step(trace, replayed, step, cluster, COST, t_train)
+                continue
             event("t_train from a train job" if t_train is not None else "t_train from the cost")
             plan = plan_step(trace, replayed, step, cluster, COST, t_train)
             assert e["allocation"] == plan.allocation.as_dict()
             assert e["workers"] == {str(w): g for w, g in plan.worker_groups.items()}
             planned.append(step)
-    assert planned == trace.epochs[1:]
+    assert planned == [s for s in trace.epochs[1:] if len(trace.prompts(s)) >= cluster.n_groups]
 
 
 @settings(max_examples=30, deadline=None)
