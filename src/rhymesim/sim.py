@@ -636,6 +636,9 @@ class _Simulation:
         if step > 1:
             self._ensure_plan(step - 1)
         n = len(self.workers)
+        # A step with fewer prompts than groups is rolled out round robin:
+        # scheduler.build_groups refuses it, counting the same prompts, so a
+        # change to one threshold must change the other.
         if (self.policy.is_histopipe and step >= 2
                 and len(self.trace.epoch_responses(step)) >= self.cluster.n_groups):
             plan = plan_step(self.trace, self.replayed, step, self.cluster, self.cost,

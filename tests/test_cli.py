@@ -279,10 +279,6 @@ class TestPlanAlloc:
                      "--step", "2", "--out", str(out)]) == EXIT_CONFIG
         assert "fewer prompts (1) than groups (4)" in capsys.readouterr().err
         assert not out.exists()
-        assert main(["run-sim", "--trace", str(trace_path), "--cluster", str(cluster_path),
-                     "--policy", "histopipe_two_tier", "--out", str(tmp_path / "run.json")]) \
-            == EXIT_OK
-        assert step_boundary(tmp_path / "run.events.jsonl", 2)["policy"] == "streaming"
 
     @pytest.mark.parametrize("t_train", ["nan", "inf", "-1", "x"])
     def test_unplannable_t_train_exits_two(self, workspace, t_train, capsys):

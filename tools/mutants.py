@@ -5,8 +5,9 @@ swapped, a 0/1 or True/False constant swapped, a `not` dropped, or an
 assignment or call statement replaced by `pass`. The sites are drawn at
 random (`--seed`) from the named functions of `--file`. Each mutant is
 written into a copy of `src/` and `tests/` in a scratch directory, never into
-the working tree, and the tests run on it with `-x` under a time limit. A
-mutant whose tests all pass survived, and its site is printed for review.
+the working tree, and the tests run on it with `-x`, stopped after TIMEOUT
+seconds. A mutant whose tests all pass survived, and its site is printed for
+review. The copy goes under the system temp directory (TMPDIR chooses it).
 
     python tools/mutants.py --file src/rhymesim/sim.py --functions _migrate \\
         --count 30 --seed 7 tests/test_sim.py tests/test_sim_properties.py
@@ -30,6 +31,7 @@ FLIP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
         ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Add: ast.Sub, ast.Sub: ast.Add,
         ast.And: ast.Or, ast.Or: ast.And}
 DROPPED = (ast.Assign, ast.AugAssign, ast.Expr)
+TIMEOUT = 300  # seconds per mutant; a hung one is stopped and counted as caught
 
 
 def sites(tree: ast.Module, names: set[str]) -> list[tuple[str, ast.AST, str, int]]:
@@ -77,13 +79,13 @@ def mutant(source: str, names: set[str], index: int) -> tuple[str, str]:
     return ast.unparse(tree), f"{func} line {line}: {before}  ->  {ast.unparse(target)}"
 
 
-def run_tests(root: Path, tests: list[str], timeout: float) -> str:
+def run_tests(root: Path, tests: list[str]) -> str:
     proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                              *tests], cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                             start_new_session=True)
     try:
-        return "survived" if proc.wait(timeout) == 0 else "killed"
+        return "survived" if proc.wait(TIMEOUT) == 0 else "killed"
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -96,26 +98,24 @@ def main() -> int:
     parser.add_argument("--functions", nargs="+", required=True)
     parser.add_argument("--count", type=int, default=30)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    parser.add_argument("--workdir", help="scratch directory for the copy (default: a temp dir)")
     parser.add_argument("tests", nargs="+")
     args = parser.parse_args()
     repo = Path(__file__).resolve().parent.parent
     source, names = (repo / args.file).read_text(), set(args.functions)
     total = len(sites(ast.parse(source), names))
     outcomes = []
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for part in ("src", "tests", "pyproject.toml"):
             (shutil.copytree if (repo / part).is_dir() else shutil.copy)(repo / part, root / part)
         # The unmutated module, written as each mutant is, must pass.
         (root / args.file).write_text(ast.unparse(ast.parse(source)))
-        if run_tests(root, args.tests, args.timeout) != "survived":
+        if run_tests(root, args.tests) != "survived":
             sys.exit("the tests fail on the unmutated code")
         for index in sorted(random.Random(args.seed).sample(range(total), min(args.count, total))):
             text, change = mutant(source, names, index)
             (root / args.file).write_text(text)
-            outcomes.append(run_tests(root, args.tests, args.timeout))
+            outcomes.append(run_tests(root, args.tests))
             print(f"{outcomes[-1]:8}  {change}", flush=True)
     caught = len(outcomes) - outcomes.count("survived")
     print(f"{caught}/{len(outcomes)} mutants caught ({outcomes.count('hung')} hung) "
